@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the performance-facing kernels behind
 //! every experiment: GEMM, SVD, quantization, co-occurrence counting, the
-//! embedding distance measures, and downstream training.
+//! embedding distance measures, serve's batched nearest-neighbor query,
+//! and downstream training.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -14,6 +15,7 @@ use embedstab_downstream::models::{LogReg, TrainSpec};
 use embedstab_embeddings::{CorpusStats, Embedding};
 use embedstab_linalg::Mat;
 use embedstab_quant::{quantize, Precision};
+use embedstab_serve::SnapshotStore;
 use rand::SeedableRng;
 
 fn bench_gemm(c: &mut Criterion) {
@@ -119,8 +121,9 @@ fn bench_measures(c: &mut Criterion) {
     c.bench_function("measure_eis_1000x32", |bench| {
         bench.iter(|| black_box(eis.distance_between(&x, &y)));
     });
-    let knn = KnnMeasure::new(5, 200, 0);
-    c.bench_function("measure_knn_1000x32_q200", |bench| {
+    // The serving gate's shape: k = 5 over 1000 query words on both sides.
+    let knn = KnnMeasure::new(5, 1000, 0);
+    c.bench_function("measure_knn_1000x32_q1000", |bench| {
         bench.iter(|| black_box(knn.distance(&x, &y)));
     });
     c.bench_function("measure_pip_1000x32", |bench| {
@@ -132,6 +135,25 @@ fn bench_measures(c: &mut Criterion) {
     c.bench_function("measure_overlap_1000x32", |bench| {
         bench.iter(|| black_box(EigenspaceOverlap.distance(&x, &y)));
     });
+}
+
+fn bench_nearest(c: &mut Criterion) {
+    // A coalesced serve batch: 64 nearest queries, k = 5, against an
+    // 8-bit 1000 x 64 snapshot.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let dir = embedstab_pipeline::cache::scratch_dir("bench_nearest");
+    std::fs::remove_dir_all(&dir).ok();
+    let mut store = SnapshotStore::open(&dir).expect("open snapshot store");
+    let emb = Embedding::new(Mat::random_normal(1000, 64, &mut rng));
+    store
+        .publish(&emb, Precision::new(8), None)
+        .expect("publish snapshot");
+    let snap = store.live().expect("live snapshot");
+    let queries = Mat::random_normal(64, 64, &mut rng);
+    c.bench_function("nearest_batch_1000x64_q64_k5", |bench| {
+        bench.iter(|| black_box(snap.nearest_batch(black_box(&queries), 5)));
+    });
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn bench_training(c: &mut Criterion) {
@@ -177,6 +199,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_gemm, bench_svd, bench_quantization, bench_cooccurrence,
-              bench_measures, bench_training
+              bench_measures, bench_nearest, bench_training
 }
 criterion_main!(benches);

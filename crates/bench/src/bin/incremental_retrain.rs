@@ -5,7 +5,8 @@
 //!
 //! ```text
 //! cargo run --release -p embedstab_bench --bin incremental_retrain -- \
-//!     --scale small --steps 5 --delta-frac 0.10 --min-speedup 1.0
+//!     --scale small --steps 5 --delta-frac 0.10 --min-speedup 1.0 \
+//!     --max-submit-ratio 1.0
 //! ```
 //!
 //! Both services start from the same base corpus (a bootstrap retrain
@@ -16,8 +17,10 @@
 //! gate's predicted instability for both candidates, and the EIS / k-NN
 //! distance between the warm and cold retrains — re-measuring the
 //! [`WARM_SVD_EIS_TOLERANCE`] contract on every run. Exits nonzero if any
-//! step's speedup falls below `--min-speedup` or any warm-vs-cold EIS
-//! exceeds the recorded tolerance.
+//! step's speedup falls below `--min-speedup`, any warm-vs-cold EIS
+//! exceeds the recorded tolerance, or (with `--max-submit-ratio r`) any
+//! incremental step's gate submit takes longer than `r` times the step
+//! itself.
 
 use std::process::exit;
 use std::time::Instant;
@@ -64,6 +67,8 @@ struct Report {
     warm_svd_eis_tolerance: f64,
     min_observed_speedup: f64,
     max_warm_vs_cold_eis: f64,
+    max_submit_ratio: Option<f64>,
+    max_observed_submit_ratio: f64,
     per_step: Vec<StepRow>,
 }
 
@@ -174,6 +179,8 @@ fn main() {
     let steps: usize = parse(&args, "--steps", 5);
     let delta_frac: f64 = parse(&args, "--delta-frac", 0.10);
     let min_speedup: f64 = parse(&args, "--min-speedup", 1.0);
+    let max_submit_ratio: Option<f64> =
+        flag_value(&args, "--max-submit-ratio").map(|_| parse(&args, "--max-submit-ratio", 0.0));
     let out = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_incremental.json".into());
     // A mid-sweep dimension: large enough that the SVD stage matters,
     // small enough that counting (the stage incrementality pays for)
@@ -228,6 +235,7 @@ fn main() {
     let mut per_step = Vec::with_capacity(steps);
     let mut min_observed_speedup = f64::INFINITY;
     let mut max_eis: f64 = 0.0;
+    let mut max_observed_submit_ratio: f64 = 0.0;
     for step in 1..=steps {
         // Each step's increment comes from a progressively drifted model:
         // the streaming analogue of the paper's Wiki'17 -> Wiki'18 shift.
@@ -257,6 +265,7 @@ fn main() {
         let speedup = scratch_s / inc_s;
         min_observed_speedup = min_observed_speedup.min(speedup);
         max_eis = max_eis.max(measures.eis);
+        max_observed_submit_ratio = max_observed_submit_ratio.max(inc_t.submit_seconds / inc_s);
         eprintln!(
             "step {step}: incremental {inc_s:.3}s (ingest {:.3} + refresh {:.3} + svd {:.3}), \
              from-scratch {scratch_s:.3}s ({:.3} + {:.3} + {:.3}) -> {speedup:.2}x; \
@@ -303,6 +312,8 @@ fn main() {
         warm_svd_eis_tolerance: WARM_SVD_EIS_TOLERANCE,
         min_observed_speedup,
         max_warm_vs_cold_eis: max_eis,
+        max_submit_ratio,
+        max_observed_submit_ratio,
         per_step,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
@@ -312,12 +323,13 @@ fn main() {
     });
     println!(
         "{} steps, min speedup {:.2}x (threshold {:.2}x), max warm-vs-cold EIS {:.4} \
-         (tolerance {}) -> {out}",
+         (tolerance {}), max submit/step {:.2} -> {out}",
         report.steps,
         report.min_observed_speedup,
         report.min_speedup,
         report.max_warm_vs_cold_eis,
         report.warm_svd_eis_tolerance,
+        report.max_observed_submit_ratio,
     );
 
     if report.min_observed_speedup < min_speedup {
@@ -333,5 +345,15 @@ fn main() {
             report.max_warm_vs_cold_eis, WARM_SVD_EIS_TOLERANCE
         );
         exit(1)
+    }
+    if let Some(ratio) = max_submit_ratio {
+        if report.max_observed_submit_ratio > ratio {
+            eprintln!(
+                "incremental_retrain: FAILURE: a gate submit took {:.2}x its incremental \
+                 step, above --max-submit-ratio {ratio}",
+                report.max_observed_submit_ratio
+            );
+            exit(1)
+        }
     }
 }

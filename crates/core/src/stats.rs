@@ -47,33 +47,9 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     sxy / (sxx * syy).sqrt()
 }
 
-/// A total order over `f64` that places **every** NaN after every number.
-///
-/// `f64::total_cmp` alone is not enough for "lowest value wins" scans:
-/// runtime-computed NaNs (`0.0 / 0.0`, `inf - inf`) carry the sign bit on
-/// x86-64, and `total_cmp` orders negative NaNs *before* `-inf` — so a
-/// degenerate value would silently win a `min_by`. Here NaNs of either
-/// sign compare greater than all numbers (and equal to each other).
-pub fn cmp_nan_last(a: f64, b: f64) -> std::cmp::Ordering {
-    match (a.is_nan(), b.is_nan()) {
-        (true, true) => std::cmp::Ordering::Equal,
-        (true, false) => std::cmp::Ordering::Greater,
-        (false, true) => std::cmp::Ordering::Less,
-        (false, false) => a.total_cmp(&b),
-    }
-}
-
-/// The descending companion of [`cmp_nan_last`]: larger numbers first,
-/// NaNs of either sign still last (a plain reversed comparison would move
-/// them to the front).
-pub fn cmp_desc_nan_last(a: f64, b: f64) -> std::cmp::Ordering {
-    match (a.is_nan(), b.is_nan()) {
-        (true, true) => std::cmp::Ordering::Equal,
-        (true, false) => std::cmp::Ordering::Greater,
-        (false, true) => std::cmp::Ordering::Less,
-        (false, false) => b.total_cmp(&a),
-    }
-}
+/// The NaN-last float orders, defined once in `linalg` next to the cosine
+/// top-k kernel that ranks by them.
+pub use embedstab_linalg::{cmp_desc_nan_last, cmp_nan_last};
 
 /// Average ranks (1-based), with ties receiving the mean of their rank
 /// range — the standard tie handling for Spearman correlation.

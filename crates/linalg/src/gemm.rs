@@ -258,8 +258,11 @@ fn gemm_small(a: View<'_>, b: View<'_>, c: &mut [f64], n: usize) {
 /// rows `0..a.rows` of the product as a dense `a.rows x n` block.
 fn gemm_blocked(a: View<'_>, b: View<'_>, c: &mut [f64], n: usize) {
     let (m, k) = (a.rows, a.cols);
-    let mut bp = vec![0.0; KC * NC];
-    let mut ap = vec![0.0; MC * KC];
+    // Panels sized to the operands, not the block constants: a thin
+    // product (the top-k screen's `k = dim`) then touches kilobytes, not
+    // the full 1.2 MiB of an `MC x KC` + `KC x NC` panel pair.
+    let mut bp = vec![0.0; KC.min(k) * NC.min(n).next_multiple_of(NR)];
+    let mut ap = vec![0.0; MC.min(m).next_multiple_of(MR) * KC.min(k)];
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         for pc in (0..k).step_by(KC) {

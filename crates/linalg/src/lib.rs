@@ -11,6 +11,8 @@
 //! - singular value decomposition ([`Mat::svd`]) with two backends:
 //!   one-sided Jacobi ([`Mat::svd_exact`]) and a randomized range finder
 //!   ([`Mat::svd_randomized`]),
+//! - the cosine top-k kernel behind every nearest-neighbor query
+//!   ([`topk::cosine_top_k`]),
 //! - Cholesky factorization and SPD solves ([`chol`]),
 //! - the orthogonal Procrustes problem ([`procrustes::orthogonal_procrustes`]),
 //!   used by the paper to align Wiki'17/Wiki'18 embeddings before compression.
@@ -39,6 +41,12 @@
 //! Randomized(cfg))`; truncated sketches with subspace iteration are
 //! available through [`RandomizedSvd::truncated`].
 //!
+//! **Cosine top-k.** [`cosine_top_k`] screens queries through
+//! `matmul_nt` in 128-query tiles, then rescores every word within a
+//! `d`-dependent rounding band of each query's k-th screened score with
+//! the scalar [`vecops::cosine_similarity`]. The result is bitwise a naive
+//! scan's; [`topk`] gives the error bound that makes it so.
+//!
 //! # Example
 //!
 //! ```
@@ -57,9 +65,11 @@ pub mod opt;
 pub mod procrustes;
 pub mod qr;
 pub mod svd;
+pub mod topk;
 pub mod vecops;
 
 pub use chol::{cholesky, lstsq, solve_spd};
 pub use mat::Mat;
 pub use procrustes::{align, orthogonal_procrustes};
 pub use svd::{svd_randomized_warm_op, RandomizedSvd, SketchOp, Svd, SvdMethod};
+pub use topk::{cmp_desc_nan_last, cmp_nan_last, cosine_top_k, row_norms};

@@ -52,12 +52,19 @@ pub fn normalize(x: &mut [f64]) {
 
 /// Cosine similarity in `[-1, 1]`; `0` when either vector is zero.
 pub fn cosine_similarity(a: &[f64], b: &[f64]) -> f64 {
-    let na = norm2(a);
-    let nb = norm2(b);
+    cosine_from_norms(dot(a, b), norm2(a), norm2(b))
+}
+
+/// [`cosine_similarity`] from its parts: `dot(a, b)`, `norm2(a)` and
+/// `norm2(b)`. Callers that reuse norms across many pairs (the
+/// [`cosine_top_k`](crate::topk::cosine_top_k) kernel) get the same bits
+/// as the direct call.
+#[inline]
+pub(crate) fn cosine_from_norms(dot: f64, na: f64, nb: f64) -> f64 {
     if na == 0.0 || nb == 0.0 {
         return 0.0;
     }
-    (dot(a, b) / (na * nb)).clamp(-1.0, 1.0)
+    (dot / (na * nb)).clamp(-1.0, 1.0)
 }
 
 /// Cosine distance `1 - cosine_similarity`.

@@ -21,10 +21,14 @@
 //!   tenant's (dimension, precision) is picked on its memory-budget line
 //!   through the same `core::selection` ranking path the paper's Table 3
 //!   evaluates ([`tenant`]).
-//! - Batched query paths — [`Snapshot::lookup_batch`] and
-//!   [`Snapshot::nearest_batch`] answer whole batches through the blocked
-//!   GEMM kernel, with `try_` variants that degrade malformed input to a
-//!   typed [`QueryError`] instead of panicking ([`snapshot`], [`error`]).
+//! - Batched query paths — [`Snapshot::lookup_batch`] gathers rows, and
+//!   [`Snapshot::nearest_batch`] answers whole batches through the shared
+//!   cosine top-k kernel (`embedstab_linalg::cosine_top_k`, the same one
+//!   the k-NN measure uses). Similarity is the scalar cosine, clamped to
+//!   `[-1, 1]` and `0` against a zero row; lists are ordered by
+//!   descending similarity, NaN last, lower word id first, and are bitwise
+//!   a naive scan's. `try_` variants degrade malformed input to a typed
+//!   [`QueryError`] instead of panicking ([`snapshot`], [`error`]).
 //! - The network front-end — a length-prefixed binary protocol
 //!   ([`wire`]) and a threaded TCP server ([`server`]) that coalesces
 //!   concurrently arriving queries per tenant into single batched calls,

@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 
 use crate::error::QueryError;
 use embedstab_embeddings::Embedding;
-use embedstab_linalg::Mat;
+use embedstab_linalg::{cosine_top_k, row_norms, Mat};
 use embedstab_pipeline::cache::{atomic_write, decode_mat, encode_mat, read_u32};
 use embedstab_quant::{quantize, Precision};
 use serde::{Deserialize, Serialize};
@@ -70,20 +70,12 @@ pub struct SnapshotMeta {
 pub struct Snapshot {
     meta: SnapshotMeta,
     embedding: Embedding,
-    /// Per-row L2 norms, precomputed once at construction: the snapshot
-    /// is immutable and [`Snapshot::nearest_batch`] is the serving hot
-    /// path, so cosine denominators must not be recomputed per query
-    /// batch. Derived from `embedding`, not persisted.
+    /// Per-row L2 norms ([`row_norms`], the norms the top-k kernel
+    /// expects), precomputed once at construction: the snapshot is
+    /// immutable and [`Snapshot::nearest_batch`] is the serving hot path,
+    /// so cosine denominators must not be recomputed per query batch.
+    /// Derived from `embedding`, not persisted.
     row_norms: Vec<f64>,
-}
-
-fn row_norms(embedding: &Embedding) -> Vec<f64> {
-    (0..embedding.vocab_size())
-        .map(|i| {
-            let r = embedding.mat().row(i);
-            r.iter().map(|x| x * x).sum::<f64>().sqrt()
-        })
-        .collect()
 }
 
 impl Snapshot {
@@ -110,7 +102,7 @@ impl Snapshot {
                 },
                 predicted_instability,
             },
-            row_norms: row_norms(&q.embedding),
+            row_norms: row_norms(q.embedding.mat()),
             embedding: q.embedding,
         }
     }
@@ -183,12 +175,18 @@ impl Snapshot {
     }
 
     /// The `k` nearest words (by cosine similarity) to each query vector,
-    /// for a whole batch of queries at once. The `queries x vocab` score
-    /// matrix is one `matmul_nt` call, so the batch rides the blocked GEMM
-    /// kernel instead of `queries` separate vocabulary scans.
+    /// for a whole batch of queries at once, through the shared cosine
+    /// top-k kernel ([`embedstab_linalg::cosine_top_k`]): queries are
+    /// screened through the blocked GEMM in bounded tiles, and the words
+    /// near each query's k-th score are rescored exactly.
     ///
-    /// Each result is sorted by descending similarity; ties break toward
-    /// the lower word id, so answers are deterministic.
+    /// Similarity is the scalar
+    /// [`cosine_similarity`](embedstab_linalg::vecops::cosine_similarity):
+    /// `(dot / (|q| |w|)).clamp(-1, 1)`, and `0` against a zero row. Each
+    /// result is sorted by descending similarity, NaN last, with ties
+    /// broken toward the lower word id. Ids and similarity bits equal a
+    /// naive scan over every word, so an answer does not depend on the
+    /// batch it rode in.
     ///
     /// # Panics
     ///
@@ -196,44 +194,14 @@ impl Snapshot {
     /// differs from the snapshot's. Wire-facing callers use
     /// [`Snapshot::try_nearest_batch`] instead.
     pub fn nearest_batch(&self, queries: &Mat, k: usize) -> Vec<Vec<(u32, f64)>> {
-        let vocab = self.meta.vocab_size;
-        let k = k.min(vocab);
-        let scores = queries.matmul_nt(self.embedding.mat());
-        let norms = &self.row_norms;
-        (0..queries.rows())
-            .map(|qi| {
-                let qnorm = {
-                    let r = queries.row(qi);
-                    r.iter().map(|x| x * x).sum::<f64>().sqrt()
-                };
-                let mut ranked: Vec<(u32, f64)> = scores
-                    .row(qi)
-                    .iter()
-                    .enumerate()
-                    .map(|(w, &dot)| {
-                        let denom = qnorm * norms[w];
-                        let sim = if denom > 0.0 { dot / denom } else { 0.0 };
-                        (w as u32, sim)
-                    })
-                    .collect();
-                // A NaN similarity (degenerate snapshot row) must not
-                // panic the serving path — and must rank below every real
-                // neighbor, whatever its sign bit, so the top-k answer
-                // stays meaningful and deterministic.
-                ranked.sort_unstable_by(|a, b| {
-                    embedstab_core::stats::cmp_desc_nan_last(a.1, b.1).then(a.0.cmp(&b.0))
-                });
-                ranked.truncate(k);
-                ranked
-            })
-            .collect()
+        cosine_top_k(self.embedding.mat(), &self.row_norms, queries, k, None)
     }
 
     /// Like [`Snapshot::nearest_batch`], but malformed input degrades to
     /// a typed [`QueryError`]: a query-dimension mismatch, an empty query
     /// batch, or `k = 0`. The happy path is byte-for-byte the panicking
-    /// variant's (one blocked GEMM + deterministic ranking), so batching
-    /// through this entry point changes no answers.
+    /// variant's (the shared cosine top-k kernel), so batching through
+    /// this entry point changes no answers.
     pub fn try_nearest_batch(
         &self,
         queries: &Mat,
@@ -296,7 +264,7 @@ impl Snapshot {
         let embedding = Embedding::new(mat);
         Some(Snapshot {
             meta,
-            row_norms: row_norms(&embedding),
+            row_norms: row_norms(embedding.mat()),
             embedding,
         })
     }
@@ -774,26 +742,67 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// The reference: every word scored with the scalar
+    /// `cosine_similarity`, sorted descending (NaN last), lower id first.
+    fn naive_nearest(snap: &Snapshot, queries: &Mat, k: usize) -> Vec<Vec<(u32, u64)>> {
+        (0..queries.rows())
+            .map(|qi| {
+                let mut all: Vec<(u32, f64)> = (0..snap.meta().vocab_size as u32)
+                    .map(|w| {
+                        let sim = embedstab_linalg::vecops::cosine_similarity(
+                            queries.row(qi),
+                            snap.lookup(w),
+                        );
+                        (w, sim)
+                    })
+                    .collect();
+                all.sort_by(|a, b| {
+                    embedstab_core::stats::cmp_desc_nan_last(a.1, b.1).then(a.0.cmp(&b.0))
+                });
+                all.into_iter()
+                    .take(k)
+                    .map(|(w, sim)| (w, sim.to_bits()))
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn nearest_batch_matches_naive_scan() {
-        let dir = scratch("snap_nearest");
-        let mut store = SnapshotStore::open(&dir).expect("open");
-        store
-            .publish(&emb(6, 30, 5), Precision::FULL, None)
-            .expect("publish");
-        let snap = store.live().expect("live");
-        let queries = snap.lookup_batch(&[3, 17]);
-        let results = snap.nearest_batch(&queries, 4);
-        assert_eq!(results.len(), 2);
-        for (qi, &word) in [3u32, 17].iter().enumerate() {
-            // A word's own vector is its top cosine neighbor.
-            assert_eq!(results[qi][0].0, word);
-            assert!((results[qi][0].1 - 1.0).abs() < 1e-12);
-            // Similarities are descending.
-            for w in results[qi].windows(2) {
-                assert!(w[0].1 >= w[1].1);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let mut zero_row = Mat::random_normal(90, 6, &mut rng);
+        zero_row.row_mut(7).fill(0.0);
+        let cases = [
+            ("full precision", emb(6, 150, 5), Precision::FULL),
+            ("1-bit, mass ties", emb(9, 150, 4), Precision::new(1)),
+            ("zero row", Embedding::new(zero_row), Precision::FULL),
+        ];
+        for (label, e, precision) in cases {
+            let dir = scratch("snap_nearest");
+            let mut store = SnapshotStore::open(&dir).expect("open");
+            store.publish(&e, precision, None).expect("publish");
+            let snap = store.live().expect("live");
+            let vocab = snap.meta().vocab_size;
+            // Snapshot rows (word 7 is the zero row in that case), then
+            // off-vocabulary vectors.
+            let ids = [3, 7, 17, 42, 89];
+            let extra = Mat::random_normal(3, snap.meta().dim, &mut rng);
+            let queries = Mat::from_fn(ids.len() + 3, snap.meta().dim, |i, j| match ids.get(i) {
+                Some(&id) => snap.lookup(id)[j],
+                None => extra[(i - ids.len(), j)],
+            });
+            for k in [1, 4, vocab + 3] {
+                let got: Vec<Vec<(u32, u64)>> = snap
+                    .nearest_batch(&queries, k)
+                    .iter()
+                    .map(|l| l.iter().map(|&(w, sim)| (w, sim.to_bits())).collect())
+                    .collect();
+                assert_eq!(got, naive_nearest(snap, &queries, k), "{label}, k {k}");
             }
+            // Self-similarity is clamped: never above 1.0, not even by an ulp.
+            let top = snap.nearest_batch(&queries, 1);
+            assert!(top.iter().all(|l| l[0].1 <= 1.0), "{label}");
+            fs::remove_dir_all(&dir).ok();
         }
-        fs::remove_dir_all(&dir).ok();
     }
 }

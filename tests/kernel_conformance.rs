@@ -1,13 +1,16 @@
 //! Kernel-conformance suite: pins the accuracy of the packed blocked GEMM
 //! and the randomized range-finder SVD against their reference
-//! implementations (`Mat::matmul_naive`, `Mat::svd_exact`), so the hot
-//! paths can keep changing underneath without the figures drifting.
+//! implementations (`Mat::matmul_naive`, `Mat::svd_exact`), and the cosine
+//! top-k kernel bitwise against a naive scalar scan, so the hot paths can
+//! keep changing underneath without the figures drifting.
 //!
 //! Rettenmeier (2020) shows stability estimates are sensitive to numerical
 //! noise in the factorization itself; these bounds are the contract every
 //! kernel rewrite must keep.
 
-use embedstab::linalg::{Mat, RandomizedSvd, SvdMethod};
+use embedstab::linalg::{
+    cmp_desc_nan_last, cosine_top_k, row_norms, vecops, Mat, RandomizedSvd, SvdMethod,
+};
 use proptest::prelude::*;
 
 /// Relative Frobenius error bound for GEMM vs the naive triple loop.
@@ -59,6 +62,98 @@ fn gemm_case() -> impl Strategy<Value = (Mat, Mat)> {
     })
 }
 
+/// Adversarial cosine top-k shapes: `(vocab rows, dim, extra query rows)`.
+/// Every vocab row is also a query, so the query count is `vocab + extra`.
+const TOPK_SHAPES: &[(usize, usize, usize)] = &[
+    (2, 3, 1),   // the smallest vocabulary with a neighbor
+    (5, 1, 2),   // one dimension: every cosine is -1, 0 or 1
+    (127, 4, 2), // 129 queries: one 128-query tile plus one
+    (128, 6, 0), // exactly one tile
+    (300, 5, 3), // two tiles plus a ragged one
+];
+
+/// One top-k case: vocab, queries, k, and the per-query excluded ids.
+type TopkCase = (Mat, Mat, usize, Option<Vec<u32>>);
+
+/// Strategy: a shape, then per-row marks that plant zero rows, NaN and
+/// infinite entries, and finite rows whose norm is too large or too small
+/// to screen, with values optionally rounded to integers so exact ties
+/// are common.
+fn topk_case() -> impl Strategy<Value = TopkCase> {
+    (0usize..TOPK_SHAPES.len()).prop_flat_map(|idx| {
+        let (n, d, extra) = TOPK_SHAPES[idx];
+        let rows = n + extra;
+        (
+            proptest::collection::vec(-2.0f64..2.0, rows * d),
+            proptest::collection::vec(0u8..24, rows),
+            1usize..n + 4,
+            (0u8..2, 0u8..2),
+        )
+            .prop_map(move |(data, marks, k, (exclude, round))| {
+                let mut all = Mat::from_vec(rows, d, data);
+                for (i, &mark) in marks.iter().enumerate() {
+                    let row = all.row_mut(i);
+                    if round == 1 {
+                        row.iter_mut().for_each(|v| *v = v.round());
+                    }
+                    match mark {
+                        0 => row.fill(0.0),
+                        1 => row[0] = f64::NAN,
+                        2 => row[0] = f64::INFINITY,
+                        3 => row.iter_mut().for_each(|v| *v *= 1e150),
+                        4 => row.iter_mut().for_each(|v| *v *= 1e-160),
+                        _ => {}
+                    }
+                }
+                let vocab = Mat::from_vec(n, d, all.as_slice()[..n * d].to_vec());
+                let excluded =
+                    (exclude == 1).then(|| (0..rows as u32).map(|i| i % n as u32).collect());
+                (vocab, all, k, excluded)
+            })
+    })
+}
+
+/// The reference: every candidate scored with the scalar
+/// `cosine_similarity`, fully sorted (descending, NaN last, lower id
+/// first), the first `k` kept, similarities as bits.
+fn naive_top_k(
+    vocab: &Mat,
+    queries: &Mat,
+    k: usize,
+    exclude: Option<&[u32]>,
+) -> Vec<Vec<(u32, u64)>> {
+    (0..queries.rows())
+        .map(|qi| {
+            let mut all: Vec<(u32, f64)> = (0..vocab.rows() as u32)
+                .filter(|&w| exclude.is_none_or(|e| e[qi] != w))
+                .map(|w| {
+                    (
+                        w,
+                        vecops::cosine_similarity(queries.row(qi), vocab.row(w as usize)),
+                    )
+                })
+                .collect();
+            all.sort_by(|a, b| cmp_desc_nan_last(a.1, b.1).then(a.0.cmp(&b.0)));
+            all.into_iter()
+                .take(k)
+                .map(|(w, s)| (w, s.to_bits()))
+                .collect()
+        })
+        .collect()
+}
+
+fn kernel_top_k(
+    vocab: &Mat,
+    queries: &Mat,
+    k: usize,
+    exclude: Option<&[u32]>,
+) -> Vec<Vec<(u32, u64)>> {
+    cosine_top_k(vocab, &row_norms(vocab), queries, k, exclude)
+        .into_iter()
+        .map(|l| l.into_iter().map(|(w, s)| (w, s.to_bits())).collect())
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -101,6 +196,37 @@ proptest! {
         prop_assert!(ur.gram().sub(&Mat::identity(r)).frobenius_norm() < 1e-8);
         let vr = rsvd.v_rank(1e-10);
         prop_assert!(vr.gram().sub(&Mat::identity(r)).frobenius_norm() < 1e-8);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The cosine top-k kernel returns the naive scan's ids and similarity
+    /// bits on adversarial shapes, `k` up to past the vocabulary, with and
+    /// without an excluded id per query.
+    #[test]
+    fn cosine_top_k_matches_naive_scan((vocab, queries, k, exclude) in topk_case()) {
+        let exclude = exclude.as_deref();
+        prop_assert_eq!(
+            kernel_top_k(&vocab, &queries, k, exclude),
+            naive_top_k(&vocab, &queries, k, exclude)
+        );
+    }
+}
+
+#[test]
+fn cosine_top_k_falls_back_to_an_exact_scan() {
+    // Two of three rows cannot be screened, so with k = 2 each query sees
+    // fewer than k screened scores and is scanned exactly; the NaN query
+    // row is scanned exactly too.
+    let vocab = Mat::from_rows(&[&[1.0, 0.0], &[f64::NAN, 1.0], &[0.5, f64::INFINITY]]);
+    let queries = Mat::from_rows(&[&[1.0, 1.0], &[f64::NAN, 0.0], &[0.0, 0.0]]);
+    for exclude in [None, Some(&[0u32, 1, 2][..])] {
+        assert_eq!(
+            kernel_top_k(&vocab, &queries, 2, exclude),
+            naive_top_k(&vocab, &queries, 2, exclude)
+        );
     }
 }
 

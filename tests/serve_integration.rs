@@ -157,7 +157,7 @@ fn slo_holds_violating_candidate_and_promotes_compliant_one() {
 }
 
 /// (c) `lookup_batch` equals per-row lookups bitwise, and the batched
-/// GEMM nearest-neighbor path ranks a word's own vector first.
+/// nearest-neighbor path ranks a word's own vector first.
 #[test]
 fn batched_lookups_equal_per_row_lookups_bitwise() {
     let w = world();
@@ -183,8 +183,9 @@ fn batched_lookups_equal_per_row_lookups_bitwise() {
         }
     }
 
-    // The batched similarity path agrees with itself run one query at a
-    // time (same GEMM kernel, different blocking) and is self-consistent.
+    // The batched similarity path agrees bitwise with itself run one
+    // query at a time: the top-k kernel rescores every answer exactly, so
+    // the GEMM tile a query rode in cannot change it.
     let queries = live.lookup_batch(&[5, 40]);
     let batched = live.nearest_batch(&queries, 3);
     for (qi, &id) in [5u32, 40].iter().enumerate() {
