@@ -10,17 +10,18 @@
 //!
 //! Prints `listening on <addr>` once the socket is bound (the load
 //! generator and the CI smoke step wait for that line), then serves until
-//! killed. Queries arriving concurrently for the same tenant are
-//! coalesced into single batched snapshot calls (`--batch-window-us`,
+//! killed. A lone query is answered at once; queries that queue while a
+//! batch runs are coalesced into the next batched snapshot call (at most
 //! `--max-batch`); `--max-pending` bounds each tenant's queue, past which
 //! requests are refused with `Overloaded` instead of queueing without
-//! bound.
+//! bound. An unrecognised flag prints the usage line and exits 2.
 //!
 //! Every malformed frame, unknown tenant, out-of-range id, wrong-dim
 //! query, `k = 0`, or empty batch is answered with a typed error response;
 //! the process never panics on client bytes (`serve_loadgen --fuzz`
 //! drives exactly that contract).
 
+use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::process::exit;
 use std::time::Duration;
@@ -30,52 +31,63 @@ use embedstab_pipeline::{Scale, World};
 use embedstab_quant::Precision;
 use embedstab_serve::{serve, ServerConfig, SnapshotStore, TenantConfig};
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn usage() -> ! {
+fn usage(err: &str) -> ! {
+    if !err.is_empty() {
+        eprintln!("serve_front: {err}");
+    }
     eprintln!(
         "usage: serve_front --snapshot-dir PATH [--bootstrap-tiny] \
-         [--addr HOST:PORT] [--tenant NAME] [--batch-window-us N] \
-         [--max-batch N] [--max-pending N]"
+         [--addr HOST:PORT] [--tenant NAME] [--max-batch N] [--max-pending N]"
     );
     exit(2)
 }
 
-fn parse<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    match flag_value(args, flag) {
+/// The flags given, each with its value (`""` for `--bootstrap-tiny`).
+/// Any other argument, such as a misspelt or removed flag, is a usage
+/// error: it must not start a server on defaults.
+fn flags(args: &[String]) -> BTreeMap<&str, &str> {
+    let mut flags = BTreeMap::new();
+    let mut rest = args.iter().skip(1).map(String::as_str);
+    while let Some(flag) = rest.next() {
+        let value = match flag {
+            "--bootstrap-tiny" => "",
+            "--snapshot-dir" | "--addr" | "--tenant" | "--max-batch" | "--max-pending" => rest
+                .next()
+                .unwrap_or_else(|| usage(&format!("{flag} needs a value"))),
+            "--help" | "-h" => usage(""),
+            _ => usage(&format!("unrecognised argument '{flag}'")),
+        };
+        flags.insert(flag, value);
+    }
+    flags
+}
+
+fn parse<T: std::str::FromStr>(flags: &BTreeMap<&str, &str>, flag: &str, default: T) -> T {
+    match flags.get(flag) {
         None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("serve_front: bad value '{v}' for {flag}");
-            usage()
-        }),
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| usage(&format!("bad value '{v}' for {flag}"))),
     }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        usage();
-    }
-    let Some(dir) = flag_value(&args, "--snapshot-dir") else {
-        eprintln!("serve_front: --snapshot-dir is required");
-        usage()
+    let flags = flags(&args);
+    let Some(&dir) = flags.get("--snapshot-dir") else {
+        usage("--snapshot-dir is required")
     };
-    let addr = flag_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".into());
-    let tenant = flag_value(&args, "--tenant").unwrap_or_else(|| "default".into());
-    let window_us: u64 = parse(&args, "--batch-window-us", 200);
-    let max_batch: usize = parse(&args, "--max-batch", 64);
-    let max_pending: usize = parse(&args, "--max-pending", 1024);
+    let addr = flags.get("--addr").copied().unwrap_or("127.0.0.1:7878");
+    let tenant = flags.get("--tenant").copied().unwrap_or("default");
+    let max_batch: usize = parse(&flags, "--max-batch", 64);
+    let max_pending: usize = parse(&flags, "--max-pending", 1024);
 
-    let mut store = SnapshotStore::open(&dir).unwrap_or_else(|e| {
+    let mut store = SnapshotStore::open(dir).unwrap_or_else(|e| {
         eprintln!("serve_front: cannot open snapshot store {dir}: {e}");
         exit(1)
     });
     if store.live().is_none() {
-        if !args.iter().any(|a| a == "--bootstrap-tiny") {
+        if !flags.contains_key("--bootstrap-tiny") {
             eprintln!(
                 "serve_front: store {dir} has no live snapshot; \
                  pass --bootstrap-tiny to build one at Tiny scale"
@@ -100,19 +112,18 @@ fn main() {
         );
     }
 
-    let listener = TcpListener::bind(&addr).unwrap_or_else(|e| {
+    let listener = TcpListener::bind(addr).unwrap_or_else(|e| {
         eprintln!("serve_front: cannot bind {addr}: {e}");
         exit(1)
     });
     let config = ServerConfig {
-        batch_window: Duration::from_micros(window_us),
         max_batch,
         io_timeout: Some(Duration::from_secs(60)),
     };
     let handle = serve(
         listener,
         vec![TenantConfig {
-            name: tenant.clone(),
+            name: tenant.into(),
             store,
             max_pending,
         }],
@@ -124,10 +135,7 @@ fn main() {
     });
     // The sentinel line the load generator / CI smoke step waits for.
     println!("listening on {}", handle.addr());
-    println!(
-        "tenant '{tenant}', batch window {window_us}us, max batch {max_batch}, \
-         max pending {max_pending}"
-    );
+    println!("tenant '{tenant}', max batch {max_batch}, max pending {max_pending}");
     loop {
         std::thread::park();
     }

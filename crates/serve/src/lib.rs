@@ -30,11 +30,12 @@
 //!   a naive scan's. `try_` variants degrade malformed input to a typed
 //!   [`QueryError`] instead of panicking ([`snapshot`], [`error`]).
 //! - The network front-end — a length-prefixed binary protocol
-//!   ([`wire`]) and a threaded TCP server ([`server`]) that coalesces
-//!   concurrently arriving queries per tenant into single batched calls,
-//!   with hot snapshot promote/rollback and zero dropped in-flight
-//!   queries (`embedstab_bench`'s `serve_front` binary runs it;
-//!   `serve_loadgen` drives it).
+//!   ([`wire`]) and a threaded TCP server ([`server`]) that batches each
+//!   tenant's queries naturally (a lone query is answered at once; those
+//!   that queue while a batch runs share the next batched call), with
+//!   hot snapshot promote/rollback and zero dropped in-flight queries
+//!   (`embedstab_bench`'s `serve_front` binary runs it; `serve_loadgen`
+//!   drives it).
 //!
 //! # Example
 //!

@@ -10,11 +10,13 @@
 //! - each **connection thread** reads frames, decodes requests, and
 //!   enqueues jobs on the addressed tenant's batcher, writing responses
 //!   back in request order;
-//! - one **batcher thread per tenant** drains its queue — after the first
-//!   job arrives it waits one bounded *batch window* so concurrent
-//!   clients' queries pile up, then answers the whole pile with **one**
+//! - one **batcher thread per tenant** batches naturally: it blocks for
+//!   the first job, takes whatever queued behind it (up to `max_batch`)
+//!   and answers that batch at once with **one**
 //!   [`Snapshot::try_lookup_batch`] / [`Snapshot::try_nearest_batch`]
-//!   call riding the blocked GEMM kernel.
+//!   call riding the blocked GEMM kernel. Jobs arriving meanwhile form
+//!   the next batch: there is no timer, so a lone query is answered at
+//!   once, and batches grow with load.
 //!
 //! Safety properties, all pinned by `tests/server_live.rs`:
 //!
@@ -35,6 +37,7 @@
 //!   snapshot they started with while [`ServeHandle::promote`] /
 //!   [`ServeHandle::rollback`] move the store and the pointer.
 //!
+//! [`QueryError`]: crate::QueryError
 //! [`Slo`]: crate::Slo
 
 use std::collections::BTreeMap;
@@ -50,18 +53,14 @@ use embedstab_embeddings::Embedding;
 use embedstab_linalg::Mat;
 use parking_lot::{Mutex, RwLock};
 
-use crate::error::QueryError;
 use crate::snapshot::{Snapshot, SnapshotStore, Version};
 use crate::wire::{self, ErrorCode, Request, Response, SnapshotInfo};
 
-/// Server-wide batching knobs.
+/// Server-wide settings. Batching has no timer to tune: each batch is
+/// whatever queued while the previous one ran, capped at `max_batch`.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// How long a batcher waits after the first job arrives before
-    /// executing, so concurrent queries coalesce. Zero drains immediately
-    /// (no added latency, batching only what is already queued).
-    pub batch_window: Duration,
-    /// Maximum jobs coalesced into one batched call.
+    /// Maximum jobs coalesced into one batched call (bounds the GEMM).
     pub max_batch: usize,
     /// Per-connection socket read/write timeouts. `None` (the default)
     /// blocks forever — fine for trusted clients; set it when a stalled
@@ -72,7 +71,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            batch_window: Duration::from_micros(200),
             max_batch: 64,
             io_timeout: None,
         }
@@ -120,6 +118,8 @@ struct TenantState {
     tx: Mutex<Option<Sender<Job>>>,
     pending: AtomicUsize,
     max_pending: usize,
+    /// Batches the batcher has run.
+    batches: AtomicU64,
 }
 
 struct Shared {
@@ -151,6 +151,16 @@ impl ServeHandle {
             self.shared.ok_responses.load(Ordering::SeqCst),
             self.shared.error_responses.load(Ordering::SeqCst),
         )
+    }
+
+    /// Batches the tenant's batcher has run so far. Fewer batches than
+    /// queued requests means concurrent queries were coalesced.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::NotFound`] for an unknown tenant.
+    pub fn batches_run(&self, tenant: &str) -> io::Result<u64> {
+        Ok(self.tenant(tenant)?.batches.load(Ordering::SeqCst))
     }
 
     fn tenant(&self, name: &str) -> io::Result<&Arc<TenantState>> {
@@ -246,6 +256,7 @@ pub fn serve(
             tx: Mutex::new(Some(tx)),
             pending: AtomicUsize::new(0),
             max_pending: tenant.max_pending,
+            batches: AtomicU64::new(0),
         });
         if states.insert(tenant.name.clone(), state.clone()).is_some() {
             return Err(io::Error::new(
@@ -266,7 +277,7 @@ pub fn serve(
     for (name, state, rx) in batchers {
         thread::Builder::new()
             .name(format!("batcher-{name}"))
-            .spawn(move || batcher_loop(&state, &rx, config))?;
+            .spawn(move || batcher_loop(&state, &rx, config.max_batch))?;
     }
     let accept_shared = shared.clone();
     thread::Builder::new()
@@ -420,23 +431,13 @@ fn dispatch(shared: &Arc<Shared>, req: Request) -> Response {
     }
 }
 
-fn batcher_loop(state: &Arc<TenantState>, rx: &Receiver<Job>, config: ServerConfig) {
-    loop {
-        // Block for the first job; a disconnected channel is shutdown.
-        let Ok(first) = rx.recv() else { return };
-        // The bounded batch window: let concurrent clients' queries pile
-        // up, then take everything queued (up to max_batch).
-        if !config.batch_window.is_zero() {
-            thread::sleep(config.batch_window);
-        }
+fn batcher_loop(state: &Arc<TenantState>, rx: &Receiver<Job>, max_batch: usize) {
+    // Block for the first job; a disconnected channel is shutdown.
+    while let Ok(first) = rx.recv() {
         let mut jobs = vec![first];
-        while jobs.len() < config.max_batch.max(1) {
-            match rx.try_recv() {
-                Ok(job) => jobs.push(job),
-                Err(_) => break,
-            }
-        }
+        jobs.extend(rx.try_iter().take(max_batch.max(1) - 1));
         state.pending.fetch_sub(jobs.len(), Ordering::SeqCst);
+        state.batches.fetch_add(1, Ordering::SeqCst);
         run_batch(state, jobs);
     }
 }
@@ -453,13 +454,13 @@ fn run_batch(state: &Arc<TenantState>, jobs: Vec<Job>) {
     let mut nearests: Vec<(usize, Mat, Sender<Response>)> = Vec::new();
     for job in jobs {
         match job.kind {
-            JobKind::Lookup(ids) => match validate_lookup(&ids, meta.vocab_size) {
+            JobKind::Lookup(ids) => match snap.check_lookup(&ids) {
                 Ok(()) => lookups.push((ids, job.resp)),
                 Err(e) => {
                     job.resp.send(Response::from(e)).ok();
                 }
             },
-            JobKind::Nearest { k, queries } => match validate_nearest(&queries, k, meta.dim) {
+            JobKind::Nearest { k, queries } => match snap.check_nearest(&queries, k) {
                 Ok(()) => nearests.push((k, queries, job.resp)),
                 Err(e) => {
                     job.resp.send(Response::from(e)).ok();
@@ -541,32 +542,4 @@ fn run_batch(state: &Arc<TenantState>, jobs: Vec<Job>) {
             }
         }
     }
-}
-
-fn validate_lookup(ids: &[u32], vocab_size: usize) -> Result<(), QueryError> {
-    if ids.is_empty() {
-        return Err(QueryError::EmptyBatch);
-    }
-    for &id in ids {
-        if (id as usize) >= vocab_size {
-            return Err(QueryError::IdOutOfRange { id, vocab_size });
-        }
-    }
-    Ok(())
-}
-
-fn validate_nearest(queries: &Mat, k: usize, dim: usize) -> Result<(), QueryError> {
-    if queries.cols() != dim {
-        return Err(QueryError::DimMismatch {
-            got: queries.cols(),
-            expected: dim,
-        });
-    }
-    if queries.rows() == 0 {
-        return Err(QueryError::EmptyBatch);
-    }
-    if k == 0 {
-        return Err(QueryError::ZeroK);
-    }
-    Ok(())
 }

@@ -154,13 +154,17 @@ impl Snapshot {
     /// offender) or an empty batch. This is the entry point the TCP
     /// front-end's coalesced batches go through.
     pub fn try_lookup_batch(&self, ids: &[u32]) -> Result<Mat, QueryError> {
+        self.check_lookup(ids)?;
+        Ok(self.lookup_batch(ids))
+    }
+
+    /// The checks of [`Snapshot::try_lookup_batch`] alone, so a caller
+    /// coalescing many requests into one call can refuse each bad one.
+    pub(crate) fn check_lookup(&self, ids: &[u32]) -> Result<(), QueryError> {
         if ids.is_empty() {
             return Err(QueryError::EmptyBatch);
         }
-        for &id in ids {
-            self.check_id(id)?;
-        }
-        Ok(self.lookup_batch(ids))
+        ids.iter().try_for_each(|&id| self.check_id(id))
     }
 
     fn check_id(&self, id: u32) -> Result<(), QueryError> {
@@ -207,6 +211,13 @@ impl Snapshot {
         queries: &Mat,
         k: usize,
     ) -> Result<Vec<Vec<(u32, f64)>>, QueryError> {
+        self.check_nearest(queries, k)?;
+        Ok(self.nearest_batch(queries, k))
+    }
+
+    /// The checks of [`Snapshot::try_nearest_batch`] alone, so a caller
+    /// coalescing many requests into one call can refuse each bad one.
+    pub(crate) fn check_nearest(&self, queries: &Mat, k: usize) -> Result<(), QueryError> {
         if queries.cols() != self.meta.dim {
             return Err(QueryError::DimMismatch {
                 got: queries.cols(),
@@ -219,7 +230,7 @@ impl Snapshot {
         if k == 0 {
             return Err(QueryError::ZeroK);
         }
-        Ok(self.nearest_batch(queries, k))
+        Ok(())
     }
 
     fn encode(&self) -> io::Result<Vec<u8>> {

@@ -1,6 +1,7 @@
 //! Live-traffic integration tests for the TCP front-end: hot
-//! promote/rollback with zero dropped queries, and the no-panic contract
-//! under a malformed-input storm.
+//! promote/rollback with zero dropped queries, the no-panic contract
+//! under a malformed-input storm, and batch coalescing that never changes
+//! an answer.
 
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -13,7 +14,7 @@ use embedstab_pipeline::cache::scratch_dir;
 use embedstab_quant::Precision;
 use embedstab_serve::wire::{self, Request, Response};
 use embedstab_serve::{serve, ServeHandle, ServerConfig, SnapshotStore, TenantConfig};
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 
 fn emb(seed: u64, n: usize, d: usize) -> Embedding {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -36,7 +37,6 @@ fn start_server(label: &str, base: &Embedding, max_pending: usize) -> (ServeHand
             max_pending,
         }],
         ServerConfig {
-            batch_window: Duration::from_micros(100),
             max_batch: 32,
             // Generous: tests must never hang on a stuck handler, but
             // must not flake under load either.
@@ -156,6 +156,73 @@ fn promote_and_rollback_drop_no_queries_and_restore_answers_bitwise() {
     let (ok, errors) = handle.response_counts();
     assert!(ok > total, "server counted the traffic");
     assert_eq!(errors, 0, "no query may error across promote/rollback");
+    handle.shutdown();
+}
+
+#[test]
+fn concurrent_queries_coalesce_into_batches_with_solo_answers_bitwise() {
+    let (n, d) = (200, 16);
+    let label = "server_live_coalesce";
+    let (handle, addr) = start_server(label, &emb(5, n, d), 100_000);
+    // The store as the server loaded it: its live snapshot answers each
+    // request alone, the reference every coalesced answer must match.
+    let snap = SnapshotStore::open(scratch_dir(label))
+        .expect("reopen store")
+        .live()
+        .cloned()
+        .expect("live snapshot");
+    let snap = Arc::new(snap);
+    let (clients, per_client) = (16u64, 50);
+    let workers: Vec<_> = (0..clients)
+        .map(|c| {
+            let (addr, snap) = (addr.clone(), snap.clone());
+            std::thread::spawn(move || {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(100 + c);
+                let mut conn = TcpStream::connect(&addr).expect("client connect");
+                for _ in 0..per_client {
+                    let (req, solo) = if rng.random::<f64>() < 0.5 {
+                        let ids: Vec<u32> = (0..8).map(|_| rng.random_range(0..n as u32)).collect();
+                        let solo = Response::Rows(snap.try_lookup_batch(&ids).expect("solo"));
+                        let req = Request::LookupBatch {
+                            tenant: "t".into(),
+                            ids,
+                        };
+                        (req, solo)
+                    } else {
+                        let k = [1, 3, 5][rng.random_range(0..3usize)];
+                        let rows = rng.random_range(1..4usize);
+                        let data = (0..rows * d).map(|_| rng.random::<f64>() - 0.5).collect();
+                        let queries = Mat::from_vec(rows, d, data);
+                        let solo =
+                            Response::Neighbors(snap.try_nearest_batch(&queries, k).expect("solo"));
+                        let req = Request::NearestBatch {
+                            tenant: "t".into(),
+                            k: k as u32,
+                            queries,
+                        };
+                        (req, solo)
+                    };
+                    let resp = wire::call(&mut conn, &req).expect("call");
+                    assert_eq!(
+                        wire::encode_response(&resp).expect("encode"),
+                        wire::encode_response(&solo).expect("encode"),
+                        "a batched answer differs from the solo answer to {req:?}"
+                    );
+                }
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().expect("client thread");
+    }
+    let sent = clients * per_client;
+    assert_eq!(handle.response_counts(), (sent, 0));
+    let batches = handle.batches_run("t").expect("served tenant");
+    assert!(
+        batches < sent,
+        "{sent} concurrent requests ran as {batches} batches: nothing coalesced"
+    );
+    assert!(handle.batches_run("nobody").is_err());
     handle.shutdown();
 }
 
