@@ -138,8 +138,9 @@ fn bench_measures(c: &mut Criterion) {
 }
 
 fn bench_nearest(c: &mut Criterion) {
-    // A coalesced serve batch: 64 nearest queries, k = 5, against an
-    // 8-bit 1000 x 64 snapshot.
+    // Serve's nearest query against an 8-bit 1000 x 64 snapshot, k = 5:
+    // thin requests (the loadgen sends q2) around the cosine top-k
+    // kernel's GEMM crossover, up to a coalesced batch of 64 queries.
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     let dir = embedstab_pipeline::cache::scratch_dir("bench_nearest");
     std::fs::remove_dir_all(&dir).ok();
@@ -149,10 +150,12 @@ fn bench_nearest(c: &mut Criterion) {
         .publish(&emb, Precision::new(8), None)
         .expect("publish snapshot");
     let snap = store.live().expect("live snapshot");
-    let queries = Mat::random_normal(64, 64, &mut rng);
-    c.bench_function("nearest_batch_1000x64_q64_k5", |bench| {
-        bench.iter(|| black_box(snap.nearest_batch(black_box(&queries), 5)));
-    });
+    for q in [1usize, 2, 4, 8, 16, 64] {
+        let queries = Mat::random_normal(q, 64, &mut rng);
+        c.bench_function(&format!("nearest_batch_1000x64_q{q}_k5"), |bench| {
+            bench.iter(|| black_box(snap.try_nearest_batch(black_box(&queries), 5)));
+        });
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

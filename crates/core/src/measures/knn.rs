@@ -13,13 +13,14 @@ use super::DistanceMeasure;
 ///
 /// Neighbors come from the shared cosine top-k kernel
 /// ([`embedstab_linalg::cosine_top_k`]), the same one the serving layer's
-/// `nearest_batch` uses. Similarity is the scalar
+/// `try_nearest_batch` uses. Similarity is the scalar
 /// [`cosine_similarity`](embedstab_linalg::vecops::cosine_similarity)
 /// (`0` for a zero row), ranked descending with NaN last and the lower
 /// word id first on ties, and the query word itself is never its own
-/// neighbor. The kernel screens with the blocked GEMM and rescores the
-/// boundary exactly, so the neighbor sets, and hence the distance, are
-/// bitwise those of a naive scan over every word.
+/// neighbor. The kernel screens with the blocked GEMM (a thin last tile
+/// with a lane-split dot loop) and rescores the boundary exactly, so the
+/// neighbor sets, and hence the distance, are bitwise those of a naive
+/// scan over every word.
 ///
 /// The paper uses `k = 5` (tuned in Appendix D.3) and `Q = 1000`.
 #[derive(Clone, Debug)]

@@ -41,11 +41,15 @@
 //! Randomized(cfg))`; truncated sketches with subspace iteration are
 //! available through [`RandomizedSvd::truncated`].
 //!
-//! **Cosine top-k.** [`cosine_top_k`] screens queries through
-//! `matmul_nt` in 128-query tiles, then rescores every word within a
-//! `d`-dependent rounding band of each query's k-th screened score with
-//! the scalar [`vecops::cosine_similarity`]. The result is bitwise a naive
-//! scan's; [`topk`] gives the error bound that makes it so.
+//! **Cosine top-k.** [`cosine_top_k`] screens queries in 128-query
+//! tiles: a tile of at least [`topk::GEMM_MIN_ROWS`] queries through
+//! `matmul_nt`, a thinner one (a 1- or 2-query serve request) through a
+//! 16-lane dot loop that reads the rows in place instead of packing the
+//! vocabulary. It then rescores every word within a `d`-dependent
+//! rounding band of each query's k-th screened score with the scalar
+//! [`vecops::cosine_similarity`]. The result is bitwise a naive scan's
+//! whichever screen ran; [`topk`] gives the error bound, which holds for
+//! any summation order, that makes it so.
 //!
 //! # Example
 //!

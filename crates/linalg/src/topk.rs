@@ -1,5 +1,6 @@
 //! Cosine top-k: the one nearest-neighbor kernel behind the k-NN
-//! stability measure and the serving layer's batched `nearest_batch`.
+//! stability measure and the serving layer's batched nearest query
+//! (`Snapshot::try_nearest_batch`).
 //!
 //! There is one similarity definition, the scalar
 //! [`vecops::cosine_similarity`]: `(dot / (na * nb)).clamp(-1, 1)`, and
@@ -9,25 +10,33 @@
 //! a naive scan that scores every word with that formula and sorts by that
 //! order would return, bit for bit. It gets there in two phases:
 //!
-//! - **Screen.** Queries go through the blocked GEMM ([`Mat::matmul_nt`])
-//!   in tiles of 128 queries against the whole vocabulary, so the score
-//!   buffer is one tile x vocab however many queries arrive. Each
-//!   dot product is scaled by the precomputed inverse row norms, and each
-//!   query keeps the k-th largest screened score.
+//! - **Screen.** Queries are screened in tiles of up to 128 queries
+//!   against the whole vocabulary, so the score buffer is one tile x vocab
+//!   however many queries arrive. A tile of at least `GEMM_MIN_ROWS`
+//!   queries goes through the blocked GEMM ([`Mat::matmul_nt`]). A thinner
+//!   tile (the serving layer's usual 1- or 2-query request) is screened by
+//!   `lane_dot`, which reads query and vocabulary rows in place: GEMM
+//!   would pack the whole vocabulary into panels for a handful of rows and
+//!   never amortise it. Each dot product is scaled by the precomputed
+//!   inverse row norms, and each query keeps the k-th largest screened
+//!   score.
 //! - **Rescore.** Every word whose screened score lies within a band below
 //!   that k-th score is scored again with the scalar formula, and the final
 //!   top-k is selected from those exact scores.
 //!
-//! Why the band makes the answer exact: the GEMM dot and the scalar `dot`
-//! each differ from the true dot product by at most `γ_d·‖a‖‖b‖`
-//! (`γ_d = d·u/(1 - d·u)`, `u = f64::EPSILON / 2`), and both scores divide
-//! by the same computed norms. With the scaling and clamp roundings, a
-//! screened score is within `ε ≈ (2d + 5)·f64::EPSILON` of the exact one.
-//! The k-th order statistic is 1-Lipschitz, so the exact k-th score is at
-//! least the screened one minus `ε`, and every word of the exact top-k has
-//! a screened score no lower than `2ε` below the screened k-th score. The
-//! band is `(4d + 16)·f64::EPSILON`, which covers `2ε` with room for
-//! second-order terms.
+//! Why the band makes the answer exact: a dot product of length `d`
+//! summed in *any* order (the GEMM's register-tiled sum, the lane-split
+//! sum of `lane_dot`, the scalar `dot`'s left-to-right sum) passes each
+//! term through one multiplication and at most `d - 1` additions, so it
+//! differs from the true dot product by at most `γ_d·‖a‖‖b‖`
+//! (`γ_d = d·u/(1 - d·u)`, `u = f64::EPSILON / 2`). Both screens and the
+//! rescore divide by the same computed norms. With the scaling and clamp
+//! roundings, a screened score is within `ε ≈ (2d + 5)·f64::EPSILON` of
+//! the exact one. The k-th order statistic is 1-Lipschitz, so the exact
+//! k-th score is at least the screened one minus `ε`, and every word of
+//! the exact top-k has a screened score no lower than `2ε` below the
+//! screened k-th score. The band is `(4d + 16)·f64::EPSILON`, which covers
+//! `2ε` with room for second-order terms.
 //!
 //! The bound needs products that neither overflow nor underflow, so rows
 //! whose norm is neither zero nor in `[1e-100, 1e100]` are never screened
@@ -39,12 +48,43 @@ use std::cmp::Ordering;
 use crate::vecops;
 use crate::Mat;
 
-/// Queries screened per GEMM call. The screened-score buffer holds
+/// Queries screened per tile. The screened-score buffer holds
 /// `TILE_ROWS x vocab` values.
 const TILE_ROWS: usize = 128;
 
-/// Norms the screen trusts: inside this range the GEMM products neither
-/// overflow nor lose relative precision to underflow.
+/// The fewest tile rows screened through GEMM; thinner tiles go through
+/// `lane_dot`. GEMM packs the whole vocabulary into panels on every
+/// call, a cost nearly flat up to its 6-row micro-kernel, while the lane
+/// loop costs one pass over the vocabulary per query.
+///
+/// Criterion medians of `nearest_batch_1000x64_q{n}_k5` (a 1000 x 64
+/// snapshot, k = 5; three alternating runs on a 2-vCPU Xeon, SSE2
+/// baseline build) in µs, with every size screened by GEMM and then by
+/// the lanes:
+///
+/// | queries | GEMM          | lanes         |
+/// |---------|---------------|---------------|
+/// | 1       | 220, 131, 150 | 21, 24, 22    |
+/// | 2       | 219, 128, 146 | 59, 59, 45    |
+/// | 4       | 150, 133, 172 | 120, 129, 90  |
+/// | 8       | 207, 222, 251 | 160, 161, 171 |
+/// | 16      | 279, 254, 279 | 311, 335, 341 |
+///
+/// The lanes cost ~21 µs a query. GEMM costs ~130–220 µs up to 6 rows
+/// and ~210–250 µs from 7 to 12 (a second 6-row panel), so the two cross
+/// near 11 rows; 10 keeps a margin for noisier hosts, where an earlier
+/// set measured ~35 µs a query and a tie at 8. Full 128-row tiles always
+/// take GEMM; only a thin request or a thin last tile takes the lanes.
+pub const GEMM_MIN_ROWS: usize = 10;
+
+/// Independent partial sums in [`lane_dot`]: with baseline SSE2 codegen
+/// they are eight two-wide accumulators, enough to hide the add latency
+/// and still held in registers. A power of two, for the pairwise
+/// reduction.
+const LANES: usize = 16;
+
+/// Norms the screen trusts: inside this range the screened products
+/// neither overflow nor lose relative precision to underflow.
 const MIN_SCREEN_NORM: f64 = 1e-100;
 const MAX_SCREEN_NORM: f64 = 1e100;
 
@@ -113,12 +153,18 @@ pub fn cosine_top_k(
     let mut out = Vec::with_capacity(queries.rows());
     for start in (0..queries.rows()).step_by(TILE_ROWS) {
         let end = (start + TILE_ROWS).min(queries.rows());
-        let tile = Mat::from_vec(
-            end - start,
-            d,
-            queries.as_slice()[start * d..end * d].to_vec(),
-        );
-        let mut screened = tile.matmul_nt(vocab);
+        let mut screened = if end - start < GEMM_MIN_ROWS {
+            Mat::from_fn(end - start, vocab.rows(), |i, w| {
+                lane_dot(queries.row(start + i), vocab.row(w))
+            })
+        } else {
+            let tile = Mat::from_vec(
+                end - start,
+                d,
+                queries.as_slice()[start * d..end * d].to_vec(),
+            );
+            tile.matmul_nt(vocab)
+        };
         for qi in start..end {
             let query = Query {
                 row: queries.row(qi),
@@ -134,6 +180,30 @@ pub fn cosine_top_k(
         }
     }
     out
+}
+
+/// The dot product of two equal-length rows in `LANES` interleaved
+/// partial sums plus a scalar tail, the lanes added pairwise at the end.
+/// That is another summation order than [`vecops::dot`]'s, so the bits
+/// may differ, but within the same `γ_d·‖a‖‖b‖` bound the rescore band
+/// covers.
+fn lane_dot(a: &[f64], b: &[f64]) -> f64 {
+    let (a_lanes, a_tail) = a.as_chunks::<LANES>();
+    let (b_lanes, b_tail) = b.as_chunks::<LANES>();
+    let mut acc = [0.0; LANES];
+    for (x, y) in a_lanes.iter().zip(b_lanes) {
+        for l in 0..LANES {
+            acc[l] += x[l] * y[l];
+        }
+    }
+    let mut width = LANES;
+    while width > 1 {
+        width /= 2;
+        for l in 0..width {
+            acc[l] += acc[l + width];
+        }
+    }
+    acc[0] + vecops::dot(a_tail, b_tail)
 }
 
 /// `1 / norm` for a norm the screen trusts, `0` for a zero row (whose

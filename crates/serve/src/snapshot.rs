@@ -72,7 +72,7 @@ pub struct Snapshot {
     embedding: Embedding,
     /// Per-row L2 norms ([`row_norms`], the norms the top-k kernel
     /// expects), precomputed once at construction: the snapshot is
-    /// immutable and [`Snapshot::nearest_batch`] is the serving hot path,
+    /// immutable and [`Snapshot::try_nearest_batch`] is the serving hot path,
     /// so cosine denominators must not be recomputed per query batch.
     /// Derived from `embedding`, not persisted.
     row_norms: Vec<f64>,
@@ -117,45 +117,25 @@ impl Snapshot {
         &self.embedding
     }
 
-    /// The vector for one word id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range. Wire-facing callers use
-    /// [`Snapshot::try_lookup`] instead.
-    pub fn lookup(&self, id: u32) -> &[f64] {
-        self.embedding.vector(id)
-    }
-
-    /// Like [`Snapshot::lookup`], but an out-of-range id is a typed
-    /// [`QueryError`] instead of a panic — the form the wire front-end
-    /// must use, since the id arrives in client-controlled bytes.
+    /// The vector for one word id. An out-of-range id is a typed
+    /// [`QueryError`], not a panic, since on the wire the id arrives in
+    /// client-controlled bytes.
     pub fn try_lookup(&self, id: u32) -> Result<&[f64], QueryError> {
         self.check_id(id)?;
         Ok(self.embedding.vector(id))
     }
 
     /// The vectors for a batch of word ids, as one `ids.len() x dim`
-    /// matrix. Row `i` is bitwise identical to `lookup(ids[i])` (the
+    /// matrix. Row `i` is bitwise identical to `try_lookup(ids[i])` (the
     /// `serve_integration` test pins this), so batching is purely a
-    /// throughput optimization for downstream consumers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any id is out of range. Wire-facing callers use
-    /// [`Snapshot::try_lookup_batch`] instead.
-    pub fn lookup_batch(&self, ids: &[u32]) -> Mat {
-        let rows: Vec<usize> = ids.iter().map(|&id| id as usize).collect();
-        self.embedding.mat().select_rows(&rows)
-    }
-
-    /// Like [`Snapshot::lookup_batch`], but malformed input degrades to a
-    /// typed [`QueryError`]: an out-of-range id (reported with the first
-    /// offender) or an empty batch. This is the entry point the TCP
-    /// front-end's coalesced batches go through.
+    /// throughput optimization for downstream consumers. Malformed input
+    /// degrades to a typed [`QueryError`]: an out-of-range id (reported
+    /// with the first offender) or an empty batch. This is the entry point
+    /// the TCP front-end's coalesced batches go through.
     pub fn try_lookup_batch(&self, ids: &[u32]) -> Result<Mat, QueryError> {
         self.check_lookup(ids)?;
-        Ok(self.lookup_batch(ids))
+        let rows: Vec<usize> = ids.iter().map(|&id| id as usize).collect();
+        Ok(self.embedding.mat().select_rows(&rows))
     }
 
     /// The checks of [`Snapshot::try_lookup_batch`] alone, so a caller
@@ -181,8 +161,8 @@ impl Snapshot {
     /// The `k` nearest words (by cosine similarity) to each query vector,
     /// for a whole batch of queries at once, through the shared cosine
     /// top-k kernel ([`embedstab_linalg::cosine_top_k`]): queries are
-    /// screened through the blocked GEMM in bounded tiles, and the words
-    /// near each query's k-th score are rescored exactly.
+    /// screened in bounded tiles, and the words near each query's k-th
+    /// score are rescored exactly.
     ///
     /// Similarity is the scalar
     /// [`cosine_similarity`](embedstab_linalg::vecops::cosine_similarity):
@@ -192,27 +172,21 @@ impl Snapshot {
     /// naive scan over every word, so an answer does not depend on the
     /// batch it rode in.
     ///
-    /// # Panics
-    ///
-    /// Panics (inside the GEMM shape check) if the query dimension
-    /// differs from the snapshot's. Wire-facing callers use
-    /// [`Snapshot::try_nearest_batch`] instead.
-    pub fn nearest_batch(&self, queries: &Mat, k: usize) -> Vec<Vec<(u32, f64)>> {
-        cosine_top_k(self.embedding.mat(), &self.row_norms, queries, k, None)
-    }
-
-    /// Like [`Snapshot::nearest_batch`], but malformed input degrades to
-    /// a typed [`QueryError`]: a query-dimension mismatch, an empty query
-    /// batch, or `k = 0`. The happy path is byte-for-byte the panicking
-    /// variant's (the shared cosine top-k kernel), so batching through
-    /// this entry point changes no answers.
+    /// Malformed input degrades to a typed [`QueryError`]: a
+    /// query-dimension mismatch, an empty query batch, or `k = 0`.
     pub fn try_nearest_batch(
         &self,
         queries: &Mat,
         k: usize,
     ) -> Result<Vec<Vec<(u32, f64)>>, QueryError> {
         self.check_nearest(queries, k)?;
-        Ok(self.nearest_batch(queries, k))
+        Ok(cosine_top_k(
+            self.embedding.mat(),
+            &self.row_norms,
+            queries,
+            k,
+            None,
+        ))
     }
 
     /// The checks of [`Snapshot::try_nearest_batch`] alone, so a caller
@@ -726,7 +700,7 @@ mod tests {
             }
         );
         // k = 0 and empty batches.
-        let ok_queries = snap.lookup_batch(&[1, 2]);
+        let ok_queries = snap.try_lookup_batch(&[1, 2]).expect("in range");
         assert_eq!(
             snap.try_nearest_batch(&ok_queries, 0).expect_err("k = 0"),
             QueryError::ZeroK
@@ -740,16 +714,16 @@ mod tests {
             snap.try_lookup_batch(&[]).expect_err("no ids"),
             QueryError::EmptyBatch
         );
-        // And the happy paths agree bitwise with the panicking variants.
-        assert_eq!(snap.try_lookup(5).expect("in range"), snap.lookup(5));
+        // And the happy paths answer from the served embedding.
+        let e = snap.embedding();
+        assert_eq!(snap.try_lookup(5).expect("in range"), e.vector(5));
         assert_eq!(
-            snap.try_lookup_batch(&[1, 2]).expect("in range"),
-            snap.lookup_batch(&[1, 2])
+            (ok_queries.row(0), ok_queries.row(1)),
+            (e.vector(1), e.vector(2))
         );
-        assert_eq!(
-            snap.try_nearest_batch(&ok_queries, 3).expect("well-formed"),
-            snap.nearest_batch(&ok_queries, 3)
-        );
+        let neighbors = snap.try_nearest_batch(&ok_queries, 3).expect("well-formed");
+        assert_eq!(neighbors.len(), 2);
+        assert!(neighbors.iter().all(|l| l.len() == 3));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -762,7 +736,7 @@ mod tests {
                     .map(|w| {
                         let sim = embedstab_linalg::vecops::cosine_similarity(
                             queries.row(qi),
-                            snap.lookup(w),
+                            snap.embedding().vector(w),
                         );
                         (w, sim)
                     })
@@ -799,19 +773,28 @@ mod tests {
             let ids = [3, 7, 17, 42, 89];
             let extra = Mat::random_normal(3, snap.meta().dim, &mut rng);
             let queries = Mat::from_fn(ids.len() + 3, snap.meta().dim, |i, j| match ids.get(i) {
-                Some(&id) => snap.lookup(id)[j],
+                Some(&id) => snap.embedding().vector(id)[j],
                 None => extra[(i - ids.len(), j)],
             });
-            for k in [1, 4, vocab + 3] {
-                let got: Vec<Vec<(u32, u64)>> = snap
-                    .nearest_batch(&queries, k)
-                    .iter()
-                    .map(|l| l.iter().map(|&(w, sim)| (w, sim.to_bits())).collect())
-                    .collect();
-                assert_eq!(got, naive_nearest(snap, &queries, k), "{label}, k {k}");
+            // All eight queries, and a thin 2-query request on its own.
+            let pair = Mat::from_vec(
+                2,
+                snap.meta().dim,
+                queries.as_slice()[..2 * snap.meta().dim].to_vec(),
+            );
+            for qs in [&queries, &pair] {
+                for k in [1, 4, vocab + 3] {
+                    let got: Vec<Vec<(u32, u64)>> = snap
+                        .try_nearest_batch(qs, k)
+                        .expect("well-formed")
+                        .iter()
+                        .map(|l| l.iter().map(|&(w, sim)| (w, sim.to_bits())).collect())
+                        .collect();
+                    assert_eq!(got, naive_nearest(snap, qs, k), "{label}, k {k}");
+                }
             }
             // Self-similarity is clamped: never above 1.0, not even by an ulp.
-            let top = snap.nearest_batch(&queries, 1);
+            let top = snap.try_nearest_batch(&queries, 1).expect("well-formed");
             assert!(top.iter().all(|l| l[0].1 <= 1.0), "{label}");
             fs::remove_dir_all(&dir).ok();
         }

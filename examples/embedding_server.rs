@@ -134,7 +134,7 @@ fn main() {
         GateOutcome::Bootstrapped { .. } => unreachable!("store already has a live snapshot"),
     }
 
-    // The served lookup path is batched: one blocked-GEMM call answers a
+    // The served lookup path is batched: one cosine top-k call answers a
     // whole batch of nearest-neighbor queries against the live snapshot.
     let live = registry
         .tenant("shared")
@@ -142,14 +142,15 @@ fn main() {
         .live()
         .expect("live snapshot");
     let query_ids = [0u32, 1, 2, 3];
-    let neighbors = live.nearest_batch(&live.lookup_batch(&query_ids), 2);
+    let queries = live.try_lookup_batch(&query_ids).expect("ids in range");
+    let neighbors = live.try_nearest_batch(&queries, 2).expect("well-formed");
     let shown: Vec<String> = query_ids
         .iter()
         .zip(&neighbors)
         .map(|(q, nn)| format!("{q}->{}", nn[1].0))
         .collect();
     println!(
-        "[serve] batched 2-NN for {} queries via one GEMM: {}\n",
+        "[serve] batched 2-NN for {} queries in one call: {}\n",
         query_ids.len(),
         shown.join(" ")
     );

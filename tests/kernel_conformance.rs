@@ -8,6 +8,7 @@
 //! noise in the factorization itself; these bounds are the contract every
 //! kernel rewrite must keep.
 
+use embedstab::linalg::topk::GEMM_MIN_ROWS;
 use embedstab::linalg::{
     cmp_desc_nan_last, cosine_top_k, row_norms, vecops, Mat, RandomizedSvd, SvdMethod,
 };
@@ -91,26 +92,80 @@ fn topk_case() -> impl Strategy<Value = TopkCase> {
         )
             .prop_map(move |(data, marks, k, (exclude, round))| {
                 let mut all = Mat::from_vec(rows, d, data);
-                for (i, &mark) in marks.iter().enumerate() {
-                    let row = all.row_mut(i);
-                    if round == 1 {
-                        row.iter_mut().for_each(|v| *v = v.round());
-                    }
-                    match mark {
-                        0 => row.fill(0.0),
-                        1 => row[0] = f64::NAN,
-                        2 => row[0] = f64::INFINITY,
-                        3 => row.iter_mut().for_each(|v| *v *= 1e150),
-                        4 => row.iter_mut().for_each(|v| *v *= 1e-160),
-                        _ => {}
-                    }
-                }
+                plant_marks(&mut all, &marks, round == 1);
                 let vocab = Mat::from_vec(n, d, all.as_slice()[..n * d].to_vec());
                 let excluded =
                     (exclude == 1).then(|| (0..rows as u32).map(|i| i % n as u32).collect());
                 (vocab, all, k, excluded)
             })
     })
+}
+
+/// Plants the top-k marks: row `i` becomes a zero row (mark 0), gets a NaN
+/// (1) or infinite (2) entry, or is scaled to a norm too large (3) or too
+/// small (4) to screen; any other mark leaves it finite. With `round`,
+/// values are rounded to integers first, so exact ties are common.
+fn plant_marks(m: &mut Mat, marks: &[u8], round: bool) {
+    for (i, &mark) in marks.iter().enumerate() {
+        let row = m.row_mut(i);
+        if round {
+            row.iter_mut().for_each(|v| *v = v.round());
+        }
+        match mark {
+            0 => row.fill(0.0),
+            1 => row[0] = f64::NAN,
+            2 => row[0] = f64::INFINITY,
+            3 => row.iter_mut().for_each(|v| *v *= 1e150),
+            4 => row.iter_mut().for_each(|v| *v *= 1e-160),
+            _ => {}
+        }
+    }
+}
+
+/// Dimensions for the thin-tile screen, whose dot runs in 16 lanes plus a
+/// scalar tail: tail only (1, 3), full lanes and a tail (19), and full
+/// lanes only (64).
+const THIN_DIMS: [usize; 4] = [1, 3, 19, 64];
+
+/// Query counts for the thin-tile screen: the serving layer's 1 and 2,
+/// and both sides of the crossover to GEMM.
+const THIN_QUERIES: [usize; 4] = [1, 2, GEMM_MIN_ROWS - 1, GEMM_MIN_ROWS];
+
+/// Strategy: a few queries against a vocabulary of 300 or more words, so
+/// the screen runs on thin tiles, with the marks of [`topk_case`]. Even
+/// queries copy a vocabulary row (exact self-matches), odd ones are
+/// their own vectors; `k` is small or reaches past the vocabulary.
+fn thin_topk_case() -> impl Strategy<Value = TopkCase> {
+    (
+        0usize..THIN_DIMS.len(),
+        0usize..THIN_QUERIES.len(),
+        300usize..340,
+    )
+        .prop_flat_map(|(di, qi, n)| {
+            let (d, q) = (THIN_DIMS[di], THIN_QUERIES[qi]);
+            (
+                proptest::collection::vec(-2.0f64..2.0, (n + q) * d),
+                proptest::collection::vec(0u8..24, n + q),
+                1usize..12,
+                (0u8..2, 0u8..2, 0u8..2),
+            )
+                .prop_map(move |(data, marks, k, (exclude, round, past_vocab))| {
+                    let mut all = Mat::from_vec(n + q, d, data);
+                    plant_marks(&mut all, &marks, round == 1);
+                    let vocab = Mat::from_vec(n, d, all.as_slice()[..n * d].to_vec());
+                    let queries = Mat::from_fn(q, d, |i, j| {
+                        if i % 2 == 0 {
+                            vocab[((i * 37) % n, j)]
+                        } else {
+                            all[(n + i, j)]
+                        }
+                    });
+                    let k = if past_vocab == 1 { n - 2 + k % 6 } else { k };
+                    let excluded = (exclude == 1)
+                        .then(|| (0..q as u32).map(|i| (i * 37) % n as u32).collect());
+                    (vocab, queries, k, excluded)
+                })
+        })
 }
 
 /// The reference: every candidate scored with the scalar
@@ -212,6 +267,53 @@ proptest! {
             kernel_top_k(&vocab, &queries, k, exclude),
             naive_top_k(&vocab, &queries, k, exclude)
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Thin query tiles, screened without GEMM, return the naive scan's
+    /// ids and similarity bits: 1, 2 and crossover - 1 queries on the
+    /// lane screen and crossover queries on GEMM, for `d` in 1, 3, 19 and
+    /// 64.
+    #[test]
+    fn cosine_top_k_thin_tiles_match_naive_scan(
+        (vocab, queries, k, exclude) in thin_topk_case()
+    ) {
+        let exclude = exclude.as_deref();
+        prop_assert_eq!(
+            kernel_top_k(&vocab, &queries, k, exclude),
+            naive_top_k(&vocab, &queries, k, exclude)
+        );
+    }
+}
+
+#[test]
+fn cosine_top_k_full_tile_plus_thin_tail_matches_naive_scan() {
+    // 130 queries: one full 128-query GEMM tile, then a 2-query tail on
+    // the lane screen, with every mark planted in both operands.
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(130);
+    for d in [3, 19, 64] {
+        let mut vocab = Mat::random_normal(300, d, &mut rng);
+        let marks: Vec<u8> = (0..300).map(|i| (i * 7 % 24) as u8).collect();
+        plant_marks(&mut vocab, &marks, false);
+        let mut queries = Mat::random_normal(130, d, &mut rng);
+        plant_marks(&mut queries, &marks[..130], false);
+        for i in (0..130).step_by(3) {
+            queries.row_mut(i).copy_from_slice(vocab.row(i * 2));
+        }
+        let exclude: Vec<u32> = (0..130).map(|i| i * 2).collect();
+        for k in [1, 5, 301] {
+            for exclude in [None, Some(&exclude[..])] {
+                assert_eq!(
+                    kernel_top_k(&vocab, &queries, k, exclude),
+                    naive_top_k(&vocab, &queries, k, exclude),
+                    "d {d}, k {k}"
+                );
+            }
+        }
     }
 }
 

@@ -156,7 +156,7 @@ fn slo_holds_violating_candidate_and_promotes_compliant_one() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// (c) `lookup_batch` equals per-row lookups bitwise, and the batched
+/// (c) `try_lookup_batch` equals per-row lookups bitwise, and the batched
 /// nearest-neighbor path ranks a word's own vector first.
 #[test]
 fn batched_lookups_equal_per_row_lookups_bitwise() {
@@ -173,10 +173,10 @@ fn batched_lookups_equal_per_row_lookups_bitwise() {
     let live = registry.tenant("t").expect("tenant").live().expect("live");
 
     let ids: Vec<u32> = (0..live.meta().vocab_size as u32).step_by(3).collect();
-    let batch = live.lookup_batch(&ids);
+    let batch = live.try_lookup_batch(&ids).expect("ids in range");
     assert_eq!(batch.shape(), (ids.len(), dim));
     for (row, &id) in ids.iter().enumerate() {
-        let single = live.lookup(id);
+        let single = live.try_lookup(id).expect("id in range");
         assert_eq!(batch.row(row).len(), single.len());
         for (a, b) in batch.row(row).iter().zip(single) {
             assert_eq!(a.to_bits(), b.to_bits(), "word {id} row {row} differs");
@@ -185,12 +185,13 @@ fn batched_lookups_equal_per_row_lookups_bitwise() {
 
     // The batched similarity path agrees bitwise with itself run one
     // query at a time: the top-k kernel rescores every answer exactly, so
-    // the GEMM tile a query rode in cannot change it.
-    let queries = live.lookup_batch(&[5, 40]);
-    let batched = live.nearest_batch(&queries, 3);
+    // the tile a query rode in cannot change it.
+    let queries = live.try_lookup_batch(&[5, 40]).expect("ids in range");
+    let batched = live.try_nearest_batch(&queries, 3).expect("well-formed");
     for (qi, &id) in [5u32, 40].iter().enumerate() {
         assert_eq!(batched[qi][0].0, id, "a word is its own nearest neighbor");
-        let solo = live.nearest_batch(&live.lookup_batch(&[id]), 3);
+        let query = live.try_lookup_batch(&[id]).expect("id in range");
+        let solo = live.try_nearest_batch(&query, 3).expect("well-formed");
         assert_eq!(solo[0], batched[qi]);
     }
     std::fs::remove_dir_all(&root).ok();
