@@ -30,10 +30,12 @@
 //!   a naive scan's. Malformed input degrades to a typed [`QueryError`]
 //!   instead of a panic ([`snapshot`], [`error`]).
 //! - The network front-end — a length-prefixed binary protocol
-//!   ([`wire`]) and a threaded TCP server ([`server`]) that batches each
-//!   tenant's queries naturally (a lone query is answered at once; those
-//!   that queue while a batch runs share the next batched call), with
-//!   hot snapshot promote/rollback and zero dropped in-flight queries
+//!   ([`wire`]) and a thread-per-connection TCP server ([`server`]) that
+//!   batches each tenant's queries by flat combining: the connection
+//!   thread that finds no batch running runs the batches itself, so a
+//!   lone query is answered on its own thread with no handoff, and those
+//!   that queue while a batch runs share the next batched call. Hot
+//!   snapshot promote/rollback drops no in-flight query
 //!   (`embedstab_bench`'s `serve_front` binary runs it; `serve_loadgen`
 //!   drives it).
 //!

@@ -8,15 +8,28 @@
 //! - an **accept thread** takes connections and spawns one handler thread
 //!   per connection;
 //! - each **connection thread** reads frames, decodes requests, and
-//!   enqueues jobs on the addressed tenant's batcher, writing responses
-//!   back in request order;
-//! - one **batcher thread per tenant** batches naturally: it blocks for
-//!   the first job, takes whatever queued behind it (up to `max_batch`)
-//!   and answers that batch at once with **one**
+//!   answers them in request order. A query is queued on the addressed
+//!   tenant's queue, and the thread then either runs the tenant's
+//!   batches itself or blocks until its query is answered;
+//! - batching is **flat combining**: one connection thread at a time
+//!   holds a tenant's *combiner role* (an atomic flag, taken by whoever
+//!   queues a job while no batch is running) and runs batches naturally.
+//!   Each batch is whatever queued while the previous one ran (up to
+//!   `max_batch`), answered at once with **one**
 //!   [`Snapshot::try_lookup_batch`] / [`Snapshot::try_nearest_batch`]
-//!   call riding the blocked GEMM kernel. Jobs arriving meanwhile form
-//!   the next batch: there is no timer, so a lone query is answered at
-//!   once, and batches grow with load.
+//!   call riding the blocked GEMM kernel. The combiner stops once its
+//!   own query is answered, releases the role, and hands it to the owner
+//!   of the job then at the queue's head. There is no timer and no
+//!   batcher thread: an uncontended query is answered on its own
+//!   connection thread without a thread handoff, and batches grow with
+//!   load;
+//! - answered owners are **woken one at a time by whoever passes
+//!   through**: the combiner leaves its batch's owners on a per-tenant
+//!   list, and every thread that queues a query, finishes combining, or
+//!   receives its answer wakes the oldest one. A combiner preempted after
+//!   a batch therefore strands none of its owners, and the owners of a
+//!   large batch do not all contend for the cores at once, which would
+//!   send their next queries back in one burst and keep batches large.
 //!
 //! Safety properties, all pinned by `tests/server_live.rs`:
 //!
@@ -40,13 +53,12 @@
 //! [`QueryError`]: crate::QueryError
 //! [`Slo`]: crate::Slo
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
+use std::thread::{self, Thread};
 use std::time::Duration;
 
 use embedstab_embeddings::Embedding;
@@ -56,8 +68,10 @@ use parking_lot::{Mutex, RwLock};
 use crate::snapshot::{Snapshot, SnapshotStore, Version};
 use crate::wire::{self, ErrorCode, Request, Response, SnapshotInfo};
 
-/// Server-wide settings. Batching has no timer to tune: each batch is
-/// whatever queued while the previous one ran, capped at `max_batch`.
+/// Server-wide settings. Batching has no timer or thread to tune: the
+/// connection thread holding a tenant's combiner role runs each batch,
+/// which is whatever queued while the previous one ran, capped at
+/// `max_batch`.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
     /// Maximum jobs coalesced into one batched call (bounds the GEMM).
@@ -107,24 +121,101 @@ enum JobKind {
 
 struct Job {
     kind: JobKind,
-    resp: Sender<Response>,
+    slot: Arc<Slot>,
+}
+
+/// A queued job's answer as its owner sees it.
+enum Answer {
+    Pending,
+    Ready(Response),
+    /// The owner has taken the answer and left.
+    Taken,
+}
+
+/// Where a queued job's owner blocks: for the job's answer, or for the
+/// combiner role handed over by the combiner that releases it.
+struct Slot {
+    answer: Mutex<Answer>,
+    handed_role: AtomicBool,
+    owner: Thread,
+}
+
+impl Slot {
+    /// A slot owned by the calling thread.
+    fn new() -> Slot {
+        Slot {
+            answer: Mutex::new(Answer::Pending),
+            handed_role: AtomicBool::new(false),
+            owner: thread::current(),
+        }
+    }
+
+    /// Stores the answer without waking the owner: owners are woken one
+    /// after another once the combiner has released the role.
+    fn answer(&self, response: Response) {
+        *self.answer.lock() = Answer::Ready(response);
+    }
+
+    fn is_answered(&self) -> bool {
+        !matches!(*self.answer.lock(), Answer::Pending)
+    }
+
+    fn is_taken(&self) -> bool {
+        matches!(*self.answer.lock(), Answer::Taken)
+    }
+
+    fn take_answer(&self) -> Option<Response> {
+        let mut answer = self.answer.lock();
+        match std::mem::replace(&mut *answer, Answer::Taken) {
+            Answer::Ready(response) => Some(response),
+            not_ready => {
+                *answer = not_ready;
+                None
+            }
+        }
+    }
+
+    fn hand_role(&self) {
+        self.handed_role.store(true, Ordering::SeqCst);
+        self.owner.unpark();
+    }
+
+    /// Blocks the owner until its job is answered (`Some`) or the combiner
+    /// role is handed to it (`None`). `unpark` before `park` is not lost,
+    /// and a spurious wake-up only re-checks.
+    fn wait(&self) -> Option<Response> {
+        loop {
+            if let Some(response) = self.take_answer() {
+                return Some(response);
+            }
+            if self.handed_role.swap(false, Ordering::SeqCst) {
+                return None;
+            }
+            thread::park();
+        }
+    }
 }
 
 struct TenantState {
     live: RwLock<Arc<Snapshot>>,
     store: Mutex<SnapshotStore>,
-    /// `None` once shutdown has begun; taking the sender is what lets the
-    /// batcher thread's `recv` disconnect and exit.
-    tx: Mutex<Option<Sender<Job>>>,
-    pending: AtomicUsize,
+    /// Admitted jobs not yet taken into a batch.
+    queue: Mutex<VecDeque<Job>>,
+    /// The combiner role: set while some connection thread runs this
+    /// tenant's batches. An atomic flag rather than a lock, so no guard
+    /// is held across `run_batch`.
+    combining: AtomicBool,
+    /// Answered jobs whose owners have not been woken yet, oldest first.
+    unwoken: Mutex<VecDeque<Arc<Slot>>>,
     max_pending: usize,
-    /// Batches the batcher has run.
+    /// Batches run for this tenant.
     batches: AtomicU64,
 }
 
 struct Shared {
     tenants: BTreeMap<String, Arc<TenantState>>,
     addr: SocketAddr,
+    max_batch: usize,
     io_timeout: Option<Duration>,
     shutdown: AtomicBool,
     ok_responses: AtomicU64,
@@ -153,8 +244,9 @@ impl ServeHandle {
         )
     }
 
-    /// Batches the tenant's batcher has run so far. Fewer batches than
-    /// queued requests means concurrent queries were coalesced.
+    /// Batches run so far for the tenant, by whichever connection threads
+    /// held its combiner role. Fewer batches than queued requests means
+    /// concurrent queries were coalesced.
     ///
     /// # Errors
     ///
@@ -208,14 +300,11 @@ impl ServeHandle {
         Ok(version)
     }
 
-    /// Stops accepting connections and disconnects the batchers. Handler
-    /// threads finish their current request/response exchange; lingering
-    /// connections end when their peers close.
+    /// Stops accepting connections and refuses new queries with
+    /// [`ErrorCode::ShuttingDown`]. Queries already queued are answered;
+    /// lingering connections end when their peers close.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        for state in self.shared.tenants.values() {
-            state.tx.lock().take();
-        }
         // Unblock the accept loop with one throwaway connection.
         TcpStream::connect(self.shared.addr).ok();
     }
@@ -246,39 +335,33 @@ pub fn serve(
 ) -> io::Result<ServeHandle> {
     let addr = listener.local_addr()?;
     let mut states = BTreeMap::new();
-    let mut batchers = Vec::new();
     for tenant in tenants {
         let live = live_arc(&tenant.store)?;
-        let (tx, rx) = channel();
         let state = Arc::new(TenantState {
             live: RwLock::new(live),
             store: Mutex::new(tenant.store),
-            tx: Mutex::new(Some(tx)),
-            pending: AtomicUsize::new(0),
+            queue: Mutex::new(VecDeque::new()),
+            combining: AtomicBool::new(false),
+            unwoken: Mutex::new(VecDeque::new()),
             max_pending: tenant.max_pending,
             batches: AtomicU64::new(0),
         });
-        if states.insert(tenant.name.clone(), state.clone()).is_some() {
+        if states.insert(tenant.name.clone(), state).is_some() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!("tenant '{}' configured twice", tenant.name),
             ));
         }
-        batchers.push((tenant.name, state, rx));
     }
     let shared = Arc::new(Shared {
         tenants: states,
         addr,
+        max_batch: config.max_batch.max(1),
         io_timeout: config.io_timeout,
         shutdown: AtomicBool::new(false),
         ok_responses: AtomicU64::new(0),
         error_responses: AtomicU64::new(0),
     });
-    for (name, state, rx) in batchers {
-        thread::Builder::new()
-            .name(format!("batcher-{name}"))
-            .spawn(move || batcher_loop(&state, &rx, config.max_batch))?;
-    }
     let accept_shared = shared.clone();
     thread::Builder::new()
         .name("serve-accept".into())
@@ -393,10 +476,28 @@ fn dispatch(shared: &Arc<Shared>, req: Request) -> Response {
             queries,
         },
     };
+    if shared.shutdown.load(Ordering::SeqCst) {
+        return Response::Error {
+            code: ErrorCode::ShuttingDown,
+            message: "server is shutting down".into(),
+        };
+    }
+    wake_next(state);
     // Admission: bound the tenant's queue, refusing (not queueing) the
     // excess so overload degrades to fast typed errors.
-    if state.pending.fetch_add(1, Ordering::SeqCst) >= state.max_pending {
-        state.pending.fetch_sub(1, Ordering::SeqCst);
+    let slot = Arc::new(Slot::new());
+    let admitted = {
+        let mut queue = state.queue.lock();
+        let admitted = queue.len() < state.max_pending;
+        if admitted {
+            queue.push_back(Job {
+                kind,
+                slot: slot.clone(),
+            });
+        }
+        admitted
+    };
+    if !admitted {
         return Response::Error {
             code: ErrorCode::Overloaded,
             message: format!(
@@ -405,66 +506,94 @@ fn dispatch(shared: &Arc<Shared>, req: Request) -> Response {
             ),
         };
     }
-    let (resp_tx, resp_rx) = channel();
-    let sent = match &*state.tx.lock() {
-        Some(tx) => tx
-            .send(Job {
-                kind,
-                resp: resp_tx,
-            })
-            .is_ok(),
-        None => false,
-    };
-    if !sent {
-        state.pending.fetch_sub(1, Ordering::SeqCst);
-        return Response::Error {
-            code: ErrorCode::ShuttingDown,
-            message: "server is shutting down".into(),
-        };
-    }
-    match resp_rx.recv() {
-        Ok(response) => response,
-        Err(_) => Response::Error {
-            code: ErrorCode::Internal,
-            message: "batcher dropped the query".into(),
-        },
+    loop {
+        if state
+            .combining
+            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+        {
+            combine(state, &slot, shared.max_batch);
+        }
+        if let Some(response) = slot.wait() {
+            wake_next(state);
+            return response;
+        }
     }
 }
 
-fn batcher_loop(state: &Arc<TenantState>, rx: &Receiver<Job>, max_batch: usize) {
-    // Block for the first job; a disconnected channel is shutdown.
-    while let Ok(first) = rx.recv() {
-        let mut jobs = vec![first];
-        jobs.extend(rx.try_iter().take(max_batch.max(1) - 1));
-        state.pending.fetch_sub(jobs.len(), Ordering::SeqCst);
+/// Runs the tenant's batches on the calling thread, which holds the
+/// combiner role, until its own job (`mine`) is answered. Each batch is
+/// what queued while the previous one ran, capped at `max_batch`; its
+/// other owners join the `unwoken` list. Then releases the role, hands
+/// it to the owner of the job now at the queue's head, and wakes one
+/// owner.
+fn combine(state: &TenantState, mine: &Slot, max_batch: usize) {
+    while !mine.is_answered() {
+        let jobs: Vec<Job> = {
+            let mut queue = state.queue.lock();
+            let take = queue.len().min(max_batch);
+            queue.drain(..take).collect()
+        };
+        // While this thread holds the role, `mine` is queued or answered.
+        if jobs.is_empty() {
+            break;
+        }
         state.batches.fetch_add(1, Ordering::SeqCst);
+        let owners: Vec<Arc<Slot>> = jobs
+            .iter()
+            .filter(|job| !std::ptr::eq(&*job.slot, mine))
+            .map(|job| job.slot.clone())
+            .collect();
         run_batch(state, jobs);
+        // Visible at once: if this thread is preempted from here on, the
+        // next thread through the tenant wakes them.
+        state.unwoken.lock().extend(owners);
+    }
+    // Release before looking at the queue: a job queued after this
+    // look finds the role free and takes it itself, so none is stranded.
+    state.combining.store(false, Ordering::SeqCst);
+    let head = state.queue.lock().front().map(|job| job.slot.clone());
+    if let Some(slot) = head {
+        slot.hand_role();
+    }
+    wake_next(state);
+}
+
+/// Unparks the owner of the oldest answered job that is still parked,
+/// skipping owners that already left. Called once by every thread that
+/// queues a query, ends a combine, or takes its answer, so owners wake at
+/// the pace threads pass through rather than all at once, and no single
+/// thread's preemption strands them.
+fn wake_next(state: &TenantState) {
+    loop {
+        let next = state.unwoken.lock().pop_front();
+        let Some(slot) = next else { return };
+        if !slot.is_taken() {
+            slot.owner.unpark();
+            return;
+        }
     }
 }
 
 /// Validates each job against the snapshot, answers the invalid ones with
 /// typed errors, and answers all valid ones through ONE coalesced
 /// `try_lookup_batch` and ONE `try_nearest_batch` call.
-fn run_batch(state: &Arc<TenantState>, jobs: Vec<Job>) {
+fn run_batch(state: &TenantState, jobs: Vec<Job>) {
     // One snapshot for the whole batch: a concurrent promote/rollback
     // swaps the Arc for *future* batches and never tears this one.
     let snap = state.live.read().clone();
     let meta = snap.meta();
-    let mut lookups: Vec<(Vec<u32>, Sender<Response>)> = Vec::new();
-    let mut nearests: Vec<(usize, Mat, Sender<Response>)> = Vec::new();
+    let mut lookups: Vec<(Vec<u32>, Arc<Slot>)> = Vec::new();
+    let mut nearests: Vec<(usize, Mat, Arc<Slot>)> = Vec::new();
     for job in jobs {
         match job.kind {
             JobKind::Lookup(ids) => match snap.check_lookup(&ids) {
-                Ok(()) => lookups.push((ids, job.resp)),
-                Err(e) => {
-                    job.resp.send(Response::from(e)).ok();
-                }
+                Ok(()) => lookups.push((ids, job.slot)),
+                Err(e) => job.slot.answer(Response::from(e)),
             },
             JobKind::Nearest { k, queries } => match snap.check_nearest(&queries, k) {
-                Ok(()) => nearests.push((k, queries, job.resp)),
-                Err(e) => {
-                    job.resp.send(Response::from(e)).ok();
-                }
+                Ok(()) => nearests.push((k, queries, job.slot)),
+                Err(e) => job.slot.answer(Response::from(e)),
             },
         }
     }
@@ -477,7 +606,7 @@ fn run_batch(state: &Arc<TenantState>, jobs: Vec<Job>) {
             Ok(rows) => {
                 let dim = meta.dim;
                 let mut start = 0usize;
-                for (ids, resp) in lookups {
+                for (ids, slot) in lookups {
                     let cnt = ids.len();
                     let data = rows.as_slice()[start * dim..(start + cnt) * dim].to_vec();
                     start += cnt;
@@ -490,14 +619,14 @@ fn run_batch(state: &Arc<TenantState>, jobs: Vec<Job>) {
                             message: "batch split produced a malformed row block".into(),
                         },
                     };
-                    resp.send(reply).ok();
+                    slot.answer(reply);
                 }
             }
             // Unreachable after per-job validation, but a coalesced
             // failure must fail the jobs, not the process.
             Err(e) => {
-                for (_, resp) in lookups {
-                    resp.send(Response::from(e.clone())).ok();
+                for (_, slot) in lookups {
+                    slot.answer(Response::from(e.clone()));
                 }
             }
         }
@@ -510,12 +639,11 @@ fn run_batch(state: &Arc<TenantState>, jobs: Vec<Job>) {
             data.extend_from_slice(queries.as_slice());
         }
         let Some(coalesced) = Mat::try_from_vec(total_rows, dim, data) else {
-            for (.., resp) in nearests {
-                resp.send(Response::Error {
+            for (.., slot) in nearests {
+                slot.answer(Response::Error {
                     code: ErrorCode::Internal,
                     message: "coalesced query block has a malformed shape".into(),
-                })
-                .ok();
+                });
             }
             return;
         };
@@ -526,18 +654,18 @@ fn run_batch(state: &Arc<TenantState>, jobs: Vec<Job>) {
                 // own k (a k_max prefix truncated to k equals the k answer:
                 // the ranking is total and deterministic).
                 let mut answers = per_query.into_iter();
-                for (k, queries, resp) in nearests {
+                for (k, queries, slot) in nearests {
                     let mut mine: Vec<Vec<(u32, f64)>> =
                         answers.by_ref().take(queries.rows()).collect();
                     for neighbors in &mut mine {
                         neighbors.truncate(k);
                     }
-                    resp.send(Response::Neighbors(mine)).ok();
+                    slot.answer(Response::Neighbors(mine));
                 }
             }
             Err(e) => {
-                for (.., resp) in nearests {
-                    resp.send(Response::from(e.clone())).ok();
+                for (.., slot) in nearests {
+                    slot.answer(Response::from(e.clone()));
                 }
             }
         }

@@ -1,12 +1,13 @@
 //! Live-traffic integration tests for the TCP front-end: hot
 //! promote/rollback with zero dropped queries, the no-panic contract
-//! under a malformed-input storm, and batch coalescing that never changes
-//! an answer.
+//! under a malformed-input storm, batch coalescing that never changes
+//! an answer, the combiner-role hand-off under one-job batches, and
+//! refusal after shutdown.
 
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use embedstab_embeddings::Embedding;
 use embedstab_linalg::Mat;
@@ -21,7 +22,16 @@ fn emb(seed: u64, n: usize, d: usize) -> Embedding {
     Embedding::new(Mat::random_normal(n, d, &mut rng))
 }
 
-fn start_server(label: &str, base: &Embedding, max_pending: usize) -> (ServeHandle, String) {
+/// Socket timeouts on both ends: tests must never hang on a stuck
+/// handler, but must not flake under load either.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
+
+fn start_server(
+    label: &str,
+    base: &Embedding,
+    max_pending: usize,
+    max_batch: usize,
+) -> (ServeHandle, String) {
     let dir = scratch_dir(label);
     std::fs::remove_dir_all(&dir).ok();
     let mut store = SnapshotStore::open(&dir).expect("open store");
@@ -37,10 +47,8 @@ fn start_server(label: &str, base: &Embedding, max_pending: usize) -> (ServeHand
             max_pending,
         }],
         ServerConfig {
-            max_batch: 32,
-            // Generous: tests must never hang on a stuck handler, but
-            // must not flake under load either.
-            io_timeout: Some(Duration::from_secs(30)),
+            max_batch,
+            io_timeout: Some(IO_TIMEOUT),
         },
     )
     .expect("serve");
@@ -82,7 +90,7 @@ fn promote_and_rollback_drop_no_queries_and_restore_answers_bitwise() {
     let (n, d) = (60, 8);
     let before = emb(1, n, d);
     let after = emb(2, n, d);
-    let (handle, addr) = start_server("server_live_swap", &before, 100_000);
+    let (handle, addr) = start_server("server_live_swap", &before, 100_000, 32);
 
     let baseline = probe_answers(&addr, d);
 
@@ -159,26 +167,40 @@ fn promote_and_rollback_drop_no_queries_and_restore_answers_bitwise() {
     handle.shutdown();
 }
 
-#[test]
-fn concurrent_queries_coalesce_into_batches_with_solo_answers_bitwise() {
+/// Serves `clients` concurrent connections, each sending `per_client`
+/// mixed lookup/nearest requests, and checks every answer is bitwise the
+/// live snapshot's own answer to that request alone. With `lockstep`,
+/// the clients send their i-th requests together and wait for each other
+/// before the next, so no later request can rescue one the server left
+/// queued. Client sockets time out like the server's, so a query the
+/// server never answers fails the call instead of hanging the test.
+/// Returns the handle and the number of requests sent, all answered OK.
+fn mixed_load_answers_solo_bitwise(
+    label: &str,
+    max_batch: usize,
+    clients: u64,
+    per_client: u64,
+    lockstep: bool,
+) -> (ServeHandle, u64) {
     let (n, d) = (200, 16);
-    let label = "server_live_coalesce";
-    let (handle, addr) = start_server(label, &emb(5, n, d), 100_000);
+    let (handle, addr) = start_server(label, &emb(5, n, d), 100_000, max_batch);
     // The store as the server loaded it: its live snapshot answers each
-    // request alone, the reference every coalesced answer must match.
+    // request alone, the reference every served answer must match.
     let snap = SnapshotStore::open(scratch_dir(label))
         .expect("reopen store")
         .live()
         .cloned()
         .expect("live snapshot");
     let snap = Arc::new(snap);
-    let (clients, per_client) = (16u64, 50);
+    let round = Arc::new(Barrier::new(clients as usize));
     let workers: Vec<_> = (0..clients)
         .map(|c| {
-            let (addr, snap) = (addr.clone(), snap.clone());
+            let (addr, snap, round) = (addr.clone(), snap.clone(), round.clone());
             std::thread::spawn(move || {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(100 + c);
                 let mut conn = TcpStream::connect(&addr).expect("client connect");
+                wire::set_io_timeouts(&conn, Some(IO_TIMEOUT)).expect("client timeouts");
+                let mut failure = None;
                 for _ in 0..per_client {
                     let (req, solo) = if rng.random::<f64>() < 0.5 {
                         let ids: Vec<u32> = (0..8).map(|_| rng.random_range(0..n as u32)).collect();
@@ -202,21 +224,44 @@ fn concurrent_queries_coalesce_into_batches_with_solo_answers_bitwise() {
                         };
                         (req, solo)
                     };
-                    let resp = wire::call(&mut conn, &req).expect("call");
-                    assert_eq!(
-                        wire::encode_response(&resp).expect("encode"),
-                        wire::encode_response(&solo).expect("encode"),
-                        "a batched answer differs from the solo answer to {req:?}"
-                    );
+                    if lockstep {
+                        round.wait();
+                    }
+                    // A failed client stops sending but keeps meeting the
+                    // others at the barrier, so the test fails, not hangs.
+                    if failure.is_some() {
+                        continue;
+                    }
+                    failure = match wire::call(&mut conn, &req) {
+                        Err(e) => Some(format!("{req:?} was not answered: {e}")),
+                        Ok(resp)
+                            if wire::encode_response(&resp).expect("encode")
+                                != wire::encode_response(&solo).expect("encode") =>
+                        {
+                            Some(format!(
+                                "a batched answer differs from the solo answer to {req:?}"
+                            ))
+                        }
+                        Ok(_) => None,
+                    };
                 }
+                failure
             })
         })
         .collect();
     for w in workers {
-        w.join().expect("client thread");
+        if let Some(failure) = w.join().expect("client thread") {
+            panic!("{failure}");
+        }
     }
     let sent = clients * per_client;
     assert_eq!(handle.response_counts(), (sent, 0));
+    (handle, sent)
+}
+
+#[test]
+fn concurrent_queries_coalesce_into_batches_with_solo_answers_bitwise() {
+    let (handle, sent) = mixed_load_answers_solo_bitwise("server_live_coalesce", 32, 16, 50, false);
     let batches = handle.batches_run("t").expect("served tenant");
     assert!(
         batches < sent,
@@ -226,10 +271,60 @@ fn concurrent_queries_coalesce_into_batches_with_solo_answers_bitwise() {
     handle.shutdown();
 }
 
+/// One-job batches make a combiner release the role with other jobs still
+/// queued, and lockstep rounds leave no later request to pick them up, so
+/// each round depends on the hand-off to the owner of the queue's head
+/// and on the role being released before the queue is re-checked: a lost
+/// hand-off strands a job, and its call times out.
+#[test]
+fn one_job_batches_hand_the_combiner_role_on_without_stranding_a_query() {
+    let started = Instant::now();
+    let (handle, sent) = mixed_load_answers_solo_bitwise("server_live_handoff", 1, 32, 100, true);
+    assert_eq!(handle.batches_run("t").expect("served tenant"), sent);
+    assert!(
+        started.elapsed() < IO_TIMEOUT,
+        "{sent} requests took {:?}",
+        started.elapsed()
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn shutdown_refuses_queries_on_open_connections_promptly() {
+    let (handle, addr) = start_server("server_live_shutdown", &emb(6, 20, 4), 100_000, 32);
+    let mut conn = TcpStream::connect(&addr).expect("connect");
+    wire::set_io_timeouts(&conn, Some(IO_TIMEOUT)).expect("client timeouts");
+    let lookup = Request::LookupBatch {
+        tenant: "t".into(),
+        ids: vec![0, 1],
+    };
+    let resp = wire::call(&mut conn, &lookup).expect("call before shutdown");
+    assert!(!resp.is_error(), "served before shutdown: {resp:?}");
+    handle.shutdown();
+    let nearest = Request::NearestBatch {
+        tenant: "t".into(),
+        k: 2,
+        queries: Mat::zeros(1, 4),
+    };
+    for req in [&lookup, &nearest] {
+        let asked = Instant::now();
+        let resp = wire::call(&mut conn, req).expect("answered, not dropped");
+        match resp {
+            Response::Error { code, .. } => assert_eq!(code, wire::ErrorCode::ShuttingDown),
+            other => panic!("expected ShuttingDown, got {other:?}"),
+        }
+        assert!(
+            asked.elapsed() < IO_TIMEOUT,
+            "refusal took {:?}",
+            asked.elapsed()
+        );
+    }
+}
+
 #[test]
 fn malformed_input_storm_yields_only_error_responses_and_no_crash() {
     let (n, d) = (30, 6);
-    let (handle, addr) = start_server("server_live_fuzz", &emb(3, n, d), 100_000);
+    let (handle, addr) = start_server("server_live_fuzz", &emb(3, n, d), 100_000, 32);
     let mut conn = TcpStream::connect(&addr).expect("connect");
 
     // Every shape of bad query the wire can carry, as decodable requests.
@@ -314,7 +409,7 @@ fn malformed_input_storm_yields_only_error_responses_and_no_crash() {
 fn overload_degrades_to_typed_refusals_not_queue_collapse() {
     // max_pending = 0: every queued query is refused up front, so the
     // admission path itself is what answers — deterministically.
-    let (handle, addr) = start_server("server_live_overload", &emb(4, 20, 4), 0);
+    let (handle, addr) = start_server("server_live_overload", &emb(4, 20, 4), 0, 32);
     let mut conn = TcpStream::connect(&addr).expect("connect");
     let resp = wire::call(
         &mut conn,
