@@ -18,18 +18,11 @@
 //!   `max_batch`), answered at once with **one**
 //!   [`Snapshot::try_lookup_batch`] / [`Snapshot::try_nearest_batch`]
 //!   call riding the blocked GEMM kernel. The combiner stops once its
-//!   own query is answered, releases the role, and hands it to the owner
-//!   of the job then at the queue's head. There is no timer and no
-//!   batcher thread: an uncontended query is answered on its own
-//!   connection thread without a thread handoff, and batches grow with
-//!   load;
-//! - answered owners are **woken one at a time by whoever passes
-//!   through**: the combiner leaves its batch's owners on a per-tenant
-//!   list, and every thread that queues a query, finishes combining, or
-//!   receives its answer wakes the oldest one. A combiner preempted after
-//!   a batch therefore strands none of its owners, and the owners of a
-//!   large batch do not all contend for the cores at once, which would
-//!   send their next queries back in one burst and keep batches large.
+//!   own query is answered, releases the role, hands it to the owner of
+//!   the job then at the queue's head, and only then wakes the owners of
+//!   the jobs it answered. There is no timer and no batcher thread: an
+//!   uncontended query is answered on its own connection thread without
+//!   a thread handoff, and batches grow with load.
 //!
 //! Safety properties, all pinned by `tests/server_live.rs`:
 //!
@@ -124,18 +117,10 @@ struct Job {
     slot: Arc<Slot>,
 }
 
-/// A queued job's answer as its owner sees it.
-enum Answer {
-    Pending,
-    Ready(Response),
-    /// The owner has taken the answer and left.
-    Taken,
-}
-
 /// Where a queued job's owner blocks: for the job's answer, or for the
 /// combiner role handed over by the combiner that releases it.
 struct Slot {
-    answer: Mutex<Answer>,
+    answer: Mutex<Option<Response>>,
     handed_role: AtomicBool,
     owner: Thread,
 }
@@ -144,35 +129,20 @@ impl Slot {
     /// A slot owned by the calling thread.
     fn new() -> Slot {
         Slot {
-            answer: Mutex::new(Answer::Pending),
+            answer: Mutex::new(None),
             handed_role: AtomicBool::new(false),
             owner: thread::current(),
         }
     }
 
-    /// Stores the answer without waking the owner: owners are woken one
-    /// after another once the combiner has released the role.
+    /// Stores the answer without waking the owner: the combiner unparks
+    /// it once the role is released.
     fn answer(&self, response: Response) {
-        *self.answer.lock() = Answer::Ready(response);
+        *self.answer.lock() = Some(response);
     }
 
     fn is_answered(&self) -> bool {
-        !matches!(*self.answer.lock(), Answer::Pending)
-    }
-
-    fn is_taken(&self) -> bool {
-        matches!(*self.answer.lock(), Answer::Taken)
-    }
-
-    fn take_answer(&self) -> Option<Response> {
-        let mut answer = self.answer.lock();
-        match std::mem::replace(&mut *answer, Answer::Taken) {
-            Answer::Ready(response) => Some(response),
-            not_ready => {
-                *answer = not_ready;
-                None
-            }
-        }
+        self.answer.lock().is_some()
     }
 
     fn hand_role(&self) {
@@ -185,8 +155,9 @@ impl Slot {
     /// and a spurious wake-up only re-checks.
     fn wait(&self) -> Option<Response> {
         loop {
-            if let Some(response) = self.take_answer() {
-                return Some(response);
+            let answer = self.answer.lock().take();
+            if answer.is_some() {
+                return answer;
             }
             if self.handed_role.swap(false, Ordering::SeqCst) {
                 return None;
@@ -202,11 +173,9 @@ struct TenantState {
     /// Admitted jobs not yet taken into a batch.
     queue: Mutex<VecDeque<Job>>,
     /// The combiner role: set while some connection thread runs this
-    /// tenant's batches. An atomic flag rather than a lock, so no guard
-    /// is held across `run_batch`.
+    /// tenant's batches, held through a [`Combiner`]. An atomic flag
+    /// rather than a lock, so no lock guard is held across `run_batch`.
     combining: AtomicBool,
-    /// Answered jobs whose owners have not been woken yet, oldest first.
-    unwoken: Mutex<VecDeque<Arc<Slot>>>,
     max_pending: usize,
     /// Batches run for this tenant.
     batches: AtomicU64,
@@ -342,7 +311,6 @@ pub fn serve(
             store: Mutex::new(tenant.store),
             queue: Mutex::new(VecDeque::new()),
             combining: AtomicBool::new(false),
-            unwoken: Mutex::new(VecDeque::new()),
             max_pending: tenant.max_pending,
             batches: AtomicU64::new(0),
         });
@@ -482,7 +450,6 @@ fn dispatch(shared: &Arc<Shared>, req: Request) -> Response {
             message: "server is shutting down".into(),
         };
     }
-    wake_next(state);
     // Admission: bound the tenant's queue, refusing (not queueing) the
     // excess so overload degrades to fast typed errors.
     let slot = Arc::new(Slot::new());
@@ -507,70 +474,81 @@ fn dispatch(shared: &Arc<Shared>, req: Request) -> Response {
         };
     }
     loop {
-        if state
-            .combining
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            combine(state, &slot, shared.max_batch);
+        if let Some(mut combiner) = Combiner::try_take(state) {
+            combiner.run_until_answered(&slot, shared.max_batch);
         }
         if let Some(response) = slot.wait() {
-            wake_next(state);
             return response;
         }
     }
 }
 
-/// Runs the tenant's batches on the calling thread, which holds the
-/// combiner role, until its own job (`mine`) is answered. Each batch is
-/// what queued while the previous one ran, capped at `max_batch`; its
-/// other owners join the `unwoken` list. Then releases the role, hands
-/// it to the owner of the job now at the queue's head, and wakes one
-/// owner.
-fn combine(state: &TenantState, mine: &Slot, max_batch: usize) {
-    while !mine.is_answered() {
-        let jobs: Vec<Job> = {
-            let mut queue = state.queue.lock();
-            let take = queue.len().min(max_batch);
-            queue.drain(..take).collect()
-        };
-        // While this thread holds the role, `mine` is queued or answered.
-        if jobs.is_empty() {
-            break;
-        }
-        state.batches.fetch_add(1, Ordering::SeqCst);
-        let owners: Vec<Arc<Slot>> = jobs
-            .iter()
-            .filter(|job| !std::ptr::eq(&*job.slot, mine))
-            .map(|job| job.slot.clone())
-            .collect();
-        run_batch(state, jobs);
-        // Visible at once: if this thread is preempted from here on, the
-        // next thread through the tenant wakes them.
-        state.unwoken.lock().extend(owners);
-    }
-    // Release before looking at the queue: a job queued after this
-    // look finds the role free and takes it itself, so none is stranded.
-    state.combining.store(false, Ordering::SeqCst);
-    let head = state.queue.lock().front().map(|job| job.slot.clone());
-    if let Some(slot) = head {
-        slot.hand_role();
-    }
-    wake_next(state);
+/// A tenant's combiner role, held from [`Combiner::try_take`] until drop.
+/// Dropping it releases the role, hands it to the owner of the job then
+/// at the queue's head, and unparks the owners of the jobs it took — also
+/// when a batch panics, so no owner is left parked and the tenant keeps
+/// serving.
+struct Combiner<'a> {
+    state: &'a TenantState,
+    /// Owners of the jobs taken into this combiner's batches.
+    owners: Vec<Arc<Slot>>,
 }
 
-/// Unparks the owner of the oldest answered job that is still parked,
-/// skipping owners that already left. Called once by every thread that
-/// queues a query, ends a combine, or takes its answer, so owners wake at
-/// the pace threads pass through rather than all at once, and no single
-/// thread's preemption strands them.
-fn wake_next(state: &TenantState) {
-    loop {
-        let next = state.unwoken.lock().pop_front();
-        let Some(slot) = next else { return };
-        if !slot.is_taken() {
+impl<'a> Combiner<'a> {
+    /// Takes the role if no batch is running for the tenant.
+    fn try_take(state: &'a TenantState) -> Option<Combiner<'a>> {
+        state
+            .combining
+            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+            .ok()?;
+        Some(Combiner {
+            state,
+            owners: Vec::new(),
+        })
+    }
+
+    /// Runs the tenant's batches until `mine` is answered. Each batch is
+    /// what queued while the previous one ran, capped at `max_batch`.
+    fn run_until_answered(&mut self, mine: &Slot, max_batch: usize) {
+        while !mine.is_answered() {
+            let jobs: Vec<Job> = {
+                let mut queue = self.state.queue.lock();
+                let take = queue.len().min(max_batch);
+                queue.drain(..take).collect()
+            };
+            // While this thread holds the role, `mine` is queued or answered.
+            if jobs.is_empty() {
+                return;
+            }
+            self.state.batches.fetch_add(1, Ordering::SeqCst);
+            self.owners.extend(
+                jobs.iter()
+                    .filter(|job| !std::ptr::eq(&*job.slot, mine))
+                    .map(|job| job.slot.clone()),
+            );
+            run_batch(self.state, jobs);
+        }
+    }
+}
+
+impl Drop for Combiner<'_> {
+    fn drop(&mut self) {
+        // Release before looking at the queue: a job queued after this
+        // look finds the role free and takes it itself, so none is stranded.
+        self.state.combining.store(false, Ordering::SeqCst);
+        let head = self.state.queue.lock().front().map(|job| job.slot.clone());
+        if let Some(slot) = head {
+            slot.hand_role();
+        }
+        let unwinding = thread::panicking();
+        for slot in self.owners.drain(..) {
+            if unwinding && !slot.is_answered() {
+                slot.answer(Response::Error {
+                    code: ErrorCode::Internal,
+                    message: "the batch answering this query failed".into(),
+                });
+            }
             slot.owner.unpark();
-            return;
         }
     }
 }
@@ -669,5 +647,123 @@ fn run_batch(state: &TenantState, jobs: Vec<Job>) {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::Instant;
+
+    use embedstab_quant::Precision;
+    use rand::SeedableRng;
+
+    fn tenant(label: &str) -> TenantState {
+        let dir = embedstab_pipeline::cache::scratch_dir(label);
+        std::fs::remove_dir_all(&dir).ok();
+        let mut store = SnapshotStore::open(&dir).expect("open store");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let base = Embedding::new(Mat::random_normal(12, 4, &mut rng));
+        store
+            .publish(&base, Precision::new(8), None)
+            .expect("bootstrap publish");
+        TenantState {
+            live: RwLock::new(live_arc(&store).expect("live snapshot")),
+            store: Mutex::new(store),
+            queue: Mutex::new(VecDeque::new()),
+            combining: AtomicBool::new(false),
+            max_pending: 8,
+            batches: AtomicU64::new(0),
+        }
+    }
+
+    fn lookup(ids: Vec<u32>, slot: &Arc<Slot>) -> Job {
+        Job {
+            kind: JobKind::Lookup(ids),
+            slot: slot.clone(),
+        }
+    }
+
+    /// A job queued just before the combiner looks at the queue must find
+    /// the role already free, or its owner parks behind a role that is
+    /// never handed on. The test holds the queue lock while another thread
+    /// drops the role: releasing first is seen at once, looking first
+    /// blocks on the lock with the role still held.
+    #[test]
+    fn the_role_is_released_before_the_combiner_looks_at_the_queue() {
+        let state = tenant("server_release_order");
+        let combiner = Combiner::try_take(&state).expect("role is free");
+        assert!(Combiner::try_take(&state).is_none(), "role is exclusive");
+        thread::scope(|scope| {
+            let queue = state.queue.lock();
+            let dropper = scope.spawn(move || drop(combiner));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while state.combining.load(Ordering::SeqCst) && Instant::now() < deadline {
+                thread::sleep(Duration::from_millis(1));
+            }
+            let released = !state.combining.load(Ordering::SeqCst);
+            drop(queue);
+            dropper.join().expect("dropping the role does not panic");
+            assert!(released, "role still held while looking at the queue");
+        });
+    }
+
+    /// Releasing the role with a job queued hands the role to that job's
+    /// owner, who then answers it bitwise as the snapshot does alone.
+    #[test]
+    fn releasing_the_role_hands_it_to_the_owner_of_the_queue_head() {
+        let state = tenant("server_hand_off");
+        let combiner = Combiner::try_take(&state).expect("role is free");
+        let slot = Arc::new(Slot::new());
+        state.queue.lock().push_back(lookup(vec![3, 0, 11], &slot));
+        drop(combiner);
+        assert!(!state.combining.load(Ordering::SeqCst));
+        assert!(
+            slot.handed_role.load(Ordering::SeqCst),
+            "the head's owner is handed the role"
+        );
+        assert!(slot.wait().is_none());
+
+        let mut combiner = Combiner::try_take(&state).expect("handed role is free");
+        combiner.run_until_answered(&slot, 1);
+        drop(combiner);
+        assert_eq!(state.batches.load(Ordering::SeqCst), 1);
+        let want = state
+            .live
+            .read()
+            .try_lookup_batch(&[3, 0, 11])
+            .expect("ids");
+        match slot.wait() {
+            Some(Response::Rows(rows)) => assert_eq!(rows.as_slice(), want.as_slice()),
+            other => panic!("expected rows, got {other:?}"),
+        }
+    }
+
+    /// A batch that panics still drops the role: its unanswered jobs are
+    /// answered `Internal`, the role is free again and the next query is
+    /// served.
+    #[test]
+    fn a_panicking_batch_frees_the_role_and_fails_its_jobs() {
+        let state = tenant("server_panic_guard");
+        let other = Arc::new(Slot::new());
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut combiner = Combiner::try_take(&state).expect("role is free");
+            combiner.owners.push(other.clone());
+            panic!("batch failed");
+        }));
+        assert!(outcome.is_err());
+        assert!(!state.combining.load(Ordering::SeqCst), "role released");
+        match other.wait() {
+            Some(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::Internal),
+            other => panic!("expected an Internal error, got {other:?}"),
+        }
+
+        let mine = Arc::new(Slot::new());
+        state.queue.lock().push_back(lookup(vec![1], &mine));
+        let mut combiner = Combiner::try_take(&state).expect("role is free again");
+        combiner.run_until_answered(&mine, 4);
+        drop(combiner);
+        assert!(matches!(mine.wait(), Some(Response::Rows(_))));
     }
 }
