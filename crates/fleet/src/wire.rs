@@ -684,6 +684,102 @@ mod tests {
         assert!(decode_response(&body).is_none(), "unknown error code");
     }
 
+    /// Pins the exact bytes of one request and one response per op (the
+    /// `Error` response is the error frame), so a refactor of the codec
+    /// cannot change the wire format unnoticed.
+    #[test]
+    fn golden_frames_pin_the_wire_bytes() {
+        let requests: [(Request, &[u8]); 8] = [
+            (Request::Hello { worker: "w".into() }, &[1, 1, 1, 0, b'w']),
+            (Request::Lease, &[1, 2]),
+            (Request::Heartbeat { slice: 7 }, &[1, 3, 7, 0, 0, 0]),
+            (Request::CacheKeys, &[1, 4]),
+            (
+                Request::CacheGet {
+                    key: "k".into(),
+                    chunk: 3,
+                },
+                &[1, 5, 1, 0, b'k', 3, 0, 0, 0],
+            ),
+            (
+                Request::PushRows {
+                    slice: 1,
+                    name: "n".into(),
+                    bytes: vec![0xAB],
+                },
+                &[1, 6, 1, 0, 0, 0, 1, 0, b'n', 1, 0, 0, 0, 0xAB],
+            ),
+            (Request::Complete { slice: 2 }, &[1, 7, 2, 0, 0, 0]),
+            (
+                Request::Failed {
+                    slice: 1,
+                    message: "x".into(),
+                },
+                &[1, 8, 1, 0, 0, 0, 1, 0, 0, 0, b'x'],
+            ),
+        ];
+        for (req, golden) in &requests {
+            assert_eq!(encode_request(req).expect("encode"), *golden, "{req:?}");
+            assert_eq!(decode_request(golden).as_ref(), Some(req));
+        }
+        let responses: [(Response, &[u8]); 9] = [
+            (
+                Response::Welcome(FleetSpec {
+                    bin: "b".into(),
+                    scale: "s".into(),
+                    shards: 2,
+                    world_key: "k".into(),
+                    extra: vec!["e".into()],
+                }),
+                &[
+                    1, 1, 1, 0, b'b', 1, 0, b's', 2, 0, 0, 0, 1, 0, b'k', 1, 0, 0, 0, 1, 0, b'e',
+                ],
+            ),
+            (Response::Ack, &[1, 2]),
+            (
+                Response::Job {
+                    slice: 1,
+                    shards: 2,
+                },
+                &[1, 3, 1, 0, 0, 0, 2, 0, 0, 0],
+            ),
+            (
+                Response::Wait { millis: 250 },
+                &[1, 4, 250, 0, 0, 0, 0, 0, 0, 0],
+            ),
+            (Response::Drained, &[1, 5]),
+            (
+                Response::Keys {
+                    keys: vec!["a".into()],
+                },
+                &[1, 6, 1, 0, 0, 0, 1, 0, b'a'],
+            ),
+            (
+                Response::Chunk {
+                    total_len: 9,
+                    chunks: 1,
+                    content_hash: 0x0102,
+                    bytes: vec![7],
+                },
+                &[
+                    1, 7, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 7,
+                ],
+            ),
+            (Response::Lost, &[1, 8]),
+            (
+                Response::Error {
+                    code: ErrorCode::UnknownKey,
+                    message: "no".into(),
+                },
+                &[1, 9, 3, 0, 2, 0, 0, 0, b'n', b'o'],
+            ),
+        ];
+        for (resp, golden) in &responses {
+            assert_eq!(encode_response(resp).expect("encode"), *golden, "{resp:?}");
+            assert_eq!(decode_response(golden).as_ref(), Some(resp));
+        }
+    }
+
     #[test]
     fn keys_count_is_checked_against_remaining_bytes() {
         // A claimed huge key count with no payload must not allocate or

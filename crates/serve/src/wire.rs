@@ -689,6 +689,74 @@ mod tests {
         assert_eq!(read_frame(&mut r).expect("eof"), None);
     }
 
+    /// Pins the exact bytes of one request and one response per op, plus
+    /// an error frame, so a refactor of the codec cannot change the wire
+    /// format unnoticed (round-trip tests alone would not see it).
+    #[test]
+    fn golden_frames_pin_the_wire_bytes() {
+        let requests: [(Request, &[u8]); 3] = [
+            (
+                Request::LookupBatch {
+                    tenant: "t".into(),
+                    ids: vec![1, 258],
+                },
+                &[1, 1, 1, 0, b't', 2, 0, 0, 0, 1, 0, 0, 0, 2, 1, 0, 0],
+            ),
+            (
+                Request::NearestBatch {
+                    tenant: "t".into(),
+                    k: 2,
+                    queries: Mat::from_rows(&[&[1.0]]),
+                },
+                &[
+                    1, 2, 1, 0, b't', 2, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xF0,
+                    0x3F,
+                ],
+            ),
+            (Request::Info { tenant: "t".into() }, &[1, 3, 1, 0, b't']),
+        ];
+        for (req, golden) in &requests {
+            assert_eq!(encode_request(req).expect("encode"), *golden, "{req:?}");
+            let back = decode_request(golden).expect("golden request decodes");
+            assert_eq!(encode_request(&back).expect("re-encode"), *golden);
+        }
+        let responses: [(Response, &[u8]); 4] = [
+            (
+                Response::Rows(Mat::from_rows(&[&[-0.0]])),
+                &[1, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x80],
+            ),
+            (
+                Response::Neighbors(vec![vec![(3, 0.5)]]),
+                &[
+                    1, 0, 2, 1, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xE0, 0x3F,
+                ],
+            ),
+            (
+                Response::Info(SnapshotInfo {
+                    version: 12,
+                    vocab_size: 220,
+                    dim: 16,
+                    precision_bits: 4,
+                }),
+                &[
+                    1, 0, 3, 12, 0, 0, 0, 0, 0, 0, 0, 220, 0, 0, 0, 16, 0, 0, 0, 4,
+                ],
+            ),
+            (
+                Response::Error {
+                    code: ErrorCode::IdOutOfRange,
+                    message: "no".into(),
+                },
+                &[1, 1, 4, 0, 2, 0, 0, 0, b'n', b'o'],
+            ),
+        ];
+        for (resp, golden) in &responses {
+            assert_eq!(encode_response(resp).expect("encode"), *golden, "{resp:?}");
+            let back = decode_response(golden).expect("golden response decodes");
+            assert_eq!(encode_response(&back).expect("re-encode"), *golden);
+        }
+    }
+
     #[test]
     fn query_errors_map_to_stable_codes() {
         let cases = [
