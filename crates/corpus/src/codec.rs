@@ -10,13 +10,23 @@
 //! `encode_mat`/`decode_mat`/`read_u32` here — so the pair-cache and
 //! world-cache file families stay byte-compatible by construction.
 //!
+//! The serve and fleet wire protocols build their frame bodies from the
+//! same primitives, plus a frame's narrower prefixes (`str16`, `str32`,
+//! `bytes32`, `u32` counts) and the error body both protocols share.
+//!
 //! Decoders take a `&mut &[u8]` cursor and return `Option`: any truncated
 //! or inconsistent input yields `None` (callers treat that as a cache
-//! miss, never a panic), and no decoder trusts a length prefix before
-//! checking the remaining input actually holds that many bytes — a corrupt
-//! file must not trigger a giant allocation.
+//! miss or a malformed frame, never a panic), and no decoder trusts a
+//! length prefix before checking the remaining input actually holds that
+//! many bytes — a corrupt file or a hostile peer must not trigger a giant
+//! allocation.
 
 use embedstab_linalg::Mat;
+
+/// Appends a `u16` in little-endian order.
+pub fn put_u16(out: &mut Vec<u8>, v: u16) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
 
 /// Appends a `u32` in little-endian order.
 pub fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -72,6 +82,46 @@ pub fn put_mat(out: &mut Vec<u8>, m: &Mat) {
     }
 }
 
+/// Appends a `u16`-length-prefixed UTF-8 string; `None` if it is longer
+/// than `u16::MAX` bytes.
+pub fn put_str16(out: &mut Vec<u8>, s: &str) -> Option<()> {
+    put_u16(out, u16::try_from(s.len()).ok()?);
+    out.extend_from_slice(s.as_bytes());
+    Some(())
+}
+
+/// Appends a `u32`-length-prefixed UTF-8 string; `None` if it does not fit.
+pub fn put_str32(out: &mut Vec<u8>, s: &str) -> Option<()> {
+    put_bytes32(out, s.as_bytes())
+}
+
+/// Appends `u32`-length-prefixed raw bytes; `None` if they do not fit.
+pub fn put_bytes32(out: &mut Vec<u8>, bytes: &[u8]) -> Option<()> {
+    put_u32(out, u32::try_from(bytes.len()).ok()?);
+    out.extend_from_slice(bytes);
+    Some(())
+}
+
+/// Appends an error body: `code: u16`, then the message as a `str32` cut
+/// to at most `u16::MAX` bytes on a char boundary. It cannot fail, so an
+/// error is always deliverable however long its message.
+pub fn put_error_body(out: &mut Vec<u8>, code: u16, message: &str) {
+    put_u16(out, code);
+    let mut cut = u16::try_from(message.len()).unwrap_or(u16::MAX);
+    while !message.is_char_boundary(usize::from(cut)) {
+        cut -= 1;
+    }
+    put_u32(out, u32::from(cut));
+    out.extend_from_slice(&message.as_bytes()[..usize::from(cut)]);
+}
+
+/// Reads a `u16` from the front of `r`, advancing it.
+pub fn take_u16(r: &mut &[u8]) -> Option<u16> {
+    let (head, rest) = r.split_first_chunk::<2>()?;
+    *r = rest;
+    Some(u16::from_le_bytes(*head))
+}
+
 /// Reads a `u32` from the front of `r`, advancing it.
 pub fn take_u32(r: &mut &[u8]) -> Option<u32> {
     let (head, rest) = r.split_first_chunk::<4>()?;
@@ -99,6 +149,56 @@ pub fn take_len(r: &mut &[u8], elem_size: usize) -> Option<usize> {
         return None;
     }
     Some(n)
+}
+
+/// Reads a frame body's leading `version: u8` and the op (or status) byte
+/// after it, returning that byte; `None` if the version is not `version`.
+pub fn take_op(r: &mut &[u8], version: u8) -> Option<u8> {
+    let (head, rest) = r.split_first_chunk::<2>()?;
+    *r = rest;
+    let [v, op] = *head;
+    (v == version).then_some(op)
+}
+
+/// Reads a `u32` element count, refusing counts the remaining input
+/// cannot possibly hold (`elem_size` bytes per element) — the frame-body
+/// analogue of [`take_len`], whose prefixes are `u64`.
+pub fn take_count(r: &mut &[u8], elem_size: usize) -> Option<usize> {
+    let n = usize::try_from(take_u32(r)?).ok()?;
+    if r.len() < n.checked_mul(elem_size)? {
+        return None;
+    }
+    Some(n)
+}
+
+/// Takes `len` raw bytes off the front of `r`.
+fn take_bytes<'a>(r: &mut &'a [u8], len: usize) -> Option<&'a [u8]> {
+    let (head, rest) = r.split_at_checked(len)?;
+    *r = rest;
+    Some(head)
+}
+
+/// Reads a [`put_str16`]-encoded string; `None` on truncation or bad UTF-8.
+pub fn take_str16(r: &mut &[u8]) -> Option<String> {
+    let len = usize::from(take_u16(r)?);
+    Some(std::str::from_utf8(take_bytes(r, len)?).ok()?.to_string())
+}
+
+/// Reads a [`put_str32`]-encoded string; `None` on truncation or bad UTF-8.
+pub fn take_str32(r: &mut &[u8]) -> Option<String> {
+    let len = take_count(r, 1)?;
+    Some(std::str::from_utf8(take_bytes(r, len)?).ok()?.to_string())
+}
+
+/// Reads [`put_bytes32`]-encoded bytes.
+pub fn take_bytes32(r: &mut &[u8]) -> Option<Vec<u8>> {
+    let len = take_count(r, 1)?;
+    Some(take_bytes(r, len)?.to_vec())
+}
+
+/// Reads a [`put_error_body`]-encoded `(code, message)`.
+pub fn take_error_body(r: &mut &[u8]) -> Option<(u16, String)> {
+    Some((take_u16(r)?, take_str32(r)?))
 }
 
 /// Reads a length-prefixed `u32` slice.
@@ -152,6 +252,50 @@ mod tests {
         assert_eq!(take_u32_slice(r), Some(vec![1, 2, 3]));
         assert_eq!(take_f64_slice(r), Some(vec![0.5, -1.25]));
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn frame_primitives_round_trip() {
+        let mut out = Vec::new();
+        put_str16(&mut out, "tenant").expect("fits");
+        put_str32(&mut out, "é message").expect("fits");
+        put_bytes32(&mut out, &[0, 0xFF]).expect("fits");
+        put_error_body(&mut out, 7, "oops");
+        put_u32(&mut out, 2);
+        let r = &mut out.as_slice();
+        assert_eq!(take_str16(r).as_deref(), Some("tenant"));
+        assert_eq!(take_str32(r).as_deref(), Some("é message"));
+        assert_eq!(take_bytes32(r), Some(vec![0, 0xFF]));
+        assert_eq!(take_error_body(r), Some((7, "oops".to_string())));
+        assert_eq!(take_count(r, 0), Some(2));
+        assert!(r.is_empty());
+        assert!(put_str16(&mut Vec::new(), &"x".repeat(70_000)).is_none());
+    }
+
+    #[test]
+    fn frame_primitives_reject_truncation_and_bad_utf8() {
+        let mut out = Vec::new();
+        put_str32(&mut out, "abc").expect("fits");
+        for cut in 0..out.len() {
+            assert!(take_str32(&mut &out[..cut]).is_none(), "cut at {cut}");
+            assert!(take_bytes32(&mut &out[..cut]).is_none(), "cut at {cut}");
+        }
+        let bad_utf8 = [1u8, 0, 0xFF];
+        assert!(take_str16(&mut &bad_utf8[..]).is_none());
+        // A count the remaining input cannot hold fails before allocating.
+        let evil = u32::MAX.to_le_bytes();
+        assert!(take_count(&mut &evil[..], 1).is_none());
+    }
+
+    #[test]
+    fn error_bodies_cut_long_messages_on_char_boundaries() {
+        let long = "é".repeat(60_000); // 2 bytes per char, past u16::MAX
+        let mut out = Vec::new();
+        put_error_body(&mut out, 1, &long);
+        let (code, message) = take_error_body(&mut out.as_slice()).expect("decodes");
+        assert_eq!(code, 1);
+        assert_eq!(message.len(), usize::from(u16::MAX) - 1);
+        assert!(long.starts_with(&message));
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! The fleet coordinator: serves the work queue and the cache store over
 //! TCP, stages pushed rows, and commits them only on completion.
 //!
-//! Thread-per-connection, mirroring `embedstab_serve::server`: an accept
-//! thread spawns one handler per worker connection; the caller's thread
-//! sits in [`run_coordinator`] polling the queue until it drains or a
-//! slice exhausts its attempts. Time is injected (`now_ms` closure) so
-//! this crate never reads a clock; the bench binary supplies a monotonic
-//! epoch.
+//! The transport is `embedstab_serve::wire`'s, shared with the serve
+//! front-end: [`listen`] runs the accept loop and one thread per worker
+//! connection, and this module is only the fleet protocol's [`Handler`]
+//! — `dispatch` answers one request, and `closed` releases the leases of
+//! a connection torn down.
+//! The caller's thread sits in [`run_coordinator`] polling the queue
+//! until it drains or a slice exhausts its attempts. Time is injected
+//! (`now_ms` closure) so this crate never reads a clock; the bench binary
+//! supplies a monotonic epoch.
 //!
 //! Correctness properties, pinned by `crates/bench/tests/fleet.rs`:
 //!
@@ -25,7 +28,7 @@
 //!   heartbeat expiry covers hangs.
 
 use std::collections::BTreeMap;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -34,11 +37,12 @@ use std::time::Duration;
 
 use embedstab_pipeline::cache::atomic_write;
 use embedstab_pipeline::{store, CacheStore};
+use embedstab_serve::wire::{listen, Handler, Stop};
 use parking_lot::Mutex;
 
 use crate::queue::{LeaseOutcome, QueueConfig, WorkQueue};
 use crate::transfer::chunk_range;
-use crate::wire::{self, ErrorCode, FleetSpec, Request, Response};
+use crate::wire::{ErrorCode, FleetSpec, Request, Response};
 use crate::FleetError;
 
 /// One pushed row file may not exceed this (staged in memory until
@@ -92,9 +96,7 @@ struct Shared {
     /// Set once a slice exhausts its attempts — `Lease` answers a
     /// `FleetFailed` error from then on.
     failed: AtomicBool,
-    shutdown: AtomicBool,
     now_ms: Box<dyn Fn() -> u64 + Send + Sync>,
-    io_timeout: Option<Duration>,
 }
 
 /// Runs a fleet to completion: accepts workers on `listener`, dispatches
@@ -115,7 +117,7 @@ pub fn run_coordinator(
     config: CoordinatorConfig,
     now_ms: impl Fn() -> u64 + Send + Sync + 'static,
 ) -> Result<(), FleetError> {
-    let addr = listener.local_addr()?;
+    let stop = Stop::new(&listener)?;
     let shared = Arc::new(Shared {
         queue: Mutex::new(WorkQueue::new(config.spec.shards, config.queue)),
         spec: config.spec,
@@ -124,14 +126,15 @@ pub fn run_coordinator(
         results_dir: config.results_dir,
         drained: AtomicBool::new(false),
         failed: AtomicBool::new(false),
-        shutdown: AtomicBool::new(false),
         now_ms: Box::new(now_ms),
-        io_timeout: config.io_timeout,
     });
-    let accept_shared = shared.clone();
-    thread::Builder::new()
-        .name("fleet-accept".into())
-        .spawn(move || accept_loop(&listener, &accept_shared))?;
+    listen(
+        listener,
+        shared.clone(),
+        stop.clone(),
+        config.io_timeout,
+        "fleet",
+    )?;
     let outcome = loop {
         let now = (shared.now_ms)();
         let (drained, exhausted, expired) = {
@@ -154,72 +157,21 @@ pub fn run_coordinator(
     // Let polling workers hear Drained / FleetFailed before the socket
     // disappears.
     thread::sleep(config.linger);
-    shared.shutdown.store(true, Ordering::SeqCst);
-    // Unblock the accept loop with one throwaway connection.
-    TcpStream::connect(addr).ok();
+    stop.stop();
     outcome
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    for conn in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(stream) = conn else { continue };
-        stream.set_nodelay(true).ok();
-        stream.set_read_timeout(shared.io_timeout).ok();
-        stream.set_write_timeout(shared.io_timeout).ok();
-        let shared = shared.clone();
-        // A failed thread spawn drops the connection; the fleet lives on
-        // (the worker reconnects).
-        thread::Builder::new()
-            .name("fleet-conn".into())
-            .spawn(move || connection_loop(stream, &shared))
-            .ok();
-    }
 }
 
 /// Per-connection state: the worker's declared name (set by `Hello`) and
 /// a one-file cache for chunked pulls so a 100-chunk transfer does not
 /// re-read and re-verify the file 100 times.
+#[derive(Default)]
 struct Connection {
     worker: Option<String>,
     served_file: Option<(String, Arc<Vec<u8>>)>,
 }
 
-fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let mut conn = Connection {
-        worker: None,
-        served_file: None,
-    };
-    loop {
-        let body = match wire::read_frame(&mut stream) {
-            Ok(Some(body)) => body,
-            // EOF or transport error: the worker is gone. Its leases go
-            // straight back to the queue — no heartbeat wait.
-            Ok(None) | Err(_) => break,
-        };
-        let response = match wire::decode_request(&body) {
-            None => Response::Error {
-                code: ErrorCode::Malformed,
-                message: "request body did not decode".into(),
-            },
-            Some(req) => dispatch(shared, &mut conn, req),
-        };
-        let Some(out) = wire::encode_response(&response) else {
-            break;
-        };
-        if wire::write_frame(&mut stream, &out).is_err() {
-            break;
-        }
-    }
-    if let Some(worker) = &conn.worker {
-        release(shared, worker, "disconnected");
-    }
-}
-
 /// Requeues every lease `worker` holds (connection drop or re-`Hello`).
-fn release(shared: &Arc<Shared>, worker: &str, why: &str) {
+fn release(shared: &Shared, worker: &str, why: &str) {
     let now = (shared.now_ms)();
     let released = shared.queue.lock().release_worker(worker, now);
     for slice in &released {
@@ -227,141 +179,146 @@ fn release(shared: &Arc<Shared>, worker: &str, why: &str) {
     }
 }
 
-fn dispatch(shared: &Arc<Shared>, conn: &mut Connection, req: Request) -> Response {
-    if let Request::Hello { worker } = &req {
-        // A reconnect under the same name frees whatever the previous
-        // incarnation held, instead of waiting out its lease.
-        release(shared, worker, "reconnected");
-        conn.worker = Some(worker.clone());
-        return Response::Welcome(shared.spec.clone());
-    }
-    let Some(worker) = conn.worker.clone() else {
-        return Response::Error {
-            code: ErrorCode::MustHello,
-            message: "send Hello before any other request".into(),
+impl Handler for Shared {
+    type Request = Request;
+    type Conn = Connection;
+
+    fn dispatch(&self, conn: &mut Connection, req: Request) -> Response {
+        if let Request::Hello { worker } = &req {
+            // A reconnect under the same name frees whatever the previous
+            // incarnation held, instead of waiting out its lease.
+            release(self, worker, "reconnected");
+            conn.worker = Some(worker.clone());
+            return Response::Welcome(self.spec.clone());
+        }
+        let Some(worker) = conn.worker.clone() else {
+            return Response::error(ErrorCode::MustHello, "send Hello before any other request");
         };
-    };
-    let now = (shared.now_ms)();
-    match req {
-        Request::Hello { .. } => Response::Error {
-            code: ErrorCode::Internal,
-            message: "unreachable: Hello handled above".into(),
-        },
-        Request::Lease => {
-            if shared.failed.load(Ordering::SeqCst) {
-                return Response::Error {
-                    code: ErrorCode::FleetFailed,
-                    message: "a slice ran out of dispatch attempts".into(),
-                };
+        let now = (self.now_ms)();
+        match req {
+            Request::Hello { .. } => {
+                Response::error(ErrorCode::Internal, "unreachable: Hello handled above")
             }
-            if shared.drained.load(Ordering::SeqCst) {
-                return Response::Drained;
-            }
-            // Hoisted out of the match scrutinee: a scrutinee temporary
-            // would hold the queue guard through every arm, pinning it
-            // across the staged-map lock and console IO below.
-            let outcome = shared.queue.lock().lease(&worker, now);
-            match outcome {
-                LeaseOutcome::Job { slice } => {
-                    // A fresh dispatch starts with clean staging — any
-                    // partial pushes from a dead predecessor vanish here.
-                    shared.staged.lock().remove(&slice);
-                    eprintln!("[fleet] slice {slice} leased to '{worker}'");
-                    Response::Job {
-                        slice,
-                        shards: shared.spec.shards,
+            Request::Lease => {
+                if self.failed.load(Ordering::SeqCst) {
+                    return Response::error(
+                        ErrorCode::FleetFailed,
+                        "a slice ran out of dispatch attempts",
+                    );
+                }
+                if self.drained.load(Ordering::SeqCst) {
+                    return Response::Drained;
+                }
+                // Hoisted out of the match scrutinee: a scrutinee temporary
+                // would hold the queue guard through every arm, pinning it
+                // across the staged-map lock and console IO below.
+                let outcome = self.queue.lock().lease(&worker, now);
+                match outcome {
+                    LeaseOutcome::Job { slice } => {
+                        // A fresh dispatch starts with clean staging — any
+                        // partial pushes from a dead predecessor vanish here.
+                        self.staged.lock().remove(&slice);
+                        eprintln!("[fleet] slice {slice} leased to '{worker}'");
+                        Response::Job {
+                            slice,
+                            shards: self.spec.shards,
+                        }
+                    }
+                    LeaseOutcome::Wait { millis } => Response::Wait { millis },
+                    LeaseOutcome::Drained => {
+                        self.drained.store(true, Ordering::SeqCst);
+                        Response::Drained
+                    }
+                    LeaseOutcome::Exhausted { slice, attempts } => {
+                        self.failed.store(true, Ordering::SeqCst);
+                        Response::error(
+                            ErrorCode::FleetFailed,
+                            format!("slice {slice} failed {attempts} dispatch attempts"),
+                        )
                     }
                 }
-                LeaseOutcome::Wait { millis } => Response::Wait { millis },
-                LeaseOutcome::Drained => {
-                    shared.drained.store(true, Ordering::SeqCst);
-                    Response::Drained
+            }
+            Request::Heartbeat { slice } => {
+                if slice >= self.spec.shards {
+                    return unknown_slice(slice, self.spec.shards);
                 }
-                LeaseOutcome::Exhausted { slice, attempts } => {
-                    shared.failed.store(true, Ordering::SeqCst);
-                    Response::Error {
-                        code: ErrorCode::FleetFailed,
-                        message: format!("slice {slice} failed {attempts} dispatch attempts"),
-                    }
+                if self.queue.lock().heartbeat(&worker, slice, now) {
+                    Response::Ack
+                } else {
+                    Response::Lost
                 }
             }
-        }
-        Request::Heartbeat { slice } => {
-            if slice >= shared.spec.shards {
-                return unknown_slice(slice, shared.spec.shards);
-            }
-            if shared.queue.lock().heartbeat(&worker, slice, now) {
-                Response::Ack
-            } else {
-                Response::Lost
-            }
-        }
-        Request::CacheKeys => match shared.store.keys() {
-            Ok(keys) => Response::Keys { keys },
-            Err(e) => Response::Error {
-                code: ErrorCode::Internal,
-                message: format!("listing cache keys failed: {e}"),
+            Request::CacheKeys => match self.store.keys() {
+                Ok(keys) => Response::Keys { keys },
+                Err(e) => Response::error(
+                    ErrorCode::Internal,
+                    format!("listing cache keys failed: {e}"),
+                ),
             },
-        },
-        Request::CacheGet { key, chunk } => serve_chunk(shared, conn, &key, chunk),
-        Request::PushRows { slice, name, bytes } => {
-            if slice >= shared.spec.shards {
-                return unknown_slice(slice, shared.spec.shards);
-            }
-            if shared.queue.lock().holder(slice) != Some(worker.as_str()) {
-                return Response::Lost;
-            }
-            if let Some(detail) = row_file_objection(&name, slice, shared.spec.shards, &bytes) {
-                return Response::Error {
-                    code: ErrorCode::BadRowFile,
-                    message: detail,
-                };
-            }
-            shared
-                .staged
-                .lock()
-                .entry(slice)
-                .or_default()
-                .insert(name, bytes);
-            Response::Ack
-        }
-        Request::Complete { slice } => {
-            if slice >= shared.spec.shards {
-                return unknown_slice(slice, shared.spec.shards);
-            }
-            if !shared.queue.lock().complete(&worker, slice, now) {
-                return Response::Lost;
-            }
-            let files = shared.staged.lock().remove(&slice).unwrap_or_default();
-            let count = files.len();
-            for (name, bytes) in files {
-                let path = shared.results_dir.join(&name);
-                if let Err(e) = atomic_write(&path, &bytes) {
-                    return Response::Error {
-                        code: ErrorCode::Internal,
-                        message: format!("committing '{name}' failed: {e}"),
-                    };
+            Request::CacheGet { key, chunk } => serve_chunk(self, conn, &key, chunk),
+            Request::PushRows { slice, name, bytes } => {
+                if slice >= self.spec.shards {
+                    return unknown_slice(slice, self.spec.shards);
                 }
+                if self.queue.lock().holder(slice) != Some(worker.as_str()) {
+                    return Response::Lost;
+                }
+                if let Some(detail) = row_file_objection(&name, slice, self.spec.shards, &bytes) {
+                    return Response::error(ErrorCode::BadRowFile, detail);
+                }
+                self.staged
+                    .lock()
+                    .entry(slice)
+                    .or_default()
+                    .insert(name, bytes);
+                Response::Ack
             }
-            eprintln!("[fleet] slice {slice} complete: {count} row file(s) committed");
-            Response::Ack
+            Request::Complete { slice } => {
+                if slice >= self.spec.shards {
+                    return unknown_slice(slice, self.spec.shards);
+                }
+                if !self.queue.lock().complete(&worker, slice, now) {
+                    return Response::Lost;
+                }
+                let files = self.staged.lock().remove(&slice).unwrap_or_default();
+                let count = files.len();
+                for (name, bytes) in files {
+                    let path = self.results_dir.join(&name);
+                    if let Err(e) = atomic_write(&path, &bytes) {
+                        return Response::error(
+                            ErrorCode::Internal,
+                            format!("committing '{name}' failed: {e}"),
+                        );
+                    }
+                }
+                eprintln!("[fleet] slice {slice} complete: {count} row file(s) committed");
+                Response::Ack
+            }
+            Request::Failed { slice, message } => {
+                if slice >= self.spec.shards {
+                    return unknown_slice(slice, self.spec.shards);
+                }
+                eprintln!("[fleet] worker '{worker}' failed slice {slice}: {message}");
+                self.queue.lock().fail(&worker, slice, now);
+                Response::Ack
+            }
         }
-        Request::Failed { slice, message } => {
-            if slice >= shared.spec.shards {
-                return unknown_slice(slice, shared.spec.shards);
-            }
-            eprintln!("[fleet] worker '{worker}' failed slice {slice}: {message}");
-            shared.queue.lock().fail(&worker, slice, now);
-            Response::Ack
+    }
+
+    /// The worker is gone: its leases go straight back to the queue, with
+    /// no heartbeat wait.
+    fn closed(&self, conn: Connection) {
+        if let Some(worker) = &conn.worker {
+            release(self, worker, "disconnected");
         }
     }
 }
 
 fn unknown_slice(slice: u32, shards: u32) -> Response {
-    Response::Error {
-        code: ErrorCode::UnknownSlice,
-        message: format!("slice {slice} is outside 0..{shards}"),
-    }
+    Response::error(
+        ErrorCode::UnknownSlice,
+        format!("slice {slice} is outside 0..{shards}"),
+    )
 }
 
 /// Why a pushed row file is unacceptable, or `None` if it is fine. The
@@ -402,12 +359,12 @@ pub(crate) fn parse_shard_name(name: &str) -> Option<(u32, u32)> {
     Some((i.parse().ok()?, n.parse().ok()?))
 }
 
-fn serve_chunk(shared: &Arc<Shared>, conn: &mut Connection, key: &str, chunk: u32) -> Response {
+fn serve_chunk(shared: &Shared, conn: &mut Connection, key: &str, chunk: u32) -> Response {
     if store::parse_key(key).is_none() {
-        return Response::Error {
-            code: ErrorCode::BadKey,
-            message: format!("'{key}' is not a well-formed cache key"),
-        };
+        return Response::error(
+            ErrorCode::BadKey,
+            format!("'{key}' is not a well-formed cache key"),
+        );
     }
     let bytes = match &conn.served_file {
         Some((k, bytes)) if k == key => bytes.clone(),
@@ -418,27 +375,24 @@ fn serve_chunk(shared: &Arc<Shared>, conn: &mut Connection, key: &str, chunk: u3
                 bytes
             }
             Ok(None) => {
-                return Response::Error {
-                    code: ErrorCode::UnknownKey,
-                    message: format!("cache key '{key}' is not present"),
-                }
+                return Response::error(
+                    ErrorCode::UnknownKey,
+                    format!("cache key '{key}' is not present"),
+                )
             }
             Err(e) => {
-                return Response::Error {
-                    code: ErrorCode::Internal,
-                    message: format!("reading '{key}' failed: {e}"),
-                }
+                return Response::error(ErrorCode::Internal, format!("reading '{key}' failed: {e}"))
             }
         },
     };
     let Some(range) = chunk_range(bytes.len(), chunk) else {
-        return Response::Error {
-            code: ErrorCode::ChunkOutOfRange,
-            message: format!(
+        return Response::error(
+            ErrorCode::ChunkOutOfRange,
+            format!(
                 "chunk {chunk} is out of range for '{key}' ({} bytes)",
                 bytes.len()
             ),
-        };
+        );
     };
     let total_len = bytes.len() as u64;
     Response::Chunk {

@@ -10,7 +10,7 @@ use std::io;
 
 use embedstab_pipeline::StoreError;
 
-use crate::wire::ErrorCode;
+use crate::wire::{ErrorCode, Response};
 
 /// Any fleet-level failure.
 #[derive(Debug)]
@@ -92,6 +92,20 @@ impl std::fmt::Display for FleetError {
             FleetError::SpawnFailed { bin, detail } => {
                 write!(f, "cannot spawn shard binary '{bin}': {detail}")
             }
+        }
+    }
+}
+
+impl FleetError {
+    /// The error for a reply to `op` that the worker cannot use: a typed
+    /// wire error is [`FleetError::Remote`], any other reply a protocol
+    /// violation.
+    pub(crate) fn unexpected(op: &str, reply: Response) -> FleetError {
+        match reply {
+            Response::Error { code, message } => FleetError::Remote { code, message },
+            other => FleetError::Protocol {
+                detail: format!("unexpected {op} response: {other:?}"),
+            },
         }
     }
 }

@@ -11,14 +11,14 @@
 //!
 //! The moving parts:
 //!
-//! - [`wire`] — the framed protocol (requests, responses, chunked cache
-//!   transfer), riding `embedstab_serve::wire`'s framing;
+//! - [`wire`] — the protocol's op table (requests, responses, chunked
+//!   cache transfer) on `embedstab_serve::wire`'s shared transport;
 //! - [`queue`] — the lease ledger: heartbeat timeouts, capped-backoff
 //!   re-dispatch, attempt caps, injected time;
 //! - [`transfer`] — chunked pulls with receipt-time verification
 //!   (whole-file hash + cache-header-vs-key);
-//! - [`coordinator`] — the serving side: staged row commits, crash-fast
-//!   lease release on disconnect;
+//! - [`coordinator`] — the serving side, the protocol's `Handler`: staged
+//!   row commits, crash-fast lease release on disconnect;
 //! - [`worker`] — the pulling side: cache sync, shard subprocess
 //!   supervision, heartbeats, fault injection for drills.
 //!

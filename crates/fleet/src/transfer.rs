@@ -72,12 +72,7 @@ pub fn pull_key(stream: &mut (impl Read + Write), key: &str) -> Result<Vec<u8>, 
                 content_hash,
                 bytes,
             } => (total_len, chunks, content_hash, bytes),
-            Response::Error { code, message } => return Err(FleetError::Remote { code, message }),
-            other => {
-                return Err(FleetError::Protocol {
-                    detail: format!("expected Chunk for '{key}', got {other:?}"),
-                })
-            }
+            other => return Err(FleetError::unexpected(&format!("CacheGet '{key}'"), other)),
         };
         match expect {
             None => {

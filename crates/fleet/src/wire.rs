@@ -1,11 +1,13 @@
 //! The fleet wire protocol: worker ⇄ coordinator framing.
 //!
-//! Rides the exact conventions of [`embedstab_serve::wire`] — and its
-//! [`read_frame`]/[`write_frame`] length-prefixed framing verbatim —
-//! little-endian everywhere, a version byte leading every body, lengths
-//! checked against the remaining input before any allocation, and a typed
-//! [`ErrorCode`] taxonomy instead of panics. Every byte here crosses a
-//! machine boundary and is peer-controlled: any truncation, bad version,
+//! This module is only the protocol's op table (its [`Protocol`] impl).
+//! The transport is [`embedstab_serve::wire`]'s — framing, [`call`], and
+//! the accept and connection loops — and the byte primitives, error body
+//! included, are [`embedstab_corpus::codec`]'s. The conventions are
+//! serve's too: little-endian everywhere, a version byte leading every
+//! body, lengths checked against the remaining input before any
+//! allocation, and a typed [`ErrorCode`] taxonomy instead of panics.
+//! Every byte here is peer-controlled: any truncation, bad version,
 //! unknown op, or trailing garbage decodes to `None`, never a panic.
 //!
 //! # Frame layout
@@ -44,9 +46,15 @@
 //! receiver reassembles, checks the hash, then checks the embedded cache
 //! header against the key ([`embedstab_pipeline::store::verify`]).
 
-use embedstab_corpus::codec::{take_u32, take_u64};
+use std::io;
 
-pub use embedstab_serve::wire::{read_frame, write_frame, MAX_FRAME_BYTES};
+use embedstab_corpus::codec::{
+    put_bytes32, put_error_body, put_str16, put_str32, put_u32, put_u64, take_bytes32, take_count,
+    take_error_body, take_op, take_str16, take_str32, take_u32, take_u64,
+};
+use embedstab_serve::wire::Protocol;
+
+pub use embedstab_serve::wire::{call, read_frame, write_frame, MAX_FRAME_BYTES};
 
 /// Protocol version byte leading every request and response body.
 pub const FLEET_WIRE_VERSION: u8 = 1;
@@ -194,6 +202,16 @@ pub enum Response {
     },
 }
 
+impl Response {
+    /// An `Error` response.
+    pub fn error(code: ErrorCode, message: impl Into<String>) -> Response {
+        Response::Error {
+            code,
+            message: message.into(),
+        }
+    }
+}
+
 /// The fleet error taxonomy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ErrorCode {
@@ -252,70 +270,6 @@ impl ErrorCode {
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a u16-length-prefixed string; `None` if it does not fit.
-fn put_str16(out: &mut Vec<u8>, s: &str) -> Option<()> {
-    let len = u16::try_from(s.len()).ok()?;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-    Some(())
-}
-
-/// Appends a u32-length-prefixed string; `None` if it does not fit.
-fn put_str32(out: &mut Vec<u8>, s: &str) -> Option<()> {
-    let len = u32::try_from(s.len()).ok()?;
-    put_u32(out, len);
-    out.extend_from_slice(s.as_bytes());
-    Some(())
-}
-
-/// Appends u32-length-prefixed raw bytes; `None` if they do not fit.
-fn put_bytes32(out: &mut Vec<u8>, bytes: &[u8]) -> Option<()> {
-    let len = u32::try_from(bytes.len()).ok()?;
-    put_u32(out, len);
-    out.extend_from_slice(bytes);
-    Some(())
-}
-
-fn take_str16(r: &mut &[u8]) -> Option<String> {
-    let (head, rest) = r.split_first_chunk::<2>()?;
-    *r = rest;
-    let len = u16::from_le_bytes(*head) as usize;
-    if r.len() < len {
-        return None;
-    }
-    let s = std::str::from_utf8(&r[..len]).ok()?.to_string();
-    *r = &r[len..];
-    Some(s)
-}
-
-fn take_str32(r: &mut &[u8]) -> Option<String> {
-    let len = take_u32(r)? as usize;
-    if r.len() < len {
-        return None;
-    }
-    let s = std::str::from_utf8(&r[..len]).ok()?.to_string();
-    *r = &r[len..];
-    Some(s)
-}
-
-fn take_bytes32(r: &mut &[u8]) -> Option<Vec<u8>> {
-    let len = take_u32(r)? as usize;
-    if r.len() < len {
-        return None;
-    }
-    let bytes = r[..len].to_vec();
-    *r = &r[len..];
-    Some(bytes)
-}
-
 /// Encodes a request body (frame it with [`write_frame`]). `None` if a
 /// length field overflows its wire width.
 pub fn encode_request(req: &Request) -> Option<Vec<u8>> {
@@ -359,12 +313,7 @@ pub fn encode_request(req: &Request) -> Option<Vec<u8>> {
 /// bad UTF-8, or trailing bytes.
 pub fn decode_request(mut body: &[u8]) -> Option<Request> {
     let r = &mut body;
-    let (head, rest) = r.split_first_chunk::<2>()?;
-    *r = rest;
-    let [version, op] = *head;
-    if version != FLEET_WIRE_VERSION {
-        return None;
-    }
+    let op = take_op(r, FLEET_WIRE_VERSION)?;
     let req = match op {
         OP_HELLO => Request::Hello {
             worker: take_str16(r)?,
@@ -392,10 +341,7 @@ pub fn decode_request(mut body: &[u8]) -> Option<Request> {
         },
         _ => return None,
     };
-    if !r.is_empty() {
-        return None;
-    }
-    Some(req)
+    r.is_empty().then_some(req)
 }
 
 /// Encodes a response body (frame it with [`write_frame`]). `None` if a
@@ -449,14 +395,7 @@ pub fn encode_response(resp: &Response) -> Option<Vec<u8>> {
         Response::Lost => out.push(TAG_LOST),
         Response::Error { code, message } => {
             out.push(TAG_ERROR);
-            out.extend_from_slice(&code.to_u16().to_le_bytes());
-            // Truncate pathological messages (char-boundary-safe, like the
-            // serve wire) rather than failing to deliver an error at all.
-            let mut cut = message.len().min(u16::MAX as usize);
-            while cut > 0 && !message.is_char_boundary(cut) {
-                cut -= 1;
-            }
-            put_str32(&mut out, &message[..cut])?;
+            put_error_body(&mut out, code.to_u16(), message);
         }
     }
     Some(out)
@@ -465,23 +404,15 @@ pub fn encode_response(resp: &Response) -> Option<Vec<u8>> {
 /// Decodes a response body; `None` on any truncation or inconsistency.
 pub fn decode_response(mut body: &[u8]) -> Option<Response> {
     let r = &mut body;
-    let (head, rest) = r.split_first_chunk::<2>()?;
-    *r = rest;
-    let [version, tag] = *head;
-    if version != FLEET_WIRE_VERSION {
-        return None;
-    }
+    let tag = take_op(r, FLEET_WIRE_VERSION)?;
     let resp = match tag {
         TAG_WELCOME => {
             let bin = take_str16(r)?;
             let scale = take_str16(r)?;
             let shards = take_u32(r)?;
             let world_key = take_str16(r)?;
-            let n = take_u32(r)? as usize;
             // Each entry needs at least its 2-byte length prefix.
-            if r.len() < n.checked_mul(2)? {
-                return None;
-            }
+            let n = take_count(r, 2)?;
             let extra: Vec<String> = (0..n).map(|_| take_str16(r)).collect::<Option<_>>()?;
             Response::Welcome(FleetSpec {
                 bin,
@@ -501,10 +432,7 @@ pub fn decode_response(mut body: &[u8]) -> Option<Response> {
         },
         TAG_DRAINED => Response::Drained,
         TAG_KEYS => {
-            let n = take_u32(r)? as usize;
-            if r.len() < n.checked_mul(2)? {
-                return None;
-            }
+            let n = take_count(r, 2)?;
             let keys: Vec<String> = (0..n).map(|_| take_str16(r)).collect::<Option<_>>()?;
             Response::Keys { keys }
         }
@@ -516,45 +444,47 @@ pub fn decode_response(mut body: &[u8]) -> Option<Response> {
         },
         TAG_LOST => Response::Lost,
         TAG_ERROR => {
-            let (head, rest) = r.split_first_chunk::<2>()?;
-            *r = rest;
-            let code = ErrorCode::from_u16(u16::from_le_bytes(*head))?;
-            let message = take_str32(r)?;
-            Response::Error { code, message }
+            let (code, message) = take_error_body(r)?;
+            Response::error(ErrorCode::from_u16(code)?, message)
         }
         _ => return None,
     };
-    if !r.is_empty() {
-        return None;
-    }
-    Some(resp)
+    r.is_empty().then_some(resp)
 }
 
-/// One synchronous request/response exchange over a framed transport —
-/// the worker half of the protocol.
-///
-/// # Errors
-///
-/// [`FleetError::Protocol`] if the request does not encode or the
-/// response does not decode, [`FleetError::Io`] on transport errors
-/// (including an unexpected EOF before the response).
-pub fn call(
-    stream: &mut (impl std::io::Read + std::io::Write),
-    req: &Request,
-) -> Result<Response, crate::FleetError> {
-    let body = encode_request(req).ok_or_else(|| crate::FleetError::Protocol {
-        detail: "request does not fit its wire length fields".to_string(),
-    })?;
-    write_frame(stream, &body)?;
-    let body = read_frame(stream)?.ok_or_else(|| {
-        crate::FleetError::Io(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "coordinator closed the connection before responding",
-        ))
-    })?;
-    decode_response(&body).ok_or_else(|| crate::FleetError::Protocol {
-        detail: "undecodable response frame".to_string(),
-    })
+fn overflow() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidInput,
+        "message does not fit its wire length fields",
+    )
+}
+
+impl Protocol for Request {
+    type Response = Response;
+
+    fn encode_request(&self) -> io::Result<Vec<u8>> {
+        encode_request(self).ok_or_else(overflow)
+    }
+
+    fn decode_request(body: &[u8]) -> Option<Request> {
+        decode_request(body)
+    }
+
+    fn encode_response(resp: &Response) -> io::Result<Vec<u8>> {
+        encode_response(resp).ok_or_else(overflow)
+    }
+
+    fn decode_response(body: &[u8]) -> Option<Response> {
+        decode_response(body)
+    }
+
+    fn malformed(message: String) -> Response {
+        Response::error(ErrorCode::Malformed, message)
+    }
+
+    fn internal(message: String) -> Response {
+        Response::error(ErrorCode::Internal, message)
+    }
 }
 
 #[cfg(test)]

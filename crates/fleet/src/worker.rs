@@ -37,6 +37,7 @@ use std::time::Duration;
 
 use embedstab_pipeline::store::{parse_key, CacheFamily};
 use embedstab_pipeline::CacheStore;
+use embedstab_serve::wire::set_io_timeouts;
 
 use crate::coordinator::parse_shard_name;
 use crate::transfer::ensure_key;
@@ -132,12 +133,7 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerReport, FleetError> {
                 code: ErrorCode::FleetFailed,
                 message,
             } => return Err(FleetError::FleetFailed { message }),
-            Response::Error { code, message } => return Err(FleetError::Remote { code, message }),
-            other => {
-                return Err(FleetError::Protocol {
-                    detail: format!("unexpected Lease response: {other:?}"),
-                })
-            }
+            other => return Err(FleetError::unexpected("Lease", other)),
         }
     }
 }
@@ -151,8 +147,7 @@ fn connect(config: &WorkerConfig) -> Result<TcpStream, FleetError> {
         match TcpStream::connect(&config.addr) {
             Ok(stream) => {
                 stream.set_nodelay(true).ok();
-                stream.set_read_timeout(config.io_timeout).ok();
-                stream.set_write_timeout(config.io_timeout).ok();
+                set_io_timeouts(&stream, config.io_timeout).ok();
                 return Ok(stream);
             }
             Err(e) => last = e.to_string(),
@@ -175,10 +170,7 @@ fn hello(stream: &mut (impl Read + Write), name: &str) -> Result<FleetSpec, Flee
         },
     )? {
         Response::Welcome(spec) => Ok(spec),
-        Response::Error { code, message } => Err(FleetError::Remote { code, message }),
-        other => Err(FleetError::Protocol {
-            detail: format!("expected Welcome, got {other:?}"),
-        }),
+        other => Err(FleetError::unexpected("Hello", other)),
     }
 }
 
@@ -205,12 +197,7 @@ fn sync_caches(
     };
     let keys = match call(stream, &Request::CacheKeys)? {
         Response::Keys { keys } => keys,
-        Response::Error { code, message } => return Err(FleetError::Remote { code, message }),
-        other => {
-            return Err(FleetError::Protocol {
-                detail: format!("expected Keys, got {other:?}"),
-            })
-        }
+        other => return Err(FleetError::unexpected("CacheKeys", other)),
     };
     for key in keys {
         let Some(parsed) = parse_key(&key) else {
@@ -336,24 +323,17 @@ fn supervise(
                     child.wait().ok();
                     return Ok(Supervision::LeaseLost);
                 }
-                Ok(Response::Error { code, message }) => {
-                    child.kill().ok();
-                    child.wait().ok();
-                    return Err(FleetError::Remote { code, message });
-                }
                 Ok(other) => {
                     child.kill().ok();
                     child.wait().ok();
-                    return Err(FleetError::Protocol {
-                        detail: format!("unexpected Heartbeat response: {other:?}"),
-                    });
+                    return Err(FleetError::unexpected("Heartbeat", other));
                 }
                 Err(e) => {
                     // The coordinator is unreachable: the child's output
                     // has nowhere to go, so stop burning its CPU.
                     child.kill().ok();
                     child.wait().ok();
-                    return Err(e);
+                    return Err(e.into());
                 }
             }
         }
@@ -398,12 +378,7 @@ fn push_and_complete(
                 );
                 return Ok(());
             }
-            Response::Error { code, message } => return Err(FleetError::Remote { code, message }),
-            other => {
-                return Err(FleetError::Protocol {
-                    detail: format!("unexpected PushRows response: {other:?}"),
-                })
-            }
+            other => return Err(FleetError::unexpected("PushRows", other)),
         }
     }
     match call(stream, &Request::Complete { slice })? {
@@ -423,10 +398,7 @@ fn push_and_complete(
             );
             Ok(())
         }
-        Response::Error { code, message } => Err(FleetError::Remote { code, message }),
-        other => Err(FleetError::Protocol {
-            detail: format!("unexpected Complete response: {other:?}"),
-        }),
+        other => Err(FleetError::unexpected("Complete", other)),
     }
 }
 

@@ -40,7 +40,7 @@ use crate::source::SourceFile;
 /// Socket/console IO reached while a guard is live. Free/assoc calls
 /// only — file IO (`atomic_write`) under a short-lived guard is how
 /// serve's promote path stays atomic and is deliberately not flagged.
-const BLOCKING_IO_CALLS: [&str; 4] = ["write_frame", "read_frame", "call_with_timeout", "connect"];
+const BLOCKING_IO_CALLS: [&str; 4] = ["write_frame", "read_frame", "call", "connect"];
 /// Console macros: stderr writes block on a slow consumer like any pipe.
 const BLOCKING_IO_MACROS: [&str; 4] = ["eprintln", "println", "eprint", "print"];
 

@@ -257,6 +257,31 @@ fn lock_order_bad_flags_inversion_self_deadlock_and_io() {
     );
 }
 
+/// A guard held across the shared wire exchange (`serve::wire::call`, the
+/// one client round trip both protocols use) is blocking network IO.
+#[test]
+fn lock_order_flags_a_guard_held_across_the_wire_exchange() {
+    let src = r#"
+use parking_lot::Mutex;
+
+pub struct Shared {
+    pub queue: Mutex<Vec<u32>>,
+}
+
+pub fn pinned(s: &Shared, stream: &mut std::net::TcpStream, req: &Request) {
+    let q = s.queue.lock();
+    let _ = wire::call(stream, req);
+    drop(q);
+}
+"#;
+    let hits = lint_source("crates/demo/src/lib.rs", src);
+    assert!(
+        hits.iter()
+            .any(|f| f.rule == "lock-order" && f.message.contains("blocking IO `call(..)`")),
+        "a guard across `call` must be flagged: {hits:#?}"
+    );
+}
+
 #[test]
 fn lock_order_clean_passes() {
     // One blessed order everywhere, plus an `if`-condition temporary

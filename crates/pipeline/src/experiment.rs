@@ -62,7 +62,7 @@ enum TaskSpec {
 }
 
 /// Fluent builder for one grid run. See the [module docs](self) for the
-/// shape of the API and `run.rs` for the legacy entry points it replaces.
+/// shape of the API.
 pub struct Experiment<'w> {
     world: &'w World,
     grid: Option<&'w EmbeddingGrid>,
@@ -158,8 +158,7 @@ impl<'w> Experiment<'w> {
         self
     }
 
-    /// Replaces the whole options bag at once (how the legacy
-    /// `run_*_grid` wrappers delegate here).
+    /// Replaces the whole options bag at once.
     pub fn options(mut self, opts: GridOptions) -> Self {
         self.opts = opts;
         self

@@ -18,8 +18,7 @@
 //!    disagreement, quality, and the five embedding distance measures per
 //!    configuration. Runs shard deterministically across processes
 //!    ([`Experiment::shard`]) and stream rows as they complete
-//!    ([`RowSink`], [`JsonlSink`]). The legacy [`run_sentiment_grid`] /
-//!    [`run_ner_grid`] entry points are thin wrappers over the builder.
+//!    ([`RowSink`], [`JsonlSink`]).
 //! 3. **Run analyses** — `embedstab-core`'s statistics and selection
 //!    routines consume the rows; [`report`] renders the paper-style
 //!    tables.
@@ -43,7 +42,7 @@ pub mod world_cache;
 pub use cache::{PairCache, CACHE_FORMAT_VERSION};
 pub use experiment::Experiment;
 pub use grid::{EmbeddingGrid, PairKey};
-pub use run::{run_ner_grid, run_sentiment_grid, GridOptions, Row};
+pub use run::{GridOptions, Row};
 pub use scale::{Scale, ScaleParams};
 pub use sink::{JsonlSink, ProgressSink, RowSink};
 pub use store::{content_hash, CacheFamily, CacheKey, CacheStore, StoreError};

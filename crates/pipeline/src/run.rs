@@ -1,20 +1,12 @@
-//! Legacy grid entry points and the row/options types they share with the
-//! [`Experiment`](crate::Experiment) builder.
-//!
-//! `run_sentiment_grid` and `run_ner_grid` predate the builder; they are
-//! kept as thin wrappers so existing callers and scripts keep working. New
-//! code should use [`Experiment`] directly — it adds sharding, an on-disk
-//! pair cache, row streaming, and pluggable tasks on top of the same
-//! single grid loop.
+//! The row and options types of the [`Experiment`](crate::Experiment)
+//! builder: one [`Row`] per configuration it runs, and the
+//! [`GridOptions`] bag it takes through
+//! [`Experiment::options`](crate::Experiment::options).
 
 use embedstab_core::MeasureValues;
 use embedstab_embeddings::Algo;
 use embedstab_quant::Precision;
 use serde::{Deserialize, Serialize};
-
-use crate::experiment::Experiment;
-use crate::grid::EmbeddingGrid;
-use crate::world::World;
 
 /// One experiment observation: a downstream task trained on one embedding
 /// configuration pair.
@@ -84,48 +76,13 @@ impl Default for GridOptions {
     }
 }
 
-/// Runs the full grid for one sentiment task, returning one row per
-/// configuration (paper Figures 1/2/6, Tables 1-3 inputs).
-///
-/// Thin wrapper over [`Experiment`]; equivalent to
-/// `Experiment::new(world).grid(grid).tasks([task]).options(opts).run()`.
-///
-/// # Panics
-///
-/// Panics if `task` is not one of the world's sentiment datasets or the
-/// grid is missing a required pair.
-pub fn run_sentiment_grid(
-    world: &World,
-    grid: &EmbeddingGrid,
-    task: &str,
-    opts: &GridOptions,
-) -> Vec<Row> {
-    // The builder resolves "ner" to the NER task; this wrapper's contract
-    // is sentiment-only, so keep the documented panic for unknown names.
-    let _ = world.sentiment_dataset(task);
-    Experiment::new(world)
-        .grid(grid)
-        .tasks([task])
-        .options(opts.clone())
-        .run()
-}
-
-/// Runs the full grid for the NER task with the BiLSTM tagger; instability
-/// is measured over entity tokens only (paper Section 3).
-///
-/// Thin wrapper over [`Experiment`], like [`run_sentiment_grid`].
-pub fn run_ner_grid(world: &World, grid: &EmbeddingGrid, opts: &GridOptions) -> Vec<Row> {
-    Experiment::new(world)
-        .grid(grid)
-        .tasks(["ner"])
-        .options(opts.clone())
-        .run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Experiment;
+    use crate::grid::EmbeddingGrid;
     use crate::scale::Scale;
+    use crate::world::World;
 
     fn tiny_setup() -> (World, EmbeddingGrid) {
         let mut params = Scale::Tiny.params();
@@ -137,6 +94,14 @@ mod tests {
         (world, grid)
     }
 
+    fn run(world: &World, grid: &EmbeddingGrid, task: &str, opts: &GridOptions) -> Vec<Row> {
+        Experiment::new(world)
+            .grid(grid)
+            .tasks([task])
+            .options(opts.clone())
+            .run()
+    }
+
     #[test]
     fn sentiment_grid_produces_rows_with_shape() {
         let (world, grid) = tiny_setup();
@@ -145,7 +110,7 @@ mod tests {
             with_measures: true,
             ..Default::default()
         };
-        let rows = run_sentiment_grid(&world, &grid, "sst2", &opts);
+        let rows = run(&world, &grid, "sst2", &opts);
         assert_eq!(rows.len(), 4); // 2 dims x 2 precisions x 1 seed
         for r in &rows {
             assert!(r.disagreement >= 0.0 && r.disagreement <= 1.0);
@@ -165,20 +130,13 @@ mod tests {
             algos: vec![Algo::Mc],
             ..Default::default()
         };
-        let rows = run_ner_grid(&world, &grid, &opts);
+        let rows = run(&world, &grid, "ner", &opts);
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert_eq!(r.task, "ner");
             assert!(r.disagreement >= 0.0 && r.disagreement <= 1.0);
             assert!(r.measures.is_none());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "no sentiment dataset")]
-    fn sentiment_wrapper_rejects_ner() {
-        let (world, grid) = tiny_setup();
-        let _ = run_sentiment_grid(&world, &grid, "ner", &GridOptions::default());
     }
 
     #[test]
@@ -192,8 +150,8 @@ mod tests {
             relax_seeds: true,
             ..base.clone()
         };
-        let a = run_sentiment_grid(&world, &grid, "sst2", &base);
-        let b = run_sentiment_grid(&world, &grid, "sst2", &relaxed);
+        let a = run(&world, &grid, "sst2", &base);
+        let b = run(&world, &grid, "sst2", &relaxed);
         // Relaxing seeds adds model randomness, so disagreement shifts for
         // at least one configuration.
         assert!(

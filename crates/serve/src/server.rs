@@ -5,12 +5,15 @@
 //! Architecture (thread-per-connection; epoll and a v2 protocol are
 //! tracked ROADMAP headroom):
 //!
-//! - an **accept thread** takes connections and spawns one handler thread
-//!   per connection;
-//! - each **connection thread** reads frames, decodes requests, and
-//!   answers them in request order. A query is queued on the addressed
-//!   tenant's queue, and the thread then either runs the tenant's
-//!   batches itself or blocks until its query is answered;
+//! - the **transport** is [`wire::listen`], shared with the fleet
+//!   coordinator: an accept thread spawns one thread per connection,
+//!   which reads frames, decodes requests, and answers them in request
+//!   order. This module is only the serve protocol's [`wire::Handler`],
+//!   whose `dispatch` answers one request;
+//! - `dispatch` answers `Info` from the live snapshot and queues a query
+//!   on the addressed tenant's queue. The connection thread then either
+//!   runs the tenant's batches itself or blocks until its query is
+//!   answered;
 //! - batching is **flat combining**: one connection thread at a time
 //!   holds a tenant's *combiner role* (an atomic flag, taken by whoever
 //!   queues a job while no batch is running) and runs batches naturally.
@@ -48,7 +51,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, Thread};
@@ -59,7 +62,7 @@ use embedstab_linalg::Mat;
 use parking_lot::{Mutex, RwLock};
 
 use crate::snapshot::{Snapshot, SnapshotStore, Version};
-use crate::wire::{self, ErrorCode, Request, Response, SnapshotInfo};
+use crate::wire::{self, ErrorCode, Handler, Request, Response, SnapshotInfo, Stop};
 
 /// Server-wide settings. Batching has no timer or thread to tune: the
 /// connection thread holding a tenant's combiner role runs each batch,
@@ -183,10 +186,9 @@ struct TenantState {
 
 struct Shared {
     tenants: BTreeMap<String, Arc<TenantState>>,
-    addr: SocketAddr,
     max_batch: usize,
-    io_timeout: Option<Duration>,
-    shutdown: AtomicBool,
+    /// Stopped by [`ServeHandle::shutdown`]; queries are refused after.
+    stop: Stop,
     ok_responses: AtomicU64,
     error_responses: AtomicU64,
 }
@@ -202,7 +204,7 @@ pub struct ServeHandle {
 impl ServeHandle {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.shared.stop.addr()
     }
 
     /// `(ok, error)` response counts served so far.
@@ -273,9 +275,7 @@ impl ServeHandle {
     /// [`ErrorCode::ShuttingDown`]. Queries already queued are answered;
     /// lingering connections end when their peers close.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with one throwaway connection.
-        TcpStream::connect(self.shared.addr).ok();
+        self.shared.stop.stop();
     }
 }
 
@@ -302,7 +302,7 @@ pub fn serve(
     tenants: Vec<TenantConfig>,
     config: ServerConfig,
 ) -> io::Result<ServeHandle> {
-    let addr = listener.local_addr()?;
+    let stop = Stop::new(&listener)?;
     let mut states = BTreeMap::new();
     for tenant in tenants {
         let live = live_arc(&tenant.store)?;
@@ -323,163 +323,87 @@ pub fn serve(
     }
     let shared = Arc::new(Shared {
         tenants: states,
-        addr,
         max_batch: config.max_batch.max(1),
-        io_timeout: config.io_timeout,
-        shutdown: AtomicBool::new(false),
+        stop: stop.clone(),
         ok_responses: AtomicU64::new(0),
         error_responses: AtomicU64::new(0),
     });
-    let accept_shared = shared.clone();
-    thread::Builder::new()
-        .name("serve-accept".into())
-        .spawn(move || accept_loop(&listener, &accept_shared))?;
+    wire::listen(listener, shared.clone(), stop, config.io_timeout, "serve")?;
     Ok(ServeHandle { shared })
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    for conn in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(stream) = conn else { continue };
-        // Frames are small and latency-bound; Nagle would stall every
-        // response behind the peer's delayed ACK.
-        stream.set_nodelay(true).ok();
-        // A stalled peer surfaces as a read/write timeout in the handler
-        // (which drops the connection) instead of pinning it forever.
-        wire::set_io_timeouts(&stream, shared.io_timeout).ok();
-        let shared = shared.clone();
-        // A failed thread spawn drops the connection; the server lives on.
-        thread::Builder::new()
-            .name("serve-conn".into())
-            .spawn(move || connection_loop(stream, &shared))
-            .ok();
-    }
-}
+impl Handler for Shared {
+    type Request = Request;
+    type Conn = ();
 
-fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
-    loop {
-        let body = match wire::read_frame(&mut stream) {
-            Ok(Some(body)) => body,
-            // Clean EOF: the client is done.
-            Ok(None) => return,
-            Err(e) => {
-                // An oversize length prefix cannot be resynchronized:
-                // answer Malformed (best effort) and drop the connection.
-                if e.kind() == io::ErrorKind::InvalidData {
-                    respond(
-                        &mut stream,
-                        shared,
-                        Response::Error {
-                            code: ErrorCode::Malformed,
-                            message: e.to_string(),
-                        },
-                    );
-                }
-                return;
+    fn dispatch(&self, _conn: &mut (), req: Request) -> Response {
+        let tenant_name = req.tenant().to_string();
+        let Some(state) = self.tenants.get(&tenant_name) else {
+            return Response::error(
+                ErrorCode::UnknownTenant,
+                format!("tenant '{tenant_name}' is not served here"),
+            );
+        };
+        let kind = match req {
+            Request::Info { .. } => {
+                let snap = state.live.read().clone();
+                let meta = snap.meta();
+                return Response::Info(SnapshotInfo {
+                    version: meta.version.0,
+                    vocab_size: meta.vocab_size.min(u32::MAX as usize) as u32,
+                    dim: meta.dim.min(u32::MAX as usize) as u32,
+                    precision_bits: meta.precision.bits(),
+                });
             }
-        };
-        let response = match wire::decode_request(&body) {
-            // A malformed body does not desync the framing; answer the
-            // error and keep the connection.
-            None => Response::Error {
-                code: ErrorCode::Malformed,
-                message: "request body did not decode".into(),
+            Request::LookupBatch { ids, .. } => JobKind::Lookup(ids),
+            Request::NearestBatch { k, queries, .. } => JobKind::Nearest {
+                k: k as usize,
+                queries,
             },
-            Some(req) => dispatch(shared, req),
         };
-        if !respond(&mut stream, shared, response) {
-            return;
+        if self.stop.is_stopped() {
+            return Response::error(ErrorCode::ShuttingDown, "server is shutting down");
+        }
+        // Admission: bound the tenant's queue, refusing (not queueing) the
+        // excess so overload degrades to fast typed errors.
+        let slot = Arc::new(Slot::new());
+        let admitted = {
+            let mut queue = state.queue.lock();
+            let admitted = queue.len() < state.max_pending;
+            if admitted {
+                queue.push_back(Job {
+                    kind,
+                    slot: slot.clone(),
+                });
+            }
+            admitted
+        };
+        if !admitted {
+            return Response::error(
+                ErrorCode::Overloaded,
+                format!(
+                    "tenant '{tenant_name}' has {} queries pending (admission bound)",
+                    state.max_pending
+                ),
+            );
+        }
+        loop {
+            if let Some(mut combiner) = Combiner::try_take(state) {
+                combiner.run_until_answered(&slot, self.max_batch);
+            }
+            if let Some(response) = slot.wait() {
+                return response;
+            }
         }
     }
-}
 
-/// Writes one response, updating the counters. Returns false if the
-/// client is gone.
-fn respond(stream: &mut TcpStream, shared: &Arc<Shared>, response: Response) -> bool {
-    let counter = if response.is_error() {
-        &shared.error_responses
-    } else {
-        &shared.ok_responses
-    };
-    let Ok(body) = wire::encode_response(&response) else {
-        // Unencodable response (count overflow): last-resort typed error.
-        let fallback = Response::Error {
-            code: ErrorCode::Internal,
-            message: "response exceeded wire limits".into(),
+    fn sent(&self, response: &Response) {
+        let counter = if response.is_error() {
+            &self.error_responses
+        } else {
+            &self.ok_responses
         };
-        shared.error_responses.fetch_add(1, Ordering::SeqCst);
-        return match wire::encode_response(&fallback) {
-            Ok(body) => wire::write_frame(stream, &body).is_ok(),
-            Err(_) => false,
-        };
-    };
-    counter.fetch_add(1, Ordering::SeqCst);
-    wire::write_frame(stream, &body).is_ok()
-}
-
-fn dispatch(shared: &Arc<Shared>, req: Request) -> Response {
-    let tenant_name = req.tenant().to_string();
-    let Some(state) = shared.tenants.get(&tenant_name) else {
-        return Response::Error {
-            code: ErrorCode::UnknownTenant,
-            message: format!("tenant '{tenant_name}' is not served here"),
-        };
-    };
-    let kind = match req {
-        Request::Info { .. } => {
-            let snap = state.live.read().clone();
-            let meta = snap.meta();
-            return Response::Info(SnapshotInfo {
-                version: meta.version.0,
-                vocab_size: meta.vocab_size.min(u32::MAX as usize) as u32,
-                dim: meta.dim.min(u32::MAX as usize) as u32,
-                precision_bits: meta.precision.bits(),
-            });
-        }
-        Request::LookupBatch { ids, .. } => JobKind::Lookup(ids),
-        Request::NearestBatch { k, queries, .. } => JobKind::Nearest {
-            k: k as usize,
-            queries,
-        },
-    };
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return Response::Error {
-            code: ErrorCode::ShuttingDown,
-            message: "server is shutting down".into(),
-        };
-    }
-    // Admission: bound the tenant's queue, refusing (not queueing) the
-    // excess so overload degrades to fast typed errors.
-    let slot = Arc::new(Slot::new());
-    let admitted = {
-        let mut queue = state.queue.lock();
-        let admitted = queue.len() < state.max_pending;
-        if admitted {
-            queue.push_back(Job {
-                kind,
-                slot: slot.clone(),
-            });
-        }
-        admitted
-    };
-    if !admitted {
-        return Response::Error {
-            code: ErrorCode::Overloaded,
-            message: format!(
-                "tenant '{tenant_name}' has {} queries pending (admission bound)",
-                state.max_pending
-            ),
-        };
-    }
-    loop {
-        if let Some(mut combiner) = Combiner::try_take(state) {
-            combiner.run_until_answered(&slot, shared.max_batch);
-        }
-        if let Some(response) = slot.wait() {
-            return response;
-        }
+        counter.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -543,10 +467,10 @@ impl Drop for Combiner<'_> {
         let unwinding = thread::panicking();
         for slot in self.owners.drain(..) {
             if unwinding && !slot.is_answered() {
-                slot.answer(Response::Error {
-                    code: ErrorCode::Internal,
-                    message: "the batch answering this query failed".into(),
-                });
+                slot.answer(Response::error(
+                    ErrorCode::Internal,
+                    "the batch answering this query failed",
+                ));
             }
             slot.owner.unpark();
         }
@@ -592,10 +516,10 @@ fn run_batch(state: &TenantState, jobs: Vec<Job>) {
                     // bug, but it must fail the job, not the process.
                     let reply = match Mat::try_from_vec(cnt, dim, data) {
                         Some(m) => Response::Rows(m),
-                        None => Response::Error {
-                            code: ErrorCode::Internal,
-                            message: "batch split produced a malformed row block".into(),
-                        },
+                        None => Response::error(
+                            ErrorCode::Internal,
+                            "batch split produced a malformed row block",
+                        ),
                     };
                     slot.answer(reply);
                 }
@@ -618,10 +542,10 @@ fn run_batch(state: &TenantState, jobs: Vec<Job>) {
         }
         let Some(coalesced) = Mat::try_from_vec(total_rows, dim, data) else {
             for (.., slot) in nearests {
-                slot.answer(Response::Error {
-                    code: ErrorCode::Internal,
-                    message: "coalesced query block has a malformed shape".into(),
-                });
+                slot.answer(Response::error(
+                    ErrorCode::Internal,
+                    "coalesced query block has a malformed shape",
+                ));
             }
             return;
         };

@@ -1,10 +1,21 @@
-//! The serving wire protocol: a vendored-only, length-prefixed binary
-//! framing for snapshot queries over TCP.
+//! The serving wire protocol, and the one TCP transport both of the
+//! workspace's protocols run on.
 //!
-//! Everything is little-endian and length-checked, built on the same
-//! [`embedstab_corpus::codec`] primitives as the cache file families — a
-//! truncated or inconsistent frame decodes to `None`, never a panic or an
-//! unbounded allocation, because every byte here is client-controlled.
+//! **The protocol.** A vendored-only, length-prefixed binary framing for
+//! snapshot queries. Everything is little-endian and length-checked,
+//! built on the same [`embedstab_corpus::codec`] primitives as the cache
+//! file families — a truncated or inconsistent frame decodes to `None`,
+//! never a panic or an unbounded allocation, because every byte here is
+//! client-controlled.
+//!
+//! **The transport**, shared with the fleet's worker ⇄ coordinator
+//! protocol. A protocol's request type implements [`Protocol`] (its codec
+//! and error replies) and its server implements [`Handler`] (`dispatch`
+//! one request); both are generic parameters, not `dyn`. [`call`] is the
+//! client's exchange. [`listen`] runs the accept loop and one thread per
+//! connection until its [`Stop`] is stopped; an oversize length prefix
+//! gets a `Malformed` reply and a close, and an unencodable response
+//! becomes `Internal`.
 //!
 //! # Frame layout
 //!
@@ -28,17 +39,23 @@
 //! mat      := rows: u32, cols: u32, rows*cols x f64 (raw LE bits)
 //! ```
 //!
-//! `f64`s travel as raw bit patterns (like the pair cache), so a looked-up
-//! vector arrives bitwise identical to [`Snapshot::lookup`] on the server
-//! — the serving layer's bitwise-reproducibility guarantee extends across
-//! the wire.
+//! `f64`s travel as raw bit patterns (like the pair cache), so looked-up
+//! vectors arrive bitwise identical to [`Snapshot::try_lookup_batch`] on
+//! the server — the serving layer's bitwise-reproducibility guarantee
+//! extends across the wire.
 //!
-//! [`Snapshot::lookup`]: crate::Snapshot::lookup
+//! [`Snapshot::try_lookup_batch`]: crate::Snapshot::try_lookup_batch
 
 use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread;
+use std::time::Duration;
 
 use embedstab_corpus::codec::{
-    put_f64, put_mat, put_u32, put_u64, take_f64, take_mat, take_u32, take_u64,
+    put_error_body, put_f64, put_mat, put_str16, put_u32, put_u64, take_count, take_error_body,
+    take_f64, take_mat, take_op, take_str16, take_u32, take_u64,
 };
 use embedstab_linalg::Mat;
 
@@ -137,6 +154,14 @@ pub enum Response {
 }
 
 impl Response {
+    /// An `Error` response.
+    pub fn error(code: ErrorCode, message: impl Into<String>) -> Response {
+        Response::Error {
+            code,
+            message: message.into(),
+        }
+    }
+
     /// True for the `Error` variant.
     pub fn is_error(&self) -> bool {
         matches!(self, Response::Error { .. })
@@ -216,10 +241,7 @@ impl From<&QueryError> for ErrorCode {
 
 impl From<QueryError> for Response {
     fn from(e: QueryError) -> Response {
-        Response::Error {
-            code: ErrorCode::from(&e),
-            message: e.to_string(),
-        }
+        Response::error(ErrorCode::from(&e), e.to_string())
     }
 }
 
@@ -271,43 +293,13 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(body))
 }
 
-/// Reads a `u32` count, refusing counts the remaining input cannot
-/// possibly hold (`elem_size` bytes per element) — the frame-local
-/// analogue of [`embedstab_corpus::codec::take_len`], which uses `u64`
-/// prefixes in the cache files.
-fn take_count(r: &mut &[u8], elem_size: usize) -> Option<usize> {
-    let n = take_u32(r)? as usize;
-    if r.len() < n.checked_mul(elem_size)? {
-        return None;
-    }
-    Some(n)
+fn overflow(detail: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, detail)
 }
 
-fn put_tenant(out: &mut Vec<u8>, tenant: &str) -> io::Result<()> {
-    let len = u16::try_from(tenant.len()).map_err(|_| {
-        io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!(
-                "tenant name of {} bytes exceeds the u16 length field",
-                tenant.len()
-            ),
-        )
-    })?;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(tenant.as_bytes());
-    Ok(())
-}
-
-fn take_tenant(r: &mut &[u8]) -> Option<String> {
-    let (head, rest) = r.split_first_chunk::<2>()?;
-    *r = rest;
-    let len = u16::from_le_bytes(*head) as usize;
-    if r.len() < len {
-        return None;
-    }
-    let name = std::str::from_utf8(&r[..len]).ok()?.to_string();
-    *r = &r[len..];
-    Some(name)
+/// A count as its `u32` wire field.
+fn count_u32(n: usize, what: &str) -> io::Result<u32> {
+    u32::try_from(n).map_err(|_| overflow(format!("{n} {what} exceed the u32 count field")))
 }
 
 /// Encodes a request body (frame it with [`write_frame`]).
@@ -318,31 +310,30 @@ fn take_tenant(r: &mut &[u8]) -> Option<String> {
 /// its wire width (tenant names past `u16`, id batches past `u32`).
 pub fn encode_request(req: &Request) -> io::Result<Vec<u8>> {
     let mut out = vec![WIRE_VERSION];
+    let (op, tenant) = match req {
+        Request::LookupBatch { tenant, .. } => (OP_LOOKUP_BATCH, tenant),
+        Request::NearestBatch { tenant, .. } => (OP_NEAREST_BATCH, tenant),
+        Request::Info { tenant } => (OP_INFO, tenant),
+    };
+    out.push(op);
+    put_str16(&mut out, tenant).ok_or_else(|| {
+        overflow(format!(
+            "tenant name of {} bytes exceeds the u16 length field",
+            tenant.len()
+        ))
+    })?;
     match req {
-        Request::LookupBatch { tenant, ids } => {
-            out.push(OP_LOOKUP_BATCH);
-            put_tenant(&mut out, tenant)?;
-            let n = u32::try_from(ids.len()).map_err(|_| {
-                io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("{} ids exceed the u32 count field", ids.len()),
-                )
-            })?;
-            put_u32(&mut out, n);
+        Request::LookupBatch { ids, .. } => {
+            put_u32(&mut out, count_u32(ids.len(), "ids")?);
             for &id in ids {
                 put_u32(&mut out, id);
             }
         }
-        Request::NearestBatch { tenant, k, queries } => {
-            out.push(OP_NEAREST_BATCH);
-            put_tenant(&mut out, tenant)?;
+        Request::NearestBatch { k, queries, .. } => {
             put_u32(&mut out, *k);
             put_mat(&mut out, queries);
         }
-        Request::Info { tenant } => {
-            out.push(OP_INFO);
-            put_tenant(&mut out, tenant)?;
-        }
+        Request::Info { .. } => {}
     }
     Ok(out)
 }
@@ -352,13 +343,8 @@ pub fn encode_request(req: &Request) -> io::Result<Vec<u8>> {
 /// [`ErrorCode::Malformed`], never panics.
 pub fn decode_request(mut body: &[u8]) -> Option<Request> {
     let r = &mut body;
-    let (head, rest) = r.split_first_chunk::<2>()?;
-    *r = rest;
-    let [version, op] = *head;
-    if version != WIRE_VERSION {
-        return None;
-    }
-    let tenant = take_tenant(r)?;
+    let op = take_op(r, WIRE_VERSION)?;
+    let tenant = take_str16(r)?;
     let req = match op {
         OP_LOOKUP_BATCH => {
             let n = take_count(r, 4)?;
@@ -373,10 +359,7 @@ pub fn decode_request(mut body: &[u8]) -> Option<Request> {
         OP_INFO => Request::Info { tenant },
         _ => return None,
     };
-    if !r.is_empty() {
-        return None;
-    }
-    Some(req)
+    r.is_empty().then_some(req)
 }
 
 /// Encodes a response body (frame it with [`write_frame`]).
@@ -386,24 +369,14 @@ pub fn decode_request(mut body: &[u8]) -> Option<Request> {
 /// Returns [`io::ErrorKind::InvalidInput`] if a count overflows its `u32`
 /// wire field.
 pub fn encode_response(resp: &Response) -> io::Result<Vec<u8>> {
-    fn count_u32(n: usize, what: &str) -> io::Result<u32> {
-        u32::try_from(n).map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("{n} {what} exceed the u32 count field"),
-            )
-        })
-    }
     let mut out = vec![WIRE_VERSION];
     match resp {
         Response::Rows(rows) => {
-            out.push(STATUS_OK);
-            out.push(OP_LOOKUP_BATCH);
+            out.extend_from_slice(&[STATUS_OK, OP_LOOKUP_BATCH]);
             put_mat(&mut out, rows);
         }
         Response::Neighbors(per_query) => {
-            out.push(STATUS_OK);
-            out.push(OP_NEAREST_BATCH);
+            out.extend_from_slice(&[STATUS_OK, OP_NEAREST_BATCH]);
             put_u32(&mut out, count_u32(per_query.len(), "queries")?);
             for neighbors in per_query {
                 put_u32(&mut out, count_u32(neighbors.len(), "neighbors")?);
@@ -414,8 +387,7 @@ pub fn encode_response(resp: &Response) -> io::Result<Vec<u8>> {
             }
         }
         Response::Info(info) => {
-            out.push(STATUS_OK);
-            out.push(OP_INFO);
+            out.extend_from_slice(&[STATUS_OK, OP_INFO]);
             put_u64(&mut out, info.version);
             put_u32(&mut out, info.vocab_size);
             put_u32(&mut out, info.dim);
@@ -423,17 +395,7 @@ pub fn encode_response(resp: &Response) -> io::Result<Vec<u8>> {
         }
         Response::Error { code, message } => {
             out.push(STATUS_ERROR);
-            out.extend_from_slice(&code.to_u16().to_le_bytes());
-            // Truncate pathological messages instead of failing the send
-            // (an error response must always be deliverable), backing off
-            // to the nearest char boundary so the slice cannot panic.
-            let mut cut = message.len().min(u16::MAX as usize);
-            while cut > 0 && !message.is_char_boundary(cut) {
-                cut -= 1;
-            }
-            let msg = &message[..cut];
-            put_u32(&mut out, count_u32(msg.len(), "message bytes")?);
-            out.extend_from_slice(msg.as_bytes());
+            put_error_body(&mut out, code.to_u16(), message);
         }
     }
     Ok(out)
@@ -442,12 +404,7 @@ pub fn encode_response(resp: &Response) -> io::Result<Vec<u8>> {
 /// Decodes a response body; `None` on any truncation or inconsistency.
 pub fn decode_response(mut body: &[u8]) -> Option<Response> {
     let r = &mut body;
-    let (head, rest) = r.split_first_chunk::<2>()?;
-    *r = rest;
-    let [version, status] = *head;
-    if version != WIRE_VERSION {
-        return None;
-    }
+    let status = take_op(r, WIRE_VERSION)?;
     let resp = match status {
         STATUS_OK => {
             let (tag, rest) = r.split_first()?;
@@ -483,74 +440,255 @@ pub fn decode_response(mut body: &[u8]) -> Option<Response> {
             }
         }
         STATUS_ERROR => {
-            let (head, rest) = r.split_first_chunk::<2>()?;
-            *r = rest;
-            let code = ErrorCode::from_u16(u16::from_le_bytes(*head))?;
-            let len = take_count(r, 1)?;
-            let message = std::str::from_utf8(&r[..len]).ok()?.to_string();
-            *r = &r[len..];
-            Response::Error { code, message }
+            let (code, message) = take_error_body(r)?;
+            Response::error(ErrorCode::from_u16(code)?, message)
         }
         _ => return None,
     };
-    if !r.is_empty() {
-        return None;
+    r.is_empty().then_some(resp)
+}
+
+/// A request/response protocol carried by the frame: the op table the
+/// shared transport is generic over. Implemented by the protocol's
+/// request type, so [`call`] infers the protocol from its argument.
+/// Encoders fail with [`io::ErrorKind::InvalidInput`] when a length
+/// overflows its wire field; decoders return `None` on any bad byte.
+pub trait Protocol: Sized {
+    /// The protocol's response type.
+    type Response;
+    /// Encodes a request body.
+    fn encode_request(&self) -> io::Result<Vec<u8>>;
+    /// Decodes a request body.
+    fn decode_request(body: &[u8]) -> Option<Self>;
+    /// Encodes a response body.
+    fn encode_response(resp: &Self::Response) -> io::Result<Vec<u8>>;
+    /// Decodes a response body.
+    fn decode_response(body: &[u8]) -> Option<Self::Response>;
+    /// The reply to a body that does not decode, or to a length prefix
+    /// past [`MAX_FRAME_BYTES`].
+    fn malformed(message: String) -> Self::Response;
+    /// The reply sent in place of a response that does not encode.
+    fn internal(message: String) -> Self::Response;
+}
+
+impl Protocol for Request {
+    type Response = Response;
+
+    fn encode_request(&self) -> io::Result<Vec<u8>> {
+        encode_request(self)
     }
-    Some(resp)
+
+    fn decode_request(body: &[u8]) -> Option<Request> {
+        decode_request(body)
+    }
+
+    fn encode_response(resp: &Response) -> io::Result<Vec<u8>> {
+        encode_response(resp)
+    }
+
+    fn decode_response(body: &[u8]) -> Option<Response> {
+        decode_response(body)
+    }
+
+    fn malformed(message: String) -> Response {
+        Response::error(ErrorCode::Malformed, message)
+    }
+
+    fn internal(message: String) -> Response {
+        Response::error(ErrorCode::Internal, message)
+    }
 }
 
 /// One synchronous request/response exchange over a framed transport —
-/// the client half of the protocol, shared by the load generator and the
-/// integration tests.
+/// the client half of every protocol on this frame, shared by the load
+/// generator, the fleet worker and the integration tests.
 ///
 /// # Errors
 ///
-/// Any transport error, plus [`io::ErrorKind::UnexpectedEof`] if the peer
+/// Any transport error, plus [`io::ErrorKind::InvalidInput`] if the
+/// request does not encode, [`io::ErrorKind::UnexpectedEof`] if the peer
 /// closed before responding and [`io::ErrorKind::InvalidData`] if the
 /// response does not decode.
-pub fn call(stream: &mut (impl Read + Write), req: &Request) -> io::Result<Response> {
-    write_frame(stream, &encode_request(req)?)?;
+pub fn call<R: Protocol>(stream: &mut (impl Read + Write), req: &R) -> io::Result<R::Response> {
+    write_frame(stream, &req.encode_request()?)?;
     let body = read_frame(stream)?.ok_or_else(|| {
         io::Error::new(
             io::ErrorKind::UnexpectedEof,
-            "server closed the connection before responding",
+            "peer closed the connection before responding",
         )
     })?;
-    decode_response(&body)
+    R::decode_response(&body)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "undecodable response frame"))
 }
 
 /// Applies one read/write timeout pair to a TCP stream (`None` restores
-/// fully blocking I/O). Shared by the serve and fleet connection handlers
-/// and their clients, so neither side can hang forever on a stalled peer.
+/// fully blocking I/O). Applied by [`listen`] to every accepted
+/// connection and by clients to theirs, so neither side can hang forever
+/// on a stalled peer.
 ///
 /// # Errors
 ///
 /// Any error from the socket option calls (e.g. a zero `Duration`, which
 /// the OS rejects).
-pub fn set_io_timeouts(
-    stream: &std::net::TcpStream,
-    timeout: Option<std::time::Duration>,
-) -> io::Result<()> {
+pub fn set_io_timeouts(stream: &TcpStream, timeout: Option<Duration>) -> io::Result<()> {
     stream.set_read_timeout(timeout)?;
     stream.set_write_timeout(timeout)
 }
 
-/// [`call`] over a TCP stream with a per-exchange deadline: the timeouts
-/// are applied before the exchange, and a stalled server surfaces as
-/// [`io::ErrorKind::WouldBlock`]/[`io::ErrorKind::TimedOut`] instead of
-/// hanging the client.
+/// The serving side of a [`Protocol`]: what [`listen`] runs for every
+/// decoded request.
+pub trait Handler: Send + Sync + 'static {
+    /// The protocol's request type.
+    type Request: Protocol;
+    /// Per-connection state, created when a connection opens.
+    type Conn: Default;
+
+    /// Answers one request on the connection whose state is `conn`.
+    fn dispatch(
+        &self,
+        conn: &mut Self::Conn,
+        req: Self::Request,
+    ) -> <Self::Request as Protocol>::Response;
+
+    /// Sees every response, the transport's own error replies included,
+    /// just before it is written.
+    fn sent(&self, _response: &<Self::Request as Protocol>::Response) {}
+
+    /// Runs once when a connection ends, however it ends.
+    fn closed(&self, _conn: Self::Conn) {}
+}
+
+/// Stops the accept loop [`listen`] runs, and tells handlers that hold a
+/// clone that the server is stopping.
+#[derive(Clone, Debug)]
+pub struct Stop {
+    addr: SocketAddr,
+    stopped: Arc<AtomicBool>,
+}
+
+impl Stop {
+    /// A stop handle for the accept loop on `listener`.
+    ///
+    /// # Errors
+    ///
+    /// Any error reading the listener's address.
+    pub fn new(listener: &TcpListener) -> io::Result<Stop> {
+        Ok(Stop {
+            addr: listener.local_addr()?,
+            stopped: Arc::new(AtomicBool::new(false)),
+        })
+    }
+
+    /// The listener's bound address.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// True once [`Stop::stop`] has run.
+    pub fn is_stopped(&self) -> bool {
+        self.stopped.load(Ordering::SeqCst)
+    }
+
+    /// Stops accepting connections. Open connections keep being served
+    /// until their peers close.
+    pub fn stop(&self) {
+        self.stopped.store(true, Ordering::SeqCst);
+        // Unblock the accept loop with one throwaway connection.
+        TcpStream::connect(self.addr).ok();
+    }
+}
+
+/// Serves `handler` on `listener` from a background accept thread named
+/// `{name}-accept`, with one `{name}-conn` thread per connection, until
+/// `stop` is stopped. Returns once the accept thread runs.
 ///
 /// # Errors
 ///
-/// Everything [`call`] returns, plus socket-option and timeout errors.
-pub fn call_with_timeout(
-    stream: &mut std::net::TcpStream,
-    req: &Request,
-    timeout: Option<std::time::Duration>,
-) -> io::Result<Response> {
-    set_io_timeouts(stream, timeout)?;
-    call(stream, req)
+/// Any error spawning the accept thread.
+pub fn listen<H: Handler>(
+    listener: TcpListener,
+    handler: Arc<H>,
+    stop: Stop,
+    io_timeout: Option<Duration>,
+    name: &str,
+) -> io::Result<()> {
+    let conn_name = format!("{name}-conn");
+    thread::Builder::new()
+        .name(format!("{name}-accept"))
+        .spawn(move || {
+            for conn in listener.incoming() {
+                if stop.is_stopped() {
+                    return;
+                }
+                let Ok(stream) = conn else { continue };
+                // Frames are small and latency-bound; Nagle would stall
+                // every response behind the peer's delayed ACK.
+                stream.set_nodelay(true).ok();
+                // A stalled peer surfaces as a read/write timeout in the
+                // connection loop (which drops it) instead of pinning a
+                // thread forever.
+                set_io_timeouts(&stream, io_timeout).ok();
+                let handler = handler.clone();
+                // A failed thread spawn drops the connection; the server
+                // lives on.
+                thread::Builder::new()
+                    .name(conn_name.clone())
+                    .spawn(move || connection_loop(stream, &*handler))
+                    .ok();
+            }
+        })?;
+    Ok(())
+}
+
+/// Reads, dispatches and answers frames in order until the peer closes,
+/// the transport fails, or a length prefix is past the ceiling.
+fn connection_loop<H: Handler>(mut stream: TcpStream, handler: &H) {
+    let mut conn = H::Conn::default();
+    loop {
+        let response = match read_frame(&mut stream) {
+            // A malformed body does not desync the framing; answer the
+            // error and keep the connection.
+            Ok(Some(body)) => match H::Request::decode_request(&body) {
+                Some(req) => handler.dispatch(&mut conn, req),
+                None => H::Request::malformed("request body did not decode".into()),
+            },
+            // Clean EOF: the peer is done.
+            Ok(None) => break,
+            Err(e) => {
+                // An oversize length prefix cannot be resynchronized:
+                // answer Malformed (best effort) and drop the connection.
+                if e.kind() == io::ErrorKind::InvalidData {
+                    respond(&mut stream, handler, H::Request::malformed(e.to_string()));
+                }
+                break;
+            }
+        };
+        if !respond(&mut stream, handler, response) {
+            break;
+        }
+    }
+    handler.closed(conn);
+}
+
+/// Writes one response. Returns false if the peer is gone.
+fn respond<H: Handler>(
+    stream: &mut TcpStream,
+    handler: &H,
+    response: <H::Request as Protocol>::Response,
+) -> bool {
+    let (response, body) = match H::Request::encode_response(&response) {
+        Ok(body) => (response, body),
+        // Unencodable response (a length overflow): last-resort typed error.
+        Err(_) => {
+            let fallback = H::Request::internal("response exceeded wire limits".into());
+            let Ok(body) = H::Request::encode_response(&fallback) else {
+                return false;
+            };
+            (fallback, body)
+        }
+    };
+    handler.sent(&response);
+    write_frame(stream, &body).is_ok()
 }
 
 #[cfg(test)]

@@ -5,9 +5,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use embedstab::downstream::{PairSpec, Task, TaskOutcome};
 use embedstab::embeddings::{Algo, Embedding};
-use embedstab::pipeline::{
-    run_sentiment_grid, Experiment, GridOptions, JsonlSink, Row, Scale, World,
-};
+use embedstab::pipeline::{Experiment, JsonlSink, Row, Scale, World};
 use embedstab::quant::Precision;
 use proptest::prelude::*;
 
@@ -95,25 +93,6 @@ fn sharded_runs_share_a_cache() {
     union.extend(experiment().shard(1, 2).cache_dir(&dir).run());
     assert_eq!(sorted_keys(&union), sorted_keys(reference_rows()));
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// The legacy entry points are wrappers over the builder: same rows, same
-/// order.
-#[test]
-fn legacy_wrappers_match_builder() {
-    let w = world();
-    let grid =
-        embedstab::pipeline::EmbeddingGrid::build(w, &[Algo::Mc], &w.params.dims, &w.params.seeds);
-    let legacy = run_sentiment_grid(
-        w,
-        &grid,
-        "sst2",
-        &GridOptions {
-            algos: vec![Algo::Mc],
-            ..Default::default()
-        },
-    );
-    assert_eq!(sorted_keys(&legacy), sorted_keys(reference_rows()));
 }
 
 /// Sinks observe every row exactly once; JSONL rows round-trip through
