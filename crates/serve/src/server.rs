@@ -467,10 +467,10 @@ impl Drop for Combiner<'_> {
         let unwinding = thread::panicking();
         for slot in self.owners.drain(..) {
             if unwinding && !slot.is_answered() {
-                slot.answer(Response::error(
-                    ErrorCode::Internal,
-                    "the batch answering this query failed",
-                ));
+                slot.answer(Response::Error {
+                    code: ErrorCode::Internal,
+                    message: "the batch answering this query failed".into(),
+                });
             }
             slot.owner.unpark();
         }
@@ -516,10 +516,10 @@ fn run_batch(state: &TenantState, jobs: Vec<Job>) {
                     // bug, but it must fail the job, not the process.
                     let reply = match Mat::try_from_vec(cnt, dim, data) {
                         Some(m) => Response::Rows(m),
-                        None => Response::error(
-                            ErrorCode::Internal,
-                            "batch split produced a malformed row block",
-                        ),
+                        None => Response::Error {
+                            code: ErrorCode::Internal,
+                            message: "batch split produced a malformed row block".into(),
+                        },
                     };
                     slot.answer(reply);
                 }
@@ -542,10 +542,10 @@ fn run_batch(state: &TenantState, jobs: Vec<Job>) {
         }
         let Some(coalesced) = Mat::try_from_vec(total_rows, dim, data) else {
             for (.., slot) in nearests {
-                slot.answer(Response::error(
-                    ErrorCode::Internal,
-                    "coalesced query block has a malformed shape",
-                ));
+                slot.answer(Response::Error {
+                    code: ErrorCode::Internal,
+                    message: "coalesced query block has a malformed shape".into(),
+                });
             }
             return;
         };
