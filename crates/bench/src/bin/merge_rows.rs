@@ -23,7 +23,7 @@
 //! explicitly non-canonical).
 
 use embedstab_bench::{merge_shard_rows, merge_shard_rows_partial, rows_to_jsonl};
-use embedstab_pipeline::cache::atomic_write;
+use embedstab_corpus::codec::atomic_write;
 use std::path::PathBuf;
 
 fn main() {

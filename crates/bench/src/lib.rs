@@ -296,7 +296,7 @@ pub fn merge_fleet_results(
         group.sort();
         let rows = merge_shard_rows(&group)?;
         let out = results_dir.join(format!("{stem}.merged.jsonl"));
-        embedstab_pipeline::cache::atomic_write(&out, rows_to_jsonl(&rows).as_bytes())?;
+        embedstab_corpus::codec::atomic_write(&out, rows_to_jsonl(&rows).as_bytes())?;
         merged.push((stem, out, rows.len()));
     }
     Ok(merged)

@@ -1,14 +1,18 @@
-//! Little-endian byte-codec primitives for the corpus substrate.
+//! Little-endian byte-codec primitives, the FNV-1a hash, and the one
+//! artifact envelope every on-disk format rides.
 //!
-//! The pipeline's on-disk caches (the pair cache and the world cache) dump
-//! `f64` bits raw so loads round-trip **bitwise**. This module is the one
-//! definition of that byte layout: everything little-endian, matrices as
-//! `rows: u32, cols: u32, row-major f64 entries`, sequences
-//! length-prefixed. Corpus types (and, downstream, the dataset codecs)
-//! build their `encode_into` / `decode_from` methods from these
-//! primitives, and `embedstab_pipeline::cache` delegates its
-//! `encode_mat`/`decode_mat`/`read_u32` here — so the pair-cache and
-//! world-cache file families stay byte-compatible by construction.
+//! The on-disk artifacts (pair cache, world cache, snapshots, stream
+//! checkpoints) dump `f64` bits raw so loads round-trip **bitwise**. This
+//! module is the one definition of that byte layout: everything
+//! little-endian, matrices as `rows: u32, cols: u32, row-major f64
+//! entries`, sequences length-prefixed. Corpus types (and, downstream,
+//! the dataset codecs) build their `encode_into` / `decode_from` methods
+//! from these primitives.
+//!
+//! Each artifact is one [`seal`]ed envelope, written by [`atomic_write`]:
+//! a 32-byte header `magic[4], version: u32, fingerprint: u64, body_len:
+//! u64, checksum: u64` (an [`Fnv64`] of the body), then the body. Its one
+//! reader is [`unseal`], so a flipped bit in an artifact is a miss.
 //!
 //! The serve and fleet wire protocols build their frame bodies from the
 //! same primitives, plus a frame's narrower prefixes (`str16`, `str32`,
@@ -20,6 +24,10 @@
 //! length prefix before checking the remaining input actually holds that
 //! many bytes — a corrupt file or a hostile peer must not trigger a giant
 //! allocation.
+
+use std::fs;
+use std::io::{self, Write as _};
+use std::path::Path;
 
 use embedstab_linalg::Mat;
 
@@ -113,6 +121,150 @@ pub fn put_error_body(out: &mut Vec<u8>, code: u16, message: &str) {
     }
     put_u32(out, u32::from(cut));
     out.extend_from_slice(&message.as_bytes()[..usize::from(cut)]);
+}
+
+/// FNV-1a-64, behind the cache and checkpoint keys and the envelope
+/// checksum. Each step `h = (h ^ b) * prime` is injective in `h` (the
+/// prime is odd), so any one-byte change to the input changes the hash.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv64(u64);
+
+impl Fnv64 {
+    /// A hasher at the FNV-64 offset basis.
+    pub const fn new() -> Fnv64 {
+        Fnv64(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Mixes in `bytes`, one at a time.
+    pub fn write(&mut self, bytes: &[u8]) -> &mut Fnv64 {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self
+    }
+
+    /// Mixes in `v` as its eight little-endian bytes.
+    pub fn write_u64(&mut self, v: u64) -> &mut Fnv64 {
+        self.write(&v.to_le_bytes())
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Length of the envelope header [`seal`] puts in front of every body.
+const ENVELOPE_BYTES: usize = 32;
+
+/// Why [`unseal`] refused a file: the first failed check, in this order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EnvelopeError {
+    /// Shorter than the envelope header.
+    Short,
+    /// Another format's magic.
+    Magic,
+    /// Another format version.
+    Version,
+    /// A body length other than the header records.
+    Length,
+    /// A body checksum other than the header records.
+    Checksum,
+}
+
+impl std::fmt::Display for EnvelopeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            EnvelopeError::Short => "shorter than the 32-byte envelope header",
+            EnvelopeError::Magic => "the magic names another format",
+            EnvelopeError::Version => "unexpected format version",
+            EnvelopeError::Length => "body length differs from the header's",
+            EnvelopeError::Checksum => "content hash differs from the header's checksum",
+        })
+    }
+}
+
+/// Encodes one artifact: the header, then the body `write_body` appends
+/// (`body_hint` pre-sizes it), whose length and checksum are then patched
+/// into the header in place, so the body is never copied.
+pub fn seal(
+    magic: [u8; 4],
+    version: u32,
+    fingerprint: u64,
+    body_hint: usize,
+    write_body: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(ENVELOPE_BYTES.saturating_add(body_hint));
+    out.extend_from_slice(&magic);
+    put_u32(&mut out, version);
+    put_u64(&mut out, fingerprint);
+    out.resize(ENVELOPE_BYTES, 0);
+    write_body(&mut out);
+    let len = (out.len() - ENVELOPE_BYTES) as u64;
+    let sum = Fnv64::new().write(&out[ENVELOPE_BYTES..]).finish();
+    out[16..24].copy_from_slice(&len.to_le_bytes());
+    out[24..ENVELOPE_BYTES].copy_from_slice(&sum.to_le_bytes());
+    out
+}
+
+/// Checks an artifact's envelope against the `magic` and `version` its
+/// reader expects, and its body against the stored length and checksum;
+/// returns the fingerprint slot, for the caller to check against its own
+/// key, and the body. Neither allocates nor panics.
+///
+/// # Errors
+///
+/// The first failed check, as an [`EnvelopeError`].
+pub fn unseal(bytes: &[u8], magic: [u8; 4], version: u32) -> Result<(u64, &[u8]), EnvelopeError> {
+    let (mut header, body) = bytes
+        .split_at_checked(ENVELOPE_BYTES)
+        .ok_or(EnvelopeError::Short)?;
+    if take_bytes(&mut header, 4) != Some(&magic[..]) {
+        return Err(EnvelopeError::Magic);
+    }
+    if take_u32(&mut header) != Some(version) {
+        return Err(EnvelopeError::Version);
+    }
+    let fingerprint = take_u64(&mut header).ok_or(EnvelopeError::Short)?;
+    if take_u64(&mut header) != u64::try_from(body.len()).ok() {
+        return Err(EnvelopeError::Length);
+    }
+    if take_u64(&mut header) != Some(Fnv64::new().write(body).finish()) {
+        return Err(EnvelopeError::Checksum);
+    }
+    Ok((fingerprint, body))
+}
+
+/// The body checksum an artifact's header records, unverified: what a
+/// sender advertises for a file it already unsealed, without rehashing.
+pub fn stored_checksum(bytes: &[u8]) -> Option<u64> {
+    take_u64(&mut bytes.get(24..ENVELOPE_BYTES)?)
+}
+
+/// Writes `bytes` to `path` through a process-unique temporary sibling
+/// and an atomic rename, the durability convention of every artifact in
+/// this workspace: readers never observe a partial file, concurrent
+/// writers race to identical final bytes, and a crash leaves at most a
+/// stray `*.tmp<pid>_<n>` sibling. The parent directory is synced after
+/// the rename, so a power loss cannot undo it.
+///
+/// # Errors
+///
+/// Returns any I/O error from writing, syncing, or renaming.
+pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    // Unique per write, not just per process: concurrent same-path writers
+    // in one process must not truncate each other's temporary file.
+    static WRITE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let seq = WRITE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let tmp = path.with_extension(format!("tmp{}_{seq}", std::process::id()));
+    {
+        let mut f = fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    fs::rename(&tmp, path)?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
 }
 
 /// Reads a `u16` from the front of `r`, advancing it.
@@ -296,6 +448,53 @@ mod tests {
         assert_eq!(code, 1);
         assert_eq!(message.len(), usize::from(u16::MAX) - 1);
         assert!(long.starts_with(&message));
+    }
+
+    fn fnv64(bytes: &[u8]) -> u64 {
+        Fnv64::new().write(bytes).finish()
+    }
+
+    #[test]
+    fn fnv64_is_order_sensitive_and_stable() {
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_ne!(fnv64(b"ab"), fnv64(b"ba"));
+        assert_eq!(fnv64(b"fleet"), fnv64(b"fleet"));
+        // The published FNV-1a-64 test vector for "a".
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(
+            Fnv64::new().write(b"fl").write(b"eet").finish(),
+            fnv64(b"fleet")
+        );
+        assert_eq!(
+            Fnv64::new().write_u64(7).finish(),
+            fnv64(&7u64.to_le_bytes())
+        );
+    }
+
+    #[test]
+    fn envelope_round_trips_and_names_each_mismatch() {
+        let bytes = seal(*b"TEST", 3, 0xfeed, 5, |out| {
+            out.extend_from_slice(b"body!")
+        });
+        assert_eq!(bytes.len(), ENVELOPE_BYTES + 5);
+        assert_eq!(&bytes[..4], b"TEST");
+        assert_eq!(stored_checksum(&bytes), Some(fnv64(b"body!")));
+        assert_eq!(unseal(&bytes, *b"TEST", 3), Ok((0xfeed, &b"body!"[..])));
+
+        let short = &bytes[..ENVELOPE_BYTES - 1];
+        assert_eq!(unseal(short, *b"TEST", 3), Err(EnvelopeError::Short));
+        assert_eq!(stored_checksum(short), None);
+        assert_eq!(unseal(&bytes, *b"ESPC", 3), Err(EnvelopeError::Magic));
+        assert_eq!(unseal(&bytes, *b"TEST", 4), Err(EnvelopeError::Version));
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert_eq!(unseal(&longer, *b"TEST", 3), Err(EnvelopeError::Length));
+        let mut flipped = bytes.clone();
+        flipped[ENVELOPE_BYTES] ^= 1;
+        assert_eq!(unseal(&flipped, *b"TEST", 3), Err(EnvelopeError::Checksum));
+        // An empty body seals and unseals too.
+        let empty = seal(*b"TEST", 1, 0, 0, |_| {});
+        assert_eq!(unseal(&empty, *b"TEST", 1), Ok((0, &b""[..])));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use rand::{Rng, RngExt, SeedableRng};
 
-use crate::codec;
+use crate::codec::{self, Fnv64};
 use crate::latent::{DriftConfig, LatentModel, LatentModelConfig};
 
 /// Configuration for sampling one corpus from a [`LatentModel`].
@@ -85,28 +85,16 @@ impl Corpus {
     /// corpus grown by streaming increments fingerprints as the corpus it
     /// now is, no matter how the documents arrived (one batch or many).
     pub fn content_fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        h = fnv_mix(h, self.docs.len() as u64);
+        let mut h = Fnv64::new();
+        h.write_u64(self.docs.len() as u64);
         for doc in &self.docs {
-            h = fnv_mix(h, doc.len() as u64);
+            h.write_u64(doc.len() as u64);
             for &t in doc {
-                h = fnv_mix(h, t as u64);
+                h.write_u64(u64::from(t));
             }
         }
-        h
+        h.finish()
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv_mix(mut h: u64, v: u64) -> u64 {
-    for byte in v.to_le_bytes() {
-        h ^= byte as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// Fingerprint of a full counting state: vocabulary size, counting
@@ -121,11 +109,12 @@ pub fn corpus_state_fingerprint(
     vocab_size: usize,
     config: &crate::cooc::CoocConfig,
 ) -> u64 {
-    let mut h = FNV_OFFSET;
-    h = fnv_mix(h, vocab_size as u64);
-    h = fnv_mix(h, config.window as u64);
-    h = fnv_mix(h, config.distance_weighting as u64);
-    fnv_mix(h, corpus.content_fingerprint())
+    Fnv64::new()
+        .write_u64(vocab_size as u64)
+        .write_u64(config.window as u64)
+        .write_u64(config.distance_weighting as u64)
+        .write_u64(corpus.content_fingerprint())
+        .finish()
 }
 
 impl Corpus {

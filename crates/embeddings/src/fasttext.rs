@@ -56,7 +56,11 @@ pub struct FastTextTrainer {
     config: FastTextConfig,
 }
 
-/// FNV-1a hash, the same family fastText uses for n-gram bucketing.
+/// An FNV-1a-style xor-then-multiply hash for n-gram bucketing. It is
+/// **not** FNV-1a-64: its prime is `0x1000_0000_01b3`, not FNV's
+/// `0x100_0000_01b3`, so it is kept apart from `corpus::codec::Fnv64`.
+/// Switching primes would re-bucket every n-gram and change every
+/// trained FastText vector.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use embedstab_pipeline::cache::atomic_write;
+use embedstab_corpus::codec::{self, atomic_write};
 use embedstab_pipeline::{store, CacheStore};
 use embedstab_serve::wire::{listen, Handler, Stop};
 use parking_lot::Mutex;
@@ -398,7 +398,8 @@ fn serve_chunk(shared: &Shared, conn: &mut Connection, key: &str, chunk: u32) ->
     Response::Chunk {
         total_len,
         chunks: crate::transfer::chunk_count(bytes.len()),
-        content_hash: embedstab_pipeline::content_hash(&bytes),
+        // `store.get` unsealed the file: advertise its header's checksum.
+        content_hash: codec::stored_checksum(&bytes).unwrap_or_default(),
         bytes: bytes[range].to_vec(),
     }
 }

@@ -3,18 +3,18 @@
 //!
 //! Cache files routinely exceed the 16 MiB frame ceiling, so a pull is a
 //! sequence of `CacheGet { key, chunk }` calls. Every `Chunk` response
-//! repeats the file's total length, chunk count, and whole-file FNV-1a
-//! [`content_hash`] — the puller cross-checks each response against the
-//! first, then verifies the assembled bytes twice: the content hash
-//! (catches transfer corruption) and the cache header against the key
-//! via [`embedstab_pipeline::store::verify`] (catches a coordinator
-//! serving the wrong file under a right-looking name). Any mismatch is a
-//! typed [`FleetError::CorruptTransfer`] and the bytes never reach disk;
-//! [`ensure_key`] re-pulls once before giving up.
+//! repeats the file's total length, chunk count, and the body checksum
+//! its artifact envelope records. The puller cross-checks each response
+//! against the first and the hash against the assembled header, then
+//! [`embedstab_pipeline::store::verify`] unseals the file against the key
+//! (a rehash catches transfer corruption, the header a wrong file). Any
+//! mismatch is a typed [`FleetError::CorruptTransfer`] and the bytes
+//! never reach disk; [`ensure_key`] re-pulls once before giving up.
 
 use std::io::{Read, Write};
 
-use embedstab_pipeline::{content_hash, CacheStore};
+use embedstab_corpus::codec;
+use embedstab_pipeline::CacheStore;
 
 use crate::wire::{call, Request, Response, CHUNK_BYTES};
 use crate::FleetError;
@@ -44,8 +44,8 @@ fn corrupt(key: &str, detail: String) -> FleetError {
 }
 
 /// Pulls `key` from the coordinator over `stream`, chunk by chunk, and
-/// returns the verified bytes (content hash and embedded header both
-/// checked). Does not touch the local store.
+/// returns the verified bytes (hash and envelope both checked). Does not
+/// touch the local store.
 ///
 /// # Errors
 ///
@@ -114,11 +114,10 @@ pub fn pull_key(stream: &mut (impl Read + Write), key: &str) -> Result<Vec<u8>, 
             format!("assembled {} bytes, expected {total_len}", bytes.len()),
         ));
     }
-    if content_hash(&bytes) != hash {
-        return Err(corrupt(key, "content hash mismatch".to_string()));
+    if codec::stored_checksum(&bytes) != Some(hash) {
+        return Err(corrupt(key, "advertised hash is not the header's".into()));
     }
-    embedstab_pipeline::store::verify(key, &bytes)
-        .map_err(|e| corrupt(key, format!("header does not match key: {e}")))?;
+    embedstab_pipeline::store::verify(key, &bytes).map_err(|e| corrupt(key, e.to_string()))?;
     Ok(bytes)
 }
 

@@ -42,9 +42,9 @@
 //! Cache files can dwarf the 16 MiB frame ceiling, so transfers are
 //! chunked: a `CacheGet { key, chunk }` answers with one
 //! [`CHUNK_BYTES`]-sized piece plus the total length, chunk count, and the
-//! whole file's [`content_hash`](embedstab_pipeline::content_hash) — the
-//! receiver reassembles, checks the hash, then checks the embedded cache
-//! header against the key ([`embedstab_pipeline::store::verify`]).
+//! checksum the file's envelope header records — the receiver
+//! reassembles, checks the hash against that header, then unseals the
+//! file against the key ([`embedstab_pipeline::store::verify`]).
 
 use std::io;
 

@@ -36,7 +36,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use embedstab_pipeline::store::{parse_key, CacheFamily};
-use embedstab_pipeline::CacheStore;
+use embedstab_pipeline::{CacheStore, CACHE_FORMAT_VERSION};
 use embedstab_serve::wire::set_io_timeouts;
 
 use crate::coordinator::parse_shard_name;
@@ -174,8 +174,8 @@ fn hello(stream: &mut (impl Read + Write), name: &str) -> Result<FleetSpec, Flee
     }
 }
 
-/// Pulls the fleet's world cache if absent, then every pair-cache entry
-/// keyed to that world — the warm state that makes shard runs cheap.
+/// Pulls the fleet's world cache if absent, then the warm state that makes
+/// shard runs cheap: every current-format pair-cache entry of that world.
 fn sync_caches(
     stream: &mut (impl Read + Write),
     store: &CacheStore,
@@ -199,11 +199,12 @@ fn sync_caches(
         Response::Keys { keys } => keys,
         other => return Err(FleetError::unexpected("CacheKeys", other)),
     };
+    let warm = (CacheFamily::Pair, CACHE_FORMAT_VERSION, world.fingerprint);
     for key in keys {
         let Some(parsed) = parse_key(&key) else {
             continue;
         };
-        if parsed.family == CacheFamily::Pair && parsed.fingerprint == world.fingerprint {
+        if (parsed.family, parsed.version, parsed.fingerprint) == warm {
             if ensure_key(stream, store, &key)? {
                 eprintln!("[worker {}] pulled pair cache '{key}'", config.name);
                 report.pulled.push(key);

@@ -1,34 +1,42 @@
 //! Cache shipping under fire: a scripted coordinator-side peer serves a
 //! corrupted chunk on the first pull; the worker-side transfer must
 //! surface a typed `CorruptTransfer` (never write the bytes), re-pull,
-//! and end up with a file **bitwise identical** to the original.
+//! and end up with a file **bitwise identical** to the original. A real
+//! coordinator advertises the checksum the file's header records.
 
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
+use embedstab_corpus::codec;
 use embedstab_fleet::transfer::{chunk_count, chunk_range, ensure_key, pull_key};
 use embedstab_fleet::wire::{
-    decode_request, encode_response, read_frame, write_frame, Request, Response, CHUNK_BYTES,
+    call, decode_request, encode_response, read_frame, write_frame, Request, Response, CHUNK_BYTES,
 };
-use embedstab_fleet::FleetError;
+use embedstab_fleet::{run_coordinator, CoordinatorConfig, FleetError, FleetSpec};
 use embedstab_pipeline::cache::scratch_dir;
-use embedstab_pipeline::{content_hash, CacheStore};
+use embedstab_pipeline::{CacheStore, WORLD_CACHE_FORMAT_VERSION};
 
-/// A synthetic world-cache file: the real `ESWC` header (magic, version,
-/// fingerprint) followed by a deterministic payload. Large enough to span
-/// two chunks, so assembly and interior-chunk checks are exercised.
+/// A synthetic world-cache file: the real `ESWC` artifact envelope (magic,
+/// version, fingerprint, body length and checksum) around a deterministic
+/// payload. Large enough to span two chunks, so assembly and
+/// interior-chunk checks are exercised.
 fn world_file(fingerprint: u64, payload_len: usize) -> (String, Vec<u8>) {
-    let key = format!("world_v1_{fingerprint:016x}.bin");
-    let mut bytes = Vec::with_capacity(16 + payload_len);
-    bytes.extend_from_slice(b"ESWC");
-    bytes.extend_from_slice(&1u32.to_le_bytes());
-    bytes.extend_from_slice(&fingerprint.to_le_bytes());
-    for i in 0..payload_len {
-        bytes.push((i % 251) as u8);
-    }
+    let version = WORLD_CACHE_FORMAT_VERSION;
+    let key = format!("world_v{version}_{fingerprint:016x}.bin");
+    let bytes = codec::seal(*b"ESWC", version, fingerprint, payload_len, |out| {
+        for i in 0..payload_len {
+            out.push((i % 251) as u8);
+        }
+    });
     (key, bytes)
+}
+
+/// The body checksum at its fixed header offset (bytes 24..32).
+fn header_checksum(file: &[u8]) -> u64 {
+    u64::from_le_bytes(file[24..32].try_into().expect("32-byte header"))
 }
 
 /// Serves chunked `CacheGet`s for exactly one file over one listener.
@@ -70,7 +78,7 @@ fn scripted_peer(
             let resp = Response::Chunk {
                 total_len: file.len() as u64,
                 chunks: chunk_count(file.len()),
-                content_hash: content_hash(&file),
+                content_hash: header_checksum(&file),
                 bytes: piece,
             };
             let Some(out) = encode_response(&resp) else {
@@ -151,5 +159,65 @@ fn repeatedly_corrupt_transfer_fails_after_one_retry() {
     assert!(!store.has(&key), "corrupt bytes must never reach the store");
     drop(stream);
     peer.join().expect("peer thread");
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn coordinator_advertises_the_header_checksum() {
+    let root = scratch_dir("fleet_cache_pull_coordinator");
+    std::fs::remove_dir_all(&root).ok();
+    let (key, file) = world_file(0x5eed_0000_0000_0001, CHUNK_BYTES + 1_000);
+    let store = CacheStore::open(root.join("world"), root.join("pair")).expect("store opens");
+    store.put(&key, &file).expect("the synthetic file verifies");
+    let spec = FleetSpec {
+        bin: "fig2_memory_tradeoff".into(),
+        scale: "tiny".into(),
+        shards: 1,
+        world_key: key.clone(),
+        extra: Vec::new(),
+    };
+    let mut config = CoordinatorConfig::new(spec, root.join("results"));
+    config.linger = Duration::from_millis(100);
+    config.poll = Duration::from_millis(5);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let mut stream = connect(&listener);
+    // A frozen clock: no lease can expire during the test.
+    let coordinator = thread::spawn(move || run_coordinator(listener, store, config, || 0));
+
+    let hello = Request::Hello { worker: "w".into() };
+    assert!(matches!(
+        call(&mut stream, &hello).expect("hello"),
+        Response::Welcome(_)
+    ));
+    for chunk in 0..chunk_count(file.len()) {
+        let get = Request::CacheGet {
+            key: key.clone(),
+            chunk,
+        };
+        match call(&mut stream, &get).expect("chunk") {
+            Response::Chunk { content_hash, .. } => assert_eq!(
+                content_hash,
+                header_checksum(&file),
+                "chunk {chunk} must advertise the header's stored checksum"
+            ),
+            other => panic!("expected a chunk, got {other:?}"),
+        }
+    }
+    assert_eq!(pull_key(&mut stream, &key).expect("clean pull"), file);
+
+    let slice = match call(&mut stream, &Request::Lease).expect("lease") {
+        Response::Job { slice, shards: 1 } => slice,
+        other => panic!("expected a job, got {other:?}"),
+    };
+    let complete = Request::Complete { slice };
+    assert_eq!(
+        call(&mut stream, &complete).expect("complete"),
+        Response::Ack
+    );
+    drop(stream);
+    coordinator
+        .join()
+        .expect("coordinator thread")
+        .expect("the fleet drains");
     std::fs::remove_dir_all(&root).ok();
 }

@@ -6,20 +6,20 @@
 //! master seed) and the pair key, so re-runs and sibling shard processes
 //! skip straight to downstream training.
 //!
-//! The format is a raw little-endian dump of both matrices — `f64` bits
-//! round-trip exactly, so rows computed from cached pairs are bitwise
-//! identical to rows computed from freshly trained pairs (the
-//! `experiment_api` integration tests pin this). Files are written to a
-//! process-unique temporary sibling and atomically renamed into place,
-//! which makes concurrent shard processes race-safe: the last writer wins
-//! with identical bytes.
+//! A file is a raw little-endian dump of both matrices in the artifact
+//! envelope ([`codec::seal`], magic `ESPC`, keyed by the world
+//! fingerprint). `f64` bits round-trip exactly, so rows computed from
+//! cached pairs are bitwise identical to rows computed from freshly
+//! trained pairs (the `experiment_api` integration tests pin this), and a
+//! flipped bit is a miss. [`codec::atomic_write`] makes concurrent shard
+//! processes race-safe: the last writer wins with identical bytes.
 
 use std::fs;
-use std::io::{self, Read as _, Write as _};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::PathBuf;
 
+use embedstab_corpus::codec::{self, atomic_write};
 use embedstab_embeddings::Embedding;
-use embedstab_linalg::Mat;
 
 use crate::grid::PairKey;
 
@@ -31,9 +31,11 @@ use crate::grid::PairKey;
 /// per-process hash-order sums v1 pairs were trained from. Reusing a v1
 /// pair next to freshly trained ones would mix the two numeric regimes
 /// inside one "bitwise reproducible" run, so v1 files are retired.
-pub const CACHE_FORMAT_VERSION: u32 = 2;
+///
+/// v3: the checksummed artifact envelope ([`codec::seal`]).
+pub const CACHE_FORMAT_VERSION: u32 = 3;
 
-const MAGIC: [u8; 4] = *b"ESPC";
+pub(crate) const MAGIC: [u8; 4] = *b"ESPC";
 
 /// Handle to one cache directory, bound to one world fingerprint.
 pub struct PairCache {
@@ -81,80 +83,22 @@ impl PairCache {
     }
 }
 
-/// Writes `bytes` to `path` through a process-unique temporary sibling and
-/// an atomic rename, the durability convention every on-disk artifact in
-/// this workspace follows (the pair cache here, `report::save_json`, and
-/// the serving layer's snapshot store): readers never observe a partial
-/// file, and concurrent writers race to identical final bytes.
-///
-/// # Errors
-///
-/// Returns any I/O error from writing, syncing, or renaming.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    // Unique per write, not just per process: concurrent same-path writers
-    // in one process must not truncate each other's temporary file.
-    static WRITE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let seq = WRITE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let tmp = path.with_extension(format!("tmp{}_{seq}", std::process::id()));
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)
-}
-
-/// Appends a matrix to `out` in the cache's raw little-endian layout:
-/// `rows: u32, cols: u32, row-major f64 entries`. `f64` bits round-trip
-/// exactly through [`decode_mat`], so consumers (the pair cache, snapshot
-/// files) get bitwise-identical matrices back.
-///
-/// Delegates to [`embedstab_corpus::codec`] — the world cache encodes its
-/// matrices through the same single definition of the layout, so the two
-/// cache families stay byte-compatible by construction.
-pub fn encode_mat(out: &mut Vec<u8>, m: &Mat) {
-    embedstab_corpus::codec::put_mat(out, m)
-}
-
 fn encode_pair(e17: &Embedding, e18: &Embedding, world_fp: u64) -> Vec<u8> {
     let (n, d) = e17.shape();
-    let mut out = Vec::with_capacity(32 + 2 * n * d * 8);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&CACHE_FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&world_fp.to_le_bytes());
-    encode_mat(&mut out, e17.mat());
-    encode_mat(&mut out, e18.mat());
-    out
+    let hint = 16 + 2 * n * d * 8;
+    codec::seal(MAGIC, CACHE_FORMAT_VERSION, world_fp, hint, |out| {
+        codec::put_mat(out, e17.mat());
+        codec::put_mat(out, e18.mat());
+    })
 }
 
-/// Reads one [`encode_mat`]-encoded matrix from the front of `r`,
-/// advancing it past the consumed bytes. Returns `None` on truncated or
-/// inconsistent input (callers treat that as a cache miss, not an error).
-pub fn decode_mat(r: &mut &[u8]) -> Option<Mat> {
-    embedstab_corpus::codec::take_mat(r)
-}
-
-/// Reads one little-endian `u32` from the front of `r`, advancing it —
-/// the length/version primitive of the cache's file layout, shared with
-/// the serving layer's snapshot decoder.
-pub fn read_u32(r: &mut &[u8]) -> Option<u32> {
-    embedstab_corpus::codec::take_u32(r)
-}
-
-fn read_pair(mut bytes: &[u8], world_fp: u64) -> Option<(Embedding, Embedding)> {
-    let r = &mut bytes;
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic).ok()?;
-    if magic != MAGIC || read_u32(r)? != CACHE_FORMAT_VERSION {
-        return None;
-    }
-    let mut fp = [0u8; 8];
-    r.read_exact(&mut fp).ok()?;
-    if u64::from_le_bytes(fp) != world_fp {
-        return None;
-    }
-    let m17 = decode_mat(r)?;
-    let m18 = decode_mat(r)?;
+fn read_pair(bytes: &[u8], world_fp: u64) -> Option<(Embedding, Embedding)> {
+    let r = &mut match codec::unseal(bytes, MAGIC, CACHE_FORMAT_VERSION) {
+        Ok((fingerprint, body)) if fingerprint == world_fp => body,
+        _ => return None,
+    };
+    let m17 = codec::take_mat(r)?;
+    let m18 = codec::take_mat(r)?;
     if m17.shape() != m18.shape() || !r.is_empty() {
         return None;
     }
@@ -171,6 +115,7 @@ pub fn scratch_dir(label: &str) -> PathBuf {
 mod tests {
     use super::*;
     use embedstab_embeddings::Algo;
+    use embedstab_linalg::Mat;
     use rand::SeedableRng;
 
     fn pair(seed: u64) -> (Embedding, Embedding) {

@@ -45,6 +45,6 @@ pub use grid::{EmbeddingGrid, PairKey};
 pub use run::{GridOptions, Row};
 pub use scale::{Scale, ScaleParams};
 pub use sink::{JsonlSink, ProgressSink, RowSink};
-pub use store::{content_hash, CacheFamily, CacheKey, CacheStore, StoreError};
+pub use store::{CacheFamily, CacheKey, CacheStore, StoreError};
 pub use world::World;
 pub use world_cache::{world_fingerprint, WorldCache, WORLD_CACHE_FORMAT_VERSION};

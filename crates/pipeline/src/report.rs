@@ -73,7 +73,7 @@ pub fn save_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<std::pa
     let mut body = serde_json::to_string_pretty(value)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
     body.push('\n');
-    crate::cache::atomic_write(&path, body.as_bytes())?;
+    embedstab_corpus::codec::atomic_write(&path, body.as_bytes())?;
     Ok(path)
 }
 

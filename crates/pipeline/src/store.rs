@@ -3,17 +3,15 @@
 //!
 //! The world cache ([`crate::world_cache`]) and the pair cache
 //! ([`crate::cache`]) already key every file by a content-derived
-//! fingerprint — the fingerprint is in the file *name* and repeated in the
-//! file *header*. [`CacheStore`] exposes both families under those
-//! existing keys with a get/put/has API, so a fleet worker with an empty
-//! disk can pull exactly the bytes it needs by fingerprint and **prove it
-//! got them**: [`CacheStore::put`] refuses bytes whose embedded header
-//! (magic, format version, fingerprint) does not match the key they were
-//! requested under, and [`content_hash`] gives transfers an end-to-end
-//! whole-file checksum on top.
+//! fingerprint, in the file *name* and in its artifact envelope
+//! ([`codec::seal`]). [`CacheStore`] exposes both families under those
+//! keys with a get/put/has API, so a fleet worker with an empty disk can
+//! pull exactly the bytes it needs by fingerprint and **prove it got
+//! them**: [`verify`] unseals them under the key's magic and version,
+//! which checks the body checksum, and matches the fingerprint to the key.
 //!
-//! Keys are the bare cache file names (`world_v1_<fp>.bin`,
-//! `pair_v2_<fp>_<algo>_d<dim>_s<seed>.bin`): stable, self-describing, and
+//! Keys are the bare cache file names (`world_v2_<fp>.bin`,
+//! `pair_v3_<fp>_<algo>_d<dim>_s<seed>.bin`): stable, self-describing, and
 //! safe to use as a wire identifier because [`parse_key`] rejects anything
 //! that is not exactly a well-formed cache file name (no path separators,
 //! no `..`, no foreign extensions) — a malicious or corrupt key can never
@@ -23,7 +21,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::cache::atomic_write;
+use embedstab_corpus::codec::{self, atomic_write};
 
 /// Which cache family a key belongs to (the two families live in separate
 /// directories but share one key namespace — the name prefixes differ).
@@ -38,8 +36,8 @@ pub enum CacheFamily {
 impl CacheFamily {
     fn magic(self) -> [u8; 4] {
         match self {
-            CacheFamily::World => *b"ESWC",
-            CacheFamily::Pair => *b"ESPC",
+            CacheFamily::World => crate::world_cache::MAGIC,
+            CacheFamily::Pair => crate::cache::MAGIC,
         }
     }
 }
@@ -67,9 +65,9 @@ pub enum StoreError {
         /// The offending key.
         key: String,
     },
-    /// The bytes do not carry the header the key promises (wrong magic,
-    /// version, or embedded fingerprint) — a corrupt or mis-addressed
-    /// transfer, never written to disk.
+    /// The bytes are not the artifact the key promises (wrong magic,
+    /// version or fingerprint, or a body that fails its checksum) — a
+    /// corrupt or mis-addressed transfer, never written to disk.
     Corrupt {
         /// The key the bytes were offered under.
         key: String,
@@ -100,19 +98,6 @@ impl From<io::Error> for StoreError {
     fn from(e: io::Error) -> StoreError {
         StoreError::Io(e)
     }
-}
-
-/// FNV-1a over a whole byte string — the transfer-level checksum the fleet
-/// wire pairs with the header check, so a receiver verifies it holds
-/// exactly the sender's bytes (the header fingerprint only covers the
-/// first sixteen bytes; this covers all of them).
-pub fn content_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Parses a cache key (a bare cache file name) into its family, version,
@@ -163,10 +148,11 @@ pub fn parse_key(key: &str) -> Option<CacheKey> {
     })
 }
 
-/// Verifies that `bytes` really are the artifact `key` names: the header
-/// magic matches the family, and the embedded format version and
-/// fingerprint match the ones in the key. This is the receipt-time proof a
-/// fleet worker runs before trusting a transferred cache file.
+/// Verifies that `bytes` really are the artifact `key` names: the
+/// envelope unseals under the family's magic and the key's format version
+/// (so the body matches its checksum), and the envelope's fingerprint is
+/// the key's. This is the receipt-time proof a fleet worker runs before
+/// trusting a transferred cache file.
 ///
 /// # Errors
 ///
@@ -180,31 +166,8 @@ pub fn verify(key: &str, bytes: &[u8]) -> Result<CacheKey, StoreError> {
         key: key.to_string(),
         detail,
     };
-    if bytes.len() < 16 {
-        return Err(corrupt(format!(
-            "{} bytes is shorter than the 16-byte cache header",
-            bytes.len()
-        )));
-    }
-    if bytes[..4] != parsed.family.magic() {
-        return Err(corrupt(format!(
-            "magic {:02x?} does not match the {:?} family",
-            &bytes[..4],
-            parsed.family
-        )));
-    }
-    let mut v = [0u8; 4];
-    v.copy_from_slice(&bytes[4..8]);
-    let version = u32::from_le_bytes(v);
-    if version != parsed.version {
-        return Err(corrupt(format!(
-            "header format version {version} differs from the key's v{}",
-            parsed.version
-        )));
-    }
-    let mut fp = [0u8; 8];
-    fp.copy_from_slice(&bytes[8..16]);
-    let fingerprint = u64::from_le_bytes(fp);
+    let (fingerprint, _) = codec::unseal(bytes, parsed.family.magic(), parsed.version)
+        .map_err(|e| corrupt(e.to_string()))?;
     if fingerprint != parsed.fingerprint {
         return Err(corrupt(format!(
             "embedded fingerprint {fingerprint:016x} differs from the key's {:016x}",
@@ -350,21 +313,15 @@ mod tests {
     use crate::cache::scratch_dir;
 
     fn world_bytes(version: u32, fp: u64) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"ESWC");
-        out.extend_from_slice(&version.to_le_bytes());
-        out.extend_from_slice(&fp.to_le_bytes());
-        out.extend_from_slice(b"payload payload payload");
-        out
+        codec::seal(*b"ESWC", version, fp, 0, |out| {
+            out.extend_from_slice(b"payload payload payload")
+        })
     }
 
     fn pair_bytes(version: u32, fp: u64) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"ESPC");
-        out.extend_from_slice(&version.to_le_bytes());
-        out.extend_from_slice(&fp.to_le_bytes());
-        out.extend_from_slice(b"pairpayload");
-        out
+        codec::seal(*b"ESPC", version, fp, 0, |out| {
+            out.extend_from_slice(b"pairpayload")
+        })
     }
 
     #[test]
@@ -507,12 +464,5 @@ mod tests {
             other => panic!("corrupt disk bytes must be Corrupt, got {other:?}"),
         }
         std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn content_hash_is_order_sensitive_and_stable() {
-        assert_eq!(content_hash(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(content_hash(b"ab"), content_hash(b"ba"));
-        assert_eq!(content_hash(b"fleet"), content_hash(b"fleet"));
     }
 }

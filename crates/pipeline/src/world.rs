@@ -118,21 +118,15 @@ impl World {
     /// datasets) is not.
     pub fn fingerprint(&self) -> u64 {
         // FNV-1a over the corpus-determining fields, in a fixed order.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
         let p = &self.params;
-        mix(self.master_seed);
-        mix(p.vocab_size as u64);
-        mix(p.n_topics as u64);
-        mix(p.latent_dim as u64);
-        mix(p.corpus_tokens as u64);
-        mix(p.window as u64);
-        h
+        embedstab_corpus::codec::Fnv64::new()
+            .write_u64(self.master_seed)
+            .write_u64(p.vocab_size as u64)
+            .write_u64(p.n_topics as u64)
+            .write_u64(p.latent_dim as u64)
+            .write_u64(p.corpus_tokens as u64)
+            .write_u64(p.window as u64)
+            .finish()
     }
 
     /// The *content* fingerprint of the world's accumulated ('18) corpus

@@ -11,13 +11,12 @@
 //! round trip (`tests/world_cache.rs` and the bench crate's `coordinator`
 //! test pin this).
 //!
-//! The file rides the same conventions as the pair cache
-//! ([`crate::cache`]): a magic + format-version + fingerprint header, raw
-//! little-endian `f64` bit dumps for every float, and atomic tmp+rename
-//! writes so concurrent processes race safely to identical bytes. Note
-//! that the co-occurrence tables and the PPMI matrix are **stored, not
-//! recomputed** on load: their floats were accumulated in counting order,
-//! and recomputation would round differently.
+//! The file rides the pair cache's conventions: the artifact envelope
+//! ([`codec::seal`], magic `ESWC`), raw `f64` bit dumps for every float,
+//! and [`codec::atomic_write`]. Note that the co-occurrence tables and the
+//! PPMI matrix are **stored, not recomputed** on load: their floats were
+//! accumulated in counting order, and recomputation would round
+//! differently.
 //!
 //! The cache key is [`world_fingerprint`], which mixes the master seed and
 //! *every* [`ScaleParams`] field — unlike the pair-cache fingerprint
@@ -28,23 +27,23 @@
 //! silently evaluate the wrong data.
 
 use std::fs;
-use std::io::{self, Read as _};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use embedstab_corpus::{codec, Cooc, SparseMatrix, TemporalPair};
+use embedstab_corpus::codec::{self, atomic_write, Fnv64};
+use embedstab_corpus::{Cooc, SparseMatrix, TemporalPair};
 use embedstab_downstream::{NerDataset, SentimentDataset};
 use embedstab_embeddings::CorpusStats;
 
-use crate::cache::atomic_write;
 use crate::scale::ScaleParams;
 use crate::world::World;
 
 /// Bump when the world file layout changes; old files are ignored, not
 /// misread.
-pub const WORLD_CACHE_FORMAT_VERSION: u32 = 1;
+pub const WORLD_CACHE_FORMAT_VERSION: u32 = 2;
 
-const MAGIC: [u8; 4] = *b"ESWC";
+pub(crate) const MAGIC: [u8; 4] = *b"ESWC";
 
 /// A stable fingerprint of everything that determines a built [`World`]:
 /// the master seed and **all** scale parameters, including the
@@ -57,44 +56,38 @@ pub fn world_fingerprint(params: &ScaleParams, master_seed: u64) -> u64 {
     // FNV-1a, like the pair-cache fingerprint, but over a tagged,
     // length-prefixed field list so the two key spaces cannot collide by
     // construction order.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv64::new();
     for b in b"world-cache" {
-        mix(*b as u64);
+        h.write_u64(u64::from(*b));
     }
-    mix(master_seed);
-    mix(params.vocab_size as u64);
-    mix(params.n_topics as u64);
-    mix(params.latent_dim as u64);
-    mix(params.corpus_tokens as u64);
-    mix(params.window as u64);
-    mix(params.dims.len() as u64);
+    h.write_u64(master_seed);
+    h.write_u64(params.vocab_size as u64);
+    h.write_u64(params.n_topics as u64);
+    h.write_u64(params.latent_dim as u64);
+    h.write_u64(params.corpus_tokens as u64);
+    h.write_u64(params.window as u64);
+    h.write_u64(params.dims.len() as u64);
     for &d in &params.dims {
-        mix(d as u64);
+        h.write_u64(d as u64);
     }
-    mix(params.precisions.len() as u64);
+    h.write_u64(params.precisions.len() as u64);
     for &p in &params.precisions {
-        mix(p.bits() as u64);
+        h.write_u64(p.bits() as u64);
     }
-    mix(params.seeds.len() as u64);
+    h.write_u64(params.seeds.len() as u64);
     for &s in &params.seeds {
-        mix(s);
+        h.write_u64(s);
     }
-    mix(params.top_m as u64);
-    mix(params.sentiment_train as u64);
-    mix(params.sentiment_test as u64);
-    mix(params.ner_train as u64);
-    mix(params.ner_test as u64);
-    mix(params.lstm_hidden as u64);
-    mix(params.lstm_epochs as u64);
-    mix(params.logreg_epochs as u64);
-    mix(params.knn_queries as u64);
-    h
+    h.write_u64(params.top_m as u64);
+    h.write_u64(params.sentiment_train as u64);
+    h.write_u64(params.sentiment_test as u64);
+    h.write_u64(params.ner_train as u64);
+    h.write_u64(params.ner_test as u64);
+    h.write_u64(params.lstm_hidden as u64);
+    h.write_u64(params.lstm_epochs as u64);
+    h.write_u64(params.logreg_epochs as u64);
+    h.write_u64(params.knn_queries as u64);
+    h.finish()
 }
 
 /// Handle to one world-cache directory.
@@ -157,38 +150,31 @@ impl WorldCache {
 }
 
 fn encode_world(world: &World) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&WORLD_CACHE_FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&world_fingerprint(&world.params, world.master_seed).to_le_bytes());
-    world.pair.encode_into(&mut out);
-    for stats in [&world.stats17, &world.stats18] {
-        stats.cooc_flat.encode_into(&mut out);
-        stats.cooc_weighted.encode_into(&mut out);
-        stats.ppmi.encode_into(&mut out);
-        codec::put_u64_slice(&mut out, &stats.unigram_counts);
-    }
-    // A dataset count past u32::MAX would truncate into a header that
-    // decodes cleanly but describes fewer datasets; real worlds hold two.
-    debug_assert!(world.sentiment.len() <= u32::MAX as usize);
-    codec::put_u32(&mut out, world.sentiment.len() as u32);
-    for ds in &world.sentiment {
-        ds.encode_into(&mut out);
-    }
-    world.ner.encode_into(&mut out);
-    out
+    let fingerprint = world_fingerprint(&world.params, world.master_seed);
+    codec::seal(MAGIC, WORLD_CACHE_FORMAT_VERSION, fingerprint, 0, |out| {
+        world.pair.encode_into(out);
+        for stats in [&world.stats17, &world.stats18] {
+            stats.cooc_flat.encode_into(out);
+            stats.cooc_weighted.encode_into(out);
+            stats.ppmi.encode_into(out);
+            codec::put_u64_slice(out, &stats.unigram_counts);
+        }
+        // A dataset count past u32::MAX would truncate into a header that
+        // decodes cleanly but describes fewer datasets; real worlds hold two.
+        debug_assert!(world.sentiment.len() <= u32::MAX as usize);
+        codec::put_u32(out, world.sentiment.len() as u32);
+        for ds in &world.sentiment {
+            ds.encode_into(out);
+        }
+        world.ner.encode_into(out);
+    })
 }
 
-fn decode_world(mut bytes: &[u8], params: &ScaleParams, master_seed: u64) -> Option<World> {
-    let r = &mut bytes;
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic).ok()?;
-    if magic != MAGIC || codec::take_u32(r)? != WORLD_CACHE_FORMAT_VERSION {
-        return None;
-    }
-    if codec::take_u64(r)? != world_fingerprint(params, master_seed) {
-        return None;
-    }
+fn decode_world(bytes: &[u8], params: &ScaleParams, master_seed: u64) -> Option<World> {
+    let r = &mut match codec::unseal(bytes, MAGIC, WORLD_CACHE_FORMAT_VERSION) {
+        Ok((fingerprint, body)) if fingerprint == world_fingerprint(params, master_seed) => body,
+        _ => return None,
+    };
     let pair = TemporalPair::decode_from(r)?;
     if pair.model17.vocab_size() != params.vocab_size {
         return None;

@@ -4,11 +4,11 @@
 //! to the tenant's precision, plus the metadata the stability gate needs
 //! to score the *next* retrain against it (the quantization clip, the
 //! version lineage, the gate score that admitted it). The
-//! [`SnapshotStore`] persists every published snapshot with the same
-//! atomic tmp+rename convention as the pipeline's
-//! [`PairCache`](embedstab_pipeline::cache::PairCache) — readers never see
-//! a partial file, and re-opening a store round-trips every snapshot
-//! bitwise (`f64` bits are dumped raw, exactly like the pair cache).
+//! [`SnapshotStore`] writes each one in the artifact envelope
+//! (`embedstab_corpus::codec::seal`, magic `ESSN`, the version in the
+//! fingerprint slot) with `codec::atomic_write`: readers never see a
+//! partial file, a flipped bit fails [`SnapshotStore::open`], and a
+//! reopen round-trips every snapshot bitwise (`f64` bits are dumped raw).
 //!
 //! Promotion history is a stack: [`SnapshotStore::publish`] pushes a new
 //! live version, [`SnapshotStore::rollback`] pops back to the previous
@@ -17,19 +17,19 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Read as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::error::QueryError;
+use embedstab_corpus::codec::{self, atomic_write};
 use embedstab_embeddings::Embedding;
 use embedstab_linalg::{cosine_top_k, row_norms, Mat};
-use embedstab_pipeline::cache::{atomic_write, decode_mat, encode_mat, read_u32};
 use embedstab_quant::{quantize, Precision};
 use serde::{Deserialize, Serialize};
 
 /// Bump when the snapshot file layout changes; old files are rejected at
 /// [`SnapshotStore::open`], not misread.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
 
 const MAGIC: [u8; 4] = *b"ESSN";
 const LIVE_FILE: &str = "LIVE";
@@ -218,32 +218,22 @@ impl Snapshot {
             )
         })?;
         let (n, d) = self.embedding.shape();
-        let mut out = Vec::with_capacity(16 + meta.len() + 8 + n * d * 8);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&meta_len.to_le_bytes());
-        out.extend_from_slice(meta.as_bytes());
-        encode_mat(&mut out, self.embedding.mat());
-        Ok(out)
+        let (version, hint) = (self.meta.version.0, 12 + meta.len() + n * d * 8);
+        let bytes = codec::seal(MAGIC, SNAPSHOT_FORMAT_VERSION, version, hint, |out| {
+            codec::put_u32(out, meta_len);
+            out.extend_from_slice(meta.as_bytes());
+            codec::put_mat(out, self.embedding.mat());
+        });
+        Ok(bytes)
     }
 
-    fn decode(mut bytes: &[u8]) -> Option<Snapshot> {
-        let r = &mut bytes;
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic).ok()?;
-        if magic != MAGIC || read_u32(r)? != SNAPSHOT_FORMAT_VERSION {
-            return None;
-        }
-        let meta_len = read_u32(r)? as usize;
-        if r.len() < meta_len {
-            return None;
-        }
-        let meta_bytes = &r[..meta_len];
-        let meta: SnapshotMeta =
-            serde_json::from_str(std::str::from_utf8(meta_bytes).ok()?).ok()?;
-        *r = &r[meta_len..];
-        let mat = decode_mat(r)?;
-        if mat.shape() != (meta.vocab_size, meta.dim) || !r.is_empty() {
+    fn decode(bytes: &[u8]) -> Option<Snapshot> {
+        let (version, mut body) = codec::unseal(bytes, MAGIC, SNAPSHOT_FORMAT_VERSION).ok()?;
+        let r = &mut body;
+        let meta: SnapshotMeta = serde_json::from_str(&codec::take_str32(r)?).ok()?;
+        let mat = codec::take_mat(r)?;
+        let shape = (meta.vocab_size, meta.dim);
+        if meta.version.0 != version || mat.shape() != shape || !r.is_empty() {
             return None;
         }
         let embedding = Embedding::new(mat);
@@ -262,7 +252,7 @@ impl Snapshot {
 /// - every publish and every history move is an atomic tmp+rename write,
 ///   so a crash leaves either the old or the new state, never a torn one;
 /// - re-opening a store loads every snapshot bitwise identical to what was
-///   published (raw `f64` bit dumps, as in the pipeline's pair cache);
+///   published (raw `f64` bit dumps under the envelope's checksum);
 /// - version numbers are **never reused**: the highest version ever
 ///   issued is persisted in the `LIVE` file, so a publish after a
 ///   rollback — even across a reopen, even if the rolled-back snapshot's
@@ -278,13 +268,8 @@ pub struct SnapshotStore {
     max_issued: u64,
 }
 
-/// The persisted `LIVE` state: the promotion history plus the
-/// version-allocation high-water mark.
-///
-/// Serialized as a JSON object. Stores written before `max_issued`
-/// existed hold a bare JSON history array; [`SnapshotStore::open`] still
-/// accepts that layout and infers the high-water mark from the snapshot
-/// files and history.
+/// The persisted `LIVE` state, a JSON object: the promotion history plus
+/// the version-allocation high-water mark.
 #[derive(Serialize, Deserialize)]
 struct LiveState {
     history: Vec<u64>,
@@ -320,20 +305,15 @@ impl SnapshotStore {
         }
         let live_path = dir.join(LIVE_FILE);
         let (history, recorded_max) = match fs::read_to_string(&live_path) {
-            Ok(body) => match serde_json::from_str::<LiveState>(&body) {
-                Ok(state) => (state.history, state.max_issued),
-                // Pre-`max_issued` stores persisted a bare history array;
-                // accept it and infer the high-water mark below.
-                Err(_) => {
-                    let history: Vec<u64> = serde_json::from_str(&body).map_err(|e| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("corrupt LIVE pointer {}: {e}", live_path.display()),
-                        )
-                    })?;
-                    (history, 0)
-                }
-            },
+            Ok(body) => {
+                let state: LiveState = serde_json::from_str(&body).map_err(|e| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("corrupt LIVE pointer {}: {e}", live_path.display()),
+                    )
+                })?;
+                (state.history, state.max_issued)
+            }
             Err(e) if e.kind() == io::ErrorKind::NotFound => (Vec::new(), 0),
             Err(e) => return Err(e),
         };
@@ -624,29 +604,6 @@ mod tests {
             .expect("publish after prune");
         assert_eq!(v3, Version(3), "pruned version number was reissued");
         assert!(!v2_path.exists(), "nothing may recreate the archived file");
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn legacy_bare_array_live_file_still_opens() {
-        let dir = scratch("snap_legacy_live");
-        let mut store = SnapshotStore::open(&dir).expect("open");
-        store
-            .publish(&emb(30, 4, 2), Precision::FULL, None)
-            .expect("v1");
-        store
-            .publish(&emb(31, 4, 2), Precision::FULL, None)
-            .expect("v2");
-        // Rewrite LIVE in the pre-`max_issued` layout: a bare history
-        // array, as older stores persisted it.
-        fs::write(dir.join(LIVE_FILE), "[1,2]").expect("legacy LIVE");
-        let mut reopened = SnapshotStore::open(&dir).expect("reopen legacy");
-        assert_eq!(reopened.history(), vec![Version(1), Version(2)]);
-        // The high-water mark is inferred, so allocation stays monotonic.
-        let v3 = reopened
-            .publish(&emb(32, 4, 2), Precision::FULL, None)
-            .expect("v3");
-        assert_eq!(v3, Version(3));
         fs::remove_dir_all(&dir).ok();
     }
 

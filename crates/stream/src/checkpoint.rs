@@ -8,16 +8,16 @@
 //! world cache), PPMI, and the per-dimension warm bases — so a resumed
 //! service continues bitwise where the saved one stopped.
 //!
-//! Codec conventions follow `corpus::codec` / `pipeline::cache`:
-//! little-endian, length-checked reads, corrupt or mismatched input is a
-//! miss (`None`), and writes are atomic (temp file + rename).
+//! The file is the artifact envelope (`corpus::codec::seal`, magic
+//! `ESSC`) written with `codec::atomic_write`; a file that fails
+//! `codec::unseal`, or is otherwise corrupt or mismatched, is a miss.
 
 use std::collections::BTreeMap;
-use std::io::{self, Read};
+use std::io;
 use std::path::{Path, PathBuf};
 
-use embedstab_corpus::{codec, corpus_state_fingerprint, Cooc, Corpus, SparseMatrix};
-use embedstab_pipeline::cache::{atomic_write, decode_mat, encode_mat, read_u32};
+use embedstab_corpus::codec::{self, atomic_write};
+use embedstab_corpus::{corpus_state_fingerprint, Cooc, Corpus, SparseMatrix};
 use embedstab_serve::TenantRegistry;
 
 use crate::error::StreamError;
@@ -25,7 +25,7 @@ use crate::service::{ContinuousRetrainer, RetrainerConfig};
 
 /// Bump when the checkpoint byte layout changes; older files then decode
 /// as misses instead of misparsing.
-pub const STREAM_CHECKPOINT_FORMAT_VERSION: u32 = 1;
+pub const STREAM_CHECKPOINT_FORMAT_VERSION: u32 = 2;
 
 const MAGIC: [u8; 4] = *b"ESSC";
 
@@ -48,23 +48,22 @@ impl ContinuousRetrainer {
     /// Any I/O error from creating `dir` or writing the file.
     pub fn save_checkpoint(&self, dir: &Path) -> io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
-        let path = checkpoint_path(dir, self.fingerprint());
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        codec::put_u32(&mut out, STREAM_CHECKPOINT_FORMAT_VERSION);
-        codec::put_u64(&mut out, self.fingerprint());
-        codec::put_u64(&mut out, self.vocab_size() as u64);
-        codec::put_u64(&mut out, self.config().cooc.window as u64);
-        codec::put_u64(&mut out, self.config().cooc.distance_weighting as u64);
-        codec::put_u64(&mut out, self.increments());
-        self.corpus().encode_into(&mut out);
-        self.cooc().encode_into(&mut out);
-        self.ppmi().encode_into(&mut out);
-        codec::put_u64(&mut out, self.bases().len() as u64);
-        for (&dim, basis) in self.bases() {
-            codec::put_u64(&mut out, dim as u64);
-            encode_mat(&mut out, basis);
-        }
+        let fp = self.fingerprint();
+        let path = checkpoint_path(dir, fp);
+        let out = codec::seal(MAGIC, STREAM_CHECKPOINT_FORMAT_VERSION, fp, 0, |out| {
+            codec::put_u64(out, self.vocab_size() as u64);
+            codec::put_u64(out, self.config().cooc.window as u64);
+            codec::put_u64(out, self.config().cooc.distance_weighting as u64);
+            codec::put_u64(out, self.increments());
+            self.corpus().encode_into(out);
+            self.cooc().encode_into(out);
+            self.ppmi().encode_into(out);
+            codec::put_u64(out, self.bases().len() as u64);
+            for (&dim, basis) in self.bases() {
+                codec::put_u64(out, dim as u64);
+                codec::put_mat(out, basis);
+            }
+        });
         atomic_write(&path, &out)?;
         Ok(path)
     }
@@ -86,31 +85,23 @@ impl ContinuousRetrainer {
         config: RetrainerConfig,
         registry: TenantRegistry,
     ) -> Result<Option<Self>, StreamError> {
-        let mut bytes = Vec::new();
-        match std::fs::File::open(path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut bytes)?;
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(StreamError::Io(e)),
+        match std::fs::read(path) {
+            Ok(bytes) => Ok(decode_checkpoint(&bytes, config, registry)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(StreamError::Io(e)),
         }
-        Ok(decode_checkpoint(&bytes, config, registry))
     }
 }
 
 /// Decodes and validates one checkpoint; any inconsistency is a miss.
 fn decode_checkpoint(
-    mut bytes: &[u8],
+    bytes: &[u8],
     config: RetrainerConfig,
     registry: TenantRegistry,
 ) -> Option<ContinuousRetrainer> {
-    let r = &mut bytes;
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic).ok()?;
-    if magic != MAGIC || read_u32(r)? != STREAM_CHECKPOINT_FORMAT_VERSION {
-        return None;
-    }
-    let stored_fp = codec::take_u64(r)?;
+    let (stored_fp, mut body) =
+        codec::unseal(bytes, MAGIC, STREAM_CHECKPOINT_FORMAT_VERSION).ok()?;
+    let r = &mut body;
     let vocab_size = usize::try_from(codec::take_u64(r)?).ok()?;
     let window = usize::try_from(codec::take_u64(r)?).ok()?;
     let distance_weighting = match codec::take_u64(r)? {
@@ -132,7 +123,7 @@ fn decode_checkpoint(
     let mut bases = BTreeMap::new();
     for _ in 0..n_bases {
         let dim = usize::try_from(codec::take_u64(r)?).ok()?;
-        let basis = decode_mat(r)?;
+        let basis = codec::take_mat(r)?;
         if dim == 0 || dim > vocab_size || basis.rows() != vocab_size {
             return None;
         }
