@@ -6,227 +6,122 @@
 //!     --cache-dir pair-cache --world-cache world-cache [-- extra args...]
 //! ```
 //!
-//! What it does, in order:
+//! It is a loopback fleet: the `fleet_coordinator` run (see
+//! [`embedstab_bench::run_fleet`]) bound to `127.0.0.1`, with `--shards`
+//! local `fleet_worker` processes. So it
 //!
-//! 1. **Builds (or loads) the world exactly once** through the on-disk
-//!    [`WorldCache`](embedstab_pipeline::WorldCache) — previously every
-//!    shard process rebuilt the corpus pair, co-occurrence statistics,
-//!    and downstream datasets from scratch, which dominated sharded runs.
-//! 2. **Spawns N shard subprocesses** of the given figure/rows binary
-//!    with `--shard i/n --cache-dir ... --world-cache ...`, so each shard
-//!    loads the world, trains only its slice of the pair grid (sharing
-//!    trained pairs through the pair cache), and streams its rows to
-//!    `results/rows_<task>_<scale>.shard<i>of<n>.jsonl`. Each shard's
-//!    stdout/stderr goes to `results/coordinator_shard<i>of<n>.log`.
-//! 3. **Waits with per-shard failure reporting**, then fans the shard
-//!    JSONLs through the validated `merge_rows` path into
-//!    `results/<stem>.merged.jsonl` — for a complete fleet the merged
-//!    rows are bitwise identical to the unsharded run (the bench crate's
-//!    `coordinator` integration test pins this end to end).
+//! 1. **builds (or loads) the world exactly once** through the on-disk
+//!    world cache;
+//! 2. **starts one `fleet_worker` per shard**, each on this coordinator's
+//!    own cache directories — so nothing is pulled, and every shard loads
+//!    the world instead of rebuilding it — and in a private working
+//!    directory, so only committed rows reach `results/`. Workers lease
+//!    slices, and a slice whose worker dies is re-dispatched;
+//! 3. **merges** the committed `results/<stem>.shard<i>of<n>.jsonl` files
+//!    through the validated `merge_rows` path into
+//!    `results/<stem>.merged.jsonl`, bitwise identical to the unsharded
+//!    run (the bench crate's `coordinator` integration test pins this).
 //!
-//! The shard binary is resolved next to the coordinator executable by
-//! default; pass a path (anything containing a separator) to override.
-//! Everything after a bare `--` is forwarded to every shard verbatim.
+//! Workers and their shards log to this process's stderr. The shard
+//! binary is resolved next to the coordinator executable by default; pass
+//! a path (anything containing a separator) to override. Everything after
+//! a bare `--` is forwarded to every shard verbatim.
+//!
+//! Exits 0 with everything merged, 1 when a slice exhausts its dispatch
+//! attempts or every worker exits before the fleet drains, 2 on usage
+//! errors.
 
-use std::fs;
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::process::{Command, Stdio};
+use std::thread::{self, JoinHandle};
 
-use embedstab_bench::{clean_stale_shard_rows, merge_fleet_results, resolve_bin, scale_tag};
-use embedstab_pipeline::{Scale, World, WorldCache};
+use embedstab_bench::{parse_fleet_args, resolve_bin, run_fleet};
 
-const RESULTS_DIR: &str = "results";
+const USAGE: &str =
+    "usage: coordinator --shards N [--bin name-or-path] [--scale tiny|small|paper]\n\
+    \x20        [--cache-dir <dir>] [--world-cache <dir>] [-- args forwarded to shards]";
 
-struct Args {
-    shards: usize,
-    bin: String,
+/// What every local worker is started with.
+struct Workers {
+    exe: PathBuf,
+    bin_dir: PathBuf,
     cache_dir: PathBuf,
     world_cache: PathBuf,
-    extra: Vec<String>,
+    workdir: PathBuf,
 }
 
-fn parse_args() -> Args {
-    let mut args = std::env::args().skip(1);
-    let mut out = Args {
-        shards: 0,
-        bin: "fig2_memory_tradeoff".to_string(),
-        cache_dir: PathBuf::from("pair-cache"),
-        world_cache: PathBuf::from("world-cache"),
-        extra: Vec::new(),
-    };
-    let next = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next()
-            .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--shards" => {
-                out.shards = next(&mut args, "--shards")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--shards needs a positive integer"));
-            }
-            "--bin" => out.bin = next(&mut args, "--bin"),
-            "--cache-dir" => out.cache_dir = PathBuf::from(next(&mut args, "--cache-dir")),
-            "--world-cache" => out.world_cache = PathBuf::from(next(&mut args, "--world-cache")),
-            // --scale is read by Scale::from_args from the raw argv; keep
-            // it out of the forwarded extras to avoid passing it twice.
-            "--scale" => {
-                let _ = next(&mut args, "--scale");
-            }
-            "--" => {
-                out.extra.extend(args.by_ref());
-            }
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown argument '{other}'")),
-        }
-    }
-    if out.shards == 0 {
-        usage("missing --shards N (N >= 1)");
-    }
-    out
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!(
-        "usage: coordinator --shards N [--bin name-or-path] [--scale tiny|small|paper]\n\
-         \x20        [--cache-dir <dir>] [--world-cache <dir>] [-- args forwarded to shards]"
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
-
-fn shard_log_path(index: usize, n: usize) -> PathBuf {
-    Path::new(RESULTS_DIR).join(format!("coordinator_shard{index}of{n}.log"))
+fn absolute(path: &Path) -> PathBuf {
+    std::path::absolute(path).unwrap_or_else(|e| panic!("cannot resolve {}: {e}", path.display()))
 }
 
 fn main() {
-    let args = parse_args();
-    let scale = Scale::from_args();
-    let tag = scale_tag(scale);
-    let bin = resolve_bin(&args.bin);
-    fs::create_dir_all(RESULTS_DIR).unwrap_or_else(|e| panic!("cannot create {RESULTS_DIR}: {e}"));
-    clean_stale_shard_rows(Path::new(RESULTS_DIR), args.shards);
-
-    // Step 1: the world is built (or loaded) exactly once, here. Shards
-    // receive --world-cache and load it instead of rebuilding; the world
-    // itself is dropped before spawning so the coordinator does not sit on
-    // a world-sized allocation while the fleet runs.
-    let t0 = Instant::now();
-    let params = scale.params();
-    let world = World::load_or_build(&params, 0, &args.world_cache).unwrap_or_else(|e| {
-        panic!(
-            "cannot open world cache {}: {e}",
-            args.world_cache.display()
-        )
+    let mut args = parse_fleet_args(USAGE, |_, _, _| Ok(false));
+    // Workers resolve the spec's bare binary name in their --bin-dir.
+    let bin = absolute(&resolve_bin(&args.config.spec.bin));
+    let (Some(bin_dir), Some(name)) = (bin.parent(), bin.file_name().and_then(|n| n.to_str()))
+    else {
+        panic!("--bin {} names no file", bin.display());
+    };
+    args.config.spec.bin = name.to_string();
+    let workers = Workers {
+        exe: resolve_bin("fleet_worker"),
+        bin_dir: bin_dir.to_path_buf(),
+        cache_dir: absolute(&args.cache_dir),
+        world_cache: absolute(&args.world_cache),
+        workdir: std::env::temp_dir().join(format!("embedstab-coordinator-{}", std::process::id())),
+    };
+    let shards = args.config.spec.shards;
+    let mut reaper = None;
+    let status = run_fleet("coordinator", args, "127.0.0.1:0", |addr| {
+        reaper = Some(start_workers(&workers, addr, shards));
     });
-    let world_file = WorldCache::open(&args.world_cache)
-        .expect("world cache just opened")
-        .path(&params, 0);
-    assert!(
-        world_file.exists(),
-        "world cache file {} missing after build; shards would rebuild the world",
-        world_file.display()
-    );
-    drop(world);
-    eprintln!(
-        "[coordinator] world ready in {:.1}s ({})",
-        t0.elapsed().as_secs_f64(),
-        world_file.display()
-    );
-
-    // Step 2: spawn the fleet.
-    let mut children: Vec<(usize, Child)> = Vec::new();
-    for index in 0..args.shards {
-        let log_path = shard_log_path(index, args.shards);
-        let log = fs::File::create(&log_path)
-            .unwrap_or_else(|e| panic!("cannot create {}: {e}", log_path.display()));
-        let err_log = log.try_clone().expect("log handle clones");
-        let child = Command::new(&bin)
-            .arg("--scale")
-            .arg(tag)
-            .arg("--shard")
-            .arg(format!("{index}/{}", args.shards))
-            .arg("--cache-dir")
-            .arg(&args.cache_dir)
-            .arg("--world-cache")
-            .arg(&args.world_cache)
-            .args(&args.extra)
-            .stdout(Stdio::from(log))
-            .stderr(Stdio::from(err_log))
-            .spawn()
-            .unwrap_or_else(|e| panic!("cannot spawn shard {index}: {e}"));
-        eprintln!(
-            "[coordinator] shard {index}/{} -> pid {}, log {}",
-            args.shards,
-            child.id(),
-            log_path.display()
-        );
-        children.push((index, child));
+    if let Some(reaper) = reaper {
+        reaper.join().expect("reaper thread");
     }
+    std::process::exit(status);
+}
 
-    // Step 3: reap shards as they exit (polling, not sequential waits in
-    // spawn order — shard 0 finishing last must not delay the report, or
-    // the zombie reap, of every other shard), reporting every outcome
-    // rather than just the first failure.
-    let mut failures = Vec::new();
-    let mut live: Vec<(usize, Child)> = children;
-    while !live.is_empty() {
-        let mut still_running = Vec::with_capacity(live.len());
-        for (index, mut child) in live {
-            match child.try_wait() {
-                Ok(Some(status)) => {
-                    if status.success() {
-                        eprintln!("[coordinator] shard {index}/{} finished", args.shards);
-                    } else {
-                        eprintln!(
-                            "[coordinator] shard {index}/{} FAILED ({status}); see {}",
-                            args.shards,
-                            shard_log_path(index, args.shards).display()
-                        );
-                        failures.push(index);
-                    }
-                }
-                Ok(None) => still_running.push((index, child)),
-                Err(e) => panic!("cannot wait for shard {index}: {e}"),
-            }
+/// Starts one worker per shard and a thread that reaps them and removes
+/// their working directories. A worker exits 0 once the fleet drained and
+/// 1 once it failed; when every worker has exited without either (a
+/// missing shard binary, say), the coordinator would wait forever, so
+/// that thread ends the process with status 1.
+fn start_workers(workers: &Workers, addr: SocketAddr, shards: u32) -> JoinHandle<()> {
+    let children: Vec<_> = (0..shards)
+        .map(|i| {
+            let name = format!("local-{i}");
+            let child = Command::new(&workers.exe)
+                .args(["--addr", &addr.to_string(), "--name", &name])
+                .arg("--bin-dir")
+                .arg(&workers.bin_dir)
+                .arg("--workdir")
+                .arg(workers.workdir.join(&name))
+                .arg("--cache-dir")
+                .arg(&workers.cache_dir)
+                .arg("--world-cache")
+                .arg(&workers.world_cache)
+                // Shard tables on stdout are partial; keep them in the log.
+                .stdout(Stdio::from(std::io::stderr()))
+                .spawn()
+                .unwrap_or_else(|e| panic!("cannot start worker {name}: {e}"));
+            (name, child)
+        })
+        .collect();
+    let workdir = workers.workdir.clone();
+    thread::spawn(move || {
+        let mut settled = false;
+        for (name, mut child) in children {
+            let status = child
+                .wait()
+                .unwrap_or_else(|e| panic!("cannot wait for worker {name}: {e}"));
+            eprintln!("[coordinator] worker {name} exited ({status})");
+            settled |= matches!(status.code(), Some(0 | 1));
         }
-        live = still_running;
-        if !live.is_empty() {
-            std::thread::sleep(Duration::from_millis(50));
+        std::fs::remove_dir_all(&workdir).ok();
+        if !settled {
+            eprintln!("[coordinator] every worker exited before the fleet settled; not merging");
+            std::process::exit(1);
         }
-    }
-    if !failures.is_empty() {
-        eprintln!(
-            "[coordinator] {} of {} shards failed ({:?}); not merging — \
-             rerun, or salvage with: merge_rows --partial",
-            failures.len(),
-            args.shards,
-            failures
-        );
-        std::process::exit(1);
-    }
-
-    // Step 4: fan in. Group this fleet's shard files by stem and merge
-    // each complete set into <stem>.merged.jsonl.
-    let merged = merge_fleet_results(Path::new(RESULTS_DIR), args.shards)
-        .unwrap_or_else(|e| panic!("merging shard files failed: {e}"));
-    if merged.is_empty() {
-        eprintln!("[coordinator] warning: shards wrote no row files; nothing to merge");
-        return;
-    }
-    for (_, out, rows) in merged {
-        eprintln!(
-            "[coordinator] merged {} shard(s) -> {} ({} rows)",
-            args.shards,
-            out.display(),
-            rows
-        );
-    }
-    eprintln!(
-        "[coordinator] done in {:.1}s total",
-        t0.elapsed().as_secs_f64()
-    );
+    })
 }

@@ -1,4 +1,5 @@
-//! Fleet coordinator: the machine-spanning big sibling of `coordinator`.
+//! Fleet coordinator: serves a sharded grid to `fleet_worker`s on any
+//! machine.
 //!
 //! ```text
 //! fleet_coordinator --shards 8 --bind 0.0.0.0:7701 \
@@ -6,9 +7,9 @@
 //!     --cache-dir pair-cache --world-cache world-cache [-- extra args...]
 //! ```
 //!
-//! Where `coordinator` spawns shard subprocesses on this box, this binary
+//! Where `coordinator` starts its own workers on this box, this binary
 //! serves the shard work queue over TCP to `fleet_worker` processes on
-//! **any** machine:
+//! **any** machine (both run [`embedstab_bench::run_fleet`]):
 //!
 //! 1. builds (or loads) the world exactly once through the on-disk world
 //!    cache — workers then pull that exact file by its content-addressed
@@ -18,218 +19,53 @@
 //!    attempts), and row files are committed only on completion, so the
 //!    merged output is bitwise identical to an unsharded run no matter
 //!    how many workers died along the way;
-//! 3. fans committed shard rows in through the same validated merge as
-//!    `coordinator`, writing `results/<stem>.merged.jsonl`.
+//! 3. fans committed shard rows in through the validated `merge_rows`
+//!    path, writing `results/<stem>.merged.jsonl`.
 //!
-//! Exits 0 with everything merged, 1 when a slice exhausts its dispatch
-//! attempts (the fleet failed), 2 on usage errors.
+//! The tuning flags override the fleet crate's defaults
+//! (`CoordinatorConfig::new`). Exits 0 with everything merged, 1 when a
+//! slice exhausts its dispatch attempts (the fleet failed), 2 on usage
+//! errors.
 
-use std::net::TcpListener;
-use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use embedstab_bench::{clean_stale_shard_rows, merge_fleet_results, scale_tag};
-use embedstab_fleet::queue::QueueConfig;
-use embedstab_fleet::wire::FleetSpec;
-use embedstab_fleet::{run_coordinator, CoordinatorConfig, FleetError};
-use embedstab_pipeline::{CacheStore, Scale, World, WorldCache};
+use embedstab_bench::{exit_usage, parse_fleet_args, run_fleet};
 
-const RESULTS_DIR: &str = "results";
-
-struct Args {
-    shards: u32,
-    bind: String,
-    bin: String,
-    cache_dir: PathBuf,
-    world_cache: PathBuf,
-    lease_timeout_ms: u64,
-    max_attempts: u32,
-    io_timeout_secs: u64,
-    linger_ms: u64,
-    extra: Vec<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = std::env::args().skip(1);
-    let mut out = Args {
-        shards: 0,
-        bind: "127.0.0.1:0".to_string(),
-        bin: "fig2_memory_tradeoff".to_string(),
-        cache_dir: PathBuf::from("pair-cache"),
-        world_cache: PathBuf::from("world-cache"),
-        lease_timeout_ms: 30_000,
-        max_attempts: 5,
-        io_timeout_secs: 120,
-        linger_ms: 1_000,
-        extra: Vec::new(),
-    };
-    let next = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next()
-            .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--shards" => {
-                out.shards = next(&mut args, "--shards")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--shards needs a positive integer"));
-            }
-            "--bind" => out.bind = next(&mut args, "--bind"),
-            "--bin" => out.bin = next(&mut args, "--bin"),
-            "--cache-dir" => out.cache_dir = PathBuf::from(next(&mut args, "--cache-dir")),
-            "--world-cache" => out.world_cache = PathBuf::from(next(&mut args, "--world-cache")),
-            "--lease-timeout-ms" => {
-                out.lease_timeout_ms = next(&mut args, "--lease-timeout-ms")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--lease-timeout-ms needs milliseconds"));
-            }
-            "--max-attempts" => {
-                out.max_attempts = next(&mut args, "--max-attempts")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--max-attempts needs a positive integer"));
-            }
-            "--io-timeout-secs" => {
-                out.io_timeout_secs = next(&mut args, "--io-timeout-secs")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--io-timeout-secs needs seconds (0 = none)"));
-            }
-            "--linger-ms" => {
-                out.linger_ms = next(&mut args, "--linger-ms")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--linger-ms needs milliseconds"));
-            }
-            // --scale is read by Scale::from_args from the raw argv; keep
-            // it out of the forwarded extras to avoid passing it twice.
-            "--scale" => {
-                let _ = next(&mut args, "--scale");
-            }
-            "--" => {
-                out.extra.extend(args.by_ref());
-            }
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown argument '{other}'")),
-        }
-    }
-    if out.shards == 0 {
-        usage("missing --shards N (N >= 1)");
-    }
-    if out.bin.contains('/') || out.bin.contains('\\') {
-        usage("--bin must be a bare binary name (workers resolve it in their own bin dir)");
-    }
-    out
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!(
-        "usage: fleet_coordinator --shards N [--bind host:port] [--bin name]\n\
-         \x20        [--scale tiny|small|paper] [--cache-dir <dir>] [--world-cache <dir>]\n\
-         \x20        [--lease-timeout-ms MS] [--max-attempts N] [--io-timeout-secs S]\n\
-         \x20        [--linger-ms MS] [-- args forwarded to every worker's shards]"
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
+const USAGE: &str = "usage: fleet_coordinator --shards N [--bind host:port] [--bin name]\n\
+    \x20        [--scale tiny|small|paper] [--cache-dir <dir>] [--world-cache <dir>]\n\
+    \x20        [--lease-timeout-ms MS] [--max-attempts N] [--io-timeout-secs S]\n\
+    \x20        [--linger-ms MS] [-- args forwarded to every worker's shards]";
 
 fn main() {
-    let args = parse_args();
-    let scale = Scale::from_args();
-    let tag = scale_tag(scale);
-    std::fs::create_dir_all(RESULTS_DIR)
-        .unwrap_or_else(|e| panic!("cannot create {RESULTS_DIR}: {e}"));
-    clean_stale_shard_rows(Path::new(RESULTS_DIR), args.shards as usize);
-
-    // The world is built (or loaded) exactly once, here; its cache file is
-    // the content-addressed artifact every worker pulls.
-    let t0 = Instant::now();
-    let params = scale.params();
-    let world = World::load_or_build(&params, 0, &args.world_cache).unwrap_or_else(|e| {
-        panic!(
-            "cannot open world cache {}: {e}",
-            args.world_cache.display()
-        )
-    });
-    drop(world);
-    let world_file = WorldCache::open(&args.world_cache)
-        .expect("world cache just opened")
-        .path(&params, 0);
-    let world_key = world_file
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or_else(|| panic!("world cache path {} has no name", world_file.display()))
-        .to_string();
-    assert!(
-        world_file.exists(),
-        "world cache file {} missing after build; workers would have nothing to pull",
-        world_file.display()
-    );
-    eprintln!(
-        "[fleet_coordinator] world ready in {:.1}s (key '{world_key}')",
-        t0.elapsed().as_secs_f64()
-    );
-
-    let store = CacheStore::open(&args.world_cache, &args.cache_dir)
-        .unwrap_or_else(|e| panic!("cannot open cache store: {e}"));
-    let listener =
-        TcpListener::bind(&args.bind).unwrap_or_else(|e| panic!("cannot bind {}: {e}", args.bind));
-    let addr = listener
-        .local_addr()
-        .expect("bound listener has an address");
-    eprintln!(
-        "[fleet_coordinator] serving {} slice(s) of '{}' (scale {tag}) on {addr}",
-        args.shards, args.bin
-    );
-
-    let spec = FleetSpec {
-        bin: args.bin,
-        scale: tag.to_string(),
-        shards: args.shards,
-        world_key,
-        extra: args.extra,
-    };
-    let mut config = CoordinatorConfig::new(spec, PathBuf::from(RESULTS_DIR));
-    config.queue = QueueConfig {
-        lease_timeout_ms: args.lease_timeout_ms,
-        max_attempts: args.max_attempts,
-        ..QueueConfig::default()
-    };
-    config.io_timeout =
-        (args.io_timeout_secs > 0).then(|| Duration::from_secs(args.io_timeout_secs));
-    config.linger = Duration::from_millis(args.linger_ms);
-
-    // The fleet crate never reads a clock (lint-enforced); this epoch
-    // closure is the coordinator's injected time source.
-    let epoch = Instant::now();
-    let now_ms = move || u64::try_from(epoch.elapsed().as_millis()).unwrap_or(u64::MAX);
-    match run_coordinator(listener, store, config, now_ms) {
-        Ok(()) => {}
-        Err(FleetError::Exhausted { slice, attempts }) => {
-            eprintln!(
-                "[fleet_coordinator] FLEET FAILED: slice {slice} burned {attempts} dispatch \
-                 attempt(s); not merging"
-            );
-            std::process::exit(1);
+    let mut bind = "127.0.0.1:0".to_string();
+    let args = parse_fleet_args(USAGE, |flag, value, config| {
+        let needs = |what: &str| format!("{flag} needs {what}");
+        match flag {
+            "--bind" => bind = value(),
+            "--lease-timeout-ms" => {
+                config.queue.lease_timeout_ms =
+                    value().parse().map_err(|_| needs("milliseconds"))?;
+            }
+            "--max-attempts" => {
+                config.queue.max_attempts =
+                    value().parse().map_err(|_| needs("a positive integer"))?;
+            }
+            "--io-timeout-secs" => {
+                let secs: u64 = value().parse().map_err(|_| needs("seconds (0 = none)"))?;
+                config.io_timeout = (secs > 0).then(|| Duration::from_secs(secs));
+            }
+            "--linger-ms" => {
+                let millis = value().parse().map_err(|_| needs("milliseconds"))?;
+                config.linger = Duration::from_millis(millis);
+            }
+            _ => return Ok(false),
         }
-        Err(e) => panic!("fleet coordinator failed: {e}"),
+        Ok(true)
+    });
+    let bin = &args.config.spec.bin;
+    if bin.contains('/') || bin.contains('\\') {
+        let err = "--bin must be a bare binary name (workers resolve it in their own bin dir)";
+        exit_usage(USAGE, err);
     }
-
-    let merged = merge_fleet_results(Path::new(RESULTS_DIR), args.shards as usize)
-        .unwrap_or_else(|e| panic!("merging shard files failed: {e}"));
-    if merged.is_empty() {
-        eprintln!("[fleet_coordinator] warning: workers pushed no row files; nothing to merge");
-        return;
-    }
-    for (_, out, rows) in merged {
-        eprintln!(
-            "[fleet_coordinator] merged {} shard(s) -> {} ({} rows)",
-            args.shards,
-            out.display(),
-            rows
-        );
-    }
-    eprintln!(
-        "[fleet_coordinator] done in {:.1}s total",
-        t0.elapsed().as_secs_f64()
-    );
+    std::process::exit(run_fleet("fleet_coordinator", args, &bind, |_| {}));
 }

@@ -15,13 +15,14 @@
 //! workdir, and the produced `results/*.shard<i>of<n>.jsonl` files are
 //! streamed back before the slice is declared complete.
 //!
-//! Exits 0 when the coordinator drains the fleet, 2 on errors, 43 when
-//! the `FLEET_FAIL_ONCE` fault injection fires (see `embedstab_fleet`).
+//! Exits 0 when the coordinator drains the fleet, 1 when it reports the
+//! fleet failed, 2 on other errors, 43 when the `FLEET_FAIL_ONCE` fault
+//! injection fires (see `embedstab_fleet`).
 
 use std::path::PathBuf;
 use std::time::Duration;
 
-use embedstab_fleet::{run_worker, WorkerConfig};
+use embedstab_fleet::{run_worker, FleetError, WorkerConfig};
 
 fn parse_args() -> WorkerConfig {
     let exe_dir = std::env::current_exe()
@@ -116,7 +117,8 @@ fn main() {
         }
         Err(e) => {
             eprintln!("[fleet_worker] error: {e}");
-            std::process::exit(2);
+            let failed = matches!(e, FleetError::FleetFailed { .. });
+            std::process::exit(if failed { 1 } else { 2 });
         }
     }
 }

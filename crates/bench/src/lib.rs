@@ -7,13 +7,17 @@
 //! tables.
 
 use std::collections::BTreeMap;
+use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use embedstab_core::measures::MeasureKind;
 use embedstab_core::selection::ConfigPoint;
 use embedstab_core::stats;
+use embedstab_fleet::{run_coordinator, CoordinatorConfig, FleetError, FleetSpec};
 use embedstab_pipeline::{
-    EmbeddingGrid, Experiment, JsonlSink, PairCache, ProgressSink, Row, Scale, World,
+    CacheStore, EmbeddingGrid, Experiment, JsonlSink, PairCache, ProgressSink, Row, Scale,
+    ShardFile, World, WorldCache,
 };
 
 /// A built experiment context: world plus trained embedding grid.
@@ -53,8 +57,8 @@ pub fn setup_cached(
 
 /// Builds the world for a scale (master seed 0), honoring the
 /// `--world-cache <path>` flag: when present, the world is loaded from
-/// (or built once into) the on-disk world cache — how the `coordinator`'s
-/// shard subprocesses skip the rebuild that used to dominate sharded runs.
+/// (or built once into) the on-disk world cache — how a fleet's shards
+/// skip the rebuild that used to dominate sharded runs.
 pub fn world_from_args(scale: Scale) -> World {
     let params = scale.params();
     match world_cache_from_args() {
@@ -116,17 +120,9 @@ pub fn row_merge_key(r: &Row) -> (String, String, usize, u8, u64) {
     (r.task.clone(), r.algo.clone(), r.dim, r.bits, r.seed)
 }
 
-/// Parses the shard suffix out of a shard row file name
-/// (`<stem>.shard<i>of<n>.jsonl`), returning `(stem, i, n)`. Returns
-/// `None` for non-shard files (e.g. an already-merged output), malformed
-/// suffixes, and out-of-range indices (`i >= n` or `n == 0`).
-pub fn parse_shard_suffix(path: &Path) -> Option<(String, usize, usize)> {
-    let name = path.file_name()?.to_str()?;
-    let rest = name.strip_suffix(".jsonl")?;
-    let (stem, shard) = rest.rsplit_once(".shard")?;
-    let (i, n) = shard.split_once("of")?;
-    let (i, n) = (i.parse::<usize>().ok()?, n.parse::<usize>().ok()?);
-    (n > 0 && i < n).then(|| (stem.to_string(), i, n))
+/// The [`ShardFile`] a path names, if its file name is one.
+fn shard_file(path: &Path) -> Option<ShardFile> {
+    ShardFile::parse(path.file_name()?.to_str()?)
 }
 
 /// Checks that the shard files among `paths` form complete sets: for every
@@ -147,7 +143,12 @@ pub fn parse_shard_suffix(path: &Path) -> Option<(String, usize, usize)> {
 pub fn check_shard_set<P: AsRef<Path>>(paths: &[P]) -> std::io::Result<()> {
     let mut groups: BTreeMap<String, (usize, Vec<bool>)> = BTreeMap::new();
     for path in paths {
-        let Some((stem, i, n)) = parse_shard_suffix(path.as_ref()) else {
+        let Some(ShardFile {
+            stem,
+            index: i,
+            shards: n,
+        }) = shard_file(path.as_ref())
+        else {
             continue;
         };
         let (first_n, seen) = groups.entry(stem.clone()).or_insert((n, vec![false; n]));
@@ -259,10 +260,8 @@ pub fn clean_stale_shard_rows(results_dir: &Path, n: usize) {
     };
     for entry in entries.flatten() {
         let path = entry.path();
-        if let Some((_, _, file_n)) = parse_shard_suffix(&path) {
-            if file_n == n {
-                std::fs::remove_file(&path).ok();
-            }
+        if shard_file(&path).is_some_and(|f| f.shards == n) {
+            std::fs::remove_file(&path).ok();
         }
     }
 }
@@ -285,10 +284,8 @@ pub fn merge_fleet_results(
     let mut groups: BTreeMap<String, Vec<PathBuf>> = BTreeMap::new();
     for entry in std::fs::read_dir(results_dir)?.flatten() {
         let path = entry.path();
-        if let Some((stem, _, n)) = parse_shard_suffix(&path) {
-            if n == shards {
-                groups.entry(stem).or_default().push(path);
-            }
+        if let Some(f) = shard_file(&path).filter(|f| f.shards == shards) {
+            groups.entry(f.stem).or_default().push(path);
         }
     }
     let mut merged = Vec::new();
@@ -300,6 +297,191 @@ pub fn merge_fleet_results(
         merged.push((stem, out, rows.len()));
     }
     Ok(merged)
+}
+
+/// Where the bench binaries write rows, shard row files and merges.
+const RESULTS_DIR: &str = "results";
+
+/// The command line both coordinator binaries share.
+pub struct FleetArgs {
+    /// The run to serve: `--shards`, `--bin`, `--scale` and the `--`
+    /// extras fill the spec (its world key is set once the world is
+    /// warm); everything else starts at [`CoordinatorConfig::new`]'s
+    /// defaults and only a binary's own flags override it.
+    pub config: CoordinatorConfig,
+    /// `--scale`, read by [`Scale::from_args`].
+    pub scale: Scale,
+    /// `--cache-dir`: the pair cache.
+    pub cache_dir: PathBuf,
+    /// `--world-cache`: where the world is built once.
+    pub world_cache: PathBuf,
+}
+
+/// Parses a coordinator binary's arguments: the shared flags here, every
+/// other flag through `own`, which gets the flag, a getter for its value
+/// and the config, and answers `Ok(false)` for a flag it does not know.
+/// Exits 0 after printing `usage` for `--help`, 2 on an error.
+pub fn parse_fleet_args(
+    usage: &str,
+    mut own: impl FnMut(
+        &str,
+        &mut dyn FnMut() -> String,
+        &mut CoordinatorConfig,
+    ) -> Result<bool, String>,
+) -> FleetArgs {
+    let scale = Scale::from_args();
+    let spec = FleetSpec {
+        bin: "fig2_memory_tradeoff".to_string(),
+        scale: scale_tag(scale).to_string(),
+        shards: 0,
+        world_key: String::new(),
+        extra: Vec::new(),
+    };
+    let mut out = FleetArgs {
+        config: CoordinatorConfig::new(spec, PathBuf::from(RESULTS_DIR)),
+        scale,
+        cache_dir: PathBuf::from("pair-cache"),
+        world_cache: PathBuf::from("world-cache"),
+    };
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--" {
+            out.config.spec.extra.extend(args.by_ref());
+            break;
+        }
+        if arg == "--help" || arg == "-h" {
+            exit_usage(usage, "");
+        }
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| exit_usage(usage, &format!("{arg} needs a value")))
+        };
+        match arg.as_str() {
+            "--shards" => {
+                out.config.spec.shards = value()
+                    .parse()
+                    .unwrap_or_else(|_| exit_usage(usage, "--shards needs a positive integer"));
+            }
+            "--bin" => out.config.spec.bin = value(),
+            "--cache-dir" => out.cache_dir = PathBuf::from(value()),
+            "--world-cache" => out.world_cache = PathBuf::from(value()),
+            // Read by Scale::from_args above.
+            "--scale" => {
+                value();
+            }
+            flag => match own(flag, &mut value, &mut out.config) {
+                Ok(true) => {}
+                Ok(false) => exit_usage(usage, &format!("unknown argument '{flag}'")),
+                Err(e) => exit_usage(usage, &e),
+            },
+        }
+    }
+    if out.config.spec.shards == 0 {
+        exit_usage(usage, "missing --shards N (N >= 1)");
+    }
+    out
+}
+
+/// Prints `err` (if any) and `usage` to stderr, then exits: 0 without
+/// an error, 2 with one.
+pub fn exit_usage(usage: &str, err: &str) -> ! {
+    if !err.is_empty() {
+        eprintln!("error: {err}");
+    }
+    eprintln!("{usage}");
+    std::process::exit(if err.is_empty() { 0 } else { 2 });
+}
+
+/// Runs one fleet and merges its rows, for both coordinator binaries:
+/// builds (or loads) the world exactly once through `--world-cache` —
+/// its cache file is the key every worker loads or pulls — binds `bind`,
+/// hands the bound address to `start_workers`, serves the queue through
+/// [`run_coordinator`] until it drains, and merges the committed shard
+/// rows into `results/<stem>.merged.jsonl`. `who` prefixes the log lines.
+///
+/// Returns the exit status: 0 once merged, 1 when a slice ran out of
+/// dispatch attempts (nothing is merged).
+pub fn run_fleet(
+    who: &str,
+    args: FleetArgs,
+    bind: &str,
+    start_workers: impl FnOnce(SocketAddr),
+) -> i32 {
+    let FleetArgs {
+        mut config,
+        scale,
+        cache_dir,
+        world_cache,
+    } = args;
+    let shards = config.spec.shards as usize;
+    let results = config.results_dir.clone();
+    std::fs::create_dir_all(&results)
+        .unwrap_or_else(|e| panic!("cannot create {}: {e}", results.display()));
+    clean_stale_shard_rows(&results, shards);
+
+    let t0 = Instant::now();
+    let params = scale.params();
+    World::load_or_build(&params, 0, &world_cache)
+        .unwrap_or_else(|e| panic!("cannot open world cache {}: {e}", world_cache.display()));
+    let world_file = WorldCache::open(&world_cache)
+        .expect("world cache just opened")
+        .path(&params, 0);
+    assert!(
+        world_file.exists(),
+        "world cache file {} missing after build; workers would rebuild it",
+        world_file.display()
+    );
+    config.spec.world_key = world_file
+        .file_name()
+        .and_then(|n| n.to_str())
+        .unwrap_or_else(|| panic!("world cache path {} has no name", world_file.display()))
+        .to_string();
+    eprintln!(
+        "[{who}] world ready in {:.1}s (key '{}')",
+        t0.elapsed().as_secs_f64(),
+        config.spec.world_key
+    );
+
+    let store = CacheStore::open(&world_cache, &cache_dir)
+        .unwrap_or_else(|e| panic!("cannot open cache store: {e}"));
+    let listener = TcpListener::bind(bind).unwrap_or_else(|e| panic!("cannot bind {bind}: {e}"));
+    let addr = listener
+        .local_addr()
+        .expect("bound listener has an address");
+    eprintln!(
+        "[{who}] serving {shards} slice(s) of '{}' (scale {}) on {addr}",
+        config.spec.bin, config.spec.scale
+    );
+    start_workers(addr);
+    // The fleet crate never reads a clock (lint-enforced); this epoch
+    // closure is the coordinator's injected time source.
+    let epoch = Instant::now();
+    let now_ms = move || u64::try_from(epoch.elapsed().as_millis()).unwrap_or(u64::MAX);
+    match run_coordinator(listener, store, config, now_ms) {
+        Ok(()) => {}
+        Err(FleetError::Exhausted { slice, attempts }) => {
+            eprintln!(
+                "[{who}] FLEET FAILED: slice {slice} burned {attempts} dispatch attempt(s); \
+                 not merging"
+            );
+            return 1;
+        }
+        Err(e) => panic!("fleet coordinator failed: {e}"),
+    }
+
+    let merged = merge_fleet_results(&results, shards)
+        .unwrap_or_else(|e| panic!("merging shard files failed: {e}"));
+    if merged.is_empty() {
+        eprintln!("[{who}] warning: the fleet committed no row files; nothing to merge");
+    }
+    for (_, out, rows) in merged {
+        eprintln!(
+            "[{who}] merged {shards} shard(s) -> {} ({rows} rows)",
+            out.display()
+        );
+    }
+    eprintln!("[{who}] done in {:.1}s total", t0.elapsed().as_secs_f64());
+    0
 }
 
 /// Serializes merged rows back to JSONL (one row per line, trailing
@@ -490,7 +672,15 @@ pub fn standard_rows(scale: Scale, tasks: &[&str]) -> BTreeMap<String, Vec<Row>>
         let mut measure_source: Option<Vec<Row>> = None;
         for (i, &task) in tasks.iter().enumerate() {
             let first = i == 0;
-            let jsonl = format!("results/rows_{task}_{tag}.shard{index}of{n}.jsonl");
+            let stem = format!("rows_{task}_{tag}");
+            let jsonl = Path::new(RESULTS_DIR).join(
+                ShardFile {
+                    stem,
+                    index,
+                    shards: n,
+                }
+                .name(),
+            );
             std::fs::remove_file(&jsonl).ok(); // append sink: start clean
             eprintln!(
                 "[run] {task} grid, shard {index}/{n} (cache {})...",

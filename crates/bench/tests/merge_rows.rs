@@ -3,11 +3,10 @@
 //! idempotent under duplicate inputs.
 
 use embedstab_bench::{
-    check_shard_set, merge_shard_rows, merge_shard_rows_partial, parse_shard_suffix, row_merge_key,
-    rows_to_jsonl,
+    check_shard_set, merge_shard_rows, merge_shard_rows_partial, row_merge_key, rows_to_jsonl,
 };
 use embedstab_pipeline::cache::scratch_dir;
-use embedstab_pipeline::{Experiment, JsonlSink, Scale, World};
+use embedstab_pipeline::{Experiment, JsonlSink, Scale, ShardFile, World};
 use embedstab_quant::Precision;
 
 #[test]
@@ -36,7 +35,17 @@ fn merged_shards_equal_the_unsharded_run_bitwise() {
     // order, so the files themselves are unordered).
     let n = 3;
     let shard_paths: Vec<_> = (0..n)
-        .map(|i| dir.join(format!("rows_sst2_tiny.shard{i}of{n}.jsonl")))
+        .map(|index| {
+            let stem = "rows_sst2_tiny".to_string();
+            dir.join(
+                ShardFile {
+                    stem,
+                    index,
+                    shards: n,
+                }
+                .name(),
+            )
+        })
         .collect();
     for (i, path) in shard_paths.iter().enumerate() {
         experiment().shard(i, n).sink(JsonlSink::new(path)).run();
@@ -81,16 +90,46 @@ fn merged_shards_equal_the_unsharded_run_bitwise() {
 #[test]
 fn shard_suffix_parsing_and_set_checking() {
     let p = |s: &str| std::path::PathBuf::from(s);
+    let parse = |name: &str| ShardFile::parse(name).map(|f| (f.stem, f.index, f.shards));
     assert_eq!(
-        parse_shard_suffix(&p("results/rows_sst2_small.shard0of2.jsonl")),
+        parse("rows_sst2_small.shard0of2.jsonl"),
         Some(("rows_sst2_small".to_string(), 0, 2))
     );
-    // Non-shard files, malformed and out-of-range suffixes are not shards.
-    assert_eq!(parse_shard_suffix(&p("results/rows.merged.jsonl")), None);
-    assert_eq!(parse_shard_suffix(&p("rows.shard2of2.jsonl")), None);
-    assert_eq!(parse_shard_suffix(&p("rows.shard0of0.jsonl")), None);
-    assert_eq!(parse_shard_suffix(&p("rows.shardXofY.jsonl")), None);
-    assert_eq!(parse_shard_suffix(&p("rows.shard1of2.json")), None);
+    assert_eq!(
+        parse("rows_sst2_tiny.shard1of2.jsonl"),
+        Some(("rows_sst2_tiny".to_string(), 1, 2))
+    );
+    assert_eq!(
+        parse("a.b.c.shard0of16.jsonl"),
+        Some(("a.b.c".to_string(), 0, 16))
+    );
+    // The writer and the parser agree.
+    let file = ShardFile {
+        stem: "rows_mr_paper".to_string(),
+        index: 3,
+        shards: 8,
+    };
+    assert_eq!(file.name(), "rows_mr_paper.shard3of8.jsonl");
+    assert_eq!(ShardFile::parse(&file.name()), Some(file));
+    // Non-shard files, malformed and out-of-range suffixes are not shards:
+    // `i` and `n` are plain digits, with `n > 0` and `i < n`.
+    for name in [
+        "rows.merged.jsonl",
+        "rows.shard2of2.jsonl",
+        "rows.shard0of0.jsonl",
+        "rows.shardXofY.jsonl",
+        "rows.shard1of2.json",
+        "rows.shardof2.jsonl",
+        "rows.shard1of.jsonl",
+        "shard1of2.jsonl",
+        "rows.shard-1of2.jsonl",
+        "rows.shard+1of2.jsonl",
+        "rows.shard1of+2.jsonl",
+    ] {
+        assert_eq!(parse(name), None, "{name} is not a shard row file");
+    }
+    // The merge parses a path's file name: this lone shard is a gap.
+    check_shard_set(&[p("results/a.shard1of2.jsonl")]).expect_err("shard0of2 missing");
 
     // Complete set, duplicates, and plain (non-shard) inputs all pass.
     check_shard_set(&[

@@ -6,7 +6,7 @@ use std::fmt;
 use crate::codec;
 use crate::generate::Corpus;
 
-/// A validation error from co-occurrence counting or delta streaming.
+/// A validation error from co-occurrence counting or increment streaming.
 ///
 /// Counting used to be panic-only; the streaming path
 /// (`embedstab_stream`) applies increments inside a long-lived service
@@ -26,14 +26,6 @@ pub enum CoocError {
         /// The vocabulary size it failed against.
         vocab_size: usize,
     },
-    /// A delta built for one vocabulary size was applied to a table with
-    /// another.
-    VocabMismatch {
-        /// The table's vocabulary size.
-        table: usize,
-        /// The delta's vocabulary size.
-        delta: usize,
-    },
 }
 
 impl fmt::Display for CoocError {
@@ -44,12 +36,6 @@ impl fmt::Display for CoocError {
             }
             CoocError::TokenOutOfVocab { token, vocab_size } => {
                 write!(f, "token id {token} out of vocabulary (size {vocab_size})")
-            }
-            CoocError::VocabMismatch { table, delta } => {
-                write!(
-                    f,
-                    "vocabulary mismatch: table has {table} words, delta was built for {delta}"
-                )
             }
         }
     }
@@ -107,7 +93,6 @@ impl Cooc {
             Err(e @ CoocError::TokenOutOfVocab { .. }) => {
                 panic!("token id out of vocabulary: {e}")
             }
-            Err(e) => panic!("{e}"),
         }
     }
 

@@ -36,7 +36,7 @@ use std::thread;
 use std::time::Duration;
 
 use embedstab_corpus::codec::{self, atomic_write};
-use embedstab_pipeline::{store, CacheStore};
+use embedstab_pipeline::{store, CacheStore, ShardFile};
 use embedstab_serve::wire::{listen, Handler, Stop};
 use parking_lot::Mutex;
 
@@ -74,7 +74,7 @@ impl CoordinatorConfig {
         CoordinatorConfig {
             spec,
             queue: QueueConfig::default(),
-            io_timeout: Some(Duration::from_secs(60)),
+            io_timeout: Some(Duration::from_secs(120)),
             results_dir,
             linger: Duration::from_millis(1_000),
             poll: Duration::from_millis(25),
@@ -334,29 +334,16 @@ fn row_file_objection(name: &str, slice: u32, shards: u32, bytes: &[u8]) -> Opti
     if name.contains('/') || name.contains('\\') || name.contains("..") {
         return Some(format!("row file name '{name}' is not a bare file name"));
     }
-    match parse_shard_name(name) {
-        Some((i, n)) if i == slice && n == shards => None,
-        Some((i, n)) => Some(format!(
-            "row file '{name}' claims shard {i}of{n}, lease is {slice}of{shards}"
+    match ShardFile::parse(name) {
+        Some(f) if (f.index, f.shards) == (slice as usize, shards as usize) => None,
+        Some(f) => Some(format!(
+            "row file '{name}' claims shard {}of{}, lease is {slice}of{shards}",
+            f.index, f.shards
         )),
         None => Some(format!(
             "row file '{name}' does not match <stem>.shard<i>of<n>.jsonl"
         )),
     }
-}
-
-/// Parses `<stem>.shard<i>of<n>.jsonl` into `(i, n)` — the fleet-local
-/// twin of the bench crate's path-based `parse_shard_suffix` (this crate
-/// sits below bench in the dependency order).
-pub(crate) fn parse_shard_name(name: &str) -> Option<(u32, u32)> {
-    let stem = name.strip_suffix(".jsonl")?;
-    let (_, suffix) = stem.rsplit_once('.')?;
-    let rest = suffix.strip_prefix("shard")?;
-    let (i, n) = rest.split_once("of")?;
-    if i.is_empty() || n.is_empty() || !i.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    Some((i.parse().ok()?, n.parse().ok()?))
 }
 
 fn serve_chunk(shared: &Shared, conn: &mut Connection, key: &str, chunk: u32) -> Response {
@@ -410,16 +397,14 @@ mod tests {
 
     #[test]
     fn shard_names_parse_and_reject() {
-        assert_eq!(
-            parse_shard_name("rows_sst2_tiny.shard1of2.jsonl"),
-            Some((1, 2))
-        );
-        assert_eq!(parse_shard_name("a.b.c.shard0of16.jsonl"), Some((0, 16)));
-        assert_eq!(parse_shard_name("rows.shardof2.jsonl"), None);
-        assert_eq!(parse_shard_name("rows.shard1of.jsonl"), None);
-        assert_eq!(parse_shard_name("rows.shard1of2.json"), None);
-        assert_eq!(parse_shard_name("shard1of2.jsonl"), None);
-        assert_eq!(parse_shard_name("rows.shard-1of2.jsonl"), None);
+        let parse = |name: &str| ShardFile::parse(name).map(|f| (f.index, f.shards));
+        assert_eq!(parse("rows_sst2_tiny.shard1of2.jsonl"), Some((1, 2)));
+        assert_eq!(parse("a.b.c.shard0of16.jsonl"), Some((0, 16)));
+        assert_eq!(parse("rows.shardof2.jsonl"), None);
+        assert_eq!(parse("rows.shard1of.jsonl"), None);
+        assert_eq!(parse("rows.shard1of2.json"), None);
+        assert_eq!(parse("shard1of2.jsonl"), None);
+        assert_eq!(parse("rows.shard-1of2.jsonl"), None);
     }
 
     #[test]

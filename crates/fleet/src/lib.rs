@@ -1,13 +1,15 @@
 //! Machine-spanning shard fleets: a TCP coordinator/worker pair that
 //! ships caches by fingerprint and survives worker deaths.
 //!
-//! The single-host `coordinator` binary spawns shard subprocesses on one
-//! box; this crate is the next step out — workers on **other** machines
-//! connect over TCP, pull the coordinator's world (and warm pair-cache
-//! entries) by content-addressed key, lease shard slices from a retrying
-//! work queue, and stream row files back. The contract carried over from
-//! everything else in this workspace: a fleet run's merged rows are
-//! **bitwise identical** to the unsharded run, worker deaths included.
+//! Every sharded grid run goes through this crate: workers connect over
+//! TCP, pull the coordinator's world (and warm pair-cache entries) by
+//! content-addressed key, lease shard slices from a retrying work queue,
+//! and stream row files back. On one box the `coordinator` binary is a
+//! loopback fleet — the same coordinator, bound to `127.0.0.1`, with
+//! local `fleet_worker` processes that share its cache directories, so
+//! nothing is pulled. The contract carried over from everything else in
+//! this workspace: a fleet run's merged rows are **bitwise identical** to
+//! the unsharded run, worker deaths included.
 //!
 //! The moving parts:
 //!
@@ -22,9 +24,10 @@
 //! - [`worker`] — the pulling side: cache sync, shard subprocess
 //!   supervision, heartbeats, fault injection for drills.
 //!
-//! The runnable entry points are `fleet_coordinator` and `fleet_worker`
-//! in the bench crate; `crates/bench/tests/fleet.rs` pins the bitwise
-//! guarantee end to end with an injected mid-slice worker death.
+//! The runnable entry points are `coordinator`, `fleet_coordinator` and
+//! `fleet_worker` in the bench crate; `crates/bench/tests/fleet.rs` and
+//! `crates/bench/tests/coordinator.rs` pin the bitwise guarantee end to
+//! end with an injected mid-slice worker death.
 
 pub mod coordinator;
 pub mod error;

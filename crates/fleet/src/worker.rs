@@ -19,10 +19,10 @@
 //!    and drops the work (someone else owns the slice now).
 //!
 //! Fault injection for tests and drills: when `FLEET_FAIL_ONCE` names a
-//! marker path and the marker does not exist yet, the worker creates it,
-//! kills its child mid-slice, and exits with status 43 — simulating a
-//! machine death. The second incarnation (or a peer) finds the marker and
-//! runs clean.
+//! marker path and the marker does not exist yet, the worker that creates
+//! it (an exclusive create, so one worker of many) kills its child
+//! mid-slice and exits with status 43 — simulating a machine death. The
+//! second incarnation (or a peer) finds the marker and runs clean.
 //!
 //! No clock reads here (the wallclock lint covers this crate): heartbeat
 //! cadence is accounted by summing sleep intervals, which is as accurate
@@ -36,10 +36,9 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use embedstab_pipeline::store::{parse_key, CacheFamily};
-use embedstab_pipeline::{CacheStore, CACHE_FORMAT_VERSION};
+use embedstab_pipeline::{CacheStore, ShardFile, CACHE_FORMAT_VERSION};
 use embedstab_serve::wire::set_io_timeouts;
 
-use crate::coordinator::parse_shard_name;
 use crate::transfer::ensure_key;
 use crate::wire::{call, ErrorCode, FleetSpec, Request, Response};
 use crate::FleetError;
@@ -221,12 +220,19 @@ fn clean_slice_rows(results: &Path, slice: u32, shards: u32) {
         return;
     };
     for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if parse_shard_name(name) == Some((slice, shards)) {
+        if entry
+            .file_name()
+            .to_str()
+            .is_some_and(|n| is_slice_file(n, slice, shards))
+        {
             fs::remove_file(entry.path()).ok();
         }
     }
+}
+
+/// True if `name` is a row file of shard `slice` of `shards`.
+fn is_slice_file(name: &str, slice: u32, shards: u32) -> bool {
+    ShardFile::parse(name).is_some_and(|f| (f.index, f.shards) == (slice as usize, shards as usize))
 }
 
 fn run_slice(
@@ -355,7 +361,7 @@ fn push_and_complete(
     let mut names: Vec<String> = Vec::new();
     for entry in fs::read_dir(results)?.flatten() {
         if let Some(name) = entry.file_name().to_str() {
-            if parse_shard_name(name) == Some((slice, shards)) {
+            if is_slice_file(name, slice, shards) {
                 names.push(name.to_string());
             }
         }
@@ -409,10 +415,7 @@ fn maybe_die_once(config: &WorkerConfig, child: &mut Child) {
     let Ok(marker) = std::env::var(FAIL_ONCE_ENV) else {
         return;
     };
-    if marker.is_empty() || Path::new(&marker).exists() {
-        return;
-    }
-    if fs::write(&marker, b"died\n").is_err() {
+    if !claim_marker(Path::new(&marker)) {
         return;
     }
     // Let the child actually start so the death is genuinely mid-slice.
@@ -424,4 +427,46 @@ fn maybe_die_once(config: &WorkerConfig, child: &mut Child) {
         config.name
     );
     std::process::exit(43);
+}
+
+/// Creates `marker` if it does not exist yet. `create_new` makes the
+/// check and the create one step, so of workers starting slices together
+/// exactly one claims it.
+fn claim_marker(marker: &Path) -> bool {
+    fs::OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(marker)
+        .is_ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::{Arc, Barrier};
+
+    #[test]
+    fn concurrent_claims_of_one_marker_have_one_winner() {
+        let dir = embedstab_pipeline::cache::scratch_dir("fleet_marker_claims");
+        fs::create_dir_all(&dir).expect("scratch dir");
+        let marker = dir.join("fail_once.marker");
+        fs::remove_file(&marker).ok();
+        let barrier = Arc::new(Barrier::new(8));
+        let winners: usize = (0..8)
+            .map(|_| {
+                let (barrier, marker) = (barrier.clone(), marker.clone());
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    claim_marker(&marker)
+                })
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|t| usize::from(t.join().expect("claim thread")))
+            .sum();
+        assert_eq!(winners, 1, "exactly one worker may claim the marker");
+        assert!(!claim_marker(&marker), "a claimed marker stays claimed");
+        assert!(!claim_marker(Path::new("")), "an empty path claims nothing");
+        fs::remove_dir_all(&dir).ok();
+    }
 }

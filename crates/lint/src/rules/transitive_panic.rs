@@ -29,11 +29,10 @@ use crate::rules::{Finding, WorkspaceRule};
 pub const MAX_DEPTH: usize = 2;
 
 /// Exact hot-path entry files…
-const ENTRY_FILES: [&str; 5] = [
+const ENTRY_FILES: [&str; 4] = [
     "crates/serve/src/server.rs",
     "crates/serve/src/wire.rs",
     "crates/corpus/src/codec.rs",
-    "crates/stream/src/delta.rs",
     "crates/stream/src/checkpoint.rs",
 ];
 
@@ -50,7 +49,7 @@ impl WorkspaceRule for NoTransitivePanicInHotPath {
     }
 
     fn description(&self) -> &'static str {
-        "hot-path entry points (serve, fleet, codec, stream delta/checkpoint) must not \
+        "hot-path entry points (serve, fleet, codec, stream checkpoint) must not \
          reach unwrap/expect/panic!/assert! through any callee within 2 call edges"
     }
 
@@ -59,7 +58,7 @@ impl WorkspaceRule for NoTransitivePanicInHotPath {
          helper in core/linalg can still die on that helper's assert — same blast \
          radius (every tenant on the process), invisible to a textual scan. This \
          rule walks the workspace call graph from every fn in the hot entry files \
-         (serve server/wire, corpus codec, all of fleet, stream delta/checkpoint) \
+         (serve server/wire, corpus codec, all of fleet, stream checkpoint) \
          to 2 call edges and reports the full chain.\n\
          EXAMPLE: `run_batch` reaches `assert_eq!` at crates/linalg/src/mat.rs:60 \
          via run_batch -> from_vec\n\

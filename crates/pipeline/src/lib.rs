@@ -44,7 +44,7 @@ pub use experiment::Experiment;
 pub use grid::{EmbeddingGrid, PairKey};
 pub use run::{GridOptions, Row};
 pub use scale::{Scale, ScaleParams};
-pub use sink::{JsonlSink, ProgressSink, RowSink};
+pub use sink::{JsonlSink, ProgressSink, RowSink, ShardFile};
 pub use store::{CacheFamily, CacheKey, CacheStore, StoreError};
 pub use world::World;
 pub use world_cache::{world_fingerprint, WorldCache, WORLD_CACHE_FORMAT_VERSION};

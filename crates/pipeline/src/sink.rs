@@ -84,6 +84,45 @@ impl RowSink for JsonlSink {
     }
 }
 
+/// The name of the row file one shard of a grid run streams to,
+/// `<stem>.shard<i>of<n>.jsonl`: the one writer of that name
+/// ([`ShardFile::name`]) and its one parser ([`ShardFile::parse`]), shared
+/// by the shard binaries, the fleet and the merge.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ShardFile {
+    /// Everything before `.shard<i>of<n>.jsonl`, e.g. `rows_sst2_tiny`.
+    pub stem: String,
+    /// The shard index `i`, below `shards`.
+    pub index: usize,
+    /// The shard count `n`, at least 1.
+    pub shards: usize,
+}
+
+impl ShardFile {
+    /// The file name, `<stem>.shard<i>of<n>.jsonl`.
+    pub fn name(&self) -> String {
+        format!("{}.shard{}of{}.jsonl", self.stem, self.index, self.shards)
+    }
+
+    /// Parses a bare file name. `None` for anything else: another
+    /// extension, a suffix whose `i` or `n` is not plain ASCII digits
+    /// (`-1`, `+1`), `n == 0`, or `i >= n`.
+    pub fn parse(name: &str) -> Option<ShardFile> {
+        let (stem, suffix) = name.strip_suffix(".jsonl")?.rsplit_once(".shard")?;
+        let (i, n) = suffix.split_once("of")?;
+        let digits = |s: &str| {
+            let plain = !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+            plain.then(|| s.parse::<usize>().ok()).flatten()
+        };
+        let (index, shards) = (digits(i)?, digits(n)?);
+        (index < shards).then(|| ShardFile {
+            stem: stem.to_string(),
+            index,
+            shards,
+        })
+    }
+}
+
 /// Prints a progress line to stderr every `every` rows (and on the last).
 pub struct ProgressSink {
     label: String,

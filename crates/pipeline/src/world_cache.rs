@@ -4,9 +4,9 @@
 //! token corpora, counting two co-occurrence tables, factoring PPMI, and
 //! generating five downstream datasets — dominates the cost of a *sharded*
 //! grid run, because every shard process used to rebuild it from scratch.
-//! The world cache closes that gap: the coordinator (or any first run)
-//! builds the world once, serializes it, and every sibling process loads
-//! it back **bitwise identical** — the stability protocol's guarantee that
+//! The world cache closes that gap: a fleet coordinator (or any first
+//! run) builds the world once, serializes it, and every shard loads it
+//! back **bitwise identical** — the stability protocol's guarantee that
 //! a sharded run reproduces the unsharded run exactly survives the
 //! round trip (`tests/world_cache.rs` and the bench crate's `coordinator`
 //! test pin this).
@@ -227,13 +227,16 @@ fn decode_world(bytes: &[u8], params: &ScaleParams, master_seed: u64) -> Option<
 impl World {
     /// Loads the world for `(params, master_seed)` from `cache_dir`, or —
     /// on a miss — builds it and stores it for the next process. This is
-    /// the entry point the shard `coordinator` and the bench binaries'
-    /// `--world-cache` flag ride: the coordinator warms the cache once and
-    /// every shard subprocess loads instead of rebuilding.
+    /// the entry point the fleet coordinators and the bench binaries'
+    /// `--world-cache` flag ride: a coordinator warms the cache once and
+    /// every shard loads it (from the coordinator's own cache directory on
+    /// a loopback `coordinator` run, from a pulled copy on a remote
+    /// worker) instead of rebuilding.
     ///
     /// A load is logged as `[world] loaded ...` and a build as
-    /// `[world] built ...` (the coordinator's integration test asserts on
-    /// these markers to prove shards never rebuild). A failed store is a
+    /// `[world] built ...` (the `coordinator` integration test counts
+    /// these markers in the fleet's one log to prove shards never
+    /// rebuild). A failed store is a
     /// warning, not an error: the built world is still returned.
     ///
     /// # Errors

@@ -13,7 +13,8 @@
 //! Promotion history is a stack: [`SnapshotStore::publish`] pushes a new
 //! live version, [`SnapshotStore::rollback`] pops back to the previous
 //! one. Rolled-back snapshot files stay on disk for audit; only the `LIVE`
-//! pointer moves.
+//! pointer moves. `LIVE` rides the same envelope (magic `ESLV`), so a
+//! flipped digit fails the open instead of naming another version.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -33,6 +34,9 @@ pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
 
 const MAGIC: [u8; 4] = *b"ESSN";
 const LIVE_FILE: &str = "LIVE";
+const LIVE_MAGIC: [u8; 4] = *b"ESLV";
+/// Bump when the `LIVE` layout changes.
+const LIVE_FORMAT_VERSION: u32 = 1;
 
 /// A monotonically increasing snapshot version, assigned by the store at
 /// publish time (the first published snapshot is `v1`).
@@ -268,14 +272,6 @@ pub struct SnapshotStore {
     max_issued: u64,
 }
 
-/// The persisted `LIVE` state, a JSON object: the promotion history plus
-/// the version-allocation high-water mark.
-#[derive(Serialize, Deserialize)]
-struct LiveState {
-    history: Vec<u64>,
-    max_issued: u64,
-}
-
 impl SnapshotStore {
     /// Opens (creating if needed) a snapshot store in `dir`, loading every
     /// published snapshot and the promotion history.
@@ -304,16 +300,13 @@ impl SnapshotStore {
             snapshots.insert(snap.meta.version.0, snap);
         }
         let live_path = dir.join(LIVE_FILE);
-        let (history, recorded_max) = match fs::read_to_string(&live_path) {
-            Ok(body) => {
-                let state: LiveState = serde_json::from_str(&body).map_err(|e| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("corrupt LIVE pointer {}: {e}", live_path.display()),
-                    )
-                })?;
-                (state.history, state.max_issued)
-            }
+        let (history, recorded_max) = match fs::read(&live_path) {
+            Ok(bytes) => decode_live(&bytes).ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("corrupt LIVE pointer {}", live_path.display()),
+                )
+            })?,
             Err(e) if e.kind() == io::ErrorKind::NotFound => (Vec::new(), 0),
             Err(e) => return Err(e),
         };
@@ -454,15 +447,27 @@ impl SnapshotStore {
         ))
     }
 
+    /// Writes `LIVE`: the version-allocation high-water mark, then the
+    /// promotion history. It names no artifact, so its fingerprint slot
+    /// is 0.
     fn persist_history(&self) -> io::Result<()> {
-        let state = LiveState {
-            history: self.history.clone(),
-            max_issued: self.max_issued,
-        };
-        let body = serde_json::to_string(&state)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("live state: {e}")))?;
-        atomic_write(&self.dir.join(LIVE_FILE), body.as_bytes())
+        let hint = 16 + 8 * self.history.len();
+        let bytes = codec::seal(LIVE_MAGIC, LIVE_FORMAT_VERSION, 0, hint, |out| {
+            codec::put_u64(out, self.max_issued);
+            codec::put_u64_slice(out, &self.history);
+        });
+        atomic_write(&self.dir.join(LIVE_FILE), &bytes)
     }
+}
+
+/// Reads what [`SnapshotStore::persist_history`] wrote, as `(history,
+/// max_issued)`; `None` for anything else.
+fn decode_live(bytes: &[u8]) -> Option<(Vec<u64>, u64)> {
+    let (slot, mut body) = codec::unseal(bytes, LIVE_MAGIC, LIVE_FORMAT_VERSION).ok()?;
+    let r = &mut body;
+    let max_issued = codec::take_u64(r)?;
+    let history = codec::take_u64_slice(r)?;
+    (slot == 0 && r.is_empty()).then_some((history, max_issued))
 }
 
 #[cfg(test)]

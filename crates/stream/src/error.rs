@@ -12,8 +12,8 @@ use embedstab_corpus::CoocError;
 #[derive(Debug)]
 pub enum StreamError {
     /// The increment failed co-occurrence validation (zero window,
-    /// out-of-vocabulary token, vocabulary mismatch). The counting state
-    /// is untouched when this is returned.
+    /// out-of-vocabulary token). The counting state is untouched when
+    /// this is returned.
     Cooc(CoocError),
     /// A retrain was requested at a dimension outside `1..=vocab_size`.
     InvalidDim {

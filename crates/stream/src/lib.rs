@@ -8,7 +8,7 @@
 //!
 //! ```text
 //!   corpus increment (appended docs)
-//!        │ CoocDelta::apply            — validated, then += into the
+//!        │ ContinuousRetrainer::ingest — validated, then += into the
 //!        ▼                               existing counts (bitwise the
 //!   Cooc (+ dirty-row set)               one-shot count's accumulators)
 //!        │ corpus::recompute_rows      — marginals re-summed in sorted
@@ -23,8 +23,8 @@
 //! ```
 //!
 //! The bitwise contract: streaming any split of a corpus through
-//! [`CoocDelta`] leaves the co-occurrence table — values, `total`,
-//! entry order, `row_sums` — bit-identical to one
+//! [`ContinuousRetrainer::ingest`] leaves the co-occurrence table —
+//! values, `total`, entry order, `row_sums` — bit-identical to one
 //! [`Cooc::count`](embedstab_corpus::Cooc::count) over the concatenated
 //! corpus, and the exact PPMI refresh reproduces the from-scratch PPMI
 //! bit-for-bit. Only the warm-started SVD is approximate, and
@@ -44,14 +44,12 @@
 //! clock (timing belongs to the bench binaries).
 
 pub mod checkpoint;
-pub mod delta;
 mod error;
 pub mod service;
 
 pub use checkpoint::{checkpoint_path, STREAM_CHECKPOINT_FORMAT_VERSION};
-pub use delta::{CoocDelta, DeltaReport};
 pub use error::StreamError;
 pub use service::{
-    ContinuousRetrainer, RetrainMode, RetrainerConfig, StepReport, TenantOutcome,
+    ContinuousRetrainer, DeltaReport, RetrainMode, RetrainerConfig, StepReport, TenantOutcome,
     WARM_SVD_EIS_TOLERANCE,
 };

@@ -12,14 +12,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use embedstab_corpus::{
-    corpus_state_fingerprint, ppmi, recompute_rows, Cooc, CoocConfig, Corpus, SparseMatrix,
+    corpus_state_fingerprint, ppmi, recompute_rows, Cooc, CoocConfig, CoocError, Corpus,
+    SparseMatrix,
 };
 use embedstab_embeddings::{Embedding, PpmiSvdConfig, PpmiSvdTrainer};
 use embedstab_linalg::Mat;
 use embedstab_pipeline::World;
 use embedstab_serve::{GateOutcome, TenantRegistry};
 
-use crate::delta::{CoocDelta, DeltaReport};
 use crate::error::StreamError;
 
 /// Measured ceiling on the EIS distance between a warm-started retrain
@@ -70,6 +70,21 @@ impl Default for RetrainerConfig {
             svd_seed: 0x5eed,
         }
     }
+}
+
+/// What an increment did to the co-occurrence table.
+#[derive(Clone, Debug)]
+pub struct DeltaReport {
+    /// Sorted ids of rows whose *counts* changed. Note the asymmetry with
+    /// PPMI: any added mass moves the global total and therefore every
+    /// PPMI entry, so this set drives diagnostics and approximate
+    /// refreshes, while the exact refresh passes all rows to
+    /// [`recompute_rows`].
+    pub dirty_rows: Vec<u32>,
+    /// Number of documents the increment appended.
+    pub added_docs: usize,
+    /// Number of tokens the increment appended.
+    pub added_tokens: usize,
 }
 
 /// One tenant's gate outcome within a [`StepReport`].
@@ -126,7 +141,9 @@ impl ContinuousRetrainer {
         registry: TenantRegistry,
     ) -> Result<Self, StreamError> {
         // Surfaces ZeroWindow now rather than on the first increment.
-        CoocDelta::new(vocab_size, config.cooc)?;
+        if config.cooc.window == 0 {
+            return Err(CoocError::ZeroWindow.into());
+        }
         Ok(ContinuousRetrainer {
             vocab_size,
             config,
@@ -228,30 +245,25 @@ impl ContinuousRetrainer {
         corpus_state_fingerprint(&self.corpus, self.vocab_size, &self.config.cooc)
     }
 
-    /// Applies a corpus increment: validates it, streams it into the
-    /// co-occurrence table, and appends it to the corpus. Statistics are
-    /// refreshed lazily at the next [`ContinuousRetrainer::retrain`].
+    /// Applies a corpus increment: streams it into the co-occurrence
+    /// table through [`Cooc::accumulate`] — which checks every token
+    /// before it counts one, and leaves the table bitwise what a one-shot
+    /// count over the concatenated corpus would hold — and appends it to
+    /// the corpus. Statistics are refreshed lazily at the next
+    /// [`ContinuousRetrainer::retrain`].
     ///
     /// # Errors
     ///
-    /// [`StreamError::Cooc`] if the increment fails validation; the
-    /// service state is untouched on error.
+    /// [`StreamError::Cooc`] if a token is out of vocabulary; the service
+    /// state is untouched on error.
     pub fn ingest(&mut self, docs: Vec<Vec<u32>>) -> Result<DeltaReport, StreamError> {
-        let mut delta = CoocDelta::new(self.vocab_size, self.config.cooc)?;
-        delta.push_docs(docs)?;
-        self.apply(delta)
-    }
-
-    /// Applies a pre-built [`CoocDelta`] (the zero-copy form of
-    /// [`ContinuousRetrainer::ingest`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::Cooc`] on vocabulary mismatch or invalid content;
-    /// the service state is untouched on error.
-    pub fn apply(&mut self, delta: CoocDelta) -> Result<DeltaReport, StreamError> {
-        let report = delta.apply(&mut self.cooc)?;
-        self.corpus.append_docs(delta.into_docs());
+        let dirty_rows = self.cooc.accumulate(&docs, &self.config.cooc)?;
+        let report = DeltaReport {
+            dirty_rows,
+            added_docs: docs.len(),
+            added_tokens: docs.iter().map(Vec::len).sum(),
+        };
+        self.corpus.append_docs(docs);
         if !report.dirty_rows.is_empty() {
             // Any added mass moves the PPMI total, so *all* rows are due
             // for the exact refresh; the dirty set is what changed in the
@@ -388,5 +400,74 @@ impl ContinuousRetrainer {
     /// Checkpoint-internal view of the warm bases.
     pub(crate) fn bases(&self) -> &BTreeMap<usize, Mat> {
         &self.bases
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn service(window: usize) -> Result<ContinuousRetrainer, StreamError> {
+        let config = RetrainerConfig {
+            cooc: CoocConfig {
+                window,
+                distance_weighting: false,
+            },
+            ..RetrainerConfig::default()
+        };
+        // No tenants: ingest never touches the registry's directory.
+        ContinuousRetrainer::new(4, config, TenantRegistry::new("unused"))
+    }
+
+    #[test]
+    fn zero_window_rejected_at_construction() {
+        let err = service(0).err().expect("zero window");
+        assert!(matches!(err, StreamError::Cooc(CoocError::ZeroWindow)));
+    }
+
+    #[test]
+    fn ingest_checks_every_token_before_counting() {
+        let mut svc = service(2).expect("valid config");
+        svc.ingest(vec![vec![0, 1, 2]]).expect("in vocab");
+        let (total, docs) = (svc.cooc().total().to_bits(), svc.corpus().docs().to_vec());
+        // The bad token ends the batch: a count-as-you-go ingest would
+        // already have moved the table.
+        let err = svc
+            .ingest(vec![vec![3, 1], vec![1, 4]])
+            .expect_err("out of vocab");
+        assert!(matches!(
+            err,
+            StreamError::Cooc(CoocError::TokenOutOfVocab {
+                token: 4,
+                vocab_size: 4
+            })
+        ));
+        assert_eq!(svc.cooc().total().to_bits(), total);
+        assert_eq!(svc.corpus().docs(), &docs[..]);
+        assert_eq!(svc.increments(), 1);
+    }
+
+    #[test]
+    fn ingest_streams_bitwise_and_reports_dirty_rows() {
+        let base = vec![vec![0u32, 1, 2], vec![2, 0]];
+        let inc = vec![vec![3u32, 1], vec![1, 1, 3]];
+        let mut svc = service(2).expect("valid config");
+        svc.ingest(base.clone()).expect("in vocab");
+        let report = svc.ingest(inc.clone()).expect("in vocab");
+        assert_eq!(report.dirty_rows, vec![1, 3]);
+        assert_eq!(report.added_docs, 2);
+        assert_eq!(report.added_tokens, 5);
+        assert_eq!(svc.pending_dirty_rows(), vec![0, 1, 2, 3]);
+        let mut full = base;
+        full.extend(inc);
+        let one_shot = Cooc::count(&Corpus::from_docs(full), 4, &svc.config().cooc);
+        assert_eq!(svc.cooc().total().to_bits(), one_shot.total().to_bits());
+        let bits = |c: &Cooc| {
+            c.entries()
+                .into_iter()
+                .map(|(i, j, v)| (i, j, v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(svc.cooc()), bits(&one_shot));
     }
 }

@@ -1,13 +1,15 @@
-//! The four on-disk artifact formats — pair cache, world cache, snapshot
-//! and stream checkpoint — share one checksummed envelope
-//! (`corpus::codec::seal`). These tests pin what that buys:
+//! The on-disk artifact formats — pair cache, world cache, snapshot, the
+//! snapshot store's `LIVE` pointer and stream checkpoint — share one
+//! checksummed envelope (`corpus::codec::seal`). These tests pin what
+//! that buys:
 //!
 //! - **bit rot is a miss.** Flipping any one byte of a file (every offset,
 //!   or 512 seeded offsets of the larger world file) makes every reader
 //!   refuse it: the caches miss, `CacheStore` reports `Corrupt`, a
-//!   checkpoint resume misses and a snapshot store fails to open. FNV-1a
-//!   makes this exact: each step `h = (h ^ b) * p` is injective in `h`
-//!   for a fixed byte, so any single-byte body change moves the checksum.
+//!   checkpoint resume misses and a snapshot store fails to open, on a
+//!   snapshot file or on its `LIVE` pointer. FNV-1a makes this exact:
+//!   each step `h = (h ^ b) * p` is injective in `h` for a fixed byte, so
+//!   any single-byte body change moves the checksum.
 //! - **a crash leaves the prior state.** The states an interrupted
 //!   `atomic_write` can leave are built on disk directly — a partial
 //!   `*.tmp<pid>_<n>` sibling, or a snapshot renamed into place whose
@@ -143,6 +145,32 @@ fn every_byte_flip_of_a_snapshot_fails_the_open() {
         || SnapshotStore::open(&dir).is_err_and(|e| e.kind() == std::io::ErrorKind::InvalidData);
     assert_flips_miss(&path, &bytes, &offsets, open_fails);
     let reopened = SnapshotStore::open(&dir).expect("restored store opens");
+    assert_eq!(reopened.live(), store.live());
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn every_byte_flip_of_the_live_pointer_fails_the_open() {
+    let dir = fresh("envelope_flip_live");
+    let mut store = SnapshotStore::open(&dir).expect("open");
+    for seed in 20..23 {
+        store
+            .publish(&emb(seed, 6, 3), Precision::new(4), None)
+            .expect("publish");
+    }
+    store.rollback().expect("rollback to v2");
+    let path = dir.join("LIVE");
+    let bytes = fs::read(&path).expect("read LIVE");
+    let offsets: Vec<usize> = (0..bytes.len()).collect();
+    let open_fails =
+        || SnapshotStore::open(&dir).is_err_and(|e| e.kind() == std::io::ErrorKind::InvalidData);
+    assert_flips_miss(&path, &bytes, &offsets, open_fails);
+    // The JSON pointer of earlier stores has no reader.
+    fs::write(&path, br#"{"history":[1,2],"max_issued":3}"#).expect("write JSON LIVE");
+    assert!(open_fails(), "a JSON LIVE pointer must fail the open");
+    fs::write(&path, &bytes).expect("restore");
+    let reopened = SnapshotStore::open(&dir).expect("restored store opens");
+    assert_eq!(reopened.history(), vec![Version(1), Version(2)]);
     assert_eq!(reopened.live(), store.live());
     fs::remove_dir_all(&dir).ok();
 }

@@ -372,7 +372,7 @@ fn errors_are_typed_and_leave_state_intact() {
 #[test]
 fn streamed_service_matches_one_shot_count() {
     // The delta path against the ground truth `Cooc::count`, through the
-    // service API rather than `CoocDelta` directly.
+    // service API rather than `Cooc::accumulate` directly.
     let (base, increments) = corpus_and_increments(2);
     let mut svc = ContinuousRetrainer::new(
         VOCAB,

@@ -1,7 +1,8 @@
 //! Property test for the streaming subsystem's bitwise contract: however
 //! a corpus is split into increments, streaming the pieces through
-//! [`CoocDelta`] reproduces the one-shot [`Cooc::count`] over the whole
-//! corpus bit for bit — map values, `total`, `entries()`, `row_sums()`.
+//! [`Cooc::accumulate`] (what `ContinuousRetrainer::ingest` runs)
+//! reproduces the one-shot [`Cooc::count`] over the whole corpus bit for
+//! bit — map values, `total`, `entries()`, `row_sums()`.
 //!
 //! This is the invariant everything downstream (incremental PPMI, the
 //! content fingerprint, checkpoint resume) stands on, so it is checked
@@ -9,7 +10,6 @@
 //! cases in the unit tests.
 
 use embedstab_corpus::{Cooc, CoocConfig, Corpus};
-use embedstab_stream::CoocDelta;
 use proptest::prelude::*;
 
 const VOCAB: usize = 12;
@@ -69,9 +69,7 @@ proptest! {
 
         let mut streamed = Cooc::empty(VOCAB);
         for batch in split(&docs, &cuts) {
-            let mut delta = CoocDelta::new(VOCAB, config).expect("window >= 1");
-            delta.push_docs(batch).expect("tokens in vocab");
-            delta.apply(&mut streamed).expect("same vocab");
+            streamed.accumulate(&batch, &config).expect("tokens in vocab");
         }
 
         prop_assert_eq!(bits(&streamed), bits(&one_shot));
@@ -85,14 +83,12 @@ proptest! {
         // be exactly the rows with nonzero counts, sorted and deduplicated.
         let config = CoocConfig { window, distance_weighting: false };
         let mut table = Cooc::empty(VOCAB);
-        let mut delta = CoocDelta::new(VOCAB, config).expect("window >= 1");
-        delta.push_docs(docs).expect("tokens in vocab");
-        let report = delta.apply(&mut table).expect("same vocab");
+        let dirty_rows = table.accumulate(&docs, &config).expect("tokens in vocab");
 
         let mut expected: Vec<u32> = (0..VOCAB as u32)
             .filter(|&i| table.entries().iter().any(|&(r, _, _)| r == i))
             .collect();
         expected.sort_unstable();
-        prop_assert_eq!(report.dirty_rows, expected);
+        prop_assert_eq!(dirty_rows, expected);
     }
 }

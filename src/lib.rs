@@ -27,10 +27,10 @@
 //!   pair with content-addressed cache shipping
 //!   ([`pipeline::CacheStore`]), lease-based work-queue retry
 //!   ([`fleet::WorkQueue`]), and bitwise-reproducible fan-in.
-//! - [`stream`] — incremental worlds: streaming co-occurrence deltas
-//!   ([`stream::CoocDelta`]) that keep the table bitwise identical to a
-//!   one-shot count, incremental PPMI refresh, warm-started retrains,
-//!   and a continuous-retraining service
+//! - [`stream`] — incremental worlds: streaming co-occurrence increments
+//!   ([`stream::ContinuousRetrainer::ingest`]) that keep the table
+//!   bitwise identical to a one-shot count, incremental PPMI refresh,
+//!   warm-started retrains, and a continuous-retraining service
 //!   ([`stream::ContinuousRetrainer`]) that submits gated candidates to
 //!   the serving layer.
 //! - [`pipeline`] — the end-to-end experiment harness used by the
