@@ -18,9 +18,11 @@
 //!    directory, so only committed rows reach `results/`. Workers lease
 //!    slices, and a slice whose worker dies is re-dispatched;
 //! 3. **merges** the committed `results/<stem>.shard<i>of<n>.jsonl` files
-//!    through the validated `merge_rows` path into
-//!    `results/<stem>.merged.jsonl`, bitwise identical to the unsharded
-//!    run (the bench crate's `coordinator` integration test pins this).
+//!    through the validated `merge_rows` path into the canonical
+//!    `results/<stem>.jsonl`, byte for byte the file the unsharded run
+//!    writes (the bench crate's `coordinator` integration test pins
+//!    this). Running the same binary unsharded afterwards, in the same
+//!    directory, prints its output from these rows without recomputing.
 //!
 //! Workers and their shards log to this process's stderr. The shard
 //! binary is resolved next to the coordinator executable by default; pass

@@ -20,7 +20,8 @@
 //!    merged output is bitwise identical to an unsharded run no matter
 //!    how many workers died along the way;
 //! 3. fans committed shard rows in through the validated `merge_rows`
-//!    path, writing `results/<stem>.merged.jsonl`.
+//!    path, writing the canonical `results/<stem>.jsonl` that the
+//!    unsharded binary reads.
 //!
 //! The tuning flags override the fleet crate's defaults
 //! (`CoordinatorConfig::new`). Exits 0 with everything merged, 1 when a

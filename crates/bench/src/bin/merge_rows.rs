@@ -12,9 +12,10 @@
 //!
 //! The output is canonical: rows sorted by `(task, algo, dim, bits, seed)`
 //! with one row per configuration (later duplicates dropped), and — for a
-//! complete shard set — bitwise identical to what the unsharded run would
-//! have produced, so downstream table binaries can consume merged shard
-//! output and the row cache interchangeably.
+//! complete shard set — byte for byte the file the unsharded run writes.
+//! Written to that file's name, `results/<stem>.jsonl` with the shard
+//! files' stem, it is what the table binaries read: they load it instead
+//! of recomputing the task, as long as it holds the whole grid.
 //!
 //! The shard set is validated before merging: a missing shard or a mix of
 //! shard counts is an error, because the output would silently claim
@@ -73,6 +74,6 @@ fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}");
     }
-    eprintln!("usage: merge_rows [--partial] --out <merged.jsonl> <shard.jsonl>...");
+    eprintln!("usage: merge_rows [--partial] --out <rows.jsonl> <shard.jsonl>...");
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

@@ -3,15 +3,18 @@
 //!
 //! Usage: `cargo run --release -p embedstab-bench --bin run_all -- --scale tiny`
 //!
-//! Row caches in `results/` are shared, so the expensive grids are built
-//! once (by the first binary that needs them) and reused by the rest.
+//! The binaries share one row file per task and scale,
+//! `results/rows_<task>_<scale>_<fingerprint>.jsonl`, and one pair cache,
+//! `cache/`: the first binary that needs a task's grid computes it, and
+//! the rest read its rows. A run after a `coordinator` run of the same
+//! scale in the same directory reads the fleet's merged rows.
 
 use std::process::Command;
 
 const BINARIES: &[&str] = &[
     // Theory first: cheap and self-contained.
     "prop1_validation",
-    // Main-body figures and tables (share the standard row cache).
+    // Main-body figures and tables (share the standard row files).
     "fig1_dimension_precision",
     "fig2_memory_tradeoff",
     "table1_spearman",

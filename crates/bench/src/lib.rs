@@ -1,10 +1,10 @@
 //! Shared analysis helpers for the table/figure reproduction binaries.
 //!
-//! Each binary in `src/bin/` regenerates one artifact of the paper (see
-//! DESIGN.md section 4 for the full index). The helpers here aggregate
-//! per-seed rows, convert them into the selection-evaluation inputs of
-//! `embedstab-core`, and compute the per-(task, algorithm) Spearman
-//! tables.
+//! Each binary in `src/bin/` regenerates one artifact of the paper, named
+//! after it (`run_all` lists them all). The helpers here produce and read
+//! the grid's row files, aggregate per-seed rows, convert them into the
+//! selection-evaluation inputs of `embedstab-core`, and compute the
+//! per-(task, algorithm) Spearman tables.
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
@@ -14,16 +14,15 @@ use std::time::Instant;
 use embedstab_core::measures::MeasureKind;
 use embedstab_core::selection::ConfigPoint;
 use embedstab_core::stats;
+use embedstab_corpus::codec::atomic_write;
+use embedstab_embeddings::Algo;
 use embedstab_fleet::{run_coordinator, CoordinatorConfig, FleetError, FleetSpec};
 use embedstab_pipeline::{
-    CacheStore, EmbeddingGrid, Experiment, JsonlSink, PairCache, ProgressSink, Row, Scale,
-    ShardFile, World, WorldCache,
+    world_fingerprint, CacheStore, EmbeddingGrid, Experiment, JsonlSink, ProgressSink, Row, Scale,
+    ScaleParams, ShardFile, World, WorldCache,
 };
 
 /// A built experiment context: world plus trained embedding grid.
-///
-/// (Formerly named `Experiment`; that name now belongs to the pipeline's
-/// [`Experiment`] builder, which the binaries run grids through.)
 pub struct Setup {
     /// The corpus pair and datasets.
     pub world: World,
@@ -33,25 +32,10 @@ pub struct Setup {
 
 /// Builds a world and trains the grid for the given algorithms at the
 /// given scale (master seed 0, shared by all binaries so grids agree).
-pub fn setup(scale: Scale, algos: &[embedstab_embeddings::Algo]) -> Setup {
-    setup_cached(scale, algos, None)
-}
-
-/// Like [`setup`], but loads/stores trained pairs through an on-disk
-/// [`PairCache`] when a directory is given (the `--cache-dir` flag).
-pub fn setup_cached(
-    scale: Scale,
-    algos: &[embedstab_embeddings::Algo],
-    cache_dir: Option<&Path>,
-) -> Setup {
+pub fn setup(scale: Scale, algos: &[Algo]) -> Setup {
     let world = world_from_args(scale);
     let params = &world.params;
-    let cache = cache_dir.map(|dir| {
-        PairCache::open(dir, world.fingerprint())
-            .unwrap_or_else(|e| panic!("cannot open cache dir {}: {e}", dir.display()))
-    });
-    let grid =
-        EmbeddingGrid::build_cached(&world, algos, &params.dims, &params.seeds, cache.as_ref());
+    let grid = EmbeddingGrid::build(&world, algos, &params.dims, &params.seeds);
     Setup { world, grid }
 }
 
@@ -269,9 +253,11 @@ pub fn clean_stale_shard_rows(results_dir: &Path, n: usize) {
 /// Fans a fleet's shard row files back in: groups every
 /// `<stem>.shard<i>of<n>.jsonl` in `results_dir` with `n == shards` by
 /// stem, merges each complete group through the validated
-/// [`merge_shard_rows`] path, and writes `<stem>.merged.jsonl` next to
-/// them (atomically). Returns `(stem, merged path, row count)` per group,
-/// sorted by stem; an empty result means the fleet wrote no row files.
+/// [`merge_shard_rows`] path, and writes the canonical row file
+/// `<stem>.jsonl` next to them (atomically) — the file the unsharded
+/// binaries read, see [`standard_rows`]. Returns `(stem, merged path,
+/// row count)` per group, sorted by stem; an empty result means the
+/// fleet wrote no row files.
 ///
 /// # Errors
 ///
@@ -292,8 +278,8 @@ pub fn merge_fleet_results(
     for (stem, mut group) in groups {
         group.sort();
         let rows = merge_shard_rows(&group)?;
-        let out = results_dir.join(format!("{stem}.merged.jsonl"));
-        embedstab_corpus::codec::atomic_write(&out, rows_to_jsonl(&rows).as_bytes())?;
+        let out = results_dir.join(format!("{stem}.jsonl"));
+        atomic_write(&out, rows_to_jsonl(&rows).as_bytes())?;
         merged.push((stem, out, rows.len()));
     }
     Ok(merged)
@@ -397,7 +383,9 @@ pub fn exit_usage(usage: &str, err: &str) -> ! {
 /// its cache file is the key every worker loads or pulls — binds `bind`,
 /// hands the bound address to `start_workers`, serves the queue through
 /// [`run_coordinator`] until it drains, and merges the committed shard
-/// rows into `results/<stem>.merged.jsonl`. `who` prefixes the log lines.
+/// rows into the canonical `results/<stem>.jsonl`, which the unsharded
+/// binary then reads instead of recomputing. `who` prefixes the log
+/// lines.
 ///
 /// Returns the exit status: 0 once merged, 1 when a slice ran out of
 /// dispatch attempts (nothing is merged).
@@ -594,28 +582,6 @@ pub fn rows_for_algo(rows: &[Row], algo: &str) -> Vec<Row> {
     rows.iter().filter(|r| r.algo == algo).cloned().collect()
 }
 
-/// Loads cached rows from `results/<name>.json`, or computes and caches
-/// them. Several tables share the same (expensive) grid rows; the first
-/// binary to run pays, the rest reuse. Pass `--fresh` to any binary to
-/// bypass the cache.
-pub fn rows_cached(name: &str, compute: impl FnOnce() -> Vec<Row>) -> Vec<Row> {
-    let fresh = std::env::args().any(|a| a == "--fresh");
-    let path = std::path::Path::new("results").join(format!("{name}.json"));
-    if !fresh {
-        if let Ok(body) = std::fs::read_to_string(&path) {
-            if let Ok(rows) = serde_json::from_str::<Vec<Row>>(&body) {
-                eprintln!("[cache] loaded {} rows from {}", rows.len(), path.display());
-                return rows;
-            }
-        }
-    }
-    let rows = compute();
-    if let Err(e) = embedstab_pipeline::report::save_json(name, &rows) {
-        eprintln!("[cache] warning: could not save {name}: {e}");
-    }
-    rows
-}
-
 /// The scale name as a cache-key suffix.
 pub fn scale_tag(scale: Scale) -> &'static str {
     match scale {
@@ -643,89 +609,155 @@ pub fn attach_measures(rows: &mut [Row], with: &[Row]) {
     }
 }
 
+/// The stem of a task's row files at one scale,
+/// `rows_<task>_<scale>_<fp>`, where `fp` is the world fingerprint of
+/// `params` at master seed 0. The fingerprint covers every parameter,
+/// `top_m` included, so rows computed under other parameters are never
+/// read back. Shard files (`<stem>.shard<i>of<n>.jsonl`), the fleet's
+/// merge and the canonical file (`<stem>.jsonl`) all take this stem.
+pub fn row_stem(task: &str, scale: Scale, params: &ScaleParams) -> String {
+    let fp = world_fingerprint(params, 0);
+    format!("rows_{task}_{}_{fp:016x}", scale_tag(scale))
+}
+
+/// Parses a canonical row file: every line must parse, the body must end
+/// in a newline, and the rows must be exactly the task's grid
+/// (`Algo::MAIN` × dims × precisions × seeds) in [`row_merge_key`] order,
+/// one row per configuration. With `measures`, every row must carry them.
+/// The error says why the file cannot be used.
+fn parse_row_file(
+    body: &str,
+    task: &str,
+    params: &ScaleParams,
+    measures: bool,
+) -> Result<Vec<Row>, String> {
+    if !body.is_empty() && !body.ends_with('\n') {
+        return Err("its last line is cut off".to_string());
+    }
+    let rows = body
+        .lines()
+        .enumerate()
+        .map(|(i, line)| {
+            serde_json::from_str::<Row>(line)
+                .map_err(|e| format!("line {} does not parse: {e}", i + 1))
+        })
+        .collect::<Result<Vec<Row>, String>>()?;
+    let mut want = Vec::new();
+    for algo in Algo::MAIN {
+        for &dim in &params.dims {
+            for prec in &params.precisions {
+                for &seed in &params.seeds {
+                    want.push((task.into(), algo.name().into(), dim, prec.bits(), seed));
+                }
+            }
+        }
+    }
+    want.sort();
+    if rows.len() != want.len() {
+        return Err(format!(
+            "it holds {} rows for a grid of {}",
+            rows.len(),
+            want.len()
+        ));
+    }
+    if rows.iter().map(row_merge_key).ne(want) {
+        return Err("its rows are not the grid's configurations in order".to_string());
+    }
+    if measures && rows.iter().any(|r| r.measures.is_none()) {
+        return Err("a row lacks measures".to_string());
+    }
+    Ok(rows)
+}
+
+/// Reads a canonical row file for [`standard_rows`]: `None` if it is
+/// missing, or, with one stderr line saying why, if [`parse_row_file`]
+/// rejects it.
+fn load_row_file(
+    file: &Path,
+    task: &str,
+    params: &ScaleParams,
+    measures: bool,
+) -> Option<Vec<Row>> {
+    let bytes = std::fs::read(file).ok()?;
+    let rows = String::from_utf8(bytes)
+        .map_err(|_| "it is not UTF-8".to_string())
+        .and_then(|body| parse_row_file(&body, task, params, measures));
+    match rows {
+        Ok(rows) => {
+            eprintln!("[rows] loaded {} rows from {}", rows.len(), file.display());
+            Some(rows)
+        }
+        Err(why) => {
+            eprintln!("[rows] recomputing {}: {why}", file.display());
+            None
+        }
+    }
+}
+
 /// Computes (or loads) the standard full-grid rows for the given tasks
 /// over the three main algorithms. Measures are computed once — during the
 /// first task's grid — and attached to the rest, since they only depend on
 /// the embedding pair.
 ///
-/// Row caches live under `results/rows_<task>_<scale>.json`.
+/// Each task has one canonical row file, `results/<stem>.jsonl` (see
+/// [`row_stem`]), the bytes a fleet's merge writes. Unless `--fresh` is
+/// passed, a file [`parse_row_file`] accepts is loaded; any other is
+/// recomputed and overwritten. The world is built (or loaded) on the
+/// first task that has to run.
 ///
 /// Three process flags feed straight into the pipeline:
-/// `--cache-dir <path>` shares trained embedding pairs on disk,
-/// `--world-cache <path>` loads (or builds once) the world itself from an
-/// on-disk [`WorldCache`](embedstab_pipeline::WorldCache), and
-/// `--shard i/n` makes this process cover only its slice of each task's
-/// grid (rows then stream to
-/// `results/rows_<task>_<scale>.shard<i>of<n>.jsonl` instead of the shared
-/// JSON row cache, so partial results never poison it).
+/// `--cache-dir <path>` (default `cache`) shares trained pairs, so tasks
+/// after the first load theirs; `--world-cache <path>` loads (or builds
+/// once) the world from an on-disk [`WorldCache`]; and `--shard i/n`
+/// computes only this process's slice of each grid and writes it to
+/// `results/<stem>.shard<i>of<n>.jsonl` instead.
 pub fn standard_rows(scale: Scale, tasks: &[&str]) -> BTreeMap<String, Vec<Row>> {
-    let tag = scale_tag(scale);
-    let cache_dir = cache_dir_from_args();
-    if let Some((index, n)) = shard_from_args() {
-        // Sharded: no pre-built grid — each task's Experiment trains (or
-        // cache-loads) exactly the pairs its shard touches. Sharding
-        // without a shared cache would retrain pairs per task, so default
-        // the cache on.
-        let cache = cache_dir.unwrap_or_else(|| PathBuf::from("cache"));
-        let world = world_from_args(scale);
-        let mut out: BTreeMap<String, Vec<Row>> = BTreeMap::new();
-        let mut measure_source: Option<Vec<Row>> = None;
-        for (i, &task) in tasks.iter().enumerate() {
-            let first = i == 0;
-            let stem = format!("rows_{task}_{tag}");
-            let jsonl = Path::new(RESULTS_DIR).join(
-                ShardFile {
-                    stem,
-                    index,
-                    shards: n,
-                }
-                .name(),
-            );
-            std::fs::remove_file(&jsonl).ok(); // append sink: start clean
-            eprintln!(
-                "[run] {task} grid, shard {index}/{n} (cache {})...",
-                cache.display()
-            );
-            let mut rows = Experiment::new(&world)
-                .tasks([task])
-                .with_measures(first)
-                .shard(index, n)
-                .cache_dir(&cache)
-                .sink(JsonlSink::new(&jsonl))
-                .sink(ProgressSink::new(format!("{task}/{tag} {index}/{n}"), 8))
-                .run();
-            if first {
-                measure_source = Some(rows.clone());
-            } else if let Some(src) = &measure_source {
-                attach_measures(&mut rows, src);
-            }
-            out.insert(task.to_string(), rows);
-        }
-        return out;
-    }
-    let mut exp: Option<Setup> = None;
+    let params = scale.params();
+    let shard = shard_from_args();
+    let reuse = shard.is_none() && !std::env::args().any(|a| a == "--fresh");
+    let cache = cache_dir_from_args().unwrap_or_else(|| PathBuf::from("cache"));
+    let results = Path::new(RESULTS_DIR);
+    let mut world: Option<World> = None;
     let mut out: BTreeMap<String, Vec<Row>> = BTreeMap::new();
     let mut measure_source: Option<Vec<Row>> = None;
     for (i, &task) in tasks.iter().enumerate() {
-        let name = format!("rows_{task}_{tag}");
         let first = i == 0;
-        let rows = {
-            let exp_ref = &mut exp;
-            let cache_dir = cache_dir.as_deref();
-            rows_cached(&name, || {
-                let e = exp_ref.get_or_insert_with(|| {
-                    eprintln!("[setup] building world + embedding grid ({tag})...");
-                    setup_cached(scale, &embedstab_embeddings::Algo::MAIN, cache_dir)
-                });
-                eprintln!("[run] {task} grid...");
-                Experiment::new(&e.world)
-                    .grid(&e.grid)
+        let stem = row_stem(task, scale, &params);
+        let mut file = results.join(format!("{stem}.jsonl"));
+        let loaded = if reuse {
+            load_row_file(&file, task, &params, first)
+        } else {
+            None
+        };
+        let mut rows = match loaded {
+            Some(rows) => rows,
+            None => {
+                let world = world.get_or_insert_with(|| world_from_args(scale));
+                let mut exp = Experiment::new(world)
                     .tasks([task])
                     .with_measures(first)
-                    .run()
-            })
+                    .cache_dir(&cache)
+                    .sink(ProgressSink::new(format!("{task}/{}", scale_tag(scale)), 8));
+                if let Some((index, n)) = shard {
+                    exp = exp.shard(index, n);
+                    file = results.join(
+                        ShardFile {
+                            stem,
+                            index,
+                            shards: n,
+                        }
+                        .name(),
+                    );
+                }
+                eprintln!("[run] {task} grid -> {}...", file.display());
+                let mut rows = exp.run();
+                rows.sort_by_cached_key(row_merge_key);
+                std::fs::create_dir_all(results)
+                    .and_then(|()| atomic_write(&file, rows_to_jsonl(&rows).as_bytes()))
+                    .unwrap_or_else(|e| panic!("cannot write {}: {e}", file.display()));
+                rows
+            }
         };
-        let mut rows = rows;
         if first {
             measure_source = Some(rows.clone());
         } else if let Some(src) = &measure_source {
@@ -784,6 +816,79 @@ mod tests {
             .collect();
         let rho = spearman_for(&rows, MeasureKind::Eis).expect("measures present");
         assert!((rho - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn row_stems_differ_in_top_m() {
+        let small = Scale::Small.params();
+        let mut other = small.clone();
+        other.top_m = small.top_m / 2;
+        let stem = row_stem("sst2", Scale::Small, &small);
+        assert!(stem.starts_with("rows_sst2_small_"), "{stem}");
+        assert_eq!(stem, row_stem("sst2", Scale::Small, &small.clone()));
+        assert_ne!(stem, row_stem("sst2", Scale::Small, &other));
+    }
+
+    /// A 12-configuration grid and its rows in canonical order.
+    fn grid_rows() -> (ScaleParams, Vec<Row>) {
+        let mut params = Scale::Tiny.params();
+        params.dims = vec![4, 8];
+        params.precisions = vec![
+            embedstab_quant::Precision::new(1),
+            embedstab_quant::Precision::FULL,
+        ];
+        params.seeds = vec![0];
+        let mut rows = Vec::new();
+        for algo in Algo::MAIN {
+            for dim in [4, 8] {
+                for bits in [1, 32] {
+                    rows.push(row("sst2", algo.name(), dim, bits, 0, 0.1));
+                }
+            }
+        }
+        rows.sort_by_cached_key(row_merge_key);
+        (params, rows)
+    }
+
+    #[test]
+    fn row_file_must_hold_exactly_the_grid() {
+        let (params, mut rows) = grid_rows();
+        let body = rows_to_jsonl(&rows);
+        let parse = |body: &str, task, measures| parse_row_file(body, task, &params, measures);
+        assert_eq!(parse(&body, "sst2", true).expect("canonical").len(), 12);
+        let lines: Vec<&str> = body.lines().collect();
+        let join = |lines: &[&str]| lines.join("\n") + "\n";
+        let why = |body: &str| parse(body, "sst2", false).expect_err("rejected");
+        assert_eq!(why(&body[..body.len() - 5]), "its last line is cut off");
+        let mut garbled = lines.clone();
+        garbled[2] = "{\"task\":";
+        assert!(why(&join(&garbled)).starts_with("line 3 does not parse"));
+        assert_eq!(why(&join(&lines[1..])), "it holds 11 rows for a grid of 12");
+        assert_eq!(why(""), "it holds 0 rows for a grid of 12");
+        let not_the_grid = "its rows are not the grid's configurations in order";
+        let mut doubled = lines.clone();
+        doubled[1] = lines[0];
+        assert_eq!(why(&join(&doubled)), not_the_grid);
+        let mut swapped = lines.clone();
+        swapped.swap(0, 1);
+        assert_eq!(why(&join(&swapped)), not_the_grid);
+        assert_eq!(
+            parse(&body, "mr", false).expect_err("other task"),
+            not_the_grid
+        );
+        // Measures are required only of the measure-carrying task.
+        rows[5].measures = None;
+        let bare = rows_to_jsonl(&rows);
+        assert_eq!(
+            parse(&bare, "sst2", false)
+                .expect("no measures needed")
+                .len(),
+            12
+        );
+        assert_eq!(
+            parse(&bare, "sst2", true).expect_err("measures needed"),
+            "a row lacks measures"
+        );
     }
 
     #[test]

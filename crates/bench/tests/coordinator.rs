@@ -3,10 +3,14 @@
 //! start together with `FLEET_FAIL_ONCE` armed must (a) lose exactly one
 //! worker mid-slice and re-dispatch its slice, (b) pull nothing — the
 //! workers share the coordinator's cache directories, (c) build the world
-//! exactly once, in the coordinator, and (d) merge rows bitwise identical
-//! to an unsharded run of the same binary against the same world cache.
-//! A shard binary that always fails, or one that does not exist, must end
-//! the coordinator with a failure status and no merged rows.
+//! exactly once, in the coordinator, and (d) merge rows into canonical row
+//! files byte for byte identical to an unsharded run's files. The
+//! unsharded binary run after a coordinator in the same directory reads
+//! the merged rows instead of recomputing them, and recomputes a
+//! canonical file that is cut off, garbled or missing a configuration
+//! back to the same bytes. A shard binary that always fails, or one that
+//! does not exist, must end the coordinator with a failure status and no
+//! merged rows.
 
 use std::fs;
 use std::io::Read;
@@ -15,9 +19,9 @@ use std::process::{Command, ExitStatus, Stdio};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use embedstab_bench::{row_merge_key, rows_to_jsonl};
+use embedstab_bench::row_stem;
 use embedstab_pipeline::cache::scratch_dir;
-use embedstab_pipeline::Row;
+use embedstab_pipeline::{Scale, ShardFile};
 
 const TASKS: [&str; 5] = ["sst2", "mr", "subj", "mpqa", "ner"];
 
@@ -69,13 +73,25 @@ fn coordinate(
     (status, tee.join().expect("tee thread"))
 }
 
+/// The canonical row file name of a Tiny task, `<stem>.jsonl`.
+fn canonical(task: &str) -> String {
+    format!(
+        "{}.jsonl",
+        row_stem(task, Scale::Tiny, &Scale::Tiny.params())
+    )
+}
+
+/// The row files in `cwd/results` that are not shard files: the merges.
 fn merged_files(cwd: &Path) -> Vec<PathBuf> {
     let Ok(entries) = fs::read_dir(cwd.join("results")) else {
         return Vec::new();
     };
     entries
         .map(|e| e.expect("entry").path())
-        .filter(|p| p.to_string_lossy().ends_with(".merged.jsonl"))
+        .filter(|p| {
+            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            name.ends_with(".jsonl") && ShardFile::parse(name).is_none()
+        })
         .collect()
 }
 
@@ -142,11 +158,16 @@ fn coordinated_shard_fleet_matches_unsharded_run_bitwise() {
     let mut expected: Vec<String> = TASKS
         .iter()
         .flat_map(|t| {
-            [
-                format!("rows_{t}_tiny.merged.jsonl"),
-                format!("rows_{t}_tiny.shard0of2.jsonl"),
-                format!("rows_{t}_tiny.shard1of2.jsonl"),
-            ]
+            let stem = row_stem(t, Scale::Tiny, &Scale::Tiny.params());
+            let shard = |index| {
+                ShardFile {
+                    stem: stem.clone(),
+                    index,
+                    shards: 2,
+                }
+                .name()
+            };
+            [canonical(t), shard(0), shard(1)]
         })
         .collect();
     expected.sort();
@@ -156,7 +177,7 @@ fn coordinated_shard_fleet_matches_unsharded_run_bitwise() {
     );
 
     // Unsharded reference run of the same binary, against the same (now
-    // warm) world cache, in its own working directory with no shared pair
+    // warm) world cache, in its own working directory with its own pair
     // cache — freshly trained pairs must reproduce the shard rows exactly.
     fs::create_dir_all(&unsharded_cwd).expect("unsharded cwd");
     let output = Command::new(fig2)
@@ -176,28 +197,93 @@ fn coordinated_shard_fleet_matches_unsharded_run_bitwise() {
         "reference run must load the coordinator's world"
     );
 
-    // Merged shard rows == unsharded rows, bitwise, for every task.
+    // The fleet's canonical files == the unsharded run's, byte for byte.
     for task in TASKS {
-        let merged_path = sharded_cwd
-            .join("results")
-            .join(format!("rows_{task}_tiny.merged.jsonl"));
-        let merged = fs::read_to_string(&merged_path)
-            .unwrap_or_else(|e| panic!("missing merged rows for {task}: {e}"));
-        let reference_path = unsharded_cwd
-            .join("results")
-            .join(format!("rows_{task}_tiny.json"));
-        let body = fs::read_to_string(&reference_path)
-            .unwrap_or_else(|e| panic!("missing reference rows for {task}: {e}"));
-        let mut reference: Vec<Row> = serde_json::from_str(&body).expect("reference rows parse");
-        assert!(!reference.is_empty());
-        reference.sort_by_cached_key(row_merge_key);
-        assert_eq!(
-            merged,
-            rows_to_jsonl(&reference),
+        let read = |cwd: &Path| {
+            fs::read(cwd.join("results").join(canonical(task)))
+                .unwrap_or_else(|e| panic!("missing {task} rows in {}: {e}", cwd.display()))
+        };
+        let merged = read(&sharded_cwd);
+        assert!(!merged.is_empty());
+        assert!(
+            merged == read(&unsharded_cwd),
             "merged {task} rows differ from the unsharded run"
         );
     }
 
+    fs::remove_dir_all(&root).ok();
+}
+
+/// Runs `table1_spearman --scale tiny` in `cwd` on the coordinator's
+/// caches, returning its stdout and stderr.
+fn table1(root: &Path, cwd: &Path) -> (String, String) {
+    let output = Command::new(env!("CARGO_BIN_EXE_table1_spearman"))
+        .current_dir(cwd)
+        .args(["--scale", "tiny"])
+        .arg("--cache-dir")
+        .arg(root.join("pair-cache"))
+        .arg("--world-cache")
+        .arg(root.join("world-cache"))
+        .output()
+        .expect("table1_spearman spawns");
+    let stderr = String::from_utf8_lossy(&output.stderr).to_string();
+    assert!(output.status.success(), "table1_spearman failed:\n{stderr}");
+    (String::from_utf8_lossy(&output.stdout).to_string(), stderr)
+}
+
+#[test]
+fn unsharded_binary_reads_the_fleet_merge_and_mends_bad_row_files() {
+    let root = scratch_dir("coordinator_then_table1");
+    fs::remove_dir_all(&root).ok();
+    let cwd = root.join("cwd");
+    let bin = Path::new(env!("CARGO_BIN_EXE_table1_spearman"));
+    let (status, log) = coordinate(&root, &cwd, bin, &[], Duration::from_secs(600));
+    assert!(status.success(), "coordinator failed:\n{log}");
+
+    // The unsharded binary prints its table from the merged rows: no task
+    // runs and the world is never touched.
+    let (table, err) = table1(&root, &cwd);
+    assert!(table.contains("=== Table 1"), "no table printed:\n{table}");
+    assert!(
+        !err.contains("[run]") && !err.contains("[world]"),
+        "the merged rows must be read, not recomputed:\n{err}"
+    );
+    assert_eq!(err.matches("[rows] loaded 81 rows").count(), 3, "{err}");
+
+    // A file cut off mid-line, one with a garbled line and one missing a
+    // configuration are each recomputed to the merged bytes.
+    let path = |task: &str| cwd.join("results").join(canonical(task));
+    let merged: Vec<Vec<u8>> = ["sst2", "subj", "ner"]
+        .iter()
+        .map(|t| fs::read(path(t)).expect("merged rows"))
+        .collect();
+    let sst2 = &merged[0];
+    fs::write(path("sst2"), &sst2[..sst2.len() - 10]).expect("cut sst2");
+    let subj = String::from_utf8(merged[1].clone()).expect("utf-8");
+    let mut lines: Vec<&str> = subj.lines().collect();
+    lines[40] = "{\"task\":\"subj\",garbled";
+    fs::write(path("subj"), lines.join("\n") + "\n").expect("garble subj");
+    let ner = String::from_utf8(merged[2].clone()).expect("utf-8");
+    let mut lines: Vec<&str> = ner.lines().collect();
+    lines.remove(17);
+    fs::write(path("ner"), lines.join("\n") + "\n").expect("drop a ner row");
+
+    let (again, err) = table1(&root, &cwd);
+    for why in [
+        "its last line is cut off",
+        "line 41 does not parse",
+        "it holds 80 rows for a grid of 81",
+    ] {
+        assert_eq!(err.matches(why).count(), 1, "'{why}' missing:\n{err}");
+    }
+    assert_eq!(err.matches("[run]").count(), 3, "{err}");
+    for (task, bytes) in ["sst2", "subj", "ner"].iter().zip(&merged) {
+        assert!(
+            fs::read(path(task)).expect("recomputed rows") == *bytes,
+            "recomputed {task} rows differ from the merged ones"
+        );
+    }
+    assert_eq!(again, table, "the table must not change");
     fs::remove_dir_all(&root).ok();
 }
 

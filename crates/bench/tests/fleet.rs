@@ -2,7 +2,10 @@
 //! loopback fleet at Tiny scale — **with one worker killed mid-slice by
 //! fault injection** — must produce merged rows bitwise identical to an
 //! unsharded run, and a cold worker must obtain the coordinator's world
-//! cache file bitwise over the wire.
+//! cache file bitwise over the wire. The workers get relative cache
+//! paths and run their shards in a sub-directory, so a shard that
+//! resolved those paths against its own working directory would build
+//! the world again instead of loading the pulled copy.
 //!
 //! The choreography is deterministic: worker A starts alone with
 //! `FLEET_FAIL_ONCE` armed, pulls the world, leases slice 0, and dies
@@ -18,9 +21,9 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use embedstab_bench::{row_merge_key, rows_to_jsonl};
+use embedstab_bench::row_stem;
 use embedstab_pipeline::cache::scratch_dir;
-use embedstab_pipeline::Row;
+use embedstab_pipeline::Scale;
 
 const TASKS: [&str; 5] = ["sst2", "mr", "subj", "mpqa", "ner"];
 
@@ -124,6 +127,10 @@ fn fleet_with_injected_worker_death_matches_unsharded_run_bitwise() {
         wb_log.contains("slice 0 complete") && wb_log.contains("slice 1 complete"),
         "worker-b must complete both slices (one re-dispatched):\n{wb_log}"
     );
+    assert!(
+        wb_log.contains("[world] loaded") && !wb_log.contains("[world] built"),
+        "worker-b's shards must load the pulled world, not build it:\n{wb_log}"
+    );
 
     let status = coordinator
         .0
@@ -182,23 +189,17 @@ fn fleet_with_injected_worker_death_matches_unsharded_run_bitwise() {
         String::from_utf8_lossy(&reference.stderr)
     );
     for task in TASKS {
-        let merged_path = coord_cwd
-            .join("results")
-            .join(format!("rows_{task}_tiny.merged.jsonl"));
-        let merged = fs::read_to_string(&merged_path)
+        let name = format!(
+            "{}.jsonl",
+            row_stem(task, Scale::Tiny, &Scale::Tiny.params())
+        );
+        let merged = fs::read(coord_cwd.join("results").join(&name))
             .unwrap_or_else(|e| panic!("missing merged rows for {task}: {e}\n{coord_log}"));
-        let body = fs::read_to_string(
-            unsharded_cwd
-                .join("results")
-                .join(format!("rows_{task}_tiny.json")),
-        )
-        .unwrap_or_else(|e| panic!("missing reference rows for {task}: {e}"));
-        let mut reference: Vec<Row> = serde_json::from_str(&body).expect("reference rows parse");
+        let reference = fs::read(unsharded_cwd.join("results").join(&name))
+            .unwrap_or_else(|e| panic!("missing reference rows for {task}: {e}"));
         assert!(!reference.is_empty());
-        reference.sort_by_cached_key(row_merge_key);
-        assert_eq!(
-            merged,
-            rows_to_jsonl(&reference),
+        assert!(
+            merged == reference,
             "merged {task} rows differ from the unsharded run"
         );
     }
@@ -206,9 +207,10 @@ fn fleet_with_injected_worker_death_matches_unsharded_run_bitwise() {
     fs::remove_dir_all(&root).ok();
 }
 
-/// A worker command with its own workdir and its own **empty** cache
-/// directories — every worker starts cold, so cache shipping is on the
-/// critical path by construction.
+/// A worker command with its own **empty** cache directories — every
+/// worker starts cold, so cache shipping is on the critical path by
+/// construction. The cache paths are relative to the worker's home, and
+/// its shards run in `home/slices`.
 fn worker_cmd(root: &Path, name: &str, bin_dir: &Path, addr: &str) -> Command {
     let home = root.join(name);
     fs::create_dir_all(&home).expect("worker home");
@@ -217,10 +219,8 @@ fn worker_cmd(root: &Path, name: &str, bin_dir: &Path, addr: &str) -> Command {
         .args(["--addr", addr, "--name", name])
         .arg("--bin-dir")
         .arg(bin_dir)
-        .arg("--cache-dir")
-        .arg(home.join("pair-cache"))
-        .arg("--world-cache")
-        .arg(home.join("world-cache"))
+        .args(["--workdir", "slices"])
+        .args(["--cache-dir", "pair-cache", "--world-cache", "world-cache"])
         .args(["--heartbeat-ms", "500", "--poll-ms", "25"])
         .args(["--connect-retries", "20"]);
     cmd

@@ -114,7 +114,7 @@ fn shard_suffix_parsing_and_set_checking() {
     // Non-shard files, malformed and out-of-range suffixes are not shards:
     // `i` and `n` are plain digits, with `n > 0` and `i < n`.
     for name in [
-        "rows.merged.jsonl",
+        "rows_sst2_tiny_0123456789abcdef.jsonl",
         "rows.shard2of2.jsonl",
         "rows.shard0of0.jsonl",
         "rows.shardXofY.jsonl",

@@ -47,6 +47,7 @@ use crate::FleetError;
 pub const FAIL_ONCE_ENV: &str = "FLEET_FAIL_ONCE";
 
 /// How a worker runs.
+#[derive(Clone)]
 pub struct WorkerConfig {
     /// Coordinator address (`host:port`).
     pub addr: String,
@@ -57,9 +58,11 @@ pub struct WorkerConfig {
     /// Working directory for shard subprocesses; row files appear under
     /// `<workdir>/results/`.
     pub workdir: PathBuf,
-    /// Local pair-cache directory (passed to shards as `--cache-dir`).
+    /// Local pair-cache directory (passed to shards as `--cache-dir`). A
+    /// relative path is taken against the worker's cwd, not the workdir.
     pub cache_dir: PathBuf,
-    /// Local world-cache directory (passed as `--world-cache`).
+    /// Local world-cache directory (passed as `--world-cache`), resolved
+    /// like `cache_dir`.
     pub world_cache: PathBuf,
     /// Child poll / sleep quantum.
     pub poll: Duration,
@@ -93,6 +96,14 @@ pub struct WorkerReport {
 /// fleet dead, [`FleetError::SpawnFailed`] if the spec's binary is not in
 /// `bin_dir`, plus transport/protocol/store errors as typed.
 pub fn run_worker(config: &WorkerConfig) -> Result<WorkerReport, FleetError> {
+    // Shards run in the workdir, so relative cache paths would name other
+    // directories there: resolve both against this process's cwd once.
+    let cwd = std::env::current_dir()?;
+    let config = &WorkerConfig {
+        cache_dir: cwd.join(&config.cache_dir),
+        world_cache: cwd.join(&config.world_cache),
+        ..config.clone()
+    };
     let store = CacheStore::open(&config.world_cache, &config.cache_dir)?;
     fs::create_dir_all(config.workdir.join("results"))?;
     let mut stream = connect(config)?;

@@ -43,7 +43,6 @@ use crate::pool::parallel_map;
 use crate::run::{GridOptions, Row};
 use crate::sink::RowSink;
 use crate::world::World;
-use crate::world_cache::WorldCache;
 
 /// One enumerated grid configuration: `(task index, algo, dim, precision,
 /// seed)`.
@@ -71,7 +70,6 @@ pub struct Experiment<'w> {
     filters: Vec<Box<ConfigFilter>>,
     shard: Option<(usize, usize)>,
     cache_dir: Option<PathBuf>,
-    world_cache: Option<PathBuf>,
     sinks: Vec<Box<dyn RowSink>>,
 }
 
@@ -87,7 +85,6 @@ impl<'w> Experiment<'w> {
             filters: Vec::new(),
             shard: None,
             cache_dir: None,
-            world_cache: None,
             sinks: Vec::new(),
         }
     }
@@ -200,16 +197,6 @@ impl<'w> Experiment<'w> {
         self
     }
 
-    /// Persists this experiment's (already built) world into the
-    /// [`WorldCache`] at `dir` when `run` starts, unless it is already
-    /// stored — so sibling shard processes and future runs can
-    /// [`World::load_or_build`] it instead of rebuilding. Store failures
-    /// are warnings: a dying disk must not abort the grid run itself.
-    pub fn world_cache(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.world_cache = Some(dir.into());
-        self
-    }
-
     /// Supplies a pre-built embedding grid instead of training one (must
     /// cover every configuration the run touches). `cache_dir` then only
     /// matters for grids built by future runs.
@@ -305,20 +292,6 @@ impl<'w> Experiment<'w> {
         );
         let tasks = self.resolve_tasks();
         let configs = self.configs(tasks.len());
-        if let Some(dir) = &self.world_cache {
-            match WorldCache::open(dir) {
-                Ok(cache) if !cache.contains(&self.world.params, self.world.master_seed) => {
-                    if let Err(e) = cache.store(self.world) {
-                        eprintln!("[world] warning: could not store world cache: {e}");
-                    }
-                }
-                Ok(_) => {}
-                Err(e) => eprintln!(
-                    "[world] warning: cannot open world cache {}: {e}",
-                    dir.display()
-                ),
-            }
-        }
         let cache = self.cache_dir.as_ref().map(|dir| {
             PairCache::open(dir, self.world.fingerprint())
                 .unwrap_or_else(|e| panic!("cannot open cache dir {}: {e}", dir.display()))

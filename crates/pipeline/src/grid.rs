@@ -33,18 +33,6 @@ impl EmbeddingGrid {
     /// Trains the full grid over the given algorithms, dimensions, and
     /// seeds, parallelizing across available cores.
     pub fn build(world: &World, algos: &[Algo], dims: &[usize], seeds: &[u64]) -> Self {
-        Self::build_cached(world, algos, dims, seeds, None)
-    }
-
-    /// Like [`EmbeddingGrid::build`], but consults (and fills) a
-    /// [`PairCache`] so re-runs and sibling shard processes skip training.
-    pub fn build_cached(
-        world: &World,
-        algos: &[Algo],
-        dims: &[usize],
-        seeds: &[u64],
-        cache: Option<&PairCache>,
-    ) -> Self {
         let mut keys: Vec<PairKey> = Vec::new();
         for &algo in algos {
             for &dim in dims {
@@ -53,12 +41,14 @@ impl EmbeddingGrid {
                 }
             }
         }
-        Self::build_pairs(world, &keys, cache)
+        Self::build_pairs(world, &keys, None)
     }
 
-    /// Trains (or loads) exactly the given pair keys — the entry point the
+    /// Trains exactly the given pair keys — the entry point the
     /// [`Experiment`](crate::Experiment) runner uses, so a shard only pays
-    /// for the pairs its configurations actually touch.
+    /// for the pairs its configurations actually touch. With a
+    /// [`PairCache`], it loads cached pairs and stores the ones it trains,
+    /// so re-runs and sibling shard processes skip training.
     pub fn build_pairs(world: &World, keys: &[PairKey], cache: Option<&PairCache>) -> Self {
         let mut jobs: Vec<PairKey> = keys.to_vec();
         jobs.sort();
@@ -161,9 +151,9 @@ mod tests {
         let dir = crate::cache::scratch_dir("grid_cache");
         std::fs::remove_dir_all(&dir).ok();
         let cache = PairCache::open(&dir, world.fingerprint()).expect("open cache");
-        let cold = EmbeddingGrid::build_cached(&world, &[Algo::Mc], &[4], &[0], Some(&cache));
+        let cold = EmbeddingGrid::build_pairs(&world, &[(Algo::Mc, 4, 0)], Some(&cache));
         assert!(cache.path((Algo::Mc, 4, 0)).exists(), "cache file written");
-        let warm = EmbeddingGrid::build_cached(&world, &[Algo::Mc], &[4], &[0], Some(&cache));
+        let warm = EmbeddingGrid::build_pairs(&world, &[(Algo::Mc, 4, 0)], Some(&cache));
         let (c17, c18) = cold.pair(Algo::Mc, 4, 0);
         let (w17, w18) = warm.pair(Algo::Mc, 4, 0);
         assert_eq!(c17.as_ref(), w17.as_ref(), "cache must round-trip bitwise");

@@ -1,4 +1,4 @@
-//! Plain-text table rendering and JSON result dumps for the experiment
+//! Plain-text table rendering and JSON-lines output for the experiment
 //! binaries.
 
 use std::io::Write as _;
@@ -56,30 +56,8 @@ pub fn num(x: f64, decimals: usize) -> String {
     format!("{x:.decimals$}")
 }
 
-/// Writes a serializable value as pretty JSON under `results/`, creating
-/// the directory if needed. Returns the path written.
-///
-/// The write is atomic: the body goes to a `.tmp` sibling first and is
-/// renamed into place, so a crash mid-write never leaves a truncated
-/// `results/*.json` for the row cache to misparse.
-///
-/// # Errors
-///
-/// Returns any I/O error from creating the directory or writing the file.
-pub fn save_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<std::path::PathBuf> {
-    let dir = Path::new("results");
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.json"));
-    let mut body = serde_json::to_string_pretty(value)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    body.push('\n');
-    embedstab_corpus::codec::atomic_write(&path, body.as_bytes())?;
-    Ok(path)
-}
-
 /// Appends a serializable value as one JSON line to `path`, creating
-/// parent directories if needed (the streaming counterpart of
-/// [`save_json`], used by [`JsonlSink`](crate::JsonlSink)).
+/// parent directories if needed (used by [`JsonlSink`](crate::JsonlSink)).
 ///
 /// # Errors
 ///

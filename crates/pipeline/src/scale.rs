@@ -6,8 +6,8 @@ use embedstab_quant::Precision;
 ///
 /// The paper's grids (400k-word vocabulary, 4.5B-token corpora, dimensions
 /// 25-800) are scaled to what a small machine reproduces in minutes; the
-/// *shape* of every result is preserved (see DESIGN.md). Dimensions map
-/// onto the paper's sweep position-for-position.
+/// *shape* of every result is preserved. Dimensions map onto the paper's
+/// sweep position-for-position.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// Integration-test scale: seconds.

@@ -454,9 +454,19 @@ mod tests {
         let dir = scratch_dir("world_cache_lob");
         std::fs::remove_dir_all(&dir).ok();
         let params = tiny_params();
+        let cache = WorldCache::open(&dir).expect("open");
+        assert!(!cache.contains(&params, 0));
         let first = World::load_or_build(&params, 0, &dir).expect("build");
-        assert!(WorldCache::open(&dir).expect("open").contains(&params, 0));
+        assert!(cache.contains(&params, 0), "a miss must store the world");
+        let stored = std::fs::metadata(cache.path(&params, 0)).expect("stat");
         let second = World::load_or_build(&params, 0, &dir).expect("load");
+        // Store-if-absent: a hit leaves the stored file alone.
+        let restat = std::fs::metadata(cache.path(&params, 0)).expect("stat");
+        assert_eq!(restat.len(), stored.len());
+        assert_eq!(
+            restat.modified().expect("mtime"),
+            stored.modified().expect("mtime")
+        );
         assert_eq!(
             first.pair.model18.word_vecs.as_slice(),
             second.pair.model18.word_vecs.as_slice()

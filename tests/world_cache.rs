@@ -1,8 +1,7 @@
 //! Integration contract of the on-disk `WorldCache`: a loaded world is
 //! interchangeable with a freshly built one — the full experiment grid
 //! (downstream disagreement, quality, and all five distance measures)
-//! reproduces **bitwise**, across master seeds, and the `Experiment`
-//! builder's `.world_cache(dir)` warms the cache for sibling processes.
+//! reproduces **bitwise**, across master seeds.
 
 use embedstab::embeddings::Algo;
 use embedstab::pipeline::{Experiment, Row, Scale, ScaleParams, World, WorldCache};
@@ -85,43 +84,4 @@ proptest! {
         prop_assert_eq!(bitwise_keys(&grid_rows(&loaded)), bitwise_keys(&grid_rows(&built)));
         std::fs::remove_dir_all(&dir).ok();
     }
-}
-
-/// `Experiment::world_cache(dir)` persists the world at run start (so a
-/// run doubles as the fleet's cache warmer), and leaves an existing cached
-/// world untouched on later runs.
-#[test]
-fn experiment_builder_warms_the_world_cache() {
-    let dir = scratch("world_cache_builder");
-    let params = tiny_params();
-    let world = World::build(&params, 0);
-    let cache = WorldCache::open(&dir).expect("open");
-    assert!(!cache.contains(&params, 0));
-    let rows = Experiment::new(&world)
-        .tasks(["sst2"])
-        .algos([Algo::Mc])
-        .world_cache(&dir)
-        .run();
-    assert_eq!(rows.len(), 4);
-    assert!(cache.contains(&params, 0), "run must store the world");
-    let stored = std::fs::metadata(cache.path(&params, 0)).expect("stat");
-    let first_len = stored.len();
-    // A second run against the same cache leaves the stored file alone
-    // (store-if-absent, not rewrite-every-run).
-    let modified = stored.modified().expect("mtime");
-    let _ = Experiment::new(&world)
-        .tasks(["sst2"])
-        .algos([Algo::Mc])
-        .world_cache(&dir)
-        .run();
-    let restat = std::fs::metadata(cache.path(&params, 0)).expect("stat");
-    assert_eq!(restat.len(), first_len);
-    assert_eq!(restat.modified().expect("mtime"), modified);
-    // And the stored world round-trips into the same rows.
-    let loaded = cache.load(&params, 0).expect("hit");
-    assert_eq!(
-        bitwise_keys(&grid_rows(&loaded)),
-        bitwise_keys(&grid_rows(&world))
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }
