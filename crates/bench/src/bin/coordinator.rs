@@ -3,18 +3,19 @@
 //!
 //! ```text
 //! coordinator --shards 8 --bin fig2_memory_tradeoff --scale paper \
-//!     --cache-dir pair-cache --world-cache world-cache [-- extra args...]
+//!     [--cache-dir cache] [-- extra args...]
 //! ```
 //!
 //! It is a loopback fleet: the `fleet_coordinator` run (see
 //! [`embedstab_bench::run_fleet`]) bound to `127.0.0.1`, with `--shards`
 //! local `fleet_worker` processes. So it
 //!
-//! 1. **builds (or loads) the world exactly once** through the on-disk
-//!    world cache;
+//! 1. **builds (or loads) the world exactly once** into the cache
+//!    directory (`--cache-dir`, default `cache`);
 //! 2. **starts one `fleet_worker` per shard**, each on this coordinator's
-//!    own cache directories — so nothing is pulled, and every shard loads
-//!    the world instead of rebuilding it — and in a private working
+//!    own cache directory — so nothing is pulled, every shard loads the
+//!    world instead of rebuilding it, and the pairs the shards train stay
+//!    there for the next run — and in a private working
 //!    directory, so only committed rows reach `results/`. Workers lease
 //!    slices, and a slice whose worker dies is re-dispatched;
 //! 3. **merges** the committed `results/<stem>.shard<i>of<n>.jsonl` files
@@ -42,14 +43,13 @@ use embedstab_bench::{parse_fleet_args, resolve_bin, run_fleet};
 
 const USAGE: &str =
     "usage: coordinator --shards N [--bin name-or-path] [--scale tiny|small|paper]\n\
-    \x20        [--cache-dir <dir>] [--world-cache <dir>] [-- args forwarded to shards]";
+    \x20        [--cache-dir <dir>] [-- args forwarded to shards]";
 
 /// What every local worker is started with.
 struct Workers {
     exe: PathBuf,
     bin_dir: PathBuf,
     cache_dir: PathBuf,
-    world_cache: PathBuf,
     workdir: PathBuf,
 }
 
@@ -70,7 +70,6 @@ fn main() {
         exe: resolve_bin("fleet_worker"),
         bin_dir: bin_dir.to_path_buf(),
         cache_dir: absolute(&args.cache_dir),
-        world_cache: absolute(&args.world_cache),
         workdir: std::env::temp_dir().join(format!("embedstab-coordinator-{}", std::process::id())),
     };
     let shards = args.config.spec.shards;
@@ -101,8 +100,6 @@ fn start_workers(workers: &Workers, addr: SocketAddr, shards: u32) -> JoinHandle
                 .arg(workers.workdir.join(&name))
                 .arg("--cache-dir")
                 .arg(&workers.cache_dir)
-                .arg("--world-cache")
-                .arg(&workers.world_cache)
                 // Shard tables on stdout are partial; keep them in the log.
                 .stdout(Stdio::from(std::io::stderr()))
                 .spawn()

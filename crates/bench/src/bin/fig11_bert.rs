@@ -3,6 +3,7 @@
 //! transformer output dimension and (b) the precision of the extracted
 //! features.
 
+use embedstab_bench::world_from_args;
 use embedstab_core::disagreement;
 use embedstab_corpus::Corpus;
 use embedstab_ctx::{BertConfig, MiniBert, MlmTrainConfig};
@@ -10,7 +11,7 @@ use embedstab_downstream::models::{LogReg, TrainSpec};
 use embedstab_downstream::tasks::sentiment::SentimentExample;
 use embedstab_linalg::Mat;
 use embedstab_pipeline::report::{pct, print_table};
-use embedstab_pipeline::{Scale, World};
+use embedstab_pipeline::Scale;
 use embedstab_quant::{optimal_clip, quantize_value, Precision};
 
 fn main() {
@@ -22,7 +23,7 @@ fn main() {
         Scale::Paper => (vec![16, 32, 64, 128, 256], 200_000, 2),
     };
     let base_dim = dims[dims.len() / 2];
-    let world = World::build(&params, 0);
+    let world = world_from_args(scale);
     let sub17 = subsample(&world.pair.corpus17, mlm_tokens);
     let sub18 = subsample(&world.pair.corpus18, mlm_tokens);
 

@@ -1,7 +1,7 @@
 //! Figure 12 (Appendix E.1): the stability-memory tradeoff for fastText
 //! skipgram subword embeddings on SST-2 and NER.
 
-use embedstab_bench::aggregate;
+use embedstab_bench::{aggregate, cache_dir_from_args, cache_from_args};
 use embedstab_embeddings::Algo;
 use embedstab_pipeline::report::{pct, print_table};
 use embedstab_pipeline::{Experiment, Scale, World};
@@ -15,12 +15,13 @@ fn main() {
     if params.dims.len() > 4 {
         params.dims.truncate(params.dims.len() - 1);
     }
-    let world = World::build(&params, 0);
+    let world = World::load_or_build(&params, 0, &cache_from_args());
 
     println!("\n=== Figure 12: fastText skipgram memory tradeoff ===");
     let mut rows = Experiment::new(&world)
         .tasks(["sst2", "ner"])
         .algos([Algo::FastTextSg])
+        .cache_dir(cache_dir_from_args())
         .run();
     let ner: Vec<_> = rows.iter().filter(|r| r.task == "ner").cloned().collect();
     rows.retain(|r| r.task == "sst2");

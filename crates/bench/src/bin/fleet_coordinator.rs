@@ -4,16 +4,16 @@
 //! ```text
 //! fleet_coordinator --shards 8 --bind 0.0.0.0:7701 \
 //!     --bin fig2_memory_tradeoff --scale paper \
-//!     --cache-dir pair-cache --world-cache world-cache [-- extra args...]
+//!     [--cache-dir cache] [-- extra args...]
 //! ```
 //!
 //! Where `coordinator` starts its own workers on this box, this binary
 //! serves the shard work queue over TCP to `fleet_worker` processes on
 //! **any** machine (both run [`embedstab_bench::run_fleet`]):
 //!
-//! 1. builds (or loads) the world exactly once through the on-disk world
-//!    cache — workers then pull that exact file by its content-addressed
-//!    key instead of rebuilding;
+//! 1. builds (or loads) the world exactly once into the cache directory
+//!    (`--cache-dir`, default `cache`) — workers then pull that exact file
+//!    by its content-addressed key instead of rebuilding;
 //! 2. serves leases with heartbeat timeouts: a worker that dies or hangs
 //!    mid-slice has its slice re-dispatched (capped backoff, bounded
 //!    attempts), and row files are committed only on completion, so the
@@ -33,7 +33,7 @@ use std::time::Duration;
 use embedstab_bench::{exit_usage, parse_fleet_args, run_fleet};
 
 const USAGE: &str = "usage: fleet_coordinator --shards N [--bind host:port] [--bin name]\n\
-    \x20        [--scale tiny|small|paper] [--cache-dir <dir>] [--world-cache <dir>]\n\
+    \x20        [--scale tiny|small|paper] [--cache-dir <dir>]\n\
     \x20        [--lease-timeout-ms MS] [--max-attempts N] [--io-timeout-secs S]\n\
     \x20        [--linger-ms MS] [-- args forwarded to every worker's shards]";
 

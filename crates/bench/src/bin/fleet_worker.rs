@@ -3,13 +3,15 @@
 //!
 //! ```text
 //! fleet_worker --addr host:7701 [--name w1] [--workdir dir]
-//!     [--cache-dir pair-cache] [--world-cache world-cache]
-//!     [--bin-dir dir] [--heartbeat-ms MS] [--connect-retries N]
+//!     [--cache-dir cache] [--bin-dir dir] [--heartbeat-ms MS]
+//!     [--connect-retries N]
 //! ```
 //!
 //! The worker needs no pre-staged data: the `Welcome` names the world
-//! cache key, the worker pulls it (and any pair-cache entries for that
-//! world) chunk by chunk with receipt-time verification, then loops
+//! key, the worker pulls that file (and any pair files for that world)
+//! into its cache directory (`--cache-dir`, default `cache`, taken
+//! against the worker's cwd) chunk by chunk with receipt-time
+//! verification, then loops
 //! leasing slices. Each slice runs the spec's shard binary — resolved in
 //! `--bin-dir`, defaulting to this executable's own directory — in the
 //! workdir, and the produced `results/*.shard<i>of<n>.jsonl` files are
@@ -34,8 +36,7 @@ fn parse_args() -> WorkerConfig {
         name: format!("worker-{}", std::process::id()),
         bin_dir: exe_dir,
         workdir: PathBuf::from("."),
-        cache_dir: PathBuf::from("pair-cache"),
-        world_cache: PathBuf::from("world-cache"),
+        cache_dir: PathBuf::from("cache"),
         poll: Duration::from_millis(25),
         heartbeat: Duration::from_millis(2_000),
         connect_retries: 10,
@@ -60,7 +61,6 @@ fn parse_args() -> WorkerConfig {
             "--bin-dir" => out.bin_dir = PathBuf::from(next(&mut args, "--bin-dir")),
             "--workdir" => out.workdir = PathBuf::from(next(&mut args, "--workdir")),
             "--cache-dir" => out.cache_dir = PathBuf::from(next(&mut args, "--cache-dir")),
-            "--world-cache" => out.world_cache = PathBuf::from(next(&mut args, "--world-cache")),
             "--poll-ms" => out.poll = millis(next(&mut args, "--poll-ms"), "--poll-ms"),
             "--heartbeat-ms" => {
                 out.heartbeat = millis(next(&mut args, "--heartbeat-ms"), "--heartbeat-ms");
@@ -98,7 +98,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: fleet_worker --addr host:port [--name s] [--bin-dir dir] [--workdir dir]\n\
-         \x20        [--cache-dir <dir>] [--world-cache <dir>] [--poll-ms MS]\n\
+         \x20        [--cache-dir <dir>] [--poll-ms MS]\n\
          \x20        [--heartbeat-ms MS] [--connect-retries N] [--connect-backoff-ms MS]\n\
          \x20        [--io-timeout-secs S]"
     );

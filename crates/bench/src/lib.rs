@@ -18,8 +18,8 @@ use embedstab_corpus::codec::atomic_write;
 use embedstab_embeddings::Algo;
 use embedstab_fleet::{run_coordinator, CoordinatorConfig, FleetError, FleetSpec};
 use embedstab_pipeline::{
-    world_fingerprint, CacheStore, EmbeddingGrid, Experiment, JsonlSink, ProgressSink, Row, Scale,
-    ScaleParams, ShardFile, World, WorldCache,
+    world_fingerprint, CacheKey, CacheStore, EmbeddingGrid, Experiment, ProgressSink, Row, Scale,
+    ScaleParams, ShardFile, World,
 };
 
 /// A built experiment context: world plus trained embedding grid.
@@ -30,26 +30,23 @@ pub struct Setup {
     pub grid: EmbeddingGrid,
 }
 
-/// Builds a world and trains the grid for the given algorithms at the
-/// given scale (master seed 0, shared by all binaries so grids agree).
+/// Loads (or builds) the world and the grid for the given algorithms at
+/// the given scale (master seed 0, shared by all binaries so grids agree),
+/// both through the `--cache-dir` store: a second run at the same scale
+/// trains and builds nothing.
 pub fn setup(scale: Scale, algos: &[Algo]) -> Setup {
-    let world = world_from_args(scale);
+    let cache = cache_from_args();
+    let world = World::load_or_build(&scale.params(), 0, &cache);
     let params = &world.params;
-    let grid = EmbeddingGrid::build(&world, algos, &params.dims, &params.seeds);
+    let grid = EmbeddingGrid::build(&world, algos, &params.dims, &params.seeds, Some(&cache));
     Setup { world, grid }
 }
 
-/// Builds the world for a scale (master seed 0), honoring the
-/// `--world-cache <path>` flag: when present, the world is loaded from
-/// (or built once into) the on-disk world cache — how a fleet's shards
-/// skip the rebuild that used to dominate sharded runs.
+/// Loads the world for a scale (master seed 0) from the `--cache-dir`
+/// store, or builds it once into it — how a fleet's shards, and every
+/// later run in the same directory, skip the rebuild.
 pub fn world_from_args(scale: Scale) -> World {
-    let params = scale.params();
-    match world_cache_from_args() {
-        Some(dir) => World::load_or_build(&params, 0, &dir)
-            .unwrap_or_else(|e| panic!("cannot open world cache {}: {e}", dir.display())),
-        None => World::build(&params, 0),
-    }
+    World::load_or_build(&scale.params(), 0, &cache_from_args())
 }
 
 /// Parses `--shard i/n` from the process arguments.
@@ -75,27 +72,24 @@ pub fn shard_from_args() -> Option<(usize, usize)> {
     None
 }
 
-/// Parses `--cache-dir path` from the process arguments.
-pub fn cache_dir_from_args() -> Option<PathBuf> {
-    path_flag_from_args("--cache-dir")
-}
-
-/// Parses `--world-cache path` from the process arguments.
-pub fn world_cache_from_args() -> Option<PathBuf> {
-    path_flag_from_args("--world-cache")
-}
-
-fn path_flag_from_args(flag: &str) -> Option<PathBuf> {
+/// The cache directory every binary reads and writes: `--cache-dir path`
+/// from the process arguments, `cache` without it.
+pub fn cache_dir_from_args() -> PathBuf {
     let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == flag {
-            let val = args
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} needs a path"));
-            return Some(PathBuf::from(val));
-        }
+    match args.iter().position(|a| a == "--cache-dir") {
+        Some(i) => PathBuf::from(args.get(i + 1).expect("--cache-dir needs a path")),
+        None => PathBuf::from("cache"),
     }
-    None
+}
+
+/// Opens the [`CacheStore`] at [`cache_dir_from_args`].
+///
+/// # Panics
+///
+/// Panics if the directory cannot be created.
+pub fn cache_from_args() -> CacheStore {
+    let dir = cache_dir_from_args();
+    CacheStore::open(&dir).unwrap_or_else(|e| panic!("cannot open cache {}: {e}", dir.display()))
 }
 
 /// The canonical ordering key for merged rows: one entry per grid
@@ -195,11 +189,24 @@ pub fn merge_shard_rows<P: AsRef<Path>>(paths: &[P]) -> std::io::Result<Vec<Row>
 /// [`merge_shard_rows`] without the completeness check — the `--partial`
 /// escape hatch for salvaging rows from a fleet with dead shards. The
 /// output is *not* canonical: configurations covered by the missing
-/// shards are absent.
+/// shards are absent. Corrupt bytes are still an error: every line of
+/// every file must parse ([`parse_rows`]).
+///
+/// # Errors
+///
+/// Returns any I/O error from reading a file, or
+/// [`std::io::ErrorKind::InvalidData`] naming the file and the first line
+/// that does not parse.
 pub fn merge_shard_rows_partial<P: AsRef<Path>>(paths: &[P]) -> std::io::Result<Vec<Row>> {
     let mut rows = Vec::new();
     for path in paths {
-        rows.extend(JsonlSink::load(path)?);
+        let path = path.as_ref();
+        let body = std::fs::read_to_string(path)?;
+        let parsed = parse_rows(&body).map_err(|why| {
+            let msg = format!("{}: {why}", path.display());
+            std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+        })?;
+        rows.extend(parsed);
     }
     // Stable sort + consecutive dedup: the first occurrence per key in
     // input order survives.
@@ -262,7 +269,9 @@ pub fn clean_stale_shard_rows(results_dir: &Path, n: usize) {
 /// # Errors
 ///
 /// Any error from reading the directory, an incomplete/mixed shard set
-/// ([`check_shard_set`]), or writing a merged file.
+/// ([`check_shard_set`]), a shard line that does not parse, or writing a
+/// merged file. Every group is merged before any file is written, so a
+/// bad group leaves no canonical file behind.
 pub fn merge_fleet_results(
     results_dir: &Path,
     shards: usize,
@@ -274,10 +283,13 @@ pub fn merge_fleet_results(
             groups.entry(f.stem).or_default().push(path);
         }
     }
-    let mut merged = Vec::new();
+    let mut merges = Vec::new();
     for (stem, mut group) in groups {
         group.sort();
-        let rows = merge_shard_rows(&group)?;
+        merges.push((stem, merge_shard_rows(&group)?));
+    }
+    let mut merged = Vec::new();
+    for (stem, rows) in merges {
         let out = results_dir.join(format!("{stem}.jsonl"));
         atomic_write(&out, rows_to_jsonl(&rows).as_bytes())?;
         merged.push((stem, out, rows.len()));
@@ -297,10 +309,9 @@ pub struct FleetArgs {
     pub config: CoordinatorConfig,
     /// `--scale`, read by [`Scale::from_args`].
     pub scale: Scale,
-    /// `--cache-dir`: the pair cache.
+    /// `--cache-dir`: the cache the world is built once into, and the
+    /// workers' pairs are trained into.
     pub cache_dir: PathBuf,
-    /// `--world-cache`: where the world is built once.
-    pub world_cache: PathBuf,
 }
 
 /// Parses a coordinator binary's arguments: the shared flags here, every
@@ -326,8 +337,7 @@ pub fn parse_fleet_args(
     let mut out = FleetArgs {
         config: CoordinatorConfig::new(spec, PathBuf::from(RESULTS_DIR)),
         scale,
-        cache_dir: PathBuf::from("pair-cache"),
-        world_cache: PathBuf::from("world-cache"),
+        cache_dir: PathBuf::from("cache"),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -350,7 +360,6 @@ pub fn parse_fleet_args(
             }
             "--bin" => out.config.spec.bin = value(),
             "--cache-dir" => out.cache_dir = PathBuf::from(value()),
-            "--world-cache" => out.world_cache = PathBuf::from(value()),
             // Read by Scale::from_args above.
             "--scale" => {
                 value();
@@ -379,7 +388,7 @@ pub fn exit_usage(usage: &str, err: &str) -> ! {
 }
 
 /// Runs one fleet and merges its rows, for both coordinator binaries:
-/// builds (or loads) the world exactly once through `--world-cache` —
+/// builds (or loads) the world exactly once into the `--cache-dir` store —
 /// its cache file is the key every worker loads or pulls — binds `bind`,
 /// hands the bound address to `start_workers`, serves the queue through
 /// [`run_coordinator`] until it drains, and merges the committed shard
@@ -388,7 +397,7 @@ pub fn exit_usage(usage: &str, err: &str) -> ! {
 /// lines.
 ///
 /// Returns the exit status: 0 once merged, 1 when a slice ran out of
-/// dispatch attempts (nothing is merged).
+/// dispatch attempts or a shard file does not merge (nothing is merged).
 pub fn run_fleet(
     who: &str,
     args: FleetArgs,
@@ -399,7 +408,6 @@ pub fn run_fleet(
         mut config,
         scale,
         cache_dir,
-        world_cache,
     } = args;
     let shards = config.spec.shards as usize;
     let results = config.results_dir.clone();
@@ -409,29 +417,22 @@ pub fn run_fleet(
 
     let t0 = Instant::now();
     let params = scale.params();
-    World::load_or_build(&params, 0, &world_cache)
-        .unwrap_or_else(|e| panic!("cannot open world cache {}: {e}", world_cache.display()));
-    let world_file = WorldCache::open(&world_cache)
-        .expect("world cache just opened")
-        .path(&params, 0);
+    let store = CacheStore::open(&cache_dir)
+        .unwrap_or_else(|e| panic!("cannot open cache {}: {e}", cache_dir.display()));
+    World::load_or_build(&params, 0, &store);
+    config.spec.world_key = CacheKey::world(&params, 0).name();
     assert!(
-        world_file.exists(),
-        "world cache file {} missing after build; workers would rebuild it",
-        world_file.display()
+        store.has(&config.spec.world_key),
+        "world file {} missing from {} after the build; workers would rebuild it",
+        config.spec.world_key,
+        cache_dir.display()
     );
-    config.spec.world_key = world_file
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or_else(|| panic!("world cache path {} has no name", world_file.display()))
-        .to_string();
     eprintln!(
         "[{who}] world ready in {:.1}s (key '{}')",
         t0.elapsed().as_secs_f64(),
         config.spec.world_key
     );
 
-    let store = CacheStore::open(&world_cache, &cache_dir)
-        .unwrap_or_else(|e| panic!("cannot open cache store: {e}"));
     let listener = TcpListener::bind(bind).unwrap_or_else(|e| panic!("cannot bind {bind}: {e}"));
     let addr = listener
         .local_addr()
@@ -457,8 +458,13 @@ pub fn run_fleet(
         Err(e) => panic!("fleet coordinator failed: {e}"),
     }
 
-    let merged = merge_fleet_results(&results, shards)
-        .unwrap_or_else(|e| panic!("merging shard files failed: {e}"));
+    let merged = match merge_fleet_results(&results, shards) {
+        Ok(merged) => merged,
+        Err(e) => {
+            eprintln!("[{who}] FLEET FAILED: cannot merge shard files: {e}");
+            return 1;
+        }
+    };
     if merged.is_empty() {
         eprintln!("[{who}] warning: the fleet committed no row files; nothing to merge");
     }
@@ -620,8 +626,24 @@ pub fn row_stem(task: &str, scale: Scale, params: &ScaleParams) -> String {
     format!("rows_{task}_{}_{fp:016x}", scale_tag(scale))
 }
 
-/// Parses a canonical row file: every line must parse, the body must end
-/// in a newline, and the rows must be exactly the task's grid
+/// Parses the lines of a row file, canonical or shard: every line must
+/// parse and the body must end in a newline. The error names the first
+/// line that fails.
+pub fn parse_rows(body: &str) -> Result<Vec<Row>, String> {
+    if !body.is_empty() && !body.ends_with('\n') {
+        return Err("its last line is cut off".to_string());
+    }
+    body.lines()
+        .enumerate()
+        .map(|(i, line)| {
+            serde_json::from_str::<Row>(line)
+                .map_err(|e| format!("line {} does not parse: {e}", i + 1))
+        })
+        .collect()
+}
+
+/// Parses a canonical row file: its lines through [`parse_rows`], and
+/// the rows must be exactly the task's grid
 /// (`Algo::MAIN` × dims × precisions × seeds) in [`row_merge_key`] order,
 /// one row per configuration. With `measures`, every row must carry them.
 /// The error says why the file cannot be used.
@@ -631,17 +653,7 @@ fn parse_row_file(
     params: &ScaleParams,
     measures: bool,
 ) -> Result<Vec<Row>, String> {
-    if !body.is_empty() && !body.ends_with('\n') {
-        return Err("its last line is cut off".to_string());
-    }
-    let rows = body
-        .lines()
-        .enumerate()
-        .map(|(i, line)| {
-            serde_json::from_str::<Row>(line)
-                .map_err(|e| format!("line {} does not parse: {e}", i + 1))
-        })
-        .collect::<Result<Vec<Row>, String>>()?;
+    let rows = parse_rows(body)?;
     let mut want = Vec::new();
     for algo in Algo::MAIN {
         for &dim in &params.dims {
@@ -705,17 +717,17 @@ fn load_row_file(
 /// recomputed and overwritten. The world is built (or loaded) on the
 /// first task that has to run.
 ///
-/// Three process flags feed straight into the pipeline:
-/// `--cache-dir <path>` (default `cache`) shares trained pairs, so tasks
-/// after the first load theirs; `--world-cache <path>` loads (or builds
-/// once) the world from an on-disk [`WorldCache`]; and `--shard i/n`
+/// Two process flags feed straight into the pipeline: `--cache-dir
+/// <path>` (default `cache`) names the [`CacheStore`] the world is loaded
+/// from (or built once into) and trained pairs are shared through, so
+/// tasks after the first and later runs load theirs; and `--shard i/n`
 /// computes only this process's slice of each grid and writes it to
 /// `results/<stem>.shard<i>of<n>.jsonl` instead.
 pub fn standard_rows(scale: Scale, tasks: &[&str]) -> BTreeMap<String, Vec<Row>> {
     let params = scale.params();
     let shard = shard_from_args();
     let reuse = shard.is_none() && !std::env::args().any(|a| a == "--fresh");
-    let cache = cache_dir_from_args().unwrap_or_else(|| PathBuf::from("cache"));
+    let cache = cache_dir_from_args();
     let results = Path::new(RESULTS_DIR);
     let mut world: Option<World> = None;
     let mut out: BTreeMap<String, Vec<Row>> = BTreeMap::new();

@@ -2,7 +2,7 @@
 //! the real binaries. A 2-way sharded Tiny run whose two local workers
 //! start together with `FLEET_FAIL_ONCE` armed must (a) lose exactly one
 //! worker mid-slice and re-dispatch its slice, (b) pull nothing — the
-//! workers share the coordinator's cache directories, (c) build the world
+//! workers share the coordinator's cache directory, (c) build the world
 //! exactly once, in the coordinator, and (d) merge rows into canonical row
 //! files byte for byte identical to an unsharded run's files. The
 //! unsharded binary run after a coordinator in the same directory reads
@@ -26,8 +26,8 @@ use embedstab_pipeline::{Scale, ShardFile};
 const TASKS: [&str; 5] = ["sst2", "mr", "subj", "mpqa", "ner"];
 
 /// Runs `coordinator --shards 2 --bin <bin> --scale tiny` in `cwd` with
-/// caches under `root`, returning its status and stderr. Panics if it
-/// runs past `timeout` (after killing it): a coordinator must not hang.
+/// its cache in `root/cache`, returning its status and stderr. Panics if
+/// it runs past `timeout` (after killing it): a coordinator must not hang.
 fn coordinate(
     root: &Path,
     cwd: &Path,
@@ -41,9 +41,7 @@ fn coordinate(
         .args(["--shards", "2", "--scale", "tiny", "--bin"])
         .arg(bin)
         .arg("--cache-dir")
-        .arg(root.join("pair-cache"))
-        .arg("--world-cache")
-        .arg(root.join("world-cache"))
+        .arg(root.join("cache"))
         .envs(env.iter().copied())
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
@@ -79,6 +77,14 @@ fn canonical(task: &str) -> String {
         "{}.jsonl",
         row_stem(task, Scale::Tiny, &Scale::Tiny.params())
     )
+}
+
+/// A path's file name.
+fn key_name(path: &Path) -> String {
+    path.file_name()
+        .and_then(|n| n.to_str())
+        .expect("utf-8 file name")
+        .to_string()
 }
 
 /// The row files in `cwd/results` that are not shard files: the merges.
@@ -176,15 +182,31 @@ fn coordinated_shard_fleet_matches_unsharded_run_bitwise() {
         "results/ holds only committed and merged rows"
     );
 
-    // Unsharded reference run of the same binary, against the same (now
-    // warm) world cache, in its own working directory with its own pair
-    // cache — freshly trained pairs must reproduce the shard rows exactly.
-    fs::create_dir_all(&unsharded_cwd).expect("unsharded cwd");
+    // The coordinator's cache holds the one world file it built, next to
+    // the pairs its shards trained.
+    let worlds: Vec<PathBuf> = fs::read_dir(root.join("cache"))
+        .expect("cache dir")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| key_name(p).starts_with("world_v"))
+        .collect();
+    assert_eq!(worlds.len(), 1, "one world file: {worlds:?}");
+    assert!(
+        fs::read_dir(root.join("cache"))
+            .expect("cache dir")
+            .any(|e| key_name(&e.expect("entry").path()).starts_with("pair_v")),
+        "the shards' pairs stay in the coordinator's cache"
+    );
+
+    // Unsharded reference run of the same binary in its own working
+    // directory, on its default cache directory holding a copy of the
+    // coordinator's world file and no pairs — freshly trained pairs must
+    // reproduce the shard rows exactly.
+    let reference_cache = unsharded_cwd.join("cache");
+    fs::create_dir_all(&reference_cache).expect("reference cache");
+    fs::copy(&worlds[0], reference_cache.join(key_name(&worlds[0]))).expect("copy world");
     let output = Command::new(fig2)
         .current_dir(&unsharded_cwd)
         .args(["--scale", "tiny", "--fresh"])
-        .arg("--world-cache")
-        .arg(root.join("world-cache"))
         .output()
         .expect("fig2 spawns");
     assert!(
@@ -215,15 +237,13 @@ fn coordinated_shard_fleet_matches_unsharded_run_bitwise() {
 }
 
 /// Runs `table1_spearman --scale tiny` in `cwd` on the coordinator's
-/// caches, returning its stdout and stderr.
+/// cache, returning its stdout and stderr.
 fn table1(root: &Path, cwd: &Path) -> (String, String) {
     let output = Command::new(env!("CARGO_BIN_EXE_table1_spearman"))
         .current_dir(cwd)
         .args(["--scale", "tiny"])
         .arg("--cache-dir")
-        .arg(root.join("pair-cache"))
-        .arg("--world-cache")
-        .arg(root.join("world-cache"))
+        .arg(root.join("cache"))
         .output()
         .expect("table1_spearman spawns");
     let stderr = String::from_utf8_lossy(&output.stderr).to_string();

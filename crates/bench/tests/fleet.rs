@@ -2,10 +2,10 @@
 //! loopback fleet at Tiny scale — **with one worker killed mid-slice by
 //! fault injection** — must produce merged rows bitwise identical to an
 //! unsharded run, and a cold worker must obtain the coordinator's world
-//! cache file bitwise over the wire. The workers get relative cache
-//! paths and run their shards in a sub-directory, so a shard that
-//! resolved those paths against its own working directory would build
-//! the world again instead of loading the pulled copy.
+//! file bitwise over the wire. The workers get a relative cache path and
+//! run their shards in a sub-directory, so a shard that resolved that
+//! path against its own working directory would build the world again
+//! instead of loading the pulled copy.
 //!
 //! The choreography is deterministic: worker A starts alone with
 //! `FLEET_FAIL_ONCE` armed, pulls the world, leases slice 0, and dies
@@ -44,8 +44,7 @@ fn fleet_with_injected_worker_death_matches_unsharded_run_bitwise() {
     let root = scratch_dir("fleet_e2e");
     fs::remove_dir_all(&root).ok();
     let coord_cwd = root.join("coord");
-    let world_cache = coord_cwd.join("world-cache");
-    let pair_cache = coord_cwd.join("pair-cache");
+    let cache = coord_cwd.join("cache");
     fs::create_dir_all(&coord_cwd).expect("coordinator cwd");
 
     let fig2 = PathBuf::from(env!("CARGO_BIN_EXE_fig2_memory_tradeoff"));
@@ -63,9 +62,7 @@ fn fleet_with_injected_worker_death_matches_unsharded_run_bitwise() {
         .args(["--shards", "2", "--bind", "127.0.0.1:0"])
         .args(["--bin", bin_name, "--scale", "tiny"])
         .arg("--cache-dir")
-        .arg(&pair_cache)
-        .arg("--world-cache")
-        .arg(&world_cache)
+        .arg(&cache)
         .args(["--linger-ms", "2000"])
         .stderr(Stdio::piped())
         .spawn()
@@ -155,13 +152,14 @@ fn fleet_with_injected_worker_death_matches_unsharded_run_bitwise() {
     );
 
     // Cache shipping really shipped the coordinator's file: each worker's
-    // local world cache holds a bitwise-identical copy.
-    let world_file = single_file(&world_cache);
+    // local cache holds a bitwise-identical copy. The coordinator's cache
+    // holds that file alone: the shards trained their pairs on the workers.
+    let world_file = single_file(&cache);
     let coordinator_world = fs::read(&world_file).expect("coordinator world file");
     for worker in ["worker-a", "worker-b"] {
         let local = root
             .join(worker)
-            .join("world-cache")
+            .join("cache")
             .join(world_file.file_name().expect("world file has a name"));
         let pulled = fs::read(&local)
             .unwrap_or_else(|e| panic!("{worker} world copy {} missing: {e}", local.display()));
@@ -171,16 +169,16 @@ fn fleet_with_injected_worker_death_matches_unsharded_run_bitwise() {
         );
     }
 
-    // The decisive check: merged rows == an unsharded reference run (same
-    // world cache, fresh pairs), bitwise, for every task — the injected
-    // death must be invisible in the output.
+    // The decisive check: merged rows == an unsharded reference run (the
+    // coordinator's cache: same world, no pairs, so fresh ones), bitwise,
+    // for every task — the injected death must be invisible in the output.
     let unsharded_cwd = root.join("unsharded");
     fs::create_dir_all(&unsharded_cwd).expect("unsharded cwd");
     let reference = Command::new(&fig2)
         .current_dir(&unsharded_cwd)
         .args(["--scale", "tiny", "--fresh"])
-        .arg("--world-cache")
-        .arg(&world_cache)
+        .arg("--cache-dir")
+        .arg(&cache)
         .output()
         .expect("reference fig2 runs");
     assert!(
@@ -207,9 +205,9 @@ fn fleet_with_injected_worker_death_matches_unsharded_run_bitwise() {
     fs::remove_dir_all(&root).ok();
 }
 
-/// A worker command with its own **empty** cache directories — every
+/// A worker command with its own **empty** cache directory — every
 /// worker starts cold, so cache shipping is on the critical path by
-/// construction. The cache paths are relative to the worker's home, and
+/// construction. The cache path is relative to the worker's home, and
 /// its shards run in `home/slices`.
 fn worker_cmd(root: &Path, name: &str, bin_dir: &Path, addr: &str) -> Command {
     let home = root.join(name);
@@ -220,7 +218,7 @@ fn worker_cmd(root: &Path, name: &str, bin_dir: &Path, addr: &str) -> Command {
         .arg("--bin-dir")
         .arg(bin_dir)
         .args(["--workdir", "slices"])
-        .args(["--cache-dir", "pair-cache", "--world-cache", "world-cache"])
+        .args(["--cache-dir", "cache"])
         .args(["--heartbeat-ms", "500", "--poll-ms", "25"])
         .args(["--connect-retries", "20"]);
     cmd
@@ -247,7 +245,7 @@ fn wait_for_addr(log: &Arc<Mutex<String>>, timeout: Duration) -> String {
     }
 }
 
-/// The single file expected in a directory (the Tiny world cache).
+/// The single file expected in a directory (the Tiny world file).
 fn single_file(dir: &Path) -> PathBuf {
     let mut files: Vec<PathBuf> = fs::read_dir(dir)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", dir.display()))

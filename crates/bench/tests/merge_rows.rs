@@ -3,10 +3,11 @@
 //! idempotent under duplicate inputs.
 
 use embedstab_bench::{
-    check_shard_set, merge_shard_rows, merge_shard_rows_partial, row_merge_key, rows_to_jsonl,
+    check_shard_set, merge_fleet_results, merge_shard_rows, merge_shard_rows_partial,
+    row_merge_key, rows_to_jsonl,
 };
 use embedstab_pipeline::cache::scratch_dir;
-use embedstab_pipeline::{Experiment, JsonlSink, Scale, ShardFile, World};
+use embedstab_pipeline::{Experiment, JsonlSink, Row, Scale, ShardFile, World};
 use embedstab_quant::Precision;
 
 #[test]
@@ -159,4 +160,87 @@ fn shard_suffix_parsing_and_set_checking() {
     ])
     .expect_err("mixed n");
     assert!(err.to_string().contains("mixed"), "{err}");
+}
+
+/// A row of the synthetic 2-shard fixture below.
+fn fixture_row(dim: usize, seed: u64) -> Row {
+    Row {
+        task: "sst2".into(),
+        algo: "MC".into(),
+        dim,
+        bits: 32,
+        memory: 32 * dim as u64,
+        seed,
+        disagreement: 0.125,
+        quality17: 0.75,
+        quality18: 0.75,
+        measures: None,
+    }
+}
+
+#[test]
+fn a_corrupt_shard_line_fails_every_merge_naming_file_and_line() {
+    let dir = scratch_dir("merge_rows_corrupt");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let shard = |index| {
+        dir.join(
+            ShardFile {
+                stem: "rows_sst2_tiny".to_string(),
+                index,
+                shards: 2,
+            }
+            .name(),
+        )
+    };
+    let (shard0, shard1) = (shard(0), shard(1));
+    let rows0 = [fixture_row(4, 0), fixture_row(8, 0), fixture_row(16, 0)];
+    let mut lines: Vec<String> = rows_to_jsonl(&rows0).lines().map(String::from).collect();
+    lines[1] = "{\"task\":\"sst2\",garbled".to_string();
+    std::fs::write(&shard0, lines.join("\n") + "\n").expect("garbled shard0");
+    std::fs::write(&shard1, rows_to_jsonl(&[fixture_row(4, 1)])).expect("shard1");
+
+    let shards = [&shard0, &shard1];
+    for (what, merged) in [
+        ("checked", merge_shard_rows(&shards)),
+        ("partial", merge_shard_rows_partial(&shards)),
+    ] {
+        let err = merged.expect_err(what);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&shard0.display().to_string()) && msg.contains("line 2 does not parse"),
+            "{what}: {msg}"
+        );
+    }
+    // A shard file cut off mid-line is corrupt too.
+    let whole = rows_to_jsonl(&rows0);
+    std::fs::write(&shard0, &whole[..whole.len() - 3]).expect("cut shard0");
+    let err = merge_shard_rows_partial(&shards).expect_err("cut off");
+    assert!(
+        err.to_string().contains("its last line is cut off"),
+        "{err}"
+    );
+
+    // The binary exits 2 and writes nothing; the fleet's fan-in writes no
+    // canonical file.
+    let out = dir.join("merged.jsonl");
+    for partial in [false, true] {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_merge_rows"));
+        if partial {
+            cmd.arg("--partial");
+        }
+        let output = cmd
+            .arg("--out")
+            .arg(&out)
+            .args(shards)
+            .output()
+            .expect("merge_rows spawns");
+        assert_eq!(output.status.code(), Some(2), "partial={partial}");
+        assert!(String::from_utf8_lossy(&output.stderr).contains("cut off"));
+        assert!(!out.exists(), "partial={partial}: nothing may be written");
+    }
+    merge_fleet_results(&dir, 2).expect_err("fleet fan-in");
+    assert!(!dir.join("rows_sst2_tiny.jsonl").exists());
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -114,7 +114,6 @@ impl MeasureValues {
 pub struct MeasureSuite {
     eis: EisMeasure,
     knn: KnnMeasure,
-    svd: SvdMethod,
 }
 
 impl MeasureSuite {
@@ -125,21 +124,12 @@ impl MeasureSuite {
         MeasureSuite {
             eis: EisMeasure::new(e17, e18, alpha),
             knn: KnnMeasure::new(5, 1000, knn_seed),
-            svd: SvdMethod::Auto,
         }
     }
 
     /// Overrides the k-NN configuration.
     pub fn with_knn(mut self, knn: KnnMeasure) -> Self {
         self.knn = knn;
-        self
-    }
-
-    /// Overrides the SVD backend used for the eigenspace bases (the
-    /// kernel-conformance tests pin `Exact` vs `Randomized` agreement;
-    /// production runs keep the `Auto` default).
-    pub fn with_svd_method(mut self, svd: SvdMethod) -> Self {
-        self.svd = svd;
         self
     }
 
@@ -155,8 +145,8 @@ impl MeasureSuite {
             y.vocab_size(),
             "embeddings must share a vocabulary"
         );
-        let ux = left_singular_basis_with(x.mat(), self.svd);
-        let uy = left_singular_basis_with(y.mat(), self.svd);
+        let ux = left_singular_basis(x.mat());
+        let uy = left_singular_basis(y.mat());
         MeasureValues {
             eis: self.eis.distance_from_bases(&ux, &uy),
             knn_dist: self.knn.distance(x, y),

@@ -5,13 +5,13 @@
 //!
 //! 1. connect (with retries) and `Hello`; the `Welcome` carries the
 //!    [`FleetSpec`] — which binary, which scale, how many shards, and
-//!    which world-cache key this fleet runs against;
-//! 2. make the world cache local ([`ensure_key`]) and opportunistically
-//!    pre-pull every pair-cache entry belonging to that world, so a
-//!    cold-disk worker starts with exactly the warm state the coordinator
-//!    has;
+//!    which world key this fleet runs against;
+//! 2. make the world file local ([`ensure_key`]) in the worker's one
+//!    cache directory and opportunistically pre-pull every pair file
+//!    belonging to that world, so a cold-disk worker starts with exactly
+//!    the warm state the coordinator has;
 //! 3. lease slices until `Drained`: each `Job` spawns
-//!    `<bin> --scale <tag> --shard <i>/<n> --cache-dir … --world-cache …`
+//!    `<bin> --scale <tag> --shard <i>/<n> --cache-dir …`
 //!    in the workdir, polls it while heartbeating the lease, and on
 //!    success pushes every `results/*.shard<i>of<n>.jsonl` it produced,
 //!    then `Complete`s. A child failure is reported (`Failed`) and the
@@ -58,12 +58,10 @@ pub struct WorkerConfig {
     /// Working directory for shard subprocesses; row files appear under
     /// `<workdir>/results/`.
     pub workdir: PathBuf,
-    /// Local pair-cache directory (passed to shards as `--cache-dir`). A
+    /// Local cache directory, for the pulled world and pair files and the
+    /// pairs the shards train (passed to shards as `--cache-dir`). A
     /// relative path is taken against the worker's cwd, not the workdir.
     pub cache_dir: PathBuf,
-    /// Local world-cache directory (passed as `--world-cache`), resolved
-    /// like `cache_dir`.
-    pub world_cache: PathBuf,
     /// Child poll / sleep quantum.
     pub poll: Duration,
     /// Heartbeat cadence while a slice runs. Keep well under the
@@ -96,15 +94,13 @@ pub struct WorkerReport {
 /// fleet dead, [`FleetError::SpawnFailed`] if the spec's binary is not in
 /// `bin_dir`, plus transport/protocol/store errors as typed.
 pub fn run_worker(config: &WorkerConfig) -> Result<WorkerReport, FleetError> {
-    // Shards run in the workdir, so relative cache paths would name other
-    // directories there: resolve both against this process's cwd once.
-    let cwd = std::env::current_dir()?;
+    // Shards run in the workdir, so a relative cache path would name
+    // another directory there: resolve it against this process's cwd once.
     let config = &WorkerConfig {
-        cache_dir: cwd.join(&config.cache_dir),
-        world_cache: cwd.join(&config.world_cache),
+        cache_dir: std::env::current_dir()?.join(&config.cache_dir),
         ..config.clone()
     };
-    let store = CacheStore::open(&config.world_cache, &config.cache_dir)?;
+    let store = CacheStore::open(&config.cache_dir)?;
     fs::create_dir_all(config.workdir.join("results"))?;
     let mut stream = connect(config)?;
     let spec = hello(&mut stream, &config.name)?;
@@ -184,8 +180,8 @@ fn hello(stream: &mut (impl Read + Write), name: &str) -> Result<FleetSpec, Flee
     }
 }
 
-/// Pulls the fleet's world cache if absent, then the warm state that makes
-/// shard runs cheap: every current-format pair-cache entry of that world.
+/// Pulls the fleet's world file if absent, then the warm state that makes
+/// shard runs cheap: every current-format pair file of that world.
 fn sync_caches(
     stream: &mut (impl Read + Write),
     store: &CacheStore,
@@ -209,16 +205,14 @@ fn sync_caches(
         Response::Keys { keys } => keys,
         other => return Err(FleetError::unexpected("CacheKeys", other)),
     };
-    let warm = (CacheFamily::Pair, CACHE_FORMAT_VERSION, world.fingerprint);
     for key in keys {
-        let Some(parsed) = parse_key(&key) else {
-            continue;
-        };
-        if (parsed.family, parsed.version, parsed.fingerprint) == warm {
-            if ensure_key(stream, store, &key)? {
-                eprintln!("[worker {}] pulled pair cache '{key}'", config.name);
-                report.pulled.push(key);
-            }
+        let warm = parse_key(&key).is_some_and(|k| {
+            matches!(k.family, CacheFamily::Pair(_))
+                && (k.version, k.fingerprint) == (CACHE_FORMAT_VERSION, world.fingerprint)
+        });
+        if warm && ensure_key(stream, store, &key)? {
+            eprintln!("[worker {}] pulled pair cache '{key}'", config.name);
+            report.pulled.push(key);
         }
     }
     Ok(())
@@ -266,8 +260,6 @@ fn run_slice(
         .arg(format!("{slice}/{shards}"))
         .arg("--cache-dir")
         .arg(&config.cache_dir)
-        .arg("--world-cache")
-        .arg(&config.world_cache)
         .args(&spec.extra)
         .stdout(Stdio::inherit())
         .stderr(Stdio::inherit())

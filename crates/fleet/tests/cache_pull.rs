@@ -121,7 +121,7 @@ fn corrupt_transfer_is_typed_and_repull_restores_bitwise() {
 
     // ensure_key on an empty store: sees the miss, pulls (clean this
     // time), verifies, and stores.
-    let store = CacheStore::open(root.join("world"), root.join("pair")).expect("store opens");
+    let store = CacheStore::open(&root).expect("store opens");
     assert!(!store.has(&key));
     let pulled = ensure_key(&mut stream, &store, &key).expect("clean pull succeeds");
     assert!(pulled, "the store was empty; a pull must have happened");
@@ -151,7 +151,7 @@ fn repeatedly_corrupt_transfer_fails_after_one_retry() {
     // Both attempts corrupt: ensure_key must give up with the typed error
     // rather than loop forever, and the store must stay empty.
     let peer = scripted_peer(listener, file, &[0, 1]);
-    let store = CacheStore::open(root.join("world"), root.join("pair")).expect("store opens");
+    let store = CacheStore::open(&root).expect("store opens");
     match ensure_key(&mut stream, &store, &key) {
         Err(FleetError::CorruptTransfer { .. }) => {}
         other => panic!("expected CorruptTransfer after retry, got {other:?}"),
@@ -167,7 +167,7 @@ fn coordinator_advertises_the_header_checksum() {
     let root = scratch_dir("fleet_cache_pull_coordinator");
     std::fs::remove_dir_all(&root).ok();
     let (key, file) = world_file(0x5eed_0000_0000_0001, CHUNK_BYTES + 1_000);
-    let store = CacheStore::open(root.join("world"), root.join("pair")).expect("store opens");
+    let store = CacheStore::open(&root).expect("store opens");
     store.put(&key, &file).expect("the synthetic file verifies");
     let spec = FleetSpec {
         bin: "fig2_memory_tradeoff".into(),

@@ -40,7 +40,7 @@ fn connect(addr: std::net::SocketAddr) -> TcpStream {
 fn oversize_length_prefix_gets_malformed_then_close_and_the_fleet_still_drains() {
     let root = scratch_dir("fleet_oversize_frame");
     std::fs::remove_dir_all(&root).ok();
-    let store = CacheStore::open(root.join("world"), root.join("pair")).expect("store opens");
+    let store = CacheStore::open(&root).expect("store opens");
     let results = root.join("results");
     std::fs::create_dir_all(&results).expect("results dir");
     let spec = FleetSpec {

@@ -7,6 +7,8 @@
 //! - **Free calls** resolve to free fns with that name — same-file
 //!   definitions win, then a module qualifier (`codec::take_u32`) filters
 //!   by file stem/directory, then every free fn with the name fans out.
+//!   A path rooted in `std`, `core` or `alloc` (`std::path::absolute`)
+//!   names a std fn and stays unresolved.
 //! - **Method calls** resolve by name to every `impl` method with that
 //!   name (fan-out); a literal `self.` receiver or a `Self::`/`Type::`
 //!   qualifier narrows to the impl type when it matches anything. Names
@@ -38,7 +40,7 @@ pub const FAN_OUT_CAP: usize = 8;
 /// no `self.`/`Self::`/`Type::` narrowing is recorded unresolved instead
 /// of fanned out: on a name-only resolver, `out.push(OP_HELLO)` must not
 /// become an edge into `SparseMatrix::push`, nor `flag.load(SeqCst)` into
-/// `WorldCache::load`.
+/// some workspace type's `load`.
 pub const STD_COLLIDING_METHODS: [&str; 44] = [
     "push",
     "pop",
@@ -380,6 +382,11 @@ fn resolve(
         // above, so keeping the caller in its own fan-out only fabricates
         // spurious cycles.
         return bounded(cands.iter().copied().filter(|&i| i != caller).collect());
+    }
+    if call.from_std {
+        // `std::path::absolute(..)` is std's, never a same-named
+        // workspace fn.
+        return None;
     }
     match call.qualifier.as_deref() {
         Some("Self") => {

@@ -44,6 +44,9 @@ pub struct CallSite {
     /// For free calls, the immediate `::` path segment before the name
     /// (`Mat` in `Mat::from_vec(...)`, `codec` in `codec::take_u32(...)`).
     pub qualifier: Option<String>,
+    /// For free calls, the path starts with `std`, `core` or `alloc`
+    /// (`std::path::absolute(...)`): the callee is outside the workspace.
+    pub from_std: bool,
     /// `recv.name(...)` rather than `name(...)`.
     pub is_method: bool,
     /// Method call whose receiver is literally `self`.
@@ -243,6 +246,7 @@ pub fn index_fns(file: &SourceFile) -> Vec<FnSym> {
             syms[o].calls.push(CallSite {
                 name: t.text.clone(),
                 qualifier: None,
+                from_std: false,
                 is_method: true,
                 receiver_is_self,
                 line: t.line,
@@ -257,9 +261,19 @@ pub fn index_fns(file: &SourceFile) -> Vec<FnSym> {
             } else {
                 None
             };
+            // Walk back over `seg::` pairs to the path's first segment.
+            let mut root = i;
+            while root >= 2
+                && toks[root - 1].is_punct("::")
+                && toks[root - 2].kind == TokenKind::Ident
+            {
+                root -= 2;
+            }
+            let from_std = root < i && ["std", "core", "alloc"].contains(&toks[root].text.as_str());
             syms[o].calls.push(CallSite {
                 name: t.text.clone(),
                 qualifier,
+                from_std,
                 is_method: false,
                 receiver_is_self: false,
                 line: t.line,

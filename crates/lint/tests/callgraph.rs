@@ -94,6 +94,34 @@ fn unknown_and_std_colliding_calls_are_unresolved_not_edges() {
 }
 
 #[test]
+fn std_rooted_paths_stay_unresolved() {
+    // Workspace free fns that share names with std's: a path through
+    // `std::`, `core::` or `alloc::` must never reach them, even when no
+    // file matches the path's module.
+    let g = graph(&[
+        (
+            "crates/demo/src/bin/tool.rs",
+            "fn absolute(p: &str) -> String { panic!(\"{p}\") }\n\
+             fn forget(x: u32) { assert!(x > 0); }\n\
+             fn format(x: u32) -> u32 { x.checked_add(1).unwrap() }\n",
+        ),
+        (
+            "crates/demo/src/lib.rs",
+            "pub fn run(p: &std::path::Path) {\n\
+                 let _ = std::path::absolute(p);\n\
+                 let _ = ::std::path::absolute(p);\n\
+                 core::mem::forget(1u32);\n\
+                 let _ = alloc::fmt::format(format_args!(\"x\"));\n\
+             }\n",
+        ),
+    ]);
+    let run = node(&g, "run");
+    assert!(targets(&g, run).is_empty(), "got {:?}", targets(&g, run));
+    assert!(g.stats.unresolved_calls >= 4, "stats: {:?}", g.stats);
+    assert!(g.panic_chains(run, 3).is_empty());
+}
+
+#[test]
 fn self_receiver_resolves_std_colliding_names() {
     let g = graph(&[(
         "crates/demo/src/lib.rs",

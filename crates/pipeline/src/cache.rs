@@ -1,27 +1,25 @@
-//! A versioned on-disk cache of trained + aligned embedding pairs.
+//! The pair file format of the [`CacheStore`](crate::CacheStore): one
+//! trained + aligned embedding pair.
 //!
 //! Training the full-precision `(algo, dim, seed)` grid dominates the cost
-//! of an experiment at the `Small`/`Paper` scales. The cache stores each
-//! aligned pair once, keyed by the world fingerprint (scale parameters +
-//! master seed) and the pair key, so re-runs and sibling shard processes
-//! skip straight to downstream training.
+//! of an experiment at the `Small`/`Paper` scales. The store keeps each
+//! aligned pair once, keyed by the world's pair fingerprint
+//! ([`World::fingerprint`](crate::World::fingerprint)) and the pair key
+//! ([`CacheKey::pair`](crate::CacheKey::pair)), so re-runs and sibling
+//! shard processes skip straight to downstream training.
 //!
 //! A file is a raw little-endian dump of both matrices in the artifact
-//! envelope ([`codec::seal`], magic `ESPC`, keyed by the world
+//! envelope ([`codec::seal`], magic `ESPC`, keyed by the pair
 //! fingerprint). `f64` bits round-trip exactly, so rows computed from
 //! cached pairs are bitwise identical to rows computed from freshly
 //! trained pairs (the `experiment_api` integration tests pin this), and a
 //! flipped bit is a miss. [`codec::atomic_write`] makes concurrent shard
 //! processes race-safe: the last writer wins with identical bytes.
 
-use std::fs;
-use std::io;
 use std::path::PathBuf;
 
-use embedstab_corpus::codec::{self, atomic_write};
+use embedstab_corpus::codec;
 use embedstab_embeddings::Embedding;
-
-use crate::grid::PairKey;
 
 /// Bump when the file layout changes — or when a numeric change upstream
 /// alters what trained pairs contain; old files are ignored, not misread.
@@ -37,53 +35,7 @@ pub const CACHE_FORMAT_VERSION: u32 = 3;
 
 pub(crate) const MAGIC: [u8; 4] = *b"ESPC";
 
-/// Handle to one cache directory, bound to one world fingerprint.
-pub struct PairCache {
-    dir: PathBuf,
-    world_fp: u64,
-}
-
-impl PairCache {
-    /// Opens (creating if needed) a cache directory for a world with the
-    /// given fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from creating the directory.
-    pub fn open(dir: impl Into<PathBuf>, world_fp: u64) -> io::Result<Self> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        Ok(PairCache { dir, world_fp })
-    }
-
-    /// The file path for one pair key.
-    pub fn path(&self, key: PairKey) -> PathBuf {
-        let (algo, dim, seed) = key;
-        let algo = algo.name().to_ascii_lowercase();
-        self.dir.join(format!(
-            "pair_v{CACHE_FORMAT_VERSION}_{:016x}_{algo}_d{dim}_s{seed}.bin",
-            self.world_fp
-        ))
-    }
-
-    /// Loads a cached aligned pair, or `None` if absent, stale-versioned,
-    /// or corrupt (corrupt files are treated as misses and retrained over).
-    pub fn load(&self, key: PairKey) -> Option<(Embedding, Embedding)> {
-        let bytes = fs::read(self.path(key)).ok()?;
-        read_pair(&bytes, self.world_fp)
-    }
-
-    /// Atomically stores an aligned pair under its key.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from writing or renaming the file.
-    pub fn store(&self, key: PairKey, e17: &Embedding, e18: &Embedding) -> io::Result<()> {
-        atomic_write(&self.path(key), &encode_pair(e17, e18, self.world_fp))
-    }
-}
-
-fn encode_pair(e17: &Embedding, e18: &Embedding, world_fp: u64) -> Vec<u8> {
+pub(crate) fn encode_pair(e17: &Embedding, e18: &Embedding, world_fp: u64) -> Vec<u8> {
     let (n, d) = e17.shape();
     let hint = 16 + 2 * n * d * 8;
     codec::seal(MAGIC, CACHE_FORMAT_VERSION, world_fp, hint, |out| {
@@ -92,7 +44,7 @@ fn encode_pair(e17: &Embedding, e18: &Embedding, world_fp: u64) -> Vec<u8> {
     })
 }
 
-fn read_pair(bytes: &[u8], world_fp: u64) -> Option<(Embedding, Embedding)> {
+pub(crate) fn read_pair(bytes: &[u8], world_fp: u64) -> Option<(Embedding, Embedding)> {
     let r = &mut match codec::unseal(bytes, MAGIC, CACHE_FORMAT_VERSION) {
         Ok((fingerprint, body)) if fingerprint == world_fp => body,
         _ => return None,
@@ -114,9 +66,11 @@ pub fn scratch_dir(label: &str) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CacheStore;
     use embedstab_embeddings::Algo;
     use embedstab_linalg::Mat;
     use rand::SeedableRng;
+    use std::fs;
 
     fn pair(seed: u64) -> (Embedding, Embedding) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -129,12 +83,12 @@ mod tests {
     #[test]
     fn round_trips_bitwise() {
         let dir = scratch_dir("cache_roundtrip");
-        let cache = PairCache::open(&dir, 42).expect("open");
+        let cache = CacheStore::open(&dir).expect("open");
         let key = (Algo::Mc, 3, 0);
-        assert!(cache.load(key).is_none());
+        assert!(cache.load_pair(42, key).is_none());
         let (e17, e18) = pair(5);
-        cache.store(key, &e17, &e18).expect("store");
-        let (l17, l18) = cache.load(key).expect("hit");
+        cache.store_pair(42, key, &e17, &e18).expect("store");
+        let (l17, l18) = cache.load_pair(42, key).expect("hit");
         assert_eq!(l17, e17);
         assert_eq!(l18, e18);
         // No stray temp files left behind.
@@ -155,24 +109,22 @@ mod tests {
     #[test]
     fn wrong_fingerprint_or_corrupt_file_misses() {
         let dir = scratch_dir("cache_miss");
-        let cache = PairCache::open(&dir, 1).expect("open");
+        let cache = CacheStore::open(&dir).expect("open");
         let key = (Algo::Cbow, 3, 7);
         let (e17, e18) = pair(9);
-        cache.store(key, &e17, &e18).expect("store");
-        // A cache bound to a different world must not see the entry (the
-        // fingerprint is also baked into the file name).
-        let other = PairCache::open(&dir, 2).expect("open");
-        assert!(other.load(key).is_none());
+        let path = cache.store_pair(1, key, &e17, &e18).expect("store");
+        // A different world must not see the entry (the fingerprint is
+        // also baked into the file name).
+        assert!(cache.load_pair(2, key).is_none());
         // Truncated file: treated as a miss, not a panic.
-        let path = cache.path(key);
         let bytes = fs::read(&path).expect("read");
         fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate");
-        assert!(cache.load(key).is_none());
+        assert!(cache.load_pair(1, key).is_none());
         // Header with a bumped version: also a miss.
         let mut stale = bytes.clone();
         stale[4] = 99;
         fs::write(&path, &stale).expect("rewrite");
-        assert!(cache.load(key).is_none());
+        assert!(cache.load_pair(1, key).is_none());
         fs::remove_dir_all(&dir).ok();
     }
 }

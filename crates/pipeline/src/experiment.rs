@@ -37,11 +37,11 @@ use embedstab_embeddings::{Algo, Embedding};
 use embedstab_quant::{bits_per_word, Precision};
 use parking_lot::Mutex;
 
-use crate::cache::PairCache;
 use crate::grid::{EmbeddingGrid, PairKey};
 use crate::pool::parallel_map;
 use crate::run::{GridOptions, Row};
 use crate::sink::RowSink;
+use crate::store::CacheStore;
 use crate::world::World;
 
 /// One enumerated grid configuration: `(task index, algo, dim, precision,
@@ -189,9 +189,10 @@ impl<'w> Experiment<'w> {
         self
     }
 
-    /// Caches trained + aligned embedding pairs under `dir`, keyed by
-    /// `(world fingerprint, algo, dim, seed)` — re-runs and sibling shard
-    /// processes load instead of training.
+    /// Loads and stores trained + aligned embedding pairs in the
+    /// [`CacheStore`] at `dir`, keyed by `(world fingerprint, algo, dim,
+    /// seed)` — re-runs and sibling shard processes load instead of
+    /// training.
     pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
         self
@@ -293,7 +294,7 @@ impl<'w> Experiment<'w> {
         let tasks = self.resolve_tasks();
         let configs = self.configs(tasks.len());
         let cache = self.cache_dir.as_ref().map(|dir| {
-            PairCache::open(dir, self.world.fingerprint())
+            CacheStore::open(dir)
                 .unwrap_or_else(|e| panic!("cannot open cache dir {}: {e}", dir.display()))
         });
         let built;
@@ -309,7 +310,7 @@ impl<'w> Experiment<'w> {
             }
         };
         let suites = if self.opts.with_measures {
-            measure_suites(self.world, grid, &configs, &self.opts)
+            measure_suites(self.world, grid, &configs)
         } else {
             BTreeMap::new()
         };
@@ -358,13 +359,18 @@ impl<'w> Experiment<'w> {
     }
 }
 
+/// The paper's EIS eigenvalue exponent.
+const EIS_ALPHA: f64 = 3.0;
+
+/// The paper's k for the k-NN measure.
+const KNN_K: usize = 5;
+
 /// Builds the per-(algo, seed) measure suites: the EIS references are the
 /// highest-dimensional full-precision pair, as in the paper.
 fn measure_suites(
     world: &World,
     grid: &EmbeddingGrid,
     configs: &[Config],
-    opts: &GridOptions,
 ) -> BTreeMap<(Algo, u64), MeasureSuite> {
     // BTreeMap, not HashMap: suites are only read by keyed lookup today,
     // but a future "iterate all suites into a summary" would float-sum in
@@ -379,10 +385,10 @@ fn measure_suites(
             MeasureSuite::new(
                 &e17.top_rows(p.top_m.min(e17.vocab_size())),
                 &e18.top_rows(p.top_m.min(e18.vocab_size())),
-                opts.alpha,
+                EIS_ALPHA,
                 seed,
             )
-            .with_knn(KnnMeasure::new(opts.knn_k, p.knn_queries, seed))
+            .with_knn(KnnMeasure::new(KNN_K, p.knn_queries, seed))
         });
     }
     suites

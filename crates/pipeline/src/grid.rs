@@ -1,4 +1,5 @@
-//! The embedding training grid with caching and parallel training.
+//! The embedding training grid: parallel training, with the trained pairs
+//! loaded from and stored into an optional [`CacheStore`].
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -6,8 +7,8 @@ use std::sync::Arc;
 use embedstab_embeddings::{train_embedding, Algo, Embedding};
 use embedstab_quant::{quantize_pair, Precision};
 
-use crate::cache::PairCache;
 use crate::pool::parallel_map;
+use crate::store::CacheStore;
 use crate::world::World;
 
 /// Key of one trained embedding pair.
@@ -31,8 +32,15 @@ pub struct EmbeddingGrid {
 
 impl EmbeddingGrid {
     /// Trains the full grid over the given algorithms, dimensions, and
-    /// seeds, parallelizing across available cores.
-    pub fn build(world: &World, algos: &[Algo], dims: &[usize], seeds: &[u64]) -> Self {
+    /// seeds, parallelizing across available cores, through `cache` as in
+    /// [`EmbeddingGrid::build_pairs`].
+    pub fn build(
+        world: &World,
+        algos: &[Algo],
+        dims: &[usize],
+        seeds: &[u64],
+        cache: Option<&CacheStore>,
+    ) -> Self {
         let mut keys: Vec<PairKey> = Vec::new();
         for &algo in algos {
             for &dim in dims {
@@ -41,15 +49,16 @@ impl EmbeddingGrid {
                 }
             }
         }
-        Self::build_pairs(world, &keys, None)
+        Self::build_pairs(world, &keys, cache)
     }
 
     /// Trains exactly the given pair keys — the entry point the
     /// [`Experiment`](crate::Experiment) runner uses, so a shard only pays
     /// for the pairs its configurations actually touch. With a
-    /// [`PairCache`], it loads cached pairs and stores the ones it trains,
+    /// [`CacheStore`], it loads cached pairs and stores the ones it trains,
     /// so re-runs and sibling shard processes skip training.
-    pub fn build_pairs(world: &World, keys: &[PairKey], cache: Option<&PairCache>) -> Self {
+    pub fn build_pairs(world: &World, keys: &[PairKey], cache: Option<&CacheStore>) -> Self {
+        let world_fp = world.fingerprint();
         let mut jobs: Vec<PairKey> = keys.to_vec();
         jobs.sort();
         jobs.dedup();
@@ -57,7 +66,7 @@ impl EmbeddingGrid {
         jobs.sort_by_key(|&(_, dim, _)| std::cmp::Reverse(dim));
         let trained = parallel_map(&jobs, |&(algo, dim, seed)| {
             if let Some(cache) = cache {
-                if let Some((x17, x18)) = cache.load((algo, dim, seed)) {
+                if let Some((x17, x18)) = cache.load_pair(world_fp, (algo, dim, seed)) {
                     return (Arc::new(x17), Arc::new(x18));
                 }
             }
@@ -65,7 +74,7 @@ impl EmbeddingGrid {
             let x18 = train_embedding(algo, &world.stats18, world.vocab(), dim, seed);
             let x18 = x18.align_to(&x17);
             if let Some(cache) = cache {
-                if let Err(e) = cache.store((algo, dim, seed), &x17, &x18) {
+                if let Err(e) = cache.store_pair(world_fp, (algo, dim, seed), &x17, &x18) {
                     eprintln!("[grid] warning: could not cache ({algo}, d={dim}, s={seed}): {e}");
                 }
             }
@@ -128,7 +137,7 @@ mod tests {
     fn grid_trains_aligns_and_quantizes() {
         let params = Scale::Tiny.params();
         let world = World::build(&params, 0);
-        let grid = EmbeddingGrid::build(&world, &[Algo::Mc], &[4, 8], &[0]);
+        let grid = EmbeddingGrid::build(&world, &[Algo::Mc], &[4, 8], &[0], None);
         assert_eq!(grid.len(), 2);
         let (x17, x18) = grid.pair(Algo::Mc, 8, 0);
         assert_eq!(x17.shape(), (params.vocab_size, 8));
@@ -150,9 +159,10 @@ mod tests {
         let world = World::build(&params, 0);
         let dir = crate::cache::scratch_dir("grid_cache");
         std::fs::remove_dir_all(&dir).ok();
-        let cache = PairCache::open(&dir, world.fingerprint()).expect("open cache");
+        let cache = CacheStore::open(&dir).expect("open cache");
         let cold = EmbeddingGrid::build_pairs(&world, &[(Algo::Mc, 4, 0)], Some(&cache));
-        assert!(cache.path((Algo::Mc, 4, 0)).exists(), "cache file written");
+        let key = crate::CacheKey::pair(world.fingerprint(), (Algo::Mc, 4, 0)).name();
+        assert!(cache.has(&key), "cache file written");
         let warm = EmbeddingGrid::build_pairs(&world, &[(Algo::Mc, 4, 0)], Some(&cache));
         let (c17, c18) = cold.pair(Algo::Mc, 4, 0);
         let (w17, w18) = warm.pair(Algo::Mc, 4, 0);
@@ -172,7 +182,7 @@ mod tests {
     #[should_panic(expected = "not in grid")]
     fn missing_pair_panics() {
         let world = World::build(&Scale::Tiny.params(), 0);
-        let grid = EmbeddingGrid::build(&world, &[Algo::Mc], &[4], &[0]);
+        let grid = EmbeddingGrid::build(&world, &[Algo::Mc], &[4], &[0], None);
         let _ = grid.pair(Algo::Cbow, 4, 0);
     }
 }

@@ -5,13 +5,13 @@
 //! Appendix A.5):
 //!
 //! 1. **Train and compress embeddings** — [`World`] builds the
-//!    Wiki'17/Wiki'18 corpus pair and downstream datasets (once per shard
-//!    fleet, via the on-disk [`world_cache`] and
-//!    [`World::load_or_build`]);
+//!    Wiki'17/Wiki'18 corpus pair and downstream datasets (once per cache
+//!    directory, via [`World::load_or_build`]);
 //!    [`EmbeddingGrid`] trains the `algo x dim x seed` grid once (in
-//!    parallel, through an optional versioned on-disk [`cache`]), aligns
-//!    each '18 embedding to its '17 partner, and hands out quantized pairs
-//!    on demand.
+//!    parallel, through an optional [`CacheStore`]), aligns each '18
+//!    embedding to its '17 partner, and hands out quantized pairs on
+//!    demand. The [`store`] keeps worlds and pairs in one directory, in
+//!    the [`world_cache`] and [`cache`] file formats.
 //! 2. **Train downstream models and compute metrics** — [`Experiment`]
 //!    sweeps pluggable [`Task`](embedstab_downstream::Task)s over the
 //!    `task x algo x dim x precision x seed` grid, recording prediction
@@ -39,7 +39,7 @@ pub mod store;
 pub mod world;
 pub mod world_cache;
 
-pub use cache::{PairCache, CACHE_FORMAT_VERSION};
+pub use cache::CACHE_FORMAT_VERSION;
 pub use experiment::Experiment;
 pub use grid::{EmbeddingGrid, PairKey};
 pub use run::{GridOptions, Row};
@@ -47,4 +47,4 @@ pub use scale::{Scale, ScaleParams};
 pub use sink::{JsonlSink, ProgressSink, RowSink, ShardFile};
 pub use store::{CacheFamily, CacheKey, CacheStore, StoreError};
 pub use world::World;
-pub use world_cache::{world_fingerprint, WorldCache, WORLD_CACHE_FORMAT_VERSION};
+pub use world_cache::{world_fingerprint, WORLD_CACHE_FORMAT_VERSION};

@@ -42,10 +42,6 @@ pub struct GridOptions {
     pub algos: Vec<Algo>,
     /// Also compute the five distance measures per configuration.
     pub with_measures: bool,
-    /// EIS eigenvalue exponent (paper default 3).
-    pub alpha: f64,
-    /// k for the k-NN measure (paper default 5).
-    pub knn_k: usize,
     /// Downstream learning-rate override (Appendix E.5 sweeps this).
     pub lr_override: Option<f64>,
     /// Use different model-init/sampling seeds for the '18-side model
@@ -65,8 +61,6 @@ impl Default for GridOptions {
         GridOptions {
             algos: Algo::MAIN.to_vec(),
             with_measures: false,
-            alpha: 3.0,
-            knn_k: 5,
             lr_override: None,
             relax_seeds: false,
             fine_tune_lr: None,
@@ -90,7 +84,7 @@ mod tests {
         params.precisions = vec![Precision::new(1), Precision::FULL];
         params.seeds = vec![0];
         let world = World::build(&params, 0);
-        let grid = EmbeddingGrid::build(&world, &[Algo::Mc], &params.dims, &params.seeds);
+        let grid = EmbeddingGrid::build(&world, &[Algo::Mc], &params.dims, &params.seeds, None);
         (world, grid)
     }
 

@@ -1,42 +1,42 @@
-//! A versioned on-disk cache of fully built [`World`]s.
+//! The world file format of the [`CacheStore`]: one fully built
+//! [`World`].
 //!
 //! At the `Paper` scale, building the world — sampling two multi-million
 //! token corpora, counting two co-occurrence tables, factoring PPMI, and
 //! generating five downstream datasets — dominates the cost of a *sharded*
 //! grid run, because every shard process used to rebuild it from scratch.
-//! The world cache closes that gap: a fleet coordinator (or any first
-//! run) builds the world once, serializes it, and every shard loads it
+//! The cache closes that gap: a fleet coordinator (or any first run)
+//! builds the world once and stores it ([`World::load_or_build`]), and
+//! every shard and every later run in the same cache directory loads it
 //! back **bitwise identical** — the stability protocol's guarantee that
 //! a sharded run reproduces the unsharded run exactly survives the
 //! round trip (`tests/world_cache.rs` and the bench crate's `coordinator`
 //! test pin this).
 //!
-//! The file rides the pair cache's conventions: the artifact envelope
+//! The file rides the pair file's conventions: the artifact envelope
 //! ([`codec::seal`], magic `ESWC`), raw `f64` bit dumps for every float,
 //! and [`codec::atomic_write`]. Note that the co-occurrence tables and the
 //! PPMI matrix are **stored, not recomputed** on load: their floats were
 //! accumulated in counting order, and recomputation would round
 //! differently.
 //!
-//! The cache key is [`world_fingerprint`], which mixes the master seed and
-//! *every* [`ScaleParams`] field — unlike the pair-cache fingerprint
+//! The key is [`world_fingerprint`], which mixes the master seed and
+//! *every* [`ScaleParams`] field — unlike the pair fingerprint
 //! ([`World::fingerprint`]), which only covers the five corpus-shaping
 //! parameters. A trained pair really is identical across dataset-size
 //! changes, but a cached *world* is not: it embeds the sentiment/NER
 //! datasets, so reusing one across e.g. a `sentiment_train` change would
 //! silently evaluate the wrong data.
 
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use embedstab_corpus::codec::{self, atomic_write, Fnv64};
+use embedstab_corpus::codec::{self, Fnv64};
 use embedstab_corpus::{Cooc, SparseMatrix, TemporalPair};
 use embedstab_downstream::{NerDataset, SentimentDataset};
 use embedstab_embeddings::CorpusStats;
 
 use crate::scale::ScaleParams;
+use crate::store::{CacheKey, CacheStore};
 use crate::world::World;
 
 /// Bump when the world file layout changes; old files are ignored, not
@@ -90,66 +90,7 @@ pub fn world_fingerprint(params: &ScaleParams, master_seed: u64) -> u64 {
     h.finish()
 }
 
-/// Handle to one world-cache directory.
-///
-/// Unlike [`PairCache`](crate::cache::PairCache), the handle is not bound
-/// to a single fingerprint: one directory can hold worlds for several
-/// scales (the fingerprint is in both the file name and the header).
-pub struct WorldCache {
-    dir: PathBuf,
-}
-
-impl WorldCache {
-    /// Opens (creating if needed) a world-cache directory.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from creating the directory.
-    pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        Ok(WorldCache { dir })
-    }
-
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The file path for one `(params, master_seed)` world.
-    pub fn path(&self, params: &ScaleParams, master_seed: u64) -> PathBuf {
-        self.dir.join(format!(
-            "world_v{WORLD_CACHE_FORMAT_VERSION}_{:016x}.bin",
-            world_fingerprint(params, master_seed)
-        ))
-    }
-
-    /// True if a world for `(params, master_seed)` is already stored.
-    pub fn contains(&self, params: &ScaleParams, master_seed: u64) -> bool {
-        self.path(params, master_seed).exists()
-    }
-
-    /// Loads the cached world for `(params, master_seed)`, or `None` if
-    /// absent, stale-versioned, or corrupt (all treated as misses, never
-    /// errors — a rebuild over-writes the bad file).
-    pub fn load(&self, params: &ScaleParams, master_seed: u64) -> Option<World> {
-        let bytes = fs::read(self.path(params, master_seed)).ok()?;
-        decode_world(&bytes, params, master_seed)
-    }
-
-    /// Atomically stores a built world under its fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from writing or renaming the file.
-    pub fn store(&self, world: &World) -> io::Result<PathBuf> {
-        let path = self.path(&world.params, world.master_seed);
-        atomic_write(&path, &encode_world(world))?;
-        Ok(path)
-    }
-}
-
-fn encode_world(world: &World) -> Vec<u8> {
+pub(crate) fn encode_world(world: &World) -> Vec<u8> {
     let fingerprint = world_fingerprint(&world.params, world.master_seed);
     codec::seal(MAGIC, WORLD_CACHE_FORMAT_VERSION, fingerprint, 0, |out| {
         world.pair.encode_into(out);
@@ -170,7 +111,7 @@ fn encode_world(world: &World) -> Vec<u8> {
     })
 }
 
-fn decode_world(bytes: &[u8], params: &ScaleParams, master_seed: u64) -> Option<World> {
+pub(crate) fn decode_world(bytes: &[u8], params: &ScaleParams, master_seed: u64) -> Option<World> {
     let r = &mut match codec::unseal(bytes, MAGIC, WORLD_CACHE_FORMAT_VERSION) {
         Ok((fingerprint, body)) if fingerprint == world_fingerprint(params, master_seed) => body,
         _ => return None,
@@ -225,42 +166,31 @@ fn decode_world(bytes: &[u8], params: &ScaleParams, master_seed: u64) -> Option<
 }
 
 impl World {
-    /// Loads the world for `(params, master_seed)` from `cache_dir`, or —
-    /// on a miss — builds it and stores it for the next process. This is
-    /// the entry point the fleet coordinators and the bench binaries'
-    /// `--world-cache` flag ride: a coordinator warms the cache once and
-    /// every shard loads it (from the coordinator's own cache directory on
-    /// a loopback `coordinator` run, from a pulled copy on a remote
-    /// worker) instead of rebuilding.
+    /// Loads the world for `(params, master_seed)` from `store`, or — on
+    /// a miss — builds it and stores it for the next process. The grid
+    /// binaries get their world here, from their `--cache-dir`: a fleet
+    /// coordinator warms the store once and every shard loads it (from
+    /// the coordinator's own directory on a loopback `coordinator` run,
+    /// from a pulled copy on a remote worker), and a second run at the
+    /// same scale rebuilds nothing.
     ///
     /// A load is logged as `[world] loaded ...` and a build as
     /// `[world] built ...` (the `coordinator` integration test counts
     /// these markers in the fleet's one log to prove shards never
-    /// rebuild). A failed store is a
-    /// warning, not an error: the built world is still returned.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from creating the cache directory.
-    pub fn load_or_build(
-        params: &ScaleParams,
-        master_seed: u64,
-        cache_dir: impl Into<PathBuf>,
-    ) -> io::Result<World> {
-        let cache = WorldCache::open(cache_dir)?;
-        if let Some(world) = cache.load(params, master_seed) {
-            eprintln!(
-                "[world] loaded {}",
-                cache.path(params, master_seed).display()
-            );
-            return Ok(world);
+    /// rebuild). A failed store is a warning, not an error: the built
+    /// world is still returned.
+    pub fn load_or_build(params: &ScaleParams, master_seed: u64, store: &CacheStore) -> World {
+        let name = CacheKey::world(params, master_seed).name();
+        if let Some(world) = store.load_world(params, master_seed) {
+            eprintln!("[world] loaded {name}");
+            return world;
         }
         let world = World::build(params, master_seed);
-        match cache.store(&world) {
+        match store.store_world(&world) {
             Ok(path) => eprintln!("[world] built and stored {}", path.display()),
             Err(e) => eprintln!("[world] warning: built but could not store: {e}"),
         }
-        Ok(world)
+        world
     }
 }
 
@@ -409,13 +339,14 @@ mod tests {
         let dir = scratch_dir("world_cache_roundtrip");
         std::fs::remove_dir_all(&dir).ok();
         let params = tiny_params();
-        let cache = WorldCache::open(&dir).expect("open");
-        assert!(!cache.contains(&params, 3));
-        assert!(cache.load(&params, 3).is_none());
+        let cache = CacheStore::open(&dir).expect("open");
+        let key = CacheKey::world(&params, 3).name();
+        assert!(!cache.has(&key));
+        assert!(cache.load_world(&params, 3).is_none());
         let built = World::build(&params, 3);
-        cache.store(&built).expect("store");
-        assert!(cache.contains(&params, 3));
-        let loaded = cache.load(&params, 3).expect("hit");
+        let path = cache.store_world(&built).expect("store");
+        assert!(cache.has(&key));
+        let loaded = cache.load_world(&params, 3).expect("hit");
         assert_eq!(loaded.master_seed, 3);
         assert_eq!(
             loaded.pair.model17.word_vecs.as_slice(),
@@ -440,12 +371,11 @@ mod tests {
         }
         assert_eq!(loaded.ner.train, built.ner.train);
         // A different master seed misses.
-        assert!(cache.load(&params, 4).is_none());
+        assert!(cache.load_world(&params, 4).is_none());
         // A truncated file is a miss, not an error (and rebuildable).
-        let path = cache.path(&params, 3);
         let bytes = std::fs::read(&path).expect("read");
         std::fs::write(&path, &bytes[..bytes.len() / 3]).expect("truncate");
-        assert!(cache.load(&params, 3).is_none());
+        assert!(cache.load_world(&params, 3).is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -454,14 +384,17 @@ mod tests {
         let dir = scratch_dir("world_cache_lob");
         std::fs::remove_dir_all(&dir).ok();
         let params = tiny_params();
-        let cache = WorldCache::open(&dir).expect("open");
-        assert!(!cache.contains(&params, 0));
-        let first = World::load_or_build(&params, 0, &dir).expect("build");
-        assert!(cache.contains(&params, 0), "a miss must store the world");
-        let stored = std::fs::metadata(cache.path(&params, 0)).expect("stat");
-        let second = World::load_or_build(&params, 0, &dir).expect("load");
+        let cache = CacheStore::open(&dir).expect("open");
+        let path = cache
+            .path(&CacheKey::world(&params, 0).name())
+            .expect("key");
+        assert!(!path.exists());
+        let first = World::load_or_build(&params, 0, &cache);
+        assert!(path.exists(), "a miss must store the world");
+        let stored = std::fs::metadata(&path).expect("stat");
+        let second = World::load_or_build(&params, 0, &cache);
         // Store-if-absent: a hit leaves the stored file alone.
-        let restat = std::fs::metadata(cache.path(&params, 0)).expect("stat");
+        let restat = std::fs::metadata(&path).expect("stat");
         assert_eq!(restat.len(), stored.len());
         assert_eq!(
             restat.modified().expect("mtime"),

@@ -9,8 +9,8 @@
 //! snapshot with orthogonal Procrustes, quantize it with the clip
 //! threshold *shared from the live side* (Appendix C.2's convention, the
 //! one [`quantize_pair`](embedstab_quant::quantize_pair) implements for
-//! offline pairs), then run the [`MeasureSuite`] — and compares the
-//! gating measure against the tenant's [`Slo`].
+//! offline pairs), then run the [`MeasureSuite`] — and compares EIS, the
+//! paper's best selector, against the tenant's [`Slo`].
 //!
 //! One deliberate difference from the offline `Experiment` sweep: the
 //! sweep anchors EIS on the highest-dimensional full-precision pair and
@@ -29,8 +29,8 @@
 use std::io;
 
 use embedstab_core::measures::{
-    overlap_distance_from_bases, DistanceMeasure, EisMeasure, KnnMeasure, MeasureKind,
-    MeasureValues, PipLoss, SemanticDisplacement, SvdMethod,
+    overlap_distance_from_bases, DistanceMeasure, EisMeasure, KnnMeasure, MeasureValues, PipLoss,
+    SemanticDisplacement, SvdMethod,
 };
 use embedstab_embeddings::Embedding;
 use embedstab_quant::quantize;
@@ -41,8 +41,8 @@ use crate::snapshot::Snapshot;
 /// introduce, and how much memory the served snapshot may use.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Slo {
-    /// Ceiling on the gate's predicted instability (the gating measure's
-    /// value, e.g. EIS) for a candidate to be promoted.
+    /// Ceiling on the gate's predicted instability (the candidate's EIS)
+    /// for a candidate to be promoted.
     pub max_predicted_instability: f64,
     /// Memory budget in bits/word; the tenant registry picks the
     /// (dimension, precision) candidate on exactly this budget line.
@@ -66,7 +66,7 @@ pub struct GateEvaluation {
     /// All five embedding distance measures over the (live, candidate)
     /// pair, computed by the shared [`MeasureSuite`].
     pub measures: MeasureValues,
-    /// The gating measure's value — what the SLO is checked against.
+    /// The EIS value — what the SLO is checked against.
     pub predicted_instability: f64,
     /// The candidate aligned to the live snapshot (full precision); this
     /// is what gets published if the gate admits it.
@@ -78,34 +78,33 @@ pub struct GateEvaluation {
     pub quantized: Embedding,
 }
 
-/// Scores candidates against live snapshots with the pluggable measure
-/// suite. One gate is shared by every tenant of a registry; it holds only
-/// measure configuration, no per-tenant state.
+/// The paper's EIS eigenvalue exponent.
+const EIS_ALPHA: f64 = 3.0;
+
+/// The paper's k-NN measure: `k = 5` over 1000 queries (capped at the
+/// vocabulary), sampled with seed 0.
+const KNN_K: usize = 5;
+const KNN_QUERIES: usize = 1000;
+const KNN_SEED: u64 = 0;
+
+/// Scores candidates against live snapshots with the paper's measure
+/// settings. One gate is shared by every tenant of a registry; it holds
+/// only the SVD backend choice, no per-tenant state.
 #[derive(Clone, Debug)]
 pub struct StabilityGate {
-    alpha: f64,
-    knn_k: usize,
-    knn_queries: usize,
-    seed: u64,
     svd: SvdMethod,
-    gating: MeasureKind,
 }
 
 impl Default for StabilityGate {
     fn default() -> Self {
         StabilityGate {
-            alpha: 3.0,
-            knn_k: 5,
-            knn_queries: 1000,
-            seed: 0,
             svd: SvdMethod::Auto,
-            gating: MeasureKind::Eis,
         }
     }
 }
 
 impl StabilityGate {
-    /// A gate at the paper's defaults: EIS gating with `alpha = 3`, k-NN
+    /// A gate at the paper's settings: EIS gating with `alpha = 3`, k-NN
     /// at `k = 5` over 1000 queries (capped at the vocabulary), the
     /// auto-dispatched SVD backend.
     pub fn new() -> Self {
@@ -117,37 +116,6 @@ impl StabilityGate {
     pub fn with_svd_method(mut self, svd: SvdMethod) -> Self {
         self.svd = svd;
         self
-    }
-
-    /// Gates on a different measure than EIS (e.g. [`MeasureKind::Knn`],
-    /// the paper's runner-up selector).
-    pub fn with_gating_measure(mut self, kind: MeasureKind) -> Self {
-        self.gating = kind;
-        self
-    }
-
-    /// Overrides the EIS eigenvalue exponent (paper default 3).
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha;
-        self
-    }
-
-    /// Overrides the k-NN measure configuration.
-    pub fn with_knn(mut self, k: usize, queries: usize) -> Self {
-        self.knn_k = k;
-        self.knn_queries = queries;
-        self
-    }
-
-    /// Overrides the query-sampling seed shared by the measures.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// The measure the SLO is checked against.
-    pub fn gating_measure(&self) -> MeasureKind {
-        self.gating
     }
 
     /// Scores a full-precision retrained `candidate` against the live
@@ -188,9 +156,9 @@ impl StabilityGate {
             &svd_live,
             &svd_cand,
             live.meta().vocab_size,
-            self.alpha,
+            EIS_ALPHA,
         );
-        let knn = KnnMeasure::new(self.knn_k, self.knn_queries, self.seed);
+        let knn = KnnMeasure::new(KNN_K, KNN_QUERIES, KNN_SEED);
         let measures = MeasureValues {
             eis: eis.distance_from_bases(&u_live, &u_cand),
             knn_dist: knn.distance(live.embedding(), &q.embedding),
@@ -199,7 +167,7 @@ impl StabilityGate {
             overlap_dist: overlap_distance_from_bases(&u_live, &u_cand),
         };
         Ok(GateEvaluation {
-            predicted_instability: measures.get(self.gating),
+            predicted_instability: measures.eis,
             measures,
             aligned,
             quantized: q.embedding,

@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 use embedstab_embeddings::{Algo, Embedding};
 use embedstab_linalg::Mat;
 use embedstab_pipeline::cache::scratch_dir;
-use embedstab_pipeline::{CacheStore, PairCache, Scale, StoreError, World, WorldCache};
+use embedstab_pipeline::{CacheStore, Scale, StoreError, World};
 use embedstab_quant::Precision;
 use embedstab_serve::{SnapshotStore, TenantRegistry, Version};
 use embedstab_stream::{ContinuousRetrainer, RetrainerConfig};
@@ -89,22 +89,25 @@ fn small_retrainer(registry_dir: &Path) -> ContinuousRetrainer {
 #[test]
 fn every_byte_flip_of_a_pair_file_is_a_miss() {
     let root = fresh("envelope_flip_pair");
-    let cache = PairCache::open(root.join("pair"), 0xabcd).expect("open");
-    let store = CacheStore::open(root.join("world"), root.join("pair")).expect("store");
+    let store = CacheStore::open(&root).expect("store");
     let pair_key = (Algo::Cbow, 3, 1);
     let (e17, e18) = (emb(1, 7, 3), emb(2, 7, 3));
-    cache.store(pair_key, &e17, &e18).expect("store pair");
-    let path = cache.path(pair_key);
+    let path = store
+        .store_pair(0xabcd, pair_key, &e17, &e18)
+        .expect("store pair");
     let key = key_of(&path);
     let bytes = fs::read(&path).expect("read");
     let offsets: Vec<usize> = (0..bytes.len()).collect();
     assert_flips_miss(&path, &bytes, &offsets, || {
         let flipped = fs::read(&path).expect("read flipped");
-        cache.load(pair_key).is_none()
+        store.load_pair(0xabcd, pair_key).is_none()
             && is_corrupt(store.get(&key))
             && is_corrupt(store.put(&key, &flipped))
     });
-    assert_eq!(cache.load(pair_key).expect("restored"), (e17, e18));
+    assert_eq!(
+        store.load_pair(0xabcd, pair_key).expect("restored"),
+        (e17, e18)
+    );
     fs::remove_dir_all(&root).ok();
 }
 
@@ -112,9 +115,10 @@ fn every_byte_flip_of_a_pair_file_is_a_miss() {
 fn seeded_byte_flips_of_a_world_file_are_misses() {
     let root = fresh("envelope_flip_world");
     let params = Scale::Tiny.params();
-    let cache = WorldCache::open(root.join("world")).expect("open");
-    let store = CacheStore::open(root.join("world"), root.join("pair")).expect("store");
-    let path = cache.store(&World::build(&params, 0)).expect("store world");
+    let store = CacheStore::open(&root).expect("store");
+    let path = store
+        .store_world(&World::build(&params, 0))
+        .expect("store world");
     let key = key_of(&path);
     let bytes = fs::read(&path).expect("read");
     let mut rng = rand::rngs::StdRng::seed_from_u64(17);
@@ -123,11 +127,14 @@ fn seeded_byte_flips_of_a_world_file_are_misses() {
     offsets.extend((32..512).map(|_| rng.random_range(32..bytes.len())));
     assert_flips_miss(&path, &bytes, &offsets, || {
         let flipped = fs::read(&path).expect("read flipped");
-        cache.load(&params, 0).is_none()
+        store.load_world(&params, 0).is_none()
             && is_corrupt(store.get(&key))
             && is_corrupt(store.put(&key, &flipped))
     });
-    assert!(cache.load(&params, 0).is_some(), "the restored file loads");
+    assert!(
+        store.load_world(&params, 0).is_some(),
+        "the restored file loads"
+    );
     fs::remove_dir_all(&root).ok();
 }
 
@@ -209,28 +216,30 @@ fn snapshot_files(dir: &Path) -> Vec<PathBuf> {
 fn partial_temp_siblings_leave_every_format_in_its_prior_state() {
     let root = fresh("envelope_crash_temp");
 
-    let pairs = PairCache::open(root.join("pair"), 0x77).expect("open");
+    let store = CacheStore::open(root.join("cache")).expect("store");
     let pair_key = (Algo::Mc, 2, 0);
     let (e17, e18) = (emb(4, 5, 2), emb(5, 5, 2));
-    pairs.store(pair_key, &e17, &e18).expect("store pair");
-    let pair_path = pairs.path(pair_key);
+    let pair_path = store
+        .store_pair(0x77, pair_key, &e17, &e18)
+        .expect("store pair");
     leave_partial_temp(&pair_path, &fs::read(&pair_path).expect("read"));
-    assert_eq!(pairs.load(pair_key).expect("prior pair"), (e17, e18));
+    assert_eq!(
+        store.load_pair(0x77, pair_key).expect("prior pair"),
+        (e17, e18)
+    );
 
     let params = Scale::Tiny.params();
-    let worlds = WorldCache::open(root.join("world")).expect("open");
-    let world_path = worlds
-        .store(&World::build(&params, 1))
+    let world_path = store
+        .store_world(&World::build(&params, 1))
         .expect("store world");
     leave_partial_temp(&world_path, &fs::read(&world_path).expect("read"));
-    let loaded = worlds.load(&params, 1).expect("prior world");
+    let loaded = store.load_world(&params, 1).expect("prior world");
     assert_eq!(
         loaded.stream_fingerprint(),
         World::build(&params, 1).stream_fingerprint()
     );
 
     // The temp files are not cache keys, so no fleet worker is offered one.
-    let store = CacheStore::open(root.join("world"), root.join("pair")).expect("store");
     assert_eq!(
         store.keys().expect("keys"),
         vec![key_of(&pair_path), key_of(&world_path)]

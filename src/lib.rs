@@ -37,8 +37,8 @@
 //!   table/figure reproduction binaries: the
 //!   [`Experiment`](pipeline::Experiment) builder sweeps tasks over the
 //!   `algo x dim x precision x seed` grid with deterministic process
-//!   sharding, a versioned on-disk cache of trained embedding pairs, and
-//!   streaming row sinks.
+//!   sharding, one on-disk cache directory of built worlds and trained
+//!   embedding pairs ([`pipeline::CacheStore`]), and streaming row sinks.
 //!
 //! # Quickstart
 //!

@@ -11,7 +11,13 @@ use embedstab::quant::Precision;
 fn tiny_world() -> (World, EmbeddingGrid) {
     let params = Scale::Tiny.params();
     let world = World::build(&params, 0);
-    let grid = EmbeddingGrid::build(&world, &[Algo::Cbow, Algo::Mc], &params.dims, &params.seeds);
+    let grid = EmbeddingGrid::build(
+        &world,
+        &[Algo::Cbow, Algo::Mc],
+        &params.dims,
+        &params.seeds,
+        None,
+    );
     (world, grid)
 }
 

@@ -9,7 +9,7 @@ use embedstab::pipeline::{EmbeddingGrid, Scale, World};
 fn trained_pairs() -> (World, EmbeddingGrid) {
     let params = Scale::Tiny.params();
     let world = World::build(&params, 0);
-    let grid = EmbeddingGrid::build(&world, &[Algo::Mc], &params.dims, &[0]);
+    let grid = EmbeddingGrid::build(&world, &[Algo::Mc], &params.dims, &[0], None);
     (world, grid)
 }
 

@@ -1,10 +1,10 @@
-//! Integration contract of the on-disk `WorldCache`: a loaded world is
-//! interchangeable with a freshly built one — the full experiment grid
-//! (downstream disagreement, quality, and all five distance measures)
-//! reproduces **bitwise**, across master seeds.
+//! Integration contract of the world files in the `CacheStore`: a loaded
+//! world is interchangeable with a freshly built one — the full
+//! experiment grid (downstream disagreement, quality, and all five
+//! distance measures) reproduces **bitwise**, across master seeds.
 
 use embedstab::embeddings::Algo;
-use embedstab::pipeline::{Experiment, Row, Scale, ScaleParams, World, WorldCache};
+use embedstab::pipeline::{CacheStore, Experiment, Row, Scale, ScaleParams, World};
 use embedstab::quant::Precision;
 use proptest::prelude::*;
 
@@ -78,9 +78,9 @@ proptest! {
         let dir = scratch("world_cache_rows");
         let params = tiny_params();
         let built = World::build(&params, master_seed);
-        let cache = WorldCache::open(&dir).expect("open");
-        cache.store(&built).expect("store");
-        let loaded = cache.load(&params, master_seed).expect("hit");
+        let cache = CacheStore::open(&dir).expect("open");
+        cache.store_world(&built).expect("store");
+        let loaded = cache.load_world(&params, master_seed).expect("hit");
         prop_assert_eq!(bitwise_keys(&grid_rows(&loaded)), bitwise_keys(&grid_rows(&built)));
         std::fs::remove_dir_all(&dir).ok();
     }
