@@ -2,8 +2,8 @@
 //! command**.
 //!
 //! ```text
-//! coordinator --shards 8 --bin fig2_memory_tradeoff --scale paper \
-//!     [--cache-dir cache] [-- extra args...]
+//! usage: coordinator --shards N [--bin name-or-path] [--scale tiny|small|paper]
+//!          [--cache-dir <dir>] [-- args forwarded to shards]
 //! ```
 //!
 //! It is a loopback fleet: the `fleet_coordinator` run (see
@@ -34,12 +34,13 @@
 //! attempts or every worker exits before the fleet drains, 2 on usage
 //! errors.
 
+use std::io::Write;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::thread::{self, JoinHandle};
 
-use embedstab_bench::{parse_fleet_args, resolve_bin, run_fleet};
+use embedstab_bench::{resolve_bin, run_fleet, Cli, FleetArgs};
 
 const USAGE: &str =
     "usage: coordinator --shards N [--bin name-or-path] [--scale tiny|small|paper]\n\
@@ -58,7 +59,12 @@ fn absolute(path: &Path) -> PathBuf {
 }
 
 fn main() {
-    let mut args = parse_fleet_args(USAGE, |_, _, _| Ok(false));
+    let mut cli = Cli::new(USAGE);
+    let mut args = FleetArgs::default();
+    while let Some(flag) = cli.next() {
+        args.read(&flag, &mut cli);
+    }
+    let mut args = args.checked(&cli);
     // Workers resolve the spec's bare binary name in their --bin-dir.
     let bin = absolute(&resolve_bin(&args.config.spec.bin));
     let (Some(bin_dir), Some(name)) = (bin.parent(), bin.file_name().and_then(|n| n.to_str()))
@@ -114,7 +120,9 @@ fn start_workers(workers: &Workers, addr: SocketAddr, shards: u32) -> JoinHandle
             let status = child
                 .wait()
                 .unwrap_or_else(|e| panic!("cannot wait for worker {name}: {e}"));
-            eprintln!("[coordinator] worker {name} exited ({status})");
+            // One write for the whole line: the workers share this stderr.
+            let line = format!("[coordinator] worker {name} exited ({status})\n");
+            std::io::stderr().write_all(line.as_bytes()).ok();
             settled |= matches!(status.code(), Some(0 | 1));
         }
         std::fs::remove_dir_all(&workdir).ok();

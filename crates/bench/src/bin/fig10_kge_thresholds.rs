@@ -2,6 +2,8 @@
 //! decision thresholds are tuned *per dataset* (each embedding fits its
 //! own thresholds) instead of shared — the tradeoff flattens faster at
 //! high precision, as the paper observes.
+//!
+//! Usage: `fig10_kge_thresholds [--scale tiny|small|paper] [--cache-dir DIR] [--shard I/N] [--fresh]`
 
 use embedstab_core::disagreement;
 use embedstab_kge::{
@@ -12,7 +14,7 @@ use embedstab_pipeline::Scale;
 use embedstab_quant::Precision;
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = embedstab_bench::GridArgs::parse(env!("CARGO_BIN_NAME")).scale;
     let dims = match scale {
         Scale::Tiny => vec![4, 8, 16],
         Scale::Small => vec![4, 8, 16, 32, 64],

@@ -2,8 +2,10 @@
 //! contextual embeddings on the four sentiment tasks, varying (a) the
 //! transformer output dimension and (b) the precision of the extracted
 //! features.
+//!
+//! Usage: `fig11_bert [--scale tiny|small|paper] [--cache-dir DIR] [--shard I/N] [--fresh]`
 
-use embedstab_bench::world_from_args;
+use embedstab_bench::{world_from_args, GridArgs};
 use embedstab_core::disagreement;
 use embedstab_corpus::Corpus;
 use embedstab_ctx::{BertConfig, MiniBert, MlmTrainConfig};
@@ -15,7 +17,8 @@ use embedstab_pipeline::Scale;
 use embedstab_quant::{optimal_clip, quantize_value, Precision};
 
 fn main() {
-    let scale = Scale::from_args();
+    let args = GridArgs::parse(env!("CARGO_BIN_NAME"));
+    let scale = args.scale;
     let params = scale.params();
     let (dims, mlm_tokens, epochs) = match scale {
         Scale::Tiny => (vec![8, 16], 6_000usize, 1usize),
@@ -23,7 +26,7 @@ fn main() {
         Scale::Paper => (vec![16, 32, 64, 128, 256], 200_000, 2),
     };
     let base_dim = dims[dims.len() / 2];
-    let world = world_from_args(scale);
+    let world = world_from_args(&args);
     let sub17 = subsample(&world.pair.corpus17, mlm_tokens);
     let sub18 = subsample(&world.pair.corpus18, mlm_tokens);
 

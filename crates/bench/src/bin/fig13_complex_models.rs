@@ -1,7 +1,9 @@
 //! Figure 13 (Appendix E.2): the stability-memory tradeoff survives more
 //! complex downstream models — a CNN for SST-2 and a BiLSTM-CRF for NER.
+//!
+//! Usage: `fig13_complex_models [--scale tiny|small|paper] [--cache-dir DIR] [--shard I/N] [--fresh]`
 
-use embedstab_bench::setup;
+use embedstab_bench::{setup, GridArgs};
 use embedstab_core::{disagreement, masked_disagreement};
 use embedstab_downstream::eval::flatten_tags;
 use embedstab_downstream::models::{
@@ -9,12 +11,11 @@ use embedstab_downstream::models::{
 };
 use embedstab_embeddings::Algo;
 use embedstab_pipeline::report::{pct, print_table};
-use embedstab_pipeline::Scale;
 use embedstab_quant::Precision;
 
 fn main() {
-    let scale = Scale::from_args();
-    let exp = setup(scale, &[Algo::Cbow, Algo::Mc]);
+    let args = GridArgs::parse(env!("CARGO_BIN_NAME"));
+    let exp = setup(&args, &[Algo::Cbow, Algo::Mc]);
     let params = &exp.world.params;
     // The paper trains a representative subset with the CRF on
     // (dims {25,100,800} x precisions {1,4,32}); mirror that subsetting.

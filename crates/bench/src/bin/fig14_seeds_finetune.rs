@@ -2,15 +2,17 @@
 //! the downstream seed constraint relaxed (different model-init and
 //! sampling seeds between the paired models), and (b) with embeddings
 //! fine-tuned during downstream training.
+//!
+//! Usage: `fig14_seeds_finetune [--scale tiny|small|paper] [--cache-dir DIR] [--shard I/N] [--fresh]`
 
-use embedstab_bench::{aggregate, setup};
+use embedstab_bench::{aggregate, setup, GridArgs};
 use embedstab_embeddings::Algo;
 use embedstab_pipeline::report::{pct, print_table};
-use embedstab_pipeline::{Experiment, Scale};
+use embedstab_pipeline::Experiment;
 
 fn main() {
-    let scale = Scale::from_args();
-    let exp = setup(scale, &[Algo::Cbow, Algo::Mc]);
+    let args = GridArgs::parse(env!("CARGO_BIN_NAME"));
+    let exp = setup(&args, &[Algo::Cbow, Algo::Mc]);
     let base = || {
         Experiment::new(&exp.world)
             .grid(&exp.grid)

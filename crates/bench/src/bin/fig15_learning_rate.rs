@@ -1,16 +1,18 @@
 //! Figure 15 (Appendix E.5): downstream instability as a function of the
 //! downstream model's learning rate, for CBOW and MC on SST-2 and MR at
 //! two dimensions.
+//!
+//! Usage: `fig15_learning_rate [--scale tiny|small|paper] [--cache-dir DIR] [--shard I/N] [--fresh]`
 
-use embedstab_bench::{aggregate, setup};
+use embedstab_bench::{aggregate, setup, GridArgs};
 use embedstab_embeddings::Algo;
 use embedstab_pipeline::report::{pct, print_table};
-use embedstab_pipeline::{Experiment, Scale};
+use embedstab_pipeline::Experiment;
 use embedstab_quant::Precision;
 
 fn main() {
-    let scale = Scale::from_args();
-    let exp = setup(scale, &[Algo::Cbow, Algo::Mc]);
+    let args = GridArgs::parse(env!("CARGO_BIN_NAME"));
+    let exp = setup(&args, &[Algo::Cbow, Algo::Mc]);
     let params = &exp.world.params;
     let dims = vec![
         params.dims[params.dims.len() / 2],

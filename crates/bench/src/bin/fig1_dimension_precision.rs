@@ -1,15 +1,16 @@
 //! Figure 1: downstream instability of sentiment (SST-2) and NER tasks
 //! under varying dimension (top row, at full precision) and varying
 //! precision (bottom row, at the mid dimension) for CBOW, GloVe, and MC.
+//!
+//! Usage: `fig1_dimension_precision [--scale tiny|small|paper] [--cache-dir DIR] [--shard I/N] [--fresh]`
 
-use embedstab_bench::{aggregate, standard_rows};
+use embedstab_bench::{aggregate, standard_rows, GridArgs};
 use embedstab_pipeline::report::{pct, print_table};
-use embedstab_pipeline::Scale;
 
 fn main() {
-    let scale = Scale::from_args();
-    let params = scale.params();
-    let rows = standard_rows(scale, &["sst2", "ner"]);
+    let args = GridArgs::parse(env!("CARGO_BIN_NAME"));
+    let params = args.scale.params();
+    let rows = standard_rows(&args, &["sst2", "ner"]);
     let mid_dim = params.dims[params.dims.len() / 2];
 
     for task in ["sst2", "ner"] {

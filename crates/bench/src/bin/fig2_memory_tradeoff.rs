@@ -1,16 +1,18 @@
 //! Figure 2 + Section 3.3: downstream instability of NER across memory
 //! budgets for every dimension-precision combination, the linear-log rule
 //! of thumb, and the relative impact of dimension vs precision.
+//!
+//! Usage: `fig2_memory_tradeoff [--scale tiny|small|paper] [--cache-dir DIR] [--shard I/N] [--fresh]`
 
-use embedstab_bench::{aggregate, standard_rows};
+use embedstab_bench::{aggregate, standard_rows, GridArgs};
 use embedstab_core::stats::{linear_log_fit, TrendPoint};
 use embedstab_core::trend::{fit_rule_of_thumb, Observation};
 use embedstab_pipeline::report::{num, pct, print_table};
-use embedstab_pipeline::{Row, Scale};
+use embedstab_pipeline::Row;
 
 fn main() {
-    let scale = Scale::from_args();
-    let rows = standard_rows(scale, &["sst2", "mr", "subj", "mpqa", "ner"]);
+    let args = GridArgs::parse(env!("CARGO_BIN_NAME"));
+    let rows = standard_rows(&args, &["sst2", "mr", "subj", "mpqa", "ner"]);
 
     // Figure 2 proper: NER instability vs bits/word, one line per precision.
     println!("\n=== Figure 2: NER % disagreement vs memory (bits/word) ===");

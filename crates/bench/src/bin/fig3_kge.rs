@@ -2,6 +2,8 @@
 //! embeddings — unstable-rank@10 for link prediction (left) and prediction
 //! disagreement for triplet classification (right), between embeddings
 //! trained on the full graph and on 95% of its training triplets.
+//!
+//! Usage: `fig3_kge [--scale tiny|small|paper] [--cache-dir DIR] [--shard I/N] [--fresh]`
 
 use embedstab_core::disagreement;
 use embedstab_core::trend::{fit_rule_of_thumb, Observation};
@@ -14,7 +16,7 @@ use embedstab_pipeline::Scale;
 use embedstab_quant::Precision;
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = embedstab_bench::GridArgs::parse(env!("CARGO_BIN_NAME")).scale;
     let (dims, spec) = match scale {
         Scale::Tiny => (
             vec![4, 8, 16],

@@ -1,15 +1,16 @@
 //! Figures 4, 5, and 6 (Appendix D.1): the dimension, precision, and
 //! joint memory tradeoffs on the remaining sentiment tasks
 //! (Subj, MR, MPQA; plus SST-2 in Figure 6).
+//!
+//! Usage: `fig4_6_sentiment_grids [--scale tiny|small|paper] [--cache-dir DIR] [--shard I/N] [--fresh]`
 
-use embedstab_bench::{aggregate, standard_rows};
+use embedstab_bench::{aggregate, standard_rows, GridArgs};
 use embedstab_pipeline::report::{pct, print_table};
-use embedstab_pipeline::Scale;
 
 fn main() {
-    let scale = Scale::from_args();
-    let params = scale.params();
-    let rows = standard_rows(scale, &["sst2", "mr", "subj", "mpqa"]);
+    let args = GridArgs::parse(env!("CARGO_BIN_NAME"));
+    let params = args.scale.params();
+    let rows = standard_rows(&args, &["sst2", "mr", "subj", "mpqa"]);
     let mid_dim = params.dims[params.dims.len() / 2];
     let min_bits = params
         .precisions

@@ -1,14 +1,15 @@
 //! Figures 7 and 8 (Appendix D.2): quality-memory and quality-stability
 //! tradeoffs for the sentiment tasks (Fig. 7) and NER (Fig. 8), CBOW and
 //! MC embeddings.
+//!
+//! Usage: `fig7_8_quality [--scale tiny|small|paper] [--cache-dir DIR] [--shard I/N] [--fresh]`
 
-use embedstab_bench::{aggregate, standard_rows};
+use embedstab_bench::{aggregate, standard_rows, GridArgs};
 use embedstab_pipeline::report::{pct, print_table};
-use embedstab_pipeline::Scale;
 
 fn main() {
-    let scale = Scale::from_args();
-    let rows = standard_rows(scale, &["sst2", "subj", "mr", "mpqa", "ner"]);
+    let args = GridArgs::parse(env!("CARGO_BIN_NAME"));
+    let rows = standard_rows(&args, &["sst2", "subj", "mr", "mpqa", "ner"]);
 
     println!("\n=== Figures 7/8: quality vs memory and quality vs stability ===");
     for task in ["sst2", "subj", "mr", "mpqa", "ner"] {

@@ -1,14 +1,15 @@
 //! Figure 9 (Appendix D.4): downstream NER disagreement versus each
 //! embedding distance measure, with Spearman correlations, per algorithm.
+//!
+//! Usage: `fig9_measure_scatter [--scale tiny|small|paper] [--cache-dir DIR] [--shard I/N] [--fresh]`
 
-use embedstab_bench::{rows_for_algo, spearman_for, standard_rows};
+use embedstab_bench::{rows_for_algo, spearman_for, standard_rows, GridArgs};
 use embedstab_core::measures::MeasureKind;
 use embedstab_pipeline::report::{num, pct, print_table};
-use embedstab_pipeline::Scale;
 
 fn main() {
-    let scale = Scale::from_args();
-    let rows = standard_rows(scale, &["sst2", "ner"]);
+    let args = GridArgs::parse(env!("CARGO_BIN_NAME"));
+    let rows = standard_rows(&args, &["sst2", "ner"]);
     let ner = &rows["ner"];
 
     for algo in ["CBOW", "GloVe", "MC"] {

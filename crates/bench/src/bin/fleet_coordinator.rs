@@ -2,9 +2,10 @@
 //! machine.
 //!
 //! ```text
-//! fleet_coordinator --shards 8 --bind 0.0.0.0:7701 \
-//!     --bin fig2_memory_tradeoff --scale paper \
-//!     [--cache-dir cache] [-- extra args...]
+//! usage: fleet_coordinator --shards N [--bind host:port] [--bin name]
+//!          [--scale tiny|small|paper] [--cache-dir <dir>]
+//!          [--lease-timeout-ms MS] [--max-attempts N] [--io-timeout-secs S]
+//!          [--linger-ms MS] [-- args forwarded to every worker's shards]
 //! ```
 //!
 //! Where `coordinator` starts its own workers on this box, this binary
@@ -30,7 +31,7 @@
 
 use std::time::Duration;
 
-use embedstab_bench::{exit_usage, parse_fleet_args, run_fleet};
+use embedstab_bench::{run_fleet, Cli, FleetArgs};
 
 const USAGE: &str = "usage: fleet_coordinator --shards N [--bind host:port] [--bin name]\n\
     \x20        [--scale tiny|small|paper] [--cache-dir <dir>]\n\
@@ -38,35 +39,27 @@ const USAGE: &str = "usage: fleet_coordinator --shards N [--bind host:port] [--b
     \x20        [--linger-ms MS] [-- args forwarded to every worker's shards]";
 
 fn main() {
+    let mut cli = Cli::new(USAGE);
+    let mut args = FleetArgs::default();
     let mut bind = "127.0.0.1:0".to_string();
-    let args = parse_fleet_args(USAGE, |flag, value, config| {
-        let needs = |what: &str| format!("{flag} needs {what}");
-        match flag {
-            "--bind" => bind = value(),
-            "--lease-timeout-ms" => {
-                config.queue.lease_timeout_ms =
-                    value().parse().map_err(|_| needs("milliseconds"))?;
-            }
-            "--max-attempts" => {
-                config.queue.max_attempts =
-                    value().parse().map_err(|_| needs("a positive integer"))?;
-            }
+    while let Some(flag) = cli.next() {
+        let config = &mut args.config;
+        match flag.as_str() {
+            "--bind" => bind = cli.value(&flag),
+            "--lease-timeout-ms" => config.queue.lease_timeout_ms = cli.parse(&flag),
+            "--max-attempts" => config.queue.max_attempts = cli.parse(&flag),
             "--io-timeout-secs" => {
-                let secs: u64 = value().parse().map_err(|_| needs("seconds (0 = none)"))?;
+                let secs: u64 = cli.parse(&flag);
                 config.io_timeout = (secs > 0).then(|| Duration::from_secs(secs));
             }
-            "--linger-ms" => {
-                let millis = value().parse().map_err(|_| needs("milliseconds"))?;
-                config.linger = Duration::from_millis(millis);
-            }
-            _ => return Ok(false),
+            "--linger-ms" => config.linger = Duration::from_millis(cli.parse(&flag)),
+            _ => args.read(&flag, &mut cli),
         }
-        Ok(true)
-    });
+    }
+    let args = args.checked(&cli);
     let bin = &args.config.spec.bin;
     if bin.contains('/') || bin.contains('\\') {
-        let err = "--bin must be a bare binary name (workers resolve it in their own bin dir)";
-        exit_usage(USAGE, err);
+        cli.fail("--bin must be a bare binary name (workers resolve it in their own bin dir)");
     }
     std::process::exit(run_fleet("fleet_coordinator", args, &bind, |_| {}));
 }

@@ -2,9 +2,10 @@
 //! fingerprint, and runs leased shard slices until the fleet drains.
 //!
 //! ```text
-//! fleet_worker --addr host:7701 [--name w1] [--workdir dir]
-//!     [--cache-dir cache] [--bin-dir dir] [--heartbeat-ms MS]
-//!     [--connect-retries N]
+//! usage: fleet_worker --addr host:port [--name s] [--bin-dir dir] [--workdir dir]
+//!          [--cache-dir <dir>] [--poll-ms MS]
+//!          [--heartbeat-ms MS] [--connect-retries N] [--connect-backoff-ms MS]
+//!          [--io-timeout-secs S]
 //! ```
 //!
 //! The worker needs no pre-staged data: the `Welcome` names the world
@@ -24,14 +25,21 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
+use embedstab_bench::Cli;
 use embedstab_fleet::{run_worker, FleetError, WorkerConfig};
 
-fn parse_args() -> WorkerConfig {
+const USAGE: &str =
+    "usage: fleet_worker --addr host:port [--name s] [--bin-dir dir] [--workdir dir]\n\
+    \x20        [--cache-dir <dir>] [--poll-ms MS]\n\
+    \x20        [--heartbeat-ms MS] [--connect-retries N] [--connect-backoff-ms MS]\n\
+    \x20        [--io-timeout-secs S]";
+
+fn main() {
     let exe_dir = std::env::current_exe()
         .ok()
         .and_then(|p| p.parent().map(|d| d.to_path_buf()))
         .unwrap_or_else(|| PathBuf::from("."));
-    let mut out = WorkerConfig {
+    let mut config = WorkerConfig {
         addr: String::new(),
         name: format!("worker-{}", std::process::id()),
         bin_dir: exe_dir,
@@ -43,70 +51,29 @@ fn parse_args() -> WorkerConfig {
         connect_backoff: Duration::from_millis(300),
         io_timeout: Some(Duration::from_secs(120)),
     };
-    let mut args = std::env::args().skip(1);
-    let next = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next()
-            .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
-    };
-    let millis = |v: String, flag: &str| {
-        Duration::from_millis(
-            v.parse()
-                .unwrap_or_else(|_| usage(&format!("{flag} needs milliseconds"))),
-        )
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--addr" => out.addr = next(&mut args, "--addr"),
-            "--name" => out.name = next(&mut args, "--name"),
-            "--bin-dir" => out.bin_dir = PathBuf::from(next(&mut args, "--bin-dir")),
-            "--workdir" => out.workdir = PathBuf::from(next(&mut args, "--workdir")),
-            "--cache-dir" => out.cache_dir = PathBuf::from(next(&mut args, "--cache-dir")),
-            "--poll-ms" => out.poll = millis(next(&mut args, "--poll-ms"), "--poll-ms"),
-            "--heartbeat-ms" => {
-                out.heartbeat = millis(next(&mut args, "--heartbeat-ms"), "--heartbeat-ms");
-            }
-            "--connect-retries" => {
-                out.connect_retries = next(&mut args, "--connect-retries")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--connect-retries needs a count"));
-            }
-            "--connect-backoff-ms" => {
-                out.connect_backoff = millis(
-                    next(&mut args, "--connect-backoff-ms"),
-                    "--connect-backoff-ms",
-                );
-            }
+    let mut cli = Cli::new(USAGE);
+    while let Some(flag) = cli.next() {
+        let millis = |cli: &mut Cli| Duration::from_millis(cli.parse(&flag));
+        match flag.as_str() {
+            "--addr" => config.addr = cli.value(&flag),
+            "--name" => config.name = cli.value(&flag),
+            "--bin-dir" => config.bin_dir = PathBuf::from(cli.value(&flag)),
+            "--workdir" => config.workdir = PathBuf::from(cli.value(&flag)),
+            "--cache-dir" => config.cache_dir = PathBuf::from(cli.value(&flag)),
+            "--poll-ms" => config.poll = millis(&mut cli),
+            "--heartbeat-ms" => config.heartbeat = millis(&mut cli),
+            "--connect-retries" => config.connect_retries = cli.parse(&flag),
+            "--connect-backoff-ms" => config.connect_backoff = millis(&mut cli),
             "--io-timeout-secs" => {
-                let secs: u64 = next(&mut args, "--io-timeout-secs")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--io-timeout-secs needs seconds (0 = none)"));
-                out.io_timeout = (secs > 0).then(|| Duration::from_secs(secs));
+                let secs: u64 = cli.parse(&flag);
+                config.io_timeout = (secs > 0).then(|| Duration::from_secs(secs));
             }
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown argument '{other}'")),
+            _ => cli.unknown(&flag),
         }
     }
-    if out.addr.is_empty() {
-        usage("missing --addr host:port");
+    if config.addr.is_empty() {
+        cli.fail("missing --addr host:port");
     }
-    out
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!(
-        "usage: fleet_worker --addr host:port [--name s] [--bin-dir dir] [--workdir dir]\n\
-         \x20        [--cache-dir <dir>] [--poll-ms MS]\n\
-         \x20        [--heartbeat-ms MS] [--connect-retries N] [--connect-backoff-ms MS]\n\
-         \x20        [--io-timeout-secs S]"
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
-
-fn main() {
-    let config = parse_args();
     match run_worker(&config) {
         Ok(report) => {
             eprintln!(

@@ -4,6 +4,9 @@
 //! increment sequence, and writes `BENCH_incremental.json`.
 //!
 //! ```text
+//! usage: incremental_retrain [--scale tiny|small|paper] [--steps N]
+//!          [--delta-frac F] [--min-speedup X] [--max-submit-ratio R] [--out PATH]
+//!
 //! cargo run --release -p embedstab_bench --bin incremental_retrain -- \
 //!     --scale small --steps 5 --delta-frac 0.10 --min-speedup 1.0 \
 //!     --max-submit-ratio 1.0
@@ -25,6 +28,7 @@
 use std::process::exit;
 use std::time::Instant;
 
+use embedstab_bench::Cli;
 use embedstab_core::MeasureSuite;
 use embedstab_corpus::{CoocConfig, CorpusConfig, DriftConfig, LatentModel, LatentModelConfig};
 use embedstab_embeddings::Embedding;
@@ -72,21 +76,8 @@ struct Report {
     per_step: Vec<StepRow>,
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parse<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    match flag_value(args, flag) {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("incremental_retrain: bad value '{v}' for {flag}");
-            exit(2)
-        }),
-    }
-}
+const USAGE: &str = "usage: incremental_retrain [--scale tiny|small|paper] [--steps N]\n\
+    \x20        [--delta-frac F] [--min-speedup X] [--max-submit-ratio R] [--out PATH]";
 
 fn service(mode: RetrainMode, params: &embedstab_pipeline::ScaleParams) -> ContinuousRetrainer {
     let label = match mode {
@@ -173,15 +164,24 @@ fn timed_step(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = Scale::from_args();
+    let mut cli = Cli::new(USAGE);
+    let mut scale = Scale::Small;
+    let mut steps: usize = 5;
+    let (mut delta_frac, mut min_speedup): (f64, f64) = (0.10, 1.0);
+    let mut max_submit_ratio: Option<f64> = None;
+    let mut out = "BENCH_incremental.json".to_string();
+    while let Some(flag) = cli.next() {
+        match flag.as_str() {
+            "--scale" => scale = cli.parse(&flag),
+            "--steps" => steps = cli.parse(&flag),
+            "--delta-frac" => delta_frac = cli.parse(&flag),
+            "--min-speedup" => min_speedup = cli.parse(&flag),
+            "--max-submit-ratio" => max_submit_ratio = Some(cli.parse(&flag)),
+            "--out" => out = cli.value(&flag),
+            _ => cli.unknown(&flag),
+        }
+    }
     let params = scale.params();
-    let steps: usize = parse(&args, "--steps", 5);
-    let delta_frac: f64 = parse(&args, "--delta-frac", 0.10);
-    let min_speedup: f64 = parse(&args, "--min-speedup", 1.0);
-    let max_submit_ratio: Option<f64> =
-        flag_value(&args, "--max-submit-ratio").map(|_| parse(&args, "--max-submit-ratio", 0.0));
-    let out = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_incremental.json".into());
     // A mid-sweep dimension: large enough that the SVD stage matters,
     // small enough that counting (the stage incrementality pays for)
     // still dominates, as it does at paper scale.
@@ -301,7 +301,7 @@ fn main() {
     }
 
     let report = Report {
-        scale: format!("{scale:?}").to_lowercase(),
+        scale: scale.name().to_string(),
         vocab_size: params.vocab_size,
         window: params.window,
         dim,

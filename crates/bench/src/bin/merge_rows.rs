@@ -2,13 +2,15 @@
 //! sharded grid run leaves behind (`rows_<task>_<scale>.shard<i>of<n>.jsonl`)
 //! into one sorted, de-duplicated JSONL.
 //!
-//! Usage:
+//! Usage: `merge_rows [--partial] --out <rows.jsonl> <shard.jsonl>...`, e.g.
 //!
 //! ```text
-//! merge_rows [--partial] --out results/rows_sst2_small.jsonl \
+//! merge_rows --out results/rows_sst2_small.jsonl \
 //!     results/rows_sst2_small.shard0of2.jsonl \
 //!     results/rows_sst2_small.shard1of2.jsonl
 //! ```
+//!
+//! Any other argument starting with `-` is an unknown flag, not a file.
 //!
 //! The output is canonical: rows sorted by `(task, algo, dim, bits, seed)`
 //! with one row per configuration (later duplicates dropped), and — for a
@@ -23,30 +25,28 @@
 //! salvage rows from a fleet with dead shards (the output is then
 //! explicitly non-canonical).
 
-use embedstab_bench::{merge_shard_rows, merge_shard_rows_partial, rows_to_jsonl};
+use embedstab_bench::{merge_shard_rows, merge_shard_rows_partial, rows_to_jsonl, Cli};
 use embedstab_corpus::codec::atomic_write;
 use std::path::PathBuf;
 
+const USAGE: &str = "usage: merge_rows [--partial] --out <rows.jsonl> <shard.jsonl>...";
+
 fn main() {
-    let mut args = std::env::args().skip(1);
+    let mut cli = Cli::new(USAGE);
     let mut out: Option<PathBuf> = None;
     let mut partial = false;
     let mut inputs: Vec<PathBuf> = Vec::new();
-    while let Some(arg) = args.next() {
-        if arg == "--out" {
-            let path = args.next().unwrap_or_else(|| usage("--out needs a path"));
-            out = Some(PathBuf::from(path));
-        } else if arg == "--partial" {
-            partial = true;
-        } else if arg == "--help" || arg == "-h" {
-            usage("");
-        } else {
-            inputs.push(PathBuf::from(arg));
+    while let Some(arg) = cli.next() {
+        match arg.as_str() {
+            "--out" => out = Some(PathBuf::from(cli.value(&arg))),
+            "--partial" => partial = true,
+            _ if !arg.starts_with('-') => inputs.push(PathBuf::from(arg)),
+            _ => cli.unknown(&arg),
         }
     }
-    let out = out.unwrap_or_else(|| usage("missing --out"));
+    let out = out.unwrap_or_else(|| cli.fail("missing --out"));
     if inputs.is_empty() {
-        usage("no shard files given");
+        cli.fail("no shard files given");
     }
     let merge = if partial {
         merge_shard_rows_partial
@@ -68,12 +68,4 @@ fn main() {
         rows.len(),
         if partial { ", partial" } else { "" }
     );
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!("usage: merge_rows [--partial] --out <rows.jsonl> <shard.jsonl>...");
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

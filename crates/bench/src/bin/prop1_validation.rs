@@ -4,8 +4,10 @@
 //!
 //! Validates the identity both on random matrices and on actually trained
 //! embedding pairs.
+//!
+//! Usage: `prop1_validation [--scale tiny|small|paper] [--cache-dir DIR] [--shard I/N] [--fresh]`
 
-use embedstab_bench::setup;
+use embedstab_bench::{setup, GridArgs};
 use embedstab_core::theory::{eis_dense, monte_carlo_disagreement, SigmaFactor};
 use embedstab_embeddings::Algo;
 use embedstab_linalg::Mat;
@@ -37,7 +39,10 @@ fn main() {
 
     // Trained embeddings from a tiny world: the identity is about the
     // matrices, so it must hold for real (Wiki'17, Wiki'18) pairs too.
-    let exp = setup(Scale::Tiny, &[Algo::Mc]);
+    let mut args = GridArgs::parse(env!("CARGO_BIN_NAME"));
+    // The identity is about matrices: the Tiny grid shows it at any scale.
+    args.scale = Scale::Tiny;
+    let exp = setup(&args, &[Algo::Mc]);
     let dims = exp.world.params.dims.clone();
     for &dim in &dims {
         let (x17, x18) = exp.grid.pair(Algo::Mc, dim, 0);

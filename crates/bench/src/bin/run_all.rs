@@ -1,7 +1,10 @@
 //! Runs every table/figure reproduction binary in sequence — the
 //! one-command analogue of the paper artifact's `run_analysis.sh`.
 //!
-//! Usage: `cargo run --release -p embedstab-bench --bin run_all -- --scale tiny`
+//! Usage: `run_all [--scale tiny|small|paper] [--cache-dir DIR] [--shard I/N] [--fresh]`
+//!
+//! The command line is checked once, then passed unchanged to every
+//! binary, so a mistyped flag exits 2 before anything runs.
 //!
 //! The binaries share one row file per task and scale,
 //! `results/rows_<task>_<scale>_<fingerprint>.jsonl`, and one pair cache,
@@ -10,6 +13,8 @@
 //! scale in the same directory reads the fleet's merged rows.
 
 use std::process::Command;
+
+use embedstab_bench::{Cli, GridArgs, GRID_FLAGS};
 
 const BINARIES: &[&str] = &[
     // Theory first: cheap and self-contained.
@@ -39,7 +44,11 @@ const BINARIES: &[&str] = &[
 ];
 
 fn main() {
-    let passthrough: Vec<String> = std::env::args().skip(1).collect();
+    // One check of the command line here, not one failed launch per
+    // binary; the arguments are then forwarded unchanged.
+    let mut cli = Cli::new(format!("usage: run_all {GRID_FLAGS}"));
+    let passthrough = cli.given().to_vec();
+    GridArgs::read_all(&mut cli);
     let mut failures = Vec::new();
     for (i, bin) in BINARIES.iter().enumerate() {
         println!("\n================================================================");

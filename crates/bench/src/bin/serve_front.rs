@@ -2,6 +2,9 @@
 //! `embedstab_serve::wire` protocol from an on-disk snapshot store.
 //!
 //! ```text
+//! usage: serve_front --snapshot-dir PATH [--bootstrap-tiny] [--addr HOST:PORT]
+//!          [--tenant NAME] [--max-batch N] [--max-pending N]
+//!
 //! # Bootstrap a Tiny-scale snapshot (CBOW on the synthetic '17 corpus)
 //! # into ./serve-data and start serving it:
 //! cargo run --release -p embedstab_bench --bin serve_front -- \
@@ -14,80 +17,56 @@
 //! batch runs are coalesced into the next batched snapshot call (at most
 //! `--max-batch`); `--max-pending` bounds each tenant's queue, past which
 //! requests are refused with `Overloaded` instead of queueing without
-//! bound. An unrecognised flag prints the usage line and exits 2.
+//! bound. An unknown flag prints the usage line and exits 2.
 //!
 //! Every malformed frame, unknown tenant, out-of-range id, wrong-dim
 //! query, `k = 0`, or empty batch is answered with a typed error response;
 //! the process never panics on client bytes (`serve_loadgen --fuzz`
 //! drives exactly that contract).
 
-use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::process::exit;
 use std::time::Duration;
 
+use embedstab_bench::Cli;
 use embedstab_embeddings::{train_embedding, Algo};
 use embedstab_pipeline::{Scale, World};
 use embedstab_quant::Precision;
 use embedstab_serve::{serve, ServerConfig, SnapshotStore, TenantConfig};
 
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("serve_front: {err}");
-    }
-    eprintln!(
-        "usage: serve_front --snapshot-dir PATH [--bootstrap-tiny] \
-         [--addr HOST:PORT] [--tenant NAME] [--max-batch N] [--max-pending N]"
-    );
-    exit(2)
-}
-
-/// The flags given, each with its value (`""` for `--bootstrap-tiny`).
-/// Any other argument, such as a misspelt or removed flag, is a usage
-/// error: it must not start a server on defaults.
-fn flags(args: &[String]) -> BTreeMap<&str, &str> {
-    let mut flags = BTreeMap::new();
-    let mut rest = args.iter().skip(1).map(String::as_str);
-    while let Some(flag) = rest.next() {
-        let value = match flag {
-            "--bootstrap-tiny" => "",
-            "--snapshot-dir" | "--addr" | "--tenant" | "--max-batch" | "--max-pending" => rest
-                .next()
-                .unwrap_or_else(|| usage(&format!("{flag} needs a value"))),
-            "--help" | "-h" => usage(""),
-            _ => usage(&format!("unrecognised argument '{flag}'")),
-        };
-        flags.insert(flag, value);
-    }
-    flags
-}
-
-fn parse<T: std::str::FromStr>(flags: &BTreeMap<&str, &str>, flag: &str, default: T) -> T {
-    match flags.get(flag) {
-        None => default,
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|_| usage(&format!("bad value '{v}' for {flag}"))),
-    }
-}
+const USAGE: &str =
+    "usage: serve_front --snapshot-dir PATH [--bootstrap-tiny] [--addr HOST:PORT]\n\
+    \x20        [--tenant NAME] [--max-batch N] [--max-pending N]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flags = flags(&args);
-    let Some(&dir) = flags.get("--snapshot-dir") else {
-        usage("--snapshot-dir is required")
+    let mut cli = Cli::new(USAGE);
+    let mut dir = None;
+    let mut bootstrap = false;
+    let mut addr = "127.0.0.1:7878".to_string();
+    let mut tenant = "default".to_string();
+    let mut max_batch: usize = 64;
+    let mut max_pending: usize = 1024;
+    while let Some(flag) = cli.next() {
+        match flag.as_str() {
+            "--snapshot-dir" => dir = Some(cli.value(&flag)),
+            "--bootstrap-tiny" => bootstrap = true,
+            "--addr" => addr = cli.value(&flag),
+            "--tenant" => tenant = cli.value(&flag),
+            "--max-batch" => max_batch = cli.parse(&flag),
+            "--max-pending" => max_pending = cli.parse(&flag),
+            _ => cli.unknown(&flag),
+        }
+    }
+    let Some(dir) = dir else {
+        cli.fail("--snapshot-dir is required")
     };
-    let addr = flags.get("--addr").copied().unwrap_or("127.0.0.1:7878");
-    let tenant = flags.get("--tenant").copied().unwrap_or("default");
-    let max_batch: usize = parse(&flags, "--max-batch", 64);
-    let max_pending: usize = parse(&flags, "--max-pending", 1024);
 
-    let mut store = SnapshotStore::open(dir).unwrap_or_else(|e| {
+    let mut store = SnapshotStore::open(&dir).unwrap_or_else(|e| {
         eprintln!("serve_front: cannot open snapshot store {dir}: {e}");
         exit(1)
     });
     if store.live().is_none() {
-        if !flags.contains_key("--bootstrap-tiny") {
+        if !bootstrap {
             eprintln!(
                 "serve_front: store {dir} has no live snapshot; \
                  pass --bootstrap-tiny to build one at Tiny scale"
@@ -112,7 +91,7 @@ fn main() {
         );
     }
 
-    let listener = TcpListener::bind(addr).unwrap_or_else(|e| {
+    let listener = TcpListener::bind(&addr).unwrap_or_else(|e| {
         eprintln!("serve_front: cannot bind {addr}: {e}");
         exit(1)
     });
@@ -123,7 +102,7 @@ fn main() {
     let handle = serve(
         listener,
         vec![TenantConfig {
-            name: tenant.into(),
+            name: tenant.clone(),
             store,
             max_pending,
         }],

@@ -3,6 +3,9 @@
 //! `BENCH_serve.json` with throughput and latency quantiles.
 //!
 //! ```text
+//! usage: serve_loadgen [--addr HOST:PORT] [--tenant NAME] [--connections N]
+//!          [--requests N] [--out PATH] [--fuzz]
+//!
 //! cargo run --release -p embedstab_bench --bin serve_loadgen -- \
 //!     --addr 127.0.0.1:7878 --connections 4 --requests 250
 //! ```
@@ -27,6 +30,7 @@ use std::net::TcpStream;
 use std::process::exit;
 use std::time::Instant;
 
+use embedstab_bench::Cli;
 use embedstab_core::stats::LatencyHistogram;
 use embedstab_linalg::Mat;
 use embedstab_serve::wire::{self, Request, Response};
@@ -51,21 +55,8 @@ struct Report {
     latency_us_p999: u64,
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parse<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    match flag_value(args, flag) {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("serve_loadgen: bad value '{v}' for {flag}");
-            exit(2)
-        }),
-    }
-}
+const USAGE: &str = "usage: serve_loadgen [--addr HOST:PORT] [--tenant NAME] [--connections N]\n\
+    \x20        [--requests N] [--out PATH] [--fuzz]";
 
 struct WorkerResult {
     hist: LatencyHistogram,
@@ -74,13 +65,23 @@ struct WorkerResult {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let addr = flag_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".into());
-    let tenant = flag_value(&args, "--tenant").unwrap_or_else(|| "default".into());
-    let connections: usize = parse(&args, "--connections", 4);
-    let requests: usize = parse(&args, "--requests", 250);
-    let out = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_serve.json".into());
-    let fuzz = args.iter().any(|a| a == "--fuzz");
+    let mut cli = Cli::new(USAGE);
+    let mut addr = "127.0.0.1:7878".to_string();
+    let mut tenant = "default".to_string();
+    let (mut connections, mut requests): (usize, usize) = (4, 250);
+    let mut out = "BENCH_serve.json".to_string();
+    let mut fuzz = false;
+    while let Some(flag) = cli.next() {
+        match flag.as_str() {
+            "--addr" => addr = cli.value(&flag),
+            "--tenant" => tenant = cli.value(&flag),
+            "--connections" => connections = cli.parse(&flag),
+            "--requests" => requests = cli.parse(&flag),
+            "--out" => out = cli.value(&flag),
+            "--fuzz" => fuzz = true,
+            _ => cli.unknown(&flag),
+        }
+    }
 
     // Learn the served shape from the server itself.
     let mut probe = TcpStream::connect(&addr).unwrap_or_else(|e| {

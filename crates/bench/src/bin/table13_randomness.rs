@@ -3,17 +3,18 @@
 //! training data — with fixed full-precision embeddings, vary only the
 //! model-initialization seed, only the sampling-order seed, or only the
 //! embedding corpus.
+//!
+//! Usage: `table13_randomness [--scale tiny|small|paper] [--cache-dir DIR] [--shard I/N] [--fresh]`
 
-use embedstab_bench::setup;
+use embedstab_bench::{setup, GridArgs};
 use embedstab_core::disagreement;
 use embedstab_downstream::models::{BowSentimentModel, TrainSpec};
 use embedstab_embeddings::Algo;
 use embedstab_pipeline::report::{pct, print_table};
-use embedstab_pipeline::Scale;
 
 fn main() {
-    let scale = Scale::from_args();
-    let exp = setup(scale, &[Algo::Cbow, Algo::Mc]);
+    let args = GridArgs::parse(env!("CARGO_BIN_NAME"));
+    let exp = setup(&args, &[Algo::Cbow, Algo::Mc]);
     let params = &exp.world.params;
     // The paper uses the 400-dimensional full-precision embeddings; use
     // the second-largest dimension of the sweep.

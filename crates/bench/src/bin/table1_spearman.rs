@@ -1,39 +1,23 @@
 //! Table 1: Spearman correlation between each embedding distance measure
 //! and downstream prediction disagreement, across the dimension-precision
 //! grid, for SST-2, Subj, and NER x CBOW/GloVe/MC.
+//!
+//! Usage: `table1_spearman [--scale tiny|small|paper] [--cache-dir DIR] [--shard I/N] [--fresh]`
 
-use embedstab_bench::{rows_for_algo, spearman_for, standard_rows};
-use embedstab_core::measures::MeasureKind;
-use embedstab_pipeline::report::{num, print_table};
-use embedstab_pipeline::Scale;
+use embedstab_bench::{print_measure_table, spearman_for, standard_rows, GridArgs};
+use embedstab_pipeline::report::num;
 
 fn main() {
-    let scale = Scale::from_args();
-    let rows = standard_rows(scale, &["sst2", "subj", "ner"]);
-    let algos = ["CBOW", "GloVe", "MC"];
+    let args = GridArgs::parse(env!("CARGO_BIN_NAME"));
     let tasks = ["sst2", "subj", "ner"];
+    let rows = standard_rows(&args, &tasks);
 
     println!("\n=== Table 1: Spearman correlation (measure vs downstream disagreement) ===");
-    let mut header: Vec<String> = vec!["measure".into()];
-    for task in tasks {
-        for algo in algos {
-            header.push(format!("{task}/{algo}"));
-        }
-    }
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut table = Vec::new();
-    for kind in MeasureKind::ALL {
-        let mut line = vec![kind.name().to_string()];
-        for task in tasks {
-            for algo in algos {
-                let sub = rows_for_algo(&rows[task], algo);
-                let rho = spearman_for(&sub, kind);
-                line.push(rho.map(|r| num(r, 2)).unwrap_or_else(|| "n/a".into()));
-            }
-        }
-        table.push(line);
-    }
-    print_table(&header_refs, &table);
+    print_measure_table(&rows, &tasks, |sub, kind| {
+        spearman_for(sub, kind)
+            .map(|r| num(r, 2))
+            .unwrap_or_else(|| "n/a".into())
+    });
     println!("\nPaper shape: Eigenspace Instability and 1-k-NN dominate (>=0.68 in the");
     println!("paper); Semantic Displacement / PIP / 1-Eigenspace Overlap are weaker.");
 }

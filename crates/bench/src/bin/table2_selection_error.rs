@@ -1,48 +1,21 @@
 //! Table 2: selection error when using each embedding distance measure to
 //! pick the more stable of two dimension-precision configurations
 //! (evaluated per seed, averaged, as in Section 5.2).
+//!
+//! Usage: `table2_selection_error [--scale tiny|small|paper] [--cache-dir DIR] [--shard I/N] [--fresh]`
 
-use embedstab_bench::{config_points_per_seed, rows_for_algo, standard_rows};
-use embedstab_core::measures::MeasureKind;
+use embedstab_bench::{mean_over_seeds, print_measure_table, standard_rows, GridArgs};
 use embedstab_core::selection::pairwise_selection;
-use embedstab_core::stats;
-use embedstab_pipeline::report::{num, print_table};
-use embedstab_pipeline::Scale;
 
 fn main() {
-    let scale = Scale::from_args();
-    let rows = standard_rows(scale, &["sst2", "subj", "ner"]);
-    let algos = ["CBOW", "GloVe", "MC"];
+    let args = GridArgs::parse(env!("CARGO_BIN_NAME"));
     let tasks = ["sst2", "subj", "ner"];
+    let rows = standard_rows(&args, &tasks);
 
     println!("\n=== Table 2: pairwise dimension-precision selection error ===");
-    let mut header: Vec<String> = vec!["measure".into()];
-    for task in tasks {
-        for algo in algos {
-            header.push(format!("{task}/{algo}"));
-        }
-    }
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut table = Vec::new();
-    for kind in MeasureKind::ALL {
-        let mut line = vec![kind.name().to_string()];
-        for task in tasks {
-            for algo in algos {
-                let sub = rows_for_algo(&rows[task], algo);
-                let errs: Vec<f64> = config_points_per_seed(&sub, kind)
-                    .iter()
-                    .map(|pts| pairwise_selection(pts).error_rate)
-                    .collect();
-                line.push(if errs.is_empty() {
-                    "n/a".into()
-                } else {
-                    num(stats::mean(&errs), 2)
-                });
-            }
-        }
-        table.push(line);
-    }
-    print_table(&header_refs, &table);
+    print_measure_table(&rows, &tasks, |sub, kind| {
+        mean_over_seeds(sub, kind, 1.0, |pts| pairwise_selection(pts).error_rate)
+    });
     println!("\nPaper shape: EIS and 1-k-NN have the lowest error rates (0.11-0.24 in");
     println!("the paper); the weaker measures run up to ~3x higher.");
 }

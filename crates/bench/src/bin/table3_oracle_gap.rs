@@ -1,19 +1,19 @@
 //! Table 3: average absolute gap (in % disagreement) to the oracle when
 //! selecting the dimension-precision combination under fixed memory
 //! budgets, including the naive high/low-precision baselines.
+//!
+//! Usage: `table3_oracle_gap [--scale tiny|small|paper] [--cache-dir DIR] [--shard I/N] [--fresh]`
 
-use embedstab_bench::{config_points_per_seed, rows_for_algo, standard_rows};
+use embedstab_bench::{mean_over_seeds, rows_for_algo, standard_rows, GridArgs};
 use embedstab_core::measures::MeasureKind;
 use embedstab_core::selection::{budget_baseline, budget_selection, BudgetBaseline};
-use embedstab_core::stats;
-use embedstab_pipeline::report::{num, print_table};
-use embedstab_pipeline::Scale;
+use embedstab_pipeline::report::print_table;
 
 fn main() {
-    let scale = Scale::from_args();
-    let rows = standard_rows(scale, &["sst2", "subj", "ner"]);
-    let algos = ["CBOW", "GloVe", "MC"];
+    let args = GridArgs::parse(env!("CARGO_BIN_NAME"));
     let tasks = ["sst2", "subj", "ner"];
+    let rows = standard_rows(&args, &tasks);
+    let algos = ["CBOW", "GloVe", "MC"];
 
     println!("\n=== Table 3: mean gap to oracle under fixed memory budgets (abs %) ===");
     let mut header: Vec<String> = vec!["selector".into()];
@@ -31,15 +31,9 @@ fn main() {
         for task in tasks {
             for algo in algos {
                 let sub = rows_for_algo(&rows[task], algo);
-                let gaps: Vec<f64> = config_points_per_seed(&sub, kind)
-                    .iter()
-                    .map(|pts| 100.0 * budget_selection(pts).mean_gap)
-                    .collect();
-                line.push(if gaps.is_empty() {
-                    "n/a".into()
-                } else {
-                    num(stats::mean(&gaps), 2)
-                });
+                line.push(mean_over_seeds(&sub, kind, 100.0, |pts| {
+                    budget_selection(pts).mean_gap
+                }));
             }
         }
         table.push(line);
@@ -53,15 +47,9 @@ fn main() {
         for task in tasks {
             for algo in algos {
                 let sub = rows_for_algo(&rows[task], algo);
-                let gaps: Vec<f64> = config_points_per_seed(&sub, MeasureKind::Eis)
-                    .iter()
-                    .map(|pts| 100.0 * budget_baseline(pts, baseline).mean_gap)
-                    .collect();
-                line.push(if gaps.is_empty() {
-                    "n/a".into()
-                } else {
-                    num(stats::mean(&gaps), 2)
-                });
+                line.push(mean_over_seeds(&sub, MeasureKind::Eis, 100.0, |pts| {
+                    budget_baseline(pts, baseline).mean_gap
+                }));
             }
         }
         table.push(line);

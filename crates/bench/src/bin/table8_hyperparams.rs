@@ -2,22 +2,23 @@
 //! eigenvalue exponent alpha of the eigenspace instability measure and the
 //! k of the k-NN measure — by average Spearman correlation with downstream
 //! disagreement across tasks (CBOW and MC, as in the paper).
+//!
+//! Usage: `table8_hyperparams [--scale tiny|small|paper] [--cache-dir DIR] [--shard I/N] [--fresh]`
 
 use std::collections::BTreeMap;
 
-use embedstab_bench::{setup, standard_rows};
+use embedstab_bench::{setup, standard_rows, GridArgs};
 use embedstab_core::measures::{EisMeasure, KnnMeasure};
 use embedstab_core::stats;
 use embedstab_embeddings::Algo;
 use embedstab_linalg::Svd;
 use embedstab_pipeline::report::{num, print_table};
-use embedstab_pipeline::Scale;
 
 fn main() {
-    let scale = Scale::from_args();
-    let params = scale.params();
-    let rows = standard_rows(scale, &["sst2", "subj", "ner"]);
-    let exp = setup(scale, &[Algo::Cbow, Algo::Mc]);
+    let args = GridArgs::parse(env!("CARGO_BIN_NAME"));
+    let params = args.scale.params();
+    let rows = standard_rows(&args, &["sst2", "subj", "ner"]);
+    let exp = setup(&args, &[Algo::Cbow, Algo::Mc]);
     let algos = [Algo::Cbow, Algo::Mc];
     let top_m = params.top_m;
 

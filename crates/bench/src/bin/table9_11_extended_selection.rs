@@ -2,48 +2,52 @@
 //! Spearman/selection/oracle-gap on MR and MPQA (Table 9), and the
 //! worst-case variants of the pairwise and budget selection evaluations
 //! (Tables 10 and 11) on SST-2, Subj, and NER.
+//!
+//! Usage: `table9_11_extended_selection [--scale tiny|small|paper] [--cache-dir DIR] [--shard I/N] [--fresh]`
 
-use embedstab_bench::{config_points_per_seed, rows_for_algo, spearman_for, standard_rows};
+use embedstab_bench::{
+    config_points_per_seed, mean_over_seeds, print_measure_table, rows_for_algo, spearman_for,
+    standard_rows, GridArgs,
+};
 use embedstab_core::measures::MeasureKind;
 use embedstab_core::selection::{
     budget_baseline, budget_selection, pairwise_selection, BudgetBaseline,
 };
-use embedstab_core::stats;
-use embedstab_pipeline::report::{num, print_table};
-use embedstab_pipeline::{Row, Scale};
+use embedstab_pipeline::report::num;
+use embedstab_pipeline::Row;
 
 fn main() {
-    let scale = Scale::from_args();
-    let rows = standard_rows(scale, &["sst2", "subj", "ner", "mr", "mpqa"]);
+    let args = GridArgs::parse(env!("CARGO_BIN_NAME"));
+    let rows = standard_rows(&args, &["sst2", "subj", "ner", "mr", "mpqa"]);
     let algos = ["CBOW", "GloVe", "MC"];
 
     // Table 9: MR and MPQA versions of Tables 1, 2, 3.
     let t9 = ["mr", "mpqa"];
     println!("\n=== Table 9a: Spearman correlations (MR, MPQA) ===");
-    print_measure_table(&rows, &t9, &algos, |sub, kind| {
+    print_measure_table(&rows, &t9, |sub, kind| {
         spearman_for(sub, kind)
             .map(|r| num(r, 2))
             .unwrap_or_else(|| "n/a".into())
     });
     println!("\n=== Table 9b: pairwise selection error (MR, MPQA) ===");
-    print_measure_table(&rows, &t9, &algos, |sub, kind| {
-        mean_over_seeds(sub, kind, |pts| pairwise_selection(pts).error_rate, 1.0)
+    print_measure_table(&rows, &t9, |sub, kind| {
+        mean_over_seeds(sub, kind, 1.0, |pts| pairwise_selection(pts).error_rate)
     });
     println!("\n=== Table 9c: mean oracle gap under memory budgets (MR, MPQA, abs %) ===");
-    print_measure_table(&rows, &t9, &algos, |sub, kind| {
-        mean_over_seeds(sub, kind, |pts| budget_selection(pts).mean_gap, 100.0)
+    print_measure_table(&rows, &t9, |sub, kind| {
+        mean_over_seeds(sub, kind, 100.0, |pts| budget_selection(pts).mean_gap)
     });
 
     // Table 10: worst-case pairwise selection increase (abs %).
     let t_main = ["sst2", "subj", "ner"];
     println!("\n=== Table 10: worst-case pairwise instability increase (abs %) ===");
-    print_measure_table(&rows, &t_main, &algos, |sub, kind| {
+    print_measure_table(&rows, &t_main, |sub, kind| {
         worst_over_seeds(sub, kind, |pts| pairwise_selection(pts).worst_case_increase)
     });
 
     // Table 11: worst-case budget gap (abs %), with naive baselines.
     println!("\n=== Table 11: worst-case oracle gap under memory budgets (abs %) ===");
-    print_measure_table(&rows, &t_main, &algos, |sub, kind| {
+    print_measure_table(&rows, &t_main, |sub, kind| {
         worst_over_seeds(sub, kind, |pts| budget_selection(pts).worst_gap)
     });
     for (name, baseline) in [
@@ -65,23 +69,6 @@ fn main() {
     println!("case as well (Appendix D.5).");
 }
 
-fn mean_over_seeds(
-    sub: &[Row],
-    kind: MeasureKind,
-    f: impl Fn(&[embedstab_core::selection::ConfigPoint]) -> f64,
-    scale_by: f64,
-) -> String {
-    let vals: Vec<f64> = config_points_per_seed(sub, kind)
-        .iter()
-        .map(|pts| scale_by * f(pts))
-        .collect();
-    if vals.is_empty() {
-        "n/a".into()
-    } else {
-        num(stats::mean(&vals), 2)
-    }
-}
-
 fn worst_over_seeds(
     sub: &[Row],
     kind: MeasureKind,
@@ -96,31 +83,4 @@ fn worst_over_seeds(
     } else {
         num(vals.iter().cloned().fold(0.0f64, f64::max), 2)
     }
-}
-
-fn print_measure_table(
-    rows: &std::collections::BTreeMap<String, Vec<Row>>,
-    tasks: &[&str],
-    algos: &[&str],
-    cell: impl Fn(&[Row], MeasureKind) -> String,
-) {
-    let mut header: Vec<String> = vec!["measure".into()];
-    for task in tasks {
-        for algo in algos {
-            header.push(format!("{task}/{algo}"));
-        }
-    }
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut table = Vec::new();
-    for kind in MeasureKind::ALL {
-        let mut line = vec![kind.name().to_string()];
-        for task in tasks {
-            for algo in algos {
-                let sub = rows_for_algo(&rows[*task], algo);
-                line.push(cell(&sub, kind));
-            }
-        }
-        table.push(line);
-    }
-    print_table(&header_refs, &table);
 }

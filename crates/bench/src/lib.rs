@@ -16,11 +16,16 @@ use embedstab_core::selection::ConfigPoint;
 use embedstab_core::stats;
 use embedstab_corpus::codec::atomic_write;
 use embedstab_embeddings::Algo;
-use embedstab_fleet::{run_coordinator, CoordinatorConfig, FleetError, FleetSpec};
+use embedstab_fleet::{run_coordinator, FleetError};
+use embedstab_pipeline::report::{num, print_table};
 use embedstab_pipeline::{
     world_fingerprint, CacheKey, CacheStore, EmbeddingGrid, Experiment, ProgressSink, Row, Scale,
     ScaleParams, ShardFile, World,
 };
+
+mod cli;
+
+pub use cli::{Cli, FleetArgs, GridArgs, GRID_FLAGS};
 
 /// A built experiment context: world plus trained embedding grid.
 pub struct Setup {
@@ -31,65 +36,22 @@ pub struct Setup {
 }
 
 /// Loads (or builds) the world and the grid for the given algorithms at
-/// the given scale (master seed 0, shared by all binaries so grids agree),
-/// both through the `--cache-dir` store: a second run at the same scale
-/// trains and builds nothing.
-pub fn setup(scale: Scale, algos: &[Algo]) -> Setup {
-    let cache = cache_from_args();
-    let world = World::load_or_build(&scale.params(), 0, &cache);
+/// `--scale` (master seed 0, shared by all binaries so grids agree), both
+/// through the `--cache-dir` store: a second run at the same scale trains
+/// and builds nothing.
+pub fn setup(args: &GridArgs, algos: &[Algo]) -> Setup {
+    let cache = args.cache();
+    let world = World::load_or_build(&args.scale.params(), 0, &cache);
     let params = &world.params;
     let grid = EmbeddingGrid::build(&world, algos, &params.dims, &params.seeds, Some(&cache));
     Setup { world, grid }
 }
 
-/// Loads the world for a scale (master seed 0) from the `--cache-dir`
+/// Loads the world at `--scale` (master seed 0) from the `--cache-dir`
 /// store, or builds it once into it — how a fleet's shards, and every
 /// later run in the same directory, skip the rebuild.
-pub fn world_from_args(scale: Scale) -> World {
-    World::load_or_build(&scale.params(), 0, &cache_from_args())
-}
-
-/// Parses `--shard i/n` from the process arguments.
-///
-/// # Panics
-///
-/// Panics with a usage message on a malformed value.
-pub fn shard_from_args() -> Option<(usize, usize)> {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == "--shard" {
-            let val = args.get(i + 1).map(String::as_str).unwrap_or("");
-            let parsed = val.split_once('/').and_then(|(a, b)| {
-                let i = a.parse::<usize>().ok()?;
-                let n = b.parse::<usize>().ok()?;
-                (n > 0 && i < n).then_some((i, n))
-            });
-            return Some(parsed.unwrap_or_else(|| {
-                panic!("bad --shard '{val}'; use i/n with 0 <= i < n, e.g. --shard 0/2")
-            }));
-        }
-    }
-    None
-}
-
-/// The cache directory every binary reads and writes: `--cache-dir path`
-/// from the process arguments, `cache` without it.
-pub fn cache_dir_from_args() -> PathBuf {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--cache-dir") {
-        Some(i) => PathBuf::from(args.get(i + 1).expect("--cache-dir needs a path")),
-        None => PathBuf::from("cache"),
-    }
-}
-
-/// Opens the [`CacheStore`] at [`cache_dir_from_args`].
-///
-/// # Panics
-///
-/// Panics if the directory cannot be created.
-pub fn cache_from_args() -> CacheStore {
-    let dir = cache_dir_from_args();
-    CacheStore::open(&dir).unwrap_or_else(|e| panic!("cannot open cache {}: {e}", dir.display()))
+pub fn world_from_args(args: &GridArgs) -> World {
+    World::load_or_build(&args.scale.params(), 0, &args.cache())
 }
 
 /// The canonical ordering key for merged rows: one entry per grid
@@ -298,94 +260,7 @@ pub fn merge_fleet_results(
 }
 
 /// Where the bench binaries write rows, shard row files and merges.
-const RESULTS_DIR: &str = "results";
-
-/// The command line both coordinator binaries share.
-pub struct FleetArgs {
-    /// The run to serve: `--shards`, `--bin`, `--scale` and the `--`
-    /// extras fill the spec (its world key is set once the world is
-    /// warm); everything else starts at [`CoordinatorConfig::new`]'s
-    /// defaults and only a binary's own flags override it.
-    pub config: CoordinatorConfig,
-    /// `--scale`, read by [`Scale::from_args`].
-    pub scale: Scale,
-    /// `--cache-dir`: the cache the world is built once into, and the
-    /// workers' pairs are trained into.
-    pub cache_dir: PathBuf,
-}
-
-/// Parses a coordinator binary's arguments: the shared flags here, every
-/// other flag through `own`, which gets the flag, a getter for its value
-/// and the config, and answers `Ok(false)` for a flag it does not know.
-/// Exits 0 after printing `usage` for `--help`, 2 on an error.
-pub fn parse_fleet_args(
-    usage: &str,
-    mut own: impl FnMut(
-        &str,
-        &mut dyn FnMut() -> String,
-        &mut CoordinatorConfig,
-    ) -> Result<bool, String>,
-) -> FleetArgs {
-    let scale = Scale::from_args();
-    let spec = FleetSpec {
-        bin: "fig2_memory_tradeoff".to_string(),
-        scale: scale_tag(scale).to_string(),
-        shards: 0,
-        world_key: String::new(),
-        extra: Vec::new(),
-    };
-    let mut out = FleetArgs {
-        config: CoordinatorConfig::new(spec, PathBuf::from(RESULTS_DIR)),
-        scale,
-        cache_dir: PathBuf::from("cache"),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--" {
-            out.config.spec.extra.extend(args.by_ref());
-            break;
-        }
-        if arg == "--help" || arg == "-h" {
-            exit_usage(usage, "");
-        }
-        let mut value = || {
-            args.next()
-                .unwrap_or_else(|| exit_usage(usage, &format!("{arg} needs a value")))
-        };
-        match arg.as_str() {
-            "--shards" => {
-                out.config.spec.shards = value()
-                    .parse()
-                    .unwrap_or_else(|_| exit_usage(usage, "--shards needs a positive integer"));
-            }
-            "--bin" => out.config.spec.bin = value(),
-            "--cache-dir" => out.cache_dir = PathBuf::from(value()),
-            // Read by Scale::from_args above.
-            "--scale" => {
-                value();
-            }
-            flag => match own(flag, &mut value, &mut out.config) {
-                Ok(true) => {}
-                Ok(false) => exit_usage(usage, &format!("unknown argument '{flag}'")),
-                Err(e) => exit_usage(usage, &e),
-            },
-        }
-    }
-    if out.config.spec.shards == 0 {
-        exit_usage(usage, "missing --shards N (N >= 1)");
-    }
-    out
-}
-
-/// Prints `err` (if any) and `usage` to stderr, then exits: 0 without
-/// an error, 2 with one.
-pub fn exit_usage(usage: &str, err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!("{usage}");
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
+pub(crate) const RESULTS_DIR: &str = "results";
 
 /// Runs one fleet and merges its rows, for both coordinator binaries:
 /// builds (or loads) the world exactly once into the `--cache-dir` store —
@@ -420,6 +295,7 @@ pub fn run_fleet(
     let store = CacheStore::open(&cache_dir)
         .unwrap_or_else(|e| panic!("cannot open cache {}: {e}", cache_dir.display()));
     World::load_or_build(&params, 0, &store);
+    config.spec.scale = scale.name().to_string();
     config.spec.world_key = CacheKey::world(&params, 0).name();
     assert!(
         store.has(&config.spec.world_key),
@@ -588,12 +464,53 @@ pub fn rows_for_algo(rows: &[Row], algo: &str) -> Vec<Row> {
     rows.iter().filter(|r| r.algo == algo).cloned().collect()
 }
 
-/// The scale name as a cache-key suffix.
-pub fn scale_tag(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Paper => "paper",
+/// Prints one line per measure and one column per `task/algo` of the
+/// three main algorithms (Tables 1, 2, 9 and 10); `cell` fills a column
+/// from that task's rows of one algorithm.
+pub fn print_measure_table(
+    rows: &BTreeMap<String, Vec<Row>>,
+    tasks: &[&str],
+    cell: impl Fn(&[Row], MeasureKind) -> String,
+) {
+    let mut header = vec!["measure".to_string()];
+    let mut columns = Vec::new();
+    for task in tasks {
+        for algo in ["CBOW", "GloVe", "MC"] {
+            header.push(format!("{task}/{algo}"));
+            columns.push(rows_for_algo(&rows[*task], algo));
+        }
+    }
+    let table: Vec<Vec<String>> = MeasureKind::ALL
+        .into_iter()
+        .map(|kind| {
+            let cells = columns.iter().map(|sub| cell(sub, kind));
+            std::iter::once(kind.name().to_string())
+                .chain(cells)
+                .collect()
+        })
+        .collect();
+    print_table(
+        &header.iter().map(String::as_str).collect::<Vec<_>>(),
+        &table,
+    );
+}
+
+/// A table cell: the mean over seeds of `f` on one measure's selection
+/// inputs, times `scale_by`, to two decimals (`n/a` without measures).
+pub fn mean_over_seeds(
+    rows: &[Row],
+    kind: MeasureKind,
+    scale_by: f64,
+    f: impl Fn(&[ConfigPoint]) -> f64,
+) -> String {
+    let vals: Vec<f64> = config_points_per_seed(rows, kind)
+        .iter()
+        .map(|pts| scale_by * f(pts))
+        .collect();
+    if vals.is_empty() {
+        "n/a".into()
+    } else {
+        num(stats::mean(&vals), 2)
     }
 }
 
@@ -623,7 +540,7 @@ pub fn attach_measures(rows: &mut [Row], with: &[Row]) {
 /// merge and the canonical file (`<stem>.jsonl`) all take this stem.
 pub fn row_stem(task: &str, scale: Scale, params: &ScaleParams) -> String {
     let fp = world_fingerprint(params, 0);
-    format!("rows_{task}_{}_{fp:016x}", scale_tag(scale))
+    format!("rows_{task}_{}_{fp:016x}", scale.name())
 }
 
 /// Parses the lines of a row file, canonical or shard: every line must
@@ -717,17 +634,16 @@ fn load_row_file(
 /// recomputed and overwritten. The world is built (or loaded) on the
 /// first task that has to run.
 ///
-/// Two process flags feed straight into the pipeline: `--cache-dir
-/// <path>` (default `cache`) names the [`CacheStore`] the world is loaded
-/// from (or built once into) and trained pairs are shared through, so
-/// tasks after the first and later runs load theirs; and `--shard i/n`
-/// computes only this process's slice of each grid and writes it to
+/// Two grid flags feed straight into the pipeline: `--cache-dir` names
+/// the [`CacheStore`] the world is loaded from (or built once into) and
+/// trained pairs are shared through, so tasks after the first and later
+/// runs load theirs; and `--shard i/n` computes only this process's
+/// slice of each grid and writes it to
 /// `results/<stem>.shard<i>of<n>.jsonl` instead.
-pub fn standard_rows(scale: Scale, tasks: &[&str]) -> BTreeMap<String, Vec<Row>> {
+pub fn standard_rows(args: &GridArgs, tasks: &[&str]) -> BTreeMap<String, Vec<Row>> {
+    let scale = args.scale;
     let params = scale.params();
-    let shard = shard_from_args();
-    let reuse = shard.is_none() && !std::env::args().any(|a| a == "--fresh");
-    let cache = cache_dir_from_args();
+    let reuse = args.shard.is_none() && !args.fresh;
     let results = Path::new(RESULTS_DIR);
     let mut world: Option<World> = None;
     let mut out: BTreeMap<String, Vec<Row>> = BTreeMap::new();
@@ -744,13 +660,13 @@ pub fn standard_rows(scale: Scale, tasks: &[&str]) -> BTreeMap<String, Vec<Row>>
         let mut rows = match loaded {
             Some(rows) => rows,
             None => {
-                let world = world.get_or_insert_with(|| world_from_args(scale));
+                let world = world.get_or_insert_with(|| world_from_args(args));
                 let mut exp = Experiment::new(world)
                     .tasks([task])
                     .with_measures(first)
-                    .cache_dir(&cache)
-                    .sink(ProgressSink::new(format!("{task}/{}", scale_tag(scale)), 8));
-                if let Some((index, n)) = shard {
+                    .cache_dir(&args.cache_dir)
+                    .sink(ProgressSink::new(format!("{task}/{}", scale.name()), 8));
+                if let Some((index, n)) = args.shard {
                     exp = exp.shard(index, n);
                     file = results.join(
                         ShardFile {

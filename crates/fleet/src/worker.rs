@@ -8,8 +8,9 @@
 //!    which world key this fleet runs against;
 //! 2. make the world file local ([`ensure_key`]) in the worker's one
 //!    cache directory and opportunistically pre-pull every pair file
-//!    belonging to that world, so a cold-disk worker starts with exactly
-//!    the warm state the coordinator has;
+//!    trained in that world (keyed by its [`pair_fingerprint`]), so a
+//!    cold-disk worker starts with exactly the warm state the coordinator
+//!    has;
 //! 3. lease slices until `Drained`: each `Job` spawns
 //!    `<bin> --scale <tag> --shard <i>/<n> --cache-dir …`
 //!    in the workdir, polls it while heartbeating the lease, and on
@@ -36,7 +37,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use embedstab_pipeline::store::{parse_key, CacheFamily};
-use embedstab_pipeline::{CacheStore, ShardFile, CACHE_FORMAT_VERSION};
+use embedstab_pipeline::{pair_fingerprint, CacheStore, Scale, ShardFile, CACHE_FORMAT_VERSION};
 use embedstab_serve::wire::set_io_timeouts;
 
 use crate::transfer::ensure_key;
@@ -196,11 +197,14 @@ fn sync_caches(
         );
         report.pulled.push(spec.world_key.clone());
     }
-    let Some(world) = parse_key(&spec.world_key) else {
+    // Pair files carry the pair fingerprint of the world they were trained
+    // in: the spec's scale at master seed 0, as every bench binary builds it.
+    let Ok(scale) = spec.scale.parse::<Scale>() else {
         return Err(FleetError::Protocol {
-            detail: format!("spec world key '{}' does not parse", spec.world_key),
+            detail: format!("spec scale '{}' is no scale", spec.scale),
         });
     };
+    let pair_fp = pair_fingerprint(&scale.params(), 0);
     let keys = match call(stream, &Request::CacheKeys)? {
         Response::Keys { keys } => keys,
         other => return Err(FleetError::unexpected("CacheKeys", other)),
@@ -208,7 +212,7 @@ fn sync_caches(
     for key in keys {
         let warm = parse_key(&key).is_some_and(|k| {
             matches!(k.family, CacheFamily::Pair(_))
-                && (k.version, k.fingerprint) == (CACHE_FORMAT_VERSION, world.fingerprint)
+                && (k.version, k.fingerprint) == (CACHE_FORMAT_VERSION, pair_fp)
         });
         if warm && ensure_key(stream, store, &key)? {
             eprintln!("[worker {}] pulled pair cache '{key}'", config.name);

@@ -2,7 +2,8 @@
 //! corrupted chunk on the first pull; the worker-side transfer must
 //! surface a typed `CorruptTransfer` (never write the bytes), re-pull,
 //! and end up with a file **bitwise identical** to the original. A real
-//! coordinator advertises the checksum the file's header records.
+//! coordinator advertises the checksum the file's header records, and a
+//! cold worker pre-pulls every pair file of the fleet's world.
 
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -11,13 +12,18 @@ use std::thread;
 use std::time::Duration;
 
 use embedstab_corpus::codec;
+use embedstab_embeddings::Algo;
 use embedstab_fleet::transfer::{chunk_count, chunk_range, ensure_key, pull_key};
 use embedstab_fleet::wire::{
     call, decode_request, encode_response, read_frame, write_frame, Request, Response, CHUNK_BYTES,
 };
-use embedstab_fleet::{run_coordinator, CoordinatorConfig, FleetError, FleetSpec};
+use embedstab_fleet::{
+    run_coordinator, run_worker, CoordinatorConfig, FleetError, FleetSpec, WorkerConfig,
+};
 use embedstab_pipeline::cache::scratch_dir;
-use embedstab_pipeline::{CacheStore, WORLD_CACHE_FORMAT_VERSION};
+use embedstab_pipeline::{
+    CacheKey, CacheStore, EmbeddingGrid, Scale, World, WORLD_CACHE_FORMAT_VERSION,
+};
 
 /// A synthetic world-cache file: the real `ESWC` artifact envelope (magic,
 /// version, fingerprint, body length and checksum) around a deterministic
@@ -219,5 +225,84 @@ fn coordinator_advertises_the_header_checksum() {
         .join()
         .expect("coordinator thread")
         .expect("the fleet drains");
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn cold_worker_pulls_every_pair_of_the_world_and_trains_none() {
+    let root = scratch_dir("fleet_cache_pull_pairs");
+    std::fs::remove_dir_all(&root).ok();
+    // The coordinator's cache: the Tiny world and the pairs of its grid.
+    let params = Scale::Tiny.params();
+    let store = CacheStore::open(root.join("coordinator")).expect("store opens");
+    let world = World::load_or_build(&params, 0, &store);
+    EmbeddingGrid::build(
+        &world,
+        &Algo::MAIN,
+        &params.dims,
+        &params.seeds,
+        Some(&store),
+    );
+    let mut keys = store.keys().expect("list the cache");
+    keys.sort();
+    let world_key = CacheKey::world(&params, 0).name();
+    assert!(keys.contains(&world_key), "{keys:?}");
+    let pairs = Algo::MAIN.len() * params.dims.len() * params.seeds.len();
+    assert_eq!(keys.len(), 1 + pairs, "{keys:?}");
+
+    // The shard binary trains nothing: it only has to exit 0.
+    let bin_dir = root.join("bin");
+    std::fs::create_dir_all(&bin_dir).expect("bin dir");
+    let shard = bin_dir.join("shard");
+    std::fs::write(&shard, "#!/bin/sh\nexit 0\n").expect("write the shard script");
+    let exec = std::os::unix::fs::PermissionsExt::from_mode(0o755);
+    std::fs::set_permissions(&shard, exec).expect("make the shard executable");
+    let spec = FleetSpec {
+        bin: "shard".into(),
+        scale: Scale::Tiny.name().into(),
+        shards: 1,
+        world_key,
+        extra: Vec::new(),
+    };
+    let mut config = CoordinatorConfig::new(spec, root.join("results"));
+    config.linger = Duration::from_millis(200);
+    config.poll = Duration::from_millis(5);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("listener addr").to_string();
+    let coordinator = {
+        let store = CacheStore::open(root.join("coordinator")).expect("store reopens");
+        thread::spawn(move || run_coordinator(listener, store, config, || 0))
+    };
+
+    let worker = WorkerConfig {
+        addr,
+        name: "cold".into(),
+        bin_dir,
+        workdir: root.join("work"),
+        cache_dir: root.join("worker-cache"),
+        poll: Duration::from_millis(5),
+        heartbeat: Duration::from_millis(500),
+        connect_retries: 20,
+        connect_backoff: Duration::from_millis(50),
+        io_timeout: Some(Duration::from_secs(60)),
+    };
+    let report = run_worker(&worker).expect("the worker drains");
+    coordinator
+        .join()
+        .expect("coordinator thread")
+        .expect("the fleet drains");
+    assert_eq!(report.completed, vec![0]);
+    let mut pulled = report.pulled.clone();
+    pulled.sort();
+    assert_eq!(pulled, keys, "the world and every pair file are pulled");
+    let local = CacheStore::open(root.join("worker-cache")).expect("worker store");
+    let mut held = local.keys().expect("list the worker's cache");
+    held.sort();
+    assert_eq!(held, keys, "the worker's cache holds the pulled files only");
+    for key in &keys {
+        let theirs = store.get(key).expect("coordinator copy").expect("present");
+        let ours = local.get(key).expect("pulled copy").expect("present");
+        assert!(ours == theirs, "{key} differs from the coordinator's copy");
+    }
     std::fs::remove_dir_all(&root).ok();
 }

@@ -46,5 +46,5 @@ pub use run::{GridOptions, Row};
 pub use scale::{Scale, ScaleParams};
 pub use sink::{JsonlSink, ProgressSink, RowSink, ShardFile};
 pub use store::{CacheFamily, CacheKey, CacheStore, StoreError};
-pub use world::World;
+pub use world::{pair_fingerprint, World};
 pub use world_cache::{world_fingerprint, WORLD_CACHE_FORMAT_VERSION};

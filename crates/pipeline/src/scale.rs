@@ -19,26 +19,17 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--scale tiny|small|paper` from process arguments, defaulting
-    /// to [`Scale::Small`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on an unknown scale name.
-    pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        for i in 0..args.len() {
-            if args[i] == "--scale" {
-                let name = args.get(i + 1).map(String::as_str).unwrap_or("");
-                return match name {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "paper" => Scale::Paper,
-                    other => panic!("unknown scale '{other}'; use tiny|small|paper"),
-                };
-            }
+    /// Every scale, smallest first.
+    pub const ALL: [Scale; 3] = [Scale::Tiny, Scale::Small, Scale::Paper];
+
+    /// The scale's name: its `--scale` value and its tag in row file
+    /// names. [`Scale::from_str`](std::str::FromStr) reads it back.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Paper => "paper",
         }
-        Scale::Small
     }
 
     /// The concrete parameter set for this scale.
@@ -51,7 +42,11 @@ impl Scale {
                 corpus_tokens: 25_000,
                 window: 5,
                 dims: vec![4, 8, 16],
-                precisions: vec![Precision::new(1), Precision::new(4), Precision::FULL],
+                // 1, 4 and 32 bits, from the sweep: `params` has no panic path.
+                precisions: Precision::SWEEP
+                    .into_iter()
+                    .filter(|p| matches!(p.bits(), 1 | 4 | 32))
+                    .collect(),
                 // Three seeds, like Small/Paper: the paper's headline trends
                 // are statements about seed-averaged disagreement, and a
                 // single-seed grid is too noisy to exhibit them reliably.
@@ -105,6 +100,17 @@ impl Scale {
                 knn_queries: 1000,
             },
         }
+    }
+}
+
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Scale, String> {
+        Scale::ALL
+            .into_iter()
+            .find(|s| s.name() == name)
+            .ok_or_else(|| format!("unknown scale '{name}'; use tiny|small|paper"))
     }
 }
 
@@ -167,6 +173,15 @@ mod tests {
         assert!(t.vocab_size < s.vocab_size && s.vocab_size < p.vocab_size);
         assert!(t.corpus_tokens < s.corpus_tokens && s.corpus_tokens < p.corpus_tokens);
         assert_eq!(p.dims, vec![25, 50, 100, 200, 400, 800]);
+    }
+
+    #[test]
+    fn names_round_trip() {
+        for scale in Scale::ALL {
+            assert_eq!(scale.name().parse::<Scale>(), Ok(scale));
+        }
+        let err = "bogus".parse::<Scale>().expect_err("no such scale");
+        assert_eq!(err, "unknown scale 'bogus'; use tiny|small|paper");
     }
 
     #[test]

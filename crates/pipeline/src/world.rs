@@ -12,6 +12,29 @@ use embedstab_embeddings::CorpusStats;
 
 use crate::scale::ScaleParams;
 
+/// A stable fingerprint of everything that determines a trained
+/// embedding pair's values: the corpus-shaping scale parameters and the
+/// master seed. Two worlds with equal fingerprints train bitwise-equal
+/// embeddings for the same `(algo, dim, seed)`, which makes it the world
+/// component of the on-disk pair-cache key ([`World::fingerprint`]).
+///
+/// Deliberately **narrower** than the world-cache key
+/// ([`crate::world_cache::world_fingerprint`]), which must also cover the
+/// dataset-shaping parameters: a trained pair is reusable across a
+/// `sentiment_train` change, but a cached world (which embeds the
+/// datasets) is not.
+pub fn pair_fingerprint(params: &ScaleParams, master_seed: u64) -> u64 {
+    // FNV-1a over the corpus-determining fields, in a fixed order.
+    embedstab_corpus::codec::Fnv64::new()
+        .write_u64(master_seed)
+        .write_u64(params.vocab_size as u64)
+        .write_u64(params.n_topics as u64)
+        .write_u64(params.latent_dim as u64)
+        .write_u64(params.corpus_tokens as u64)
+        .write_u64(params.window as u64)
+        .finish()
+}
+
 /// Everything that is fixed across an experiment: the Wiki'17/Wiki'18
 /// corpus pair (and their trainer statistics) plus the downstream
 /// datasets, which are generated from the *base* latent model so the
@@ -105,28 +128,10 @@ impl World {
         }
     }
 
-    /// A stable fingerprint of everything that determines a trained
-    /// embedding pair's values: the corpus-shaping scale parameters and the
-    /// master seed. Two worlds with equal fingerprints train bitwise-equal
-    /// embeddings for the same `(algo, dim, seed)`, which makes the
-    /// fingerprint the world component of the on-disk pair-cache key.
-    ///
-    /// Deliberately **narrower** than the world-cache key
-    /// ([`crate::world_cache::world_fingerprint`]), which must also cover
-    /// the dataset-shaping parameters: a trained pair is reusable across a
-    /// `sentiment_train` change, but a cached world (which embeds the
-    /// datasets) is not.
+    /// The world's [`pair_fingerprint`]: the world component of the
+    /// on-disk pair-cache key.
     pub fn fingerprint(&self) -> u64 {
-        // FNV-1a over the corpus-determining fields, in a fixed order.
-        let p = &self.params;
-        embedstab_corpus::codec::Fnv64::new()
-            .write_u64(self.master_seed)
-            .write_u64(p.vocab_size as u64)
-            .write_u64(p.n_topics as u64)
-            .write_u64(p.latent_dim as u64)
-            .write_u64(p.corpus_tokens as u64)
-            .write_u64(p.window as u64)
-            .finish()
+        pair_fingerprint(&self.params, self.master_seed)
     }
 
     /// The *content* fingerprint of the world's accumulated ('18) corpus
