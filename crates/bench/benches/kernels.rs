@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the performance-facing kernels behind
 //! every experiment: GEMM, SVD, quantization, co-occurrence counting, the
 //! embedding distance measures, serve's batched nearest-neighbor query,
-//! and downstream training.
+//! the retrain step's PPMI refresh and gate score, and downstream
+//! training.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -10,12 +11,14 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use embedstab_core::measures::{
     DistanceMeasure, EigenspaceOverlap, EisMeasure, KnnMeasure, PipLoss, SemanticDisplacement,
 };
-use embedstab_corpus::{Cooc, CoocConfig, CorpusConfig, LatentModel, LatentModelConfig};
+use embedstab_corpus::{
+    ppmi, recompute_rows, Cooc, CoocConfig, CorpusConfig, LatentModel, LatentModelConfig,
+};
 use embedstab_downstream::models::{LogReg, TrainSpec};
-use embedstab_embeddings::{CorpusStats, Embedding};
+use embedstab_embeddings::{CorpusStats, Embedding, PpmiSvdTrainer};
 use embedstab_linalg::Mat;
 use embedstab_quant::{quantize, Precision};
-use embedstab_serve::SnapshotStore;
+use embedstab_serve::{SnapshotStore, StabilityGate};
 use rand::SeedableRng;
 
 fn bench_gemm(c: &mut Criterion) {
@@ -159,6 +162,41 @@ fn bench_nearest(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+fn bench_retrain(c: &mut Criterion) {
+    // The retrain step's two largest pieces at Small scale (1000 words,
+    // 200k tokens, window 8): the exact PPMI refresh over every row, and
+    // a dim-32 8-bit candidate scored against the live snapshot (live
+    // side included, as `StabilityGate::score` computes it).
+    let model = LatentModel::new(&LatentModelConfig {
+        vocab_size: 1000,
+        ..Default::default()
+    });
+    let corpus = model.generate_corpus(&CorpusConfig {
+        n_tokens: 200_000,
+        ..Default::default()
+    });
+    let cooc = Cooc::count(&corpus, 1000, &CoocConfig::default());
+    let prev = ppmi(&cooc);
+    let all: Vec<u32> = (0..1000).collect();
+    c.bench_function("recompute_rows_small", |bench| {
+        bench.iter(|| black_box(recompute_rows(&prev, &cooc, &all)));
+    });
+    let trainer = PpmiSvdTrainer::default();
+    let dir = embedstab_pipeline::cache::scratch_dir("bench_gate");
+    std::fs::remove_dir_all(&dir).ok();
+    let mut store = SnapshotStore::open(&dir).expect("open snapshot store");
+    store
+        .publish(&trainer.train(&prev, 32, 1), Precision::new(8), None)
+        .expect("publish snapshot");
+    let live = store.live().expect("live snapshot");
+    let candidate = trainer.train(&prev, 32, 2);
+    let gate = StabilityGate::new();
+    c.bench_function("gate_score_small", |bench| {
+        bench.iter(|| black_box(gate.score(live, black_box(&candidate))));
+    });
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 fn bench_training(c: &mut Criterion) {
     let model = LatentModel::new(&LatentModelConfig {
         vocab_size: 300,
@@ -202,6 +240,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_gemm, bench_svd, bench_quantization, bench_cooccurrence,
-              bench_measures, bench_nearest, bench_training
+              bench_measures, bench_nearest, bench_retrain, bench_training
 }
 criterion_main!(benches);

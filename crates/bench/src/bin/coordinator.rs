@@ -25,7 +25,9 @@
 //!    this). Running the same binary unsharded afterwards, in the same
 //!    directory, prints its output from these rows without recomputing.
 //!
-//! Workers and their shards log to this process's stderr. The shard
+//! Workers and their shards log to this process's stderr, each line
+//! written whole (`embedstab_pipeline::log_line!`); the shards' partial
+//! per-slice tables are not kept. The shard
 //! binary is resolved next to the coordinator executable by default; pass
 //! a path (anything containing a separator) to override. Everything after
 //! a bare `--` is forwarded to every shard verbatim.
@@ -34,13 +36,13 @@
 //! attempts or every worker exits before the fleet drains, 2 on usage
 //! errors.
 
-use std::io::Write;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::Command;
 use std::thread::{self, JoinHandle};
 
 use embedstab_bench::{resolve_bin, run_fleet, Cli, FleetArgs};
+use embedstab_pipeline::log_line;
 
 const USAGE: &str =
     "usage: coordinator --shards N [--bin name-or-path] [--scale tiny|small|paper]\n\
@@ -106,8 +108,6 @@ fn start_workers(workers: &Workers, addr: SocketAddr, shards: u32) -> JoinHandle
                 .arg(workers.workdir.join(&name))
                 .arg("--cache-dir")
                 .arg(&workers.cache_dir)
-                // Shard tables on stdout are partial; keep them in the log.
-                .stdout(Stdio::from(std::io::stderr()))
                 .spawn()
                 .unwrap_or_else(|e| panic!("cannot start worker {name}: {e}"));
             (name, child)
@@ -120,14 +120,12 @@ fn start_workers(workers: &Workers, addr: SocketAddr, shards: u32) -> JoinHandle
             let status = child
                 .wait()
                 .unwrap_or_else(|e| panic!("cannot wait for worker {name}: {e}"));
-            // One write for the whole line: the workers share this stderr.
-            let line = format!("[coordinator] worker {name} exited ({status})\n");
-            std::io::stderr().write_all(line.as_bytes()).ok();
+            log_line!("[coordinator] worker {name} exited ({status})");
             settled |= matches!(status.code(), Some(0 | 1));
         }
         std::fs::remove_dir_all(&workdir).ok();
         if !settled {
-            eprintln!("[coordinator] every worker exited before the fleet settled; not merging");
+            log_line!("[coordinator] every worker exited before the fleet settled; not merging");
             std::process::exit(1);
         }
     })

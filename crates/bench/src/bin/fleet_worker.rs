@@ -27,6 +27,7 @@ use std::time::Duration;
 
 use embedstab_bench::Cli;
 use embedstab_fleet::{run_worker, FleetError, WorkerConfig};
+use embedstab_pipeline::log_line;
 
 const USAGE: &str =
     "usage: fleet_worker --addr host:port [--name s] [--bin-dir dir] [--workdir dir]\n\
@@ -76,14 +77,14 @@ fn main() {
     }
     match run_worker(&config) {
         Ok(report) => {
-            eprintln!(
+            log_line!(
                 "[fleet_worker] drained: completed {:?}, pulled {} cache file(s)",
                 report.completed,
                 report.pulled.len()
             );
         }
         Err(e) => {
-            eprintln!("[fleet_worker] error: {e}");
+            log_line!("[fleet_worker] error: {e}");
             let failed = matches!(e, FleetError::FleetFailed { .. });
             std::process::exit(if failed { 1 } else { 2 });
         }

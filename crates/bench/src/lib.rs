@@ -17,6 +17,7 @@ use embedstab_core::stats;
 use embedstab_corpus::codec::atomic_write;
 use embedstab_embeddings::Algo;
 use embedstab_fleet::{run_coordinator, FleetError};
+use embedstab_pipeline::log_line;
 use embedstab_pipeline::report::{num, print_table};
 use embedstab_pipeline::{
     world_fingerprint, CacheKey, CacheStore, EmbeddingGrid, Experiment, ProgressSink, Row, Scale,
@@ -303,7 +304,7 @@ pub fn run_fleet(
         config.spec.world_key,
         cache_dir.display()
     );
-    eprintln!(
+    log_line!(
         "[{who}] world ready in {:.1}s (key '{}')",
         t0.elapsed().as_secs_f64(),
         config.spec.world_key
@@ -313,9 +314,10 @@ pub fn run_fleet(
     let addr = listener
         .local_addr()
         .expect("bound listener has an address");
-    eprintln!(
+    log_line!(
         "[{who}] serving {shards} slice(s) of '{}' (scale {}) on {addr}",
-        config.spec.bin, config.spec.scale
+        config.spec.bin,
+        config.spec.scale
     );
     start_workers(addr);
     // The fleet crate never reads a clock (lint-enforced); this epoch
@@ -325,7 +327,7 @@ pub fn run_fleet(
     match run_coordinator(listener, store, config, now_ms) {
         Ok(()) => {}
         Err(FleetError::Exhausted { slice, attempts }) => {
-            eprintln!(
+            log_line!(
                 "[{who}] FLEET FAILED: slice {slice} burned {attempts} dispatch attempt(s); \
                  not merging"
             );
@@ -337,20 +339,20 @@ pub fn run_fleet(
     let merged = match merge_fleet_results(&results, shards) {
         Ok(merged) => merged,
         Err(e) => {
-            eprintln!("[{who}] FLEET FAILED: cannot merge shard files: {e}");
+            log_line!("[{who}] FLEET FAILED: cannot merge shard files: {e}");
             return 1;
         }
     };
     if merged.is_empty() {
-        eprintln!("[{who}] warning: the fleet committed no row files; nothing to merge");
+        log_line!("[{who}] warning: the fleet committed no row files; nothing to merge");
     }
     for (_, out, rows) in merged {
-        eprintln!(
+        log_line!(
             "[{who}] merged {shards} shard(s) -> {} ({rows} rows)",
             out.display()
         );
     }
-    eprintln!("[{who}] done in {:.1}s total", t0.elapsed().as_secs_f64());
+    log_line!("[{who}] done in {:.1}s total", t0.elapsed().as_secs_f64());
     0
 }
 
@@ -613,11 +615,11 @@ fn load_row_file(
         .and_then(|body| parse_row_file(&body, task, params, measures));
     match rows {
         Ok(rows) => {
-            eprintln!("[rows] loaded {} rows from {}", rows.len(), file.display());
+            log_line!("[rows] loaded {} rows from {}", rows.len(), file.display());
             Some(rows)
         }
         Err(why) => {
-            eprintln!("[rows] recomputing {}: {why}", file.display());
+            log_line!("[rows] recomputing {}: {why}", file.display());
             None
         }
     }
@@ -677,7 +679,7 @@ pub fn standard_rows(args: &GridArgs, tasks: &[&str]) -> BTreeMap<String, Vec<Ro
                         .name(),
                     );
                 }
-                eprintln!("[run] {task} grid -> {}...", file.display());
+                log_line!("[run] {task} grid -> {}...", file.display());
                 let mut rows = exp.run();
                 rows.sort_by_cached_key(row_merge_key);
                 std::fs::create_dir_all(results)

@@ -10,7 +10,9 @@
 //! canonical file that is cut off, garbled or missing a configuration
 //! back to the same bytes. A shard binary that always fails, or one that
 //! does not exist, must end the coordinator with a failure status and no
-//! merged rows.
+//! merged rows. In every run, each line of the shared stderr starts with
+//! a known `[tag]`: the coordinator, its workers and their shards write
+//! their lines whole, so none splits another.
 
 use std::fs;
 use std::io::Read;
@@ -24,6 +26,26 @@ use embedstab_pipeline::cache::scratch_dir;
 use embedstab_pipeline::{Scale, ShardFile};
 
 const TASKS: [&str; 5] = ["sst2", "mr", "subj", "mpqa", "ner"];
+
+/// Whether a stderr line starts with a tag one of the fleet's processes
+/// writes: the coordinator, the fleet, a worker, the world and grid
+/// caches, a shard's run and row files, or a task's progress.
+fn has_known_tag(line: &str) -> bool {
+    let Some(tag) = line
+        .strip_prefix('[')
+        .and_then(|rest| rest.split_once(']'))
+        .map(|(tag, _)| tag)
+    else {
+        return false;
+    };
+    matches!(
+        tag,
+        "coordinator" | "fleet" | "fleet_worker" | "world" | "grid" | "run" | "rows"
+    ) || tag.starts_with("worker local-")
+        || tag
+            .strip_suffix("/tiny")
+            .is_some_and(|task| TASKS.contains(&task))
+}
 
 /// Runs `coordinator --shards 2 --bin <bin> --scale tiny` in `cwd` with
 /// its cache in `root/cache`, returning its status and stderr. Panics if
@@ -68,7 +90,13 @@ fn coordinate(
         }
         thread::sleep(Duration::from_millis(100));
     };
-    (status, tee.join().expect("tee thread"))
+    let log = tee.join().expect("tee thread");
+    let untagged: Vec<&str> = log.lines().filter(|l| !has_known_tag(l)).collect();
+    assert!(
+        untagged.is_empty(),
+        "stderr lines without a known tag (split or stray output): {untagged:?}\n{log}"
+    );
+    (status, log)
 }
 
 /// The canonical row file name of a Tiny task, `<stem>.jsonl`.

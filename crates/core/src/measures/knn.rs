@@ -56,19 +56,42 @@ impl KnnMeasure {
     /// Panics if vocabularies differ or have fewer than 2 words.
     pub fn overlap(&self, x: &Embedding, y: &Embedding) -> f64 {
         assert_eq!(x.vocab_size(), y.vocab_size(), "vocabulary mismatch");
+        self.overlap_from_neighbors(&self.neighbors(x), y)
+    }
+
+    /// The top-`k` neighbor lists of the measure's sampled query words
+    /// in `x`: one side of [`KnnMeasure::overlap`], for callers that
+    /// compare many embeddings against one (the serving gate keeps the
+    /// live snapshot's lists).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` has fewer than 2 words.
+    pub fn neighbors(&self, x: &Embedding) -> Vec<Vec<u32>> {
         let n = x.vocab_size();
         assert!(n >= 2, "need at least two words for neighbors");
-        let k = self.k.min(n - 1);
         let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed);
         let queries = sample_distinct(self.queries.min(n), n, &mut rng);
-        let nx = neighbors(x, &queries, k);
-        let ny = neighbors(y, &queries, k);
+        neighbors(x, &queries, self.k.min(n - 1))
+    }
+
+    /// [`KnnMeasure::overlap`] of `x` and `y` given `x`'s
+    /// [`KnnMeasure::neighbors`]; bitwise the same value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x_neighbors` was not computed over `y`'s vocabulary
+    /// size, or that vocabulary has fewer than 2 words.
+    pub fn overlap_from_neighbors(&self, x_neighbors: &[Vec<u32>], y: &Embedding) -> f64 {
+        let ny = self.neighbors(y);
+        assert_eq!(x_neighbors.len(), ny.len(), "vocabulary mismatch");
+        let k = self.k.min(y.vocab_size() - 1);
         let mut total = 0.0;
-        for (a, b) in nx.iter().zip(&ny) {
+        for (a, b) in x_neighbors.iter().zip(&ny) {
             let inter = a.iter().filter(|w| b.contains(w)).count();
             total += inter as f64 / k as f64;
         }
-        total / queries.len() as f64
+        total / ny.len() as f64
     }
 }
 

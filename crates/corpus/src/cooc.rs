@@ -2,11 +2,13 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::codec;
 use crate::generate::Corpus;
 
-/// A validation error from co-occurrence counting or increment streaming.
+/// A validation error from co-occurrence counting, increment streaming
+/// or the incremental PPMI refresh.
 ///
 /// Counting used to be panic-only; the streaming path
 /// (`embedstab_stream`) applies increments inside a long-lived service
@@ -26,6 +28,16 @@ pub enum CoocError {
         /// The vocabulary size it failed against.
         vocab_size: usize,
     },
+    /// A PPMI matrix handed to [`crate::recompute_rows`] is not
+    /// `vocab_size x vocab_size`.
+    ShapeMismatch {
+        /// The matrix's row count.
+        rows: usize,
+        /// The matrix's column count.
+        cols: usize,
+        /// The table's vocabulary size.
+        vocab_size: usize,
+    },
 }
 
 impl fmt::Display for CoocError {
@@ -37,6 +49,14 @@ impl fmt::Display for CoocError {
             CoocError::TokenOutOfVocab { token, vocab_size } => {
                 write!(f, "token id {token} out of vocabulary (size {vocab_size})")
             }
+            CoocError::ShapeMismatch {
+                rows,
+                cols,
+                vocab_size,
+            } => write!(
+                f,
+                "PPMI shape {rows}x{cols} does not match the table's vocabulary {vocab_size}"
+            ),
         }
     }
 }
@@ -66,16 +86,104 @@ impl Default for CoocConfig {
 ///
 /// Both `(i, j)` and `(j, i)` are stored, so row sums are the standard
 /// marginals used by PPMI.
+///
+/// **Storage.** Row `i` is a `Vec<(j, count)>` kept sorted by `j`, so
+/// every reader — [`Cooc::entries`], [`Cooc::row_sums`],
+/// the PPMI builders, the byte encoding — walks the table in `(i, j)`
+/// order with no sort and no hash-order dependence. Rows past the last
+/// stored one are empty and need not be allocated, so a decoded table
+/// costs memory in proportion to its entries, not to the vocabulary size
+/// its header claims. A whole-corpus count
+/// ([`Cooc::try_count`]) accumulates in a scratch hash map and converts
+/// once into rows of exact capacity; [`Cooc::accumulate`] into a standing
+/// table updates its rows in place (binary search, insert on a new
+/// column). Either way every count is a plain `+=` accumulator that sees
+/// the same additions in the same (document) order, so both paths — and
+/// any split of a corpus into increments — hold bitwise the same table.
 #[derive(Clone, Debug)]
 pub struct Cooc {
     n: usize,
-    map: HashMap<u64, f64>,
+    rows: Vec<Vec<(u32, f64)>>,
     total: f64,
 }
 
 #[inline]
 fn key(i: u32, j: u32) -> u64 {
     ((i as u64) << 32) | j as u64
+}
+
+/// The hasher of [`Cooc::try_count`]'s scratch map: the packed `(i, j)`
+/// key through the MurmurHash3 64-bit finalizer. Token ids need no
+/// defence against chosen collisions, and SipHash cost most of a count.
+/// The map's layout never reaches a result: its entries are moved into
+/// sorted rows before anything reads them.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn finish(&self) -> u64 {
+        let mut x = self.0;
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        x ^ (x >> 33)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 << 8) | u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
+/// Checks every token of `docs` against `vocab_size` before anything is
+/// counted.
+fn validate(docs: &[Vec<u32>], vocab_size: usize, config: &CoocConfig) -> Result<(), CoocError> {
+    if config.window == 0 {
+        return Err(CoocError::ZeroWindow);
+    }
+    for &t in docs.iter().flatten() {
+        if (t as usize) >= vocab_size {
+            return Err(CoocError::TokenOutOfVocab {
+                token: t,
+                vocab_size,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Calls `add(a, b, w)` for every in-window pair of every document, in
+/// counting order: documents in order, then left token, then distance.
+fn for_each_pair(docs: &[Vec<u32>], config: &CoocConfig, mut add: impl FnMut(u32, u32, f64)) {
+    for doc in docs {
+        for (t, &a) in doc.iter().enumerate() {
+            let end = (t + config.window + 1).min(doc.len());
+            for (dist, &b) in doc[t + 1..end].iter().enumerate() {
+                let w = if config.distance_weighting {
+                    1.0 / (dist + 1) as f64
+                } else {
+                    1.0
+                };
+                add(a, b, w);
+            }
+        }
+    }
+}
+
+/// Adds `w` to column `j` of a sorted row, inserting the column if new.
+#[inline]
+fn add_to_row(row: &mut Vec<(u32, f64)>, j: u32, w: f64) {
+    match row.binary_search_by_key(&j, |&(c, _)| c) {
+        Ok(at) => row[at].1 += w,
+        // `0.0 + w`, as a fresh accumulator starting at zero would add it.
+        Err(at) => row.insert(at, (j, 0.0 + w)),
+    }
 }
 
 impl Cooc {
@@ -87,18 +195,16 @@ impl Cooc {
     /// Panics if `config.window` is zero or a token id is `>= vocab_size`.
     /// [`Cooc::try_count`] is the non-panicking equivalent.
     pub fn count(corpus: &Corpus, vocab_size: usize, config: &CoocConfig) -> Self {
-        match Self::try_count(corpus, vocab_size, config) {
-            Ok(c) => c,
-            Err(CoocError::ZeroWindow) => panic!("window must be positive"),
-            Err(e @ CoocError::TokenOutOfVocab { .. }) => {
-                panic!("token id out of vocabulary: {e}")
-            }
-        }
+        Self::try_count(corpus, vocab_size, config).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Counts co-occurrences like [`Cooc::count`], but reports invalid
     /// input as a typed [`CoocError`] instead of panicking — the contract
     /// long-lived services (the streaming retrainer) need.
+    ///
+    /// The counts accumulate in a scratch hash map (one lookup per pair,
+    /// however long the rows grow), which is then moved once into sorted
+    /// rows of exact capacity.
     ///
     /// # Errors
     ///
@@ -109,9 +215,31 @@ impl Cooc {
         vocab_size: usize,
         config: &CoocConfig,
     ) -> Result<Self, CoocError> {
-        let mut c = Cooc::empty(vocab_size);
-        c.accumulate(corpus.docs(), config)?;
-        Ok(c)
+        let docs = corpus.docs();
+        validate(docs, vocab_size, config)?;
+        let mut map: HashMap<u64, f64, BuildHasherDefault<PairHasher>> = HashMap::default();
+        let mut total = 0.0;
+        for_each_pair(docs, config, |a, b, w| {
+            *map.entry(key(a, b)).or_insert(0.0) += w;
+            *map.entry(key(b, a)).or_insert(0.0) += w;
+            total += 2.0 * w;
+        });
+        let mut lens = vec![0usize; vocab_size];
+        for &k in map.keys() {
+            lens[(k >> 32) as usize] += 1;
+        }
+        let mut rows: Vec<Vec<(u32, f64)>> = lens.into_iter().map(Vec::with_capacity).collect();
+        for (k, v) in map {
+            rows[(k >> 32) as usize].push((k as u32, v));
+        }
+        for row in &mut rows {
+            row.sort_unstable_by_key(|&(j, _)| j);
+        }
+        Ok(Cooc {
+            n: vocab_size,
+            rows,
+            total,
+        })
     }
 
     /// An empty table over a vocabulary of size `vocab_size` — the
@@ -119,7 +247,7 @@ impl Cooc {
     pub fn empty(vocab_size: usize) -> Self {
         Cooc {
             n: vocab_size,
-            map: HashMap::new(),
+            rows: Vec::new(),
             total: 0.0,
         }
     }
@@ -128,16 +256,14 @@ impl Cooc {
     /// ids of rows whose counts changed (the dirty set).
     ///
     /// This is the streaming primitive behind `embedstab_stream`: because
-    /// each map entry and the running `total` are plain `+=` accumulators,
-    /// feeding documents in across any number of `accumulate` calls
-    /// produces **bitwise-identical** state — map values, `total`,
-    /// [`Cooc::entries`] and [`Cooc::row_sums`] — to one
+    /// each count and the running `total` are plain `+=` accumulators
+    /// updated in place, feeding documents in across any number of
+    /// `accumulate` calls produces **bitwise-identical** state — counts,
+    /// `total`, [`Cooc::entries`] and [`Cooc::row_sums`] — to one
     /// [`Cooc::count`] over the concatenated corpus: every accumulator
-    /// sees the same additions in the same (document) order, and
-    /// [`Cooc::row_sums`] re-sums in sorted-entry order regardless of how
-    /// the map grew. Windows never cross document boundaries, so
-    /// increments at document granularity leave earlier documents' pair
-    /// contributions untouched.
+    /// sees the same additions in the same (document) order. Windows
+    /// never cross document boundaries, so increments at document
+    /// granularity leave earlier documents' pair contributions untouched.
     ///
     /// All tokens are validated *before* any mutation, so an error leaves
     /// the table exactly as it was (strong exception safety) — a
@@ -153,37 +279,19 @@ impl Cooc {
         docs: &[Vec<u32>],
         config: &CoocConfig,
     ) -> Result<Vec<u32>, CoocError> {
-        if config.window == 0 {
-            return Err(CoocError::ZeroWindow);
-        }
-        for doc in docs {
-            for &t in doc {
-                if (t as usize) >= self.n {
-                    return Err(CoocError::TokenOutOfVocab {
-                        token: t,
-                        vocab_size: self.n,
-                    });
-                }
-            }
+        validate(docs, self.n, config)?;
+        if self.rows.len() < self.n {
+            self.rows.resize_with(self.n, Vec::new);
         }
         let mut touched = vec![false; self.n];
-        for doc in docs {
-            for (t, &a) in doc.iter().enumerate() {
-                let end = (t + config.window + 1).min(doc.len());
-                for (dist, &b) in doc[t + 1..end].iter().enumerate() {
-                    let w = if config.distance_weighting {
-                        1.0 / (dist + 1) as f64
-                    } else {
-                        1.0
-                    };
-                    *self.map.entry(key(a, b)).or_insert(0.0) += w;
-                    *self.map.entry(key(b, a)).or_insert(0.0) += w;
-                    self.total += 2.0 * w;
-                    touched[a as usize] = true;
-                    touched[b as usize] = true;
-                }
-            }
-        }
+        let (rows, total) = (&mut self.rows, &mut self.total);
+        for_each_pair(docs, config, |a, b, w| {
+            add_to_row(&mut rows[a as usize], b, w);
+            add_to_row(&mut rows[b as usize], a, w);
+            *total += 2.0 * w;
+            touched[a as usize] = true;
+            touched[b as usize] = true;
+        });
         Ok(touched
             .iter()
             .enumerate()
@@ -198,7 +306,7 @@ impl Cooc {
 
     /// Number of stored (directed) non-zero entries.
     pub fn nnz(&self) -> usize {
-        self.map.len()
+        self.rows.iter().map(Vec::len).sum()
     }
 
     /// Total mass (sum over all stored entries).
@@ -206,53 +314,44 @@ impl Cooc {
         self.total
     }
 
-    /// The count for pair `(i, j)`, zero if unobserved.
-    pub fn get(&self, i: u32, j: u32) -> f64 {
-        self.map.get(&key(i, j)).copied().unwrap_or(0.0)
+    /// The `(j, count)` entries of row `i`, sorted by `j` (empty for an
+    /// id at or beyond the vocabulary).
+    pub(crate) fn row(&self, i: usize) -> &[(u32, f64)] {
+        self.rows.get(i).map_or(&[], Vec::as_slice)
     }
 
-    /// All `(i, j, count)` entries, sorted by `(i, j)` for determinism.
+    /// The count for pair `(i, j)`, zero if unobserved.
+    pub fn get(&self, i: u32, j: u32) -> f64 {
+        let row = self.row(i as usize);
+        row.binary_search_by_key(&j, |&(c, _)| c)
+            .map_or(0.0, |at| row[at].1)
+    }
+
+    /// All `(i, j, count)` entries, sorted by `(i, j)`.
     pub fn entries(&self) -> Vec<(u32, u32, f64)> {
-        let mut out: Vec<(u32, u32, f64)> = self
-            .map
-            .iter()
-            .map(|(&k, &v)| ((k >> 32) as u32, k as u32, v))
-            .collect();
-        out.sort_unstable_by_key(|&(i, j, _)| ((i as u64) << 32) | j as u64);
+        let mut out = Vec::with_capacity(self.nnz());
+        for (i, row) in self.rows.iter().enumerate() {
+            out.extend(row.iter().map(|&(j, v)| (i as u32, j, v)));
+        }
         out
     }
 
-    /// Per-row views of the table: for each row `i`, its `(j, count)`
-    /// entries sorted by `j`. This is [`Cooc::entries`] chunked by row —
-    /// same entries, same within-row order — but built with one
-    /// `O(len log len)` sort *per row* instead of one global sort, which
-    /// is markedly cheaper at large `nnz` and what the incremental PPMI
-    /// refresh ([`crate::ppmi::recompute_rows`]) iterates.
-    pub fn rows_sorted(&self) -> Vec<Vec<(u32, f64)>> {
-        let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); self.n];
-        for (&k, &v) in &self.map {
-            rows[(k >> 32) as usize].push((k as u32, v));
-        }
-        for row in rows.iter_mut() {
-            row.sort_unstable_by_key(|&(j, _)| j);
-        }
-        rows
-    }
-
-    /// Row marginals `r_i = sum_j count(i, j)`.
+    /// Row marginals `r_i = sum_j count(i, j)`, each summed in `j` order.
     ///
-    /// Accumulated in sorted `(i, j)` order, **not** map-iteration order:
-    /// float addition is order-sensitive, and hash-map iteration order
-    /// varies per process, so summing the map directly would make the PPMI
-    /// statistics (and everything trained from them) differ bitwise
-    /// between processes — breaking the shard-fleet guarantee that a
-    /// sharded run reproduces the unsharded run exactly.
+    /// The order is fixed by the storage, not by how the table grew: float
+    /// addition is order-sensitive, and a sum in hash-map iteration order
+    /// would differ bitwise between processes — breaking the shard-fleet
+    /// guarantee that a sharded run reproduces the unsharded run exactly.
     pub fn row_sums(&self) -> Vec<f64> {
-        let mut sums = vec![0.0; self.n];
-        for (i, _, v) in self.entries() {
-            sums[i as usize] += v;
-        }
-        sums
+        (0..self.n)
+            .map(|i| {
+                let mut sum = 0.0;
+                for &(_, v) in self.row(i) {
+                    sum += v;
+                }
+                sum
+            })
+            .collect()
     }
 
     /// Appends the table to `out` in the world-cache byte layout:
@@ -263,21 +362,24 @@ impl Cooc {
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         codec::put_u64(out, self.n as u64);
         codec::put_f64(out, self.total);
-        codec::put_u64(out, self.map.len() as u64);
-        for (i, j, v) in self.entries() {
-            codec::put_u32(out, i);
-            codec::put_u32(out, j);
-            codec::put_f64(out, v);
+        codec::put_u64(out, self.nnz() as u64);
+        for (i, row) in self.rows.iter().enumerate() {
+            for &(j, v) in row {
+                codec::put_u32(out, i as u32);
+                codec::put_u32(out, j);
+                codec::put_f64(out, v);
+            }
         }
     }
 
     /// Reads one [`Cooc::encode_into`]-encoded table from the front of
     /// `r`, advancing it. Returns `None` on truncated or inconsistent
-    /// input — including non-finite or negative counts, which no counting
-    /// run can produce and which would silently poison PPMI (and
-    /// everything trained from it) with NaNs; a decoded table answers
-    /// [`Cooc::get`] / [`Cooc::entries`] / [`Cooc::row_sums`] bitwise
-    /// identically to the one encoded.
+    /// input — entries out of `(i, j)` order or repeated (the encoder
+    /// writes each coordinate once, in order), and non-finite or negative
+    /// counts, which no counting run can produce and which would silently
+    /// poison PPMI (and everything trained from it) with NaNs; a decoded
+    /// table answers [`Cooc::get`] / [`Cooc::entries`] /
+    /// [`Cooc::row_sums`] bitwise identically to the one encoded.
     pub fn decode_from(r: &mut &[u8]) -> Option<Cooc> {
         let n = usize::try_from(codec::take_u64(r)?).ok()?;
         let total = codec::take_f64(r)?;
@@ -285,22 +387,25 @@ impl Cooc {
             return None;
         }
         let nnz = codec::take_len(r, 16)?;
-        let mut map = HashMap::with_capacity(nnz);
+        let mut rows: Vec<Vec<(u32, f64)>> = Vec::new();
+        let mut last: Option<u64> = None;
         for _ in 0..nnz {
             let i = codec::take_u32(r)?;
             let j = codec::take_u32(r)?;
-            if (i as usize) >= n || (j as usize) >= n {
-                return None;
+            if (i as usize) >= n || (j as usize) >= n || last >= Some(key(i, j)) {
+                return None; // out of range, out of order or repeated
             }
+            last = Some(key(i, j));
             let v = codec::take_f64(r)?;
             if !v.is_finite() || v < 0.0 {
                 return None;
             }
-            if map.insert(key(i, j), v).is_some() {
-                return None; // duplicate coordinates: corrupt input
+            if rows.len() <= i as usize {
+                rows.resize_with(i as usize + 1, Vec::new);
             }
+            rows[i as usize].push((j, v));
         }
-        Some(Cooc { n, map, total })
+        Some(Cooc { n, rows, total })
     }
 }
 
@@ -429,6 +534,39 @@ mod tests {
         let mut corrupt = bytes;
         corrupt[15] = 0xFF;
         assert!(Cooc::decode_from(&mut corrupt.as_slice()).is_none());
+    }
+
+    #[test]
+    fn decode_rejects_out_of_order_and_repeated_entries() {
+        let c = Cooc::count(&tiny_corpus(), 3, &CoocConfig::default());
+        let mut bytes = Vec::new();
+        c.encode_into(&mut bytes);
+        assert!(c.nnz() >= 2);
+        // Entries are 16 bytes each, after the 24-byte header.
+        let entry = |k: usize| 24 + 16 * k..24 + 16 * (k + 1);
+        let mut swapped = bytes.clone();
+        let (first, second) = (bytes[entry(0)].to_vec(), bytes[entry(1)].to_vec());
+        swapped[entry(0)].copy_from_slice(&second);
+        swapped[entry(1)].copy_from_slice(&first);
+        assert!(Cooc::decode_from(&mut swapped.as_slice()).is_none());
+        let mut repeated = bytes.clone();
+        repeated[entry(1)].copy_from_slice(&first);
+        assert!(Cooc::decode_from(&mut repeated.as_slice()).is_none());
+        // The untouched bytes still decode.
+        assert!(Cooc::decode_from(&mut bytes.as_slice()).is_some());
+    }
+
+    #[test]
+    fn decode_allocates_only_the_rows_it_stores() {
+        // A header claiming a huge vocabulary with no entries decodes to
+        // an empty table without allocating a row per claimed word.
+        let mut bytes = Vec::new();
+        codec::put_u64(&mut bytes, u64::from(u32::MAX));
+        codec::put_f64(&mut bytes, 0.0);
+        codec::put_u64(&mut bytes, 0);
+        let c = Cooc::decode_from(&mut bytes.as_slice()).expect("decodes");
+        assert_eq!((c.n(), c.nnz()), (u32::MAX as usize, 0));
+        assert!(c.row(7).is_empty());
     }
 
     #[test]

@@ -5,13 +5,56 @@
 //! `max(0, log(p(i,j) / (p(i) p(j))))`, and only the positive (observed)
 //! entries are kept.
 
-use embedstab_linalg::{vecops, Mat, SketchOp};
+use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
+
+use embedstab_linalg::{pool, vecops, Mat, SketchOp};
 
 use crate::codec;
-use crate::cooc::Cooc;
+use crate::cooc::{Cooc, CoocError};
+
+/// Rows (or, for [`SparseMatrix::apply_t`], columns) per pool item in the
+/// row-split loops of this module: enough items for two workers to
+/// balance, each far heavier than its queue step.
+const ROW_BLOCK: usize = 64;
+
+/// `0..n` in [`ROW_BLOCK`]-sized ranges.
+fn row_blocks(n: usize) -> Vec<Range<usize>> {
+    (0..n)
+        .step_by(ROW_BLOCK)
+        .map(|lo| lo..(lo + ROW_BLOCK).min(n))
+        .collect()
+}
+
+/// Fills the rows of `out` on the pool, one [`ROW_BLOCK`] of rows per
+/// item: `fill(rows, block)` writes output rows `rows` into `block`
+/// (row-major, zeroed). Each output row is written by exactly one item,
+/// so the split cannot change a bit.
+fn fill_row_blocks(out: &mut Mat, fill: impl Fn(Range<usize>, &mut [f64]) + Sync) {
+    let cols = out.cols();
+    if cols == 0 {
+        return;
+    }
+    let slots: Vec<(usize, Mutex<&mut [f64]>)> = out
+        .as_mut_slice()
+        .chunks_mut(ROW_BLOCK * cols)
+        .enumerate()
+        .map(|(b, block)| (b * ROW_BLOCK, Mutex::new(block)))
+        .collect();
+    pool::parallel_map(&slots, |(start, slot)| {
+        let mut block = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let rows = *start..*start + block.len() / cols;
+        fill(rows, &mut block);
+    });
+}
 
 /// A row-sparse matrix (list of `(col, value)` per row), used for PPMI
 /// statistics consumed by the matrix-completion embedding trainer.
+///
+/// Every row is kept sorted by column ([`SparseMatrix::push`] inserts in
+/// place, [`SparseMatrix::decode_from`] rejects unsorted rows), which is
+/// what lets [`SparseMatrix::apply_t`] find a column range in a row by
+/// binary search.
 #[derive(Clone, Debug)]
 pub struct SparseMatrix {
     n_rows: usize,
@@ -39,7 +82,9 @@ impl SparseMatrix {
         self.n_cols
     }
 
-    /// Inserts an entry (no dedup; callers insert each coordinate once).
+    /// Inserts an entry at its column's place in row `i` (no dedup;
+    /// callers insert each coordinate once). Pushing a row's columns in
+    /// increasing order appends.
     ///
     /// # Panics
     ///
@@ -49,7 +94,9 @@ impl SparseMatrix {
             (i as usize) < self.n_rows && (j as usize) < self.n_cols,
             "index out of bounds"
         );
-        self.rows[i as usize].push((j, v));
+        let row = &mut self.rows[i as usize];
+        let at = row.partition_point(|&(c, _)| c <= j);
+        row.insert(at, (j, v));
     }
 
     /// The `(col, value)` entries of row `i`.
@@ -86,11 +133,9 @@ impl SparseMatrix {
 
     /// The value at `(i, j)`, zero if absent.
     pub fn get(&self, i: u32, j: u32) -> f64 {
-        self.rows[i as usize]
-            .iter()
-            .find(|&&(c, _)| c == j)
-            .map(|&(_, v)| v)
-            .unwrap_or(0.0)
+        let row = &self.rows[i as usize];
+        row.binary_search_by_key(&j, |&(c, _)| c)
+            .map_or(0.0, |at| row[at].1)
     }
 
     /// Appends the matrix to `out` in the world-cache byte layout:
@@ -111,8 +156,9 @@ impl SparseMatrix {
     /// Reads one [`SparseMatrix::encode_into`]-encoded matrix from the
     /// front of `r`, advancing it; per-row entry order is preserved
     /// exactly. Returns `None` on truncated or inconsistent input —
-    /// including non-finite values, which [`ppmi`] never stores and which
-    /// would silently poison downstream training.
+    /// including a row whose columns do not strictly increase, and
+    /// non-finite values, which [`ppmi`] never stores and which would
+    /// silently poison downstream training.
     pub fn decode_from(r: &mut &[u8]) -> Option<SparseMatrix> {
         let n_rows = usize::try_from(codec::take_u64(r)?).ok()?;
         let n_cols = usize::try_from(codec::take_u64(r)?).ok()?;
@@ -125,7 +171,7 @@ impl SparseMatrix {
             let mut row = Vec::with_capacity(len);
             for _ in 0..len {
                 let j = codec::take_u32(r)?;
-                if (j as usize) >= n_cols {
+                if (j as usize) >= n_cols || row.last().is_some_and(|&(c, _)| c >= j) {
                     return None;
                 }
                 let v = codec::take_f64(r)?;
@@ -155,59 +201,114 @@ impl SketchOp for SparseMatrix {
     }
 
     /// `A * x`: accumulates `v * x[j]` into output row `i` per stored
-    /// entry, in row-major stored order (deterministic).
+    /// entry, in stored order. Output rows are split across the pool; a
+    /// row's sum never depends on the split.
     fn apply(&self, x: &Mat) -> Mat {
         assert_eq!(x.rows(), self.n_cols, "A * x shape mismatch");
-        let mut out = Mat::zeros(self.n_rows, x.cols());
-        for (i, row) in self.rows.iter().enumerate() {
-            let out_row = out.row_mut(i);
-            for &(j, v) in row {
-                vecops::axpy(v, x.row(j as usize), out_row);
+        let k = x.cols();
+        let mut out = Mat::zeros(self.n_rows, k);
+        fill_row_blocks(&mut out, |rows, block| {
+            for (i, out_row) in rows.zip(block.chunks_exact_mut(k)) {
+                for &(j, v) in &self.rows[i] {
+                    vecops::axpy(v, x.row(j as usize), out_row);
+                }
             }
-        }
+        });
         out
     }
 
     /// `A^T * x`: scatters `v * x[i]` into output row `j` per stored
-    /// entry, in row-major stored order (deterministic).
+    /// entry. Output rows (columns of `A`) are split across the pool by
+    /// range; each item walks the input rows in order and takes its
+    /// range's entries by binary search, so every output row still
+    /// accumulates its terms in input-row order, whatever the split.
     fn apply_t(&self, x: &Mat) -> Mat {
         assert_eq!(x.rows(), self.n_rows, "A^T * x shape mismatch");
-        let mut out = Mat::zeros(self.n_cols, x.cols());
-        for (i, row) in self.rows.iter().enumerate() {
-            for &(j, v) in row {
-                vecops::axpy(v, x.row(i), out.row_mut(j as usize));
+        let k = x.cols();
+        let mut out = Mat::zeros(self.n_cols, k);
+        fill_row_blocks(&mut out, |cols, block| {
+            for (i, row) in self.rows.iter().enumerate() {
+                let lo = row.partition_point(|&(j, _)| (j as usize) < cols.start);
+                for &(j, v) in &row[lo..] {
+                    if j as usize >= cols.end {
+                        break;
+                    }
+                    let at = j as usize - cols.start;
+                    vecops::axpy(v, x.row(i), &mut block[at * k..(at + 1) * k]);
+                }
             }
-        }
+        });
         out
     }
+}
+
+/// Row `i` of the PPMI matrix of `cooc`, given its marginals and total:
+/// `ln(c_ij * T / (r_i * r_j))` for every stored `c_ij` whose value is
+/// positive, in column order. The one formula both [`ppmi`] and
+/// [`recompute_rows`] evaluate. The row is gathered in `scratch` and
+/// returned at exact capacity, one allocation per row (growing rows by
+/// doubling made the allocator, not the arithmetic, the refresh's cost).
+fn ppmi_row(
+    cooc: &Cooc,
+    row_sums: &[f64],
+    total: f64,
+    i: usize,
+    scratch: &mut Vec<(u32, f64)>,
+) -> Vec<(u32, f64)> {
+    let ri = row_sums[i];
+    if total <= 0.0 || ri <= 0.0 {
+        return Vec::new();
+    }
+    scratch.clear();
+    for &(j, c) in cooc.row(i) {
+        let rj = row_sums[j as usize];
+        if rj <= 0.0 {
+            continue;
+        }
+        let val = (c * total / (ri * rj)).ln();
+        if val > 0.0 {
+            scratch.push((j, val));
+        }
+    }
+    scratch.to_vec()
+}
+
+/// The PPMI rows of `cooc` for which `dirty(i)` holds, built on the pool
+/// [`ROW_BLOCK`] rows at a time; every other row comes from `clean(i)`.
+fn build_rows(
+    cooc: &Cooc,
+    dirty: impl Fn(usize) -> bool + Sync,
+    clean: impl Fn(usize) -> Vec<(u32, f64)> + Sync,
+) -> Vec<Vec<(u32, f64)>> {
+    let (row_sums, total) = (cooc.row_sums(), cooc.total());
+    pool::parallel_map(&row_blocks(cooc.n()), |rows| {
+        let mut scratch = Vec::new();
+        rows.clone()
+            .map(|i| {
+                if dirty(i) {
+                    ppmi_row(cooc, &row_sums, total, i, &mut scratch)
+                } else {
+                    clean(i)
+                }
+            })
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Builds the PPMI matrix from a co-occurrence table.
 ///
 /// `ppmi(i, j) = max(0, ln( c_ij * total / (r_i * r_j) ))` where `r` are row
-/// marginals; zero entries are dropped.
+/// marginals; zero entries are dropped. Rows are built on the worker pool.
 pub fn ppmi(cooc: &Cooc) -> SparseMatrix {
     let n = cooc.n();
-    let total = cooc.total();
-    let row_sums = cooc.row_sums();
-    let mut out = SparseMatrix::new(n, n);
-    if total <= 0.0 {
-        return out;
+    SparseMatrix {
+        n_rows: n,
+        n_cols: n,
+        rows: build_rows(cooc, |_| true, |_| Vec::new()),
     }
-    let mut entries = cooc.entries();
-    entries.sort_unstable_by_key(|&(i, j, _)| ((i as u64) << 32) | j as u64);
-    for (i, j, c) in entries {
-        let ri = row_sums[i as usize];
-        let rj = row_sums[j as usize];
-        if ri <= 0.0 || rj <= 0.0 {
-            continue;
-        }
-        let val = (c * total / (ri * rj)).ln();
-        if val > 0.0 {
-            out.push(i, j, val);
-        }
-    }
-    out
 }
 
 /// Rebuilds the listed `rows` of a PPMI matrix against the *current*
@@ -219,72 +320,48 @@ pub fn ppmi(cooc: &Cooc) -> SparseMatrix {
 /// after a delta that adds any mass, every non-empty row's values shift —
 /// not just the rows whose counts changed. Passing the full row range
 /// (what the streaming service's exact path does) therefore reproduces
-/// [`ppmi`] bitwise — same entries, same f64 bits — while still being
-/// cheaper than [`ppmi`]: the table is traversed once through
-/// [`Cooc::rows_sorted`] (per-row sorts instead of a global one) and the
-/// marginals are summed from it in the same per-row sorted order
-/// [`Cooc::row_sums`] uses, instead of re-collecting and re-sorting the
-/// hash map three times. Passing only the count-dirty rows gives a
-/// cheaper *approximate* refresh whose untouched rows keep their stale
-/// normalization — itself a stability axis (Hellrich et al. 2018), which
-/// is why the choice is the caller's, not hard-coded here.
+/// [`ppmi`] bitwise — same entries, same f64 bits: both evaluate one row
+/// formula over the table's column-sorted rows, on the worker pool.
+/// Passing only the count-dirty rows gives a cheaper *approximate*
+/// refresh whose untouched rows keep their stale normalization — itself
+/// a stability axis (Hellrich et al. 2018), which is why the choice is
+/// the caller's, not hard-coded here.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `prev`'s shape is not `(cooc.n(), cooc.n())` or a row id is
-/// `>= cooc.n()` — shape drift between the cached PPMI and the table it
-/// was built from is a caller logic error, not streamable input.
-pub fn recompute_rows(prev: &SparseMatrix, cooc: &Cooc, rows: &[u32]) -> SparseMatrix {
+/// [`CoocError::ShapeMismatch`] if `prev`'s shape is not
+/// `(cooc.n(), cooc.n())`, and [`CoocError::TokenOutOfVocab`] for a row
+/// id `>= cooc.n()` — the cached PPMI drifting from the table it was
+/// built from is a caller logic error, which a long-lived service reports
+/// rather than dies on.
+pub fn recompute_rows(
+    prev: &SparseMatrix,
+    cooc: &Cooc,
+    rows: &[u32],
+) -> Result<SparseMatrix, CoocError> {
     let n = cooc.n();
-    assert!(
-        prev.n_rows() == n && prev.n_cols() == n,
-        "previous PPMI shape {:?} must match the table's vocabulary {n}",
-        (prev.n_rows(), prev.n_cols())
-    );
-    let buckets = cooc.rows_sorted();
-    // Bitwise-identical to `Cooc::row_sums`: a row's entries are summed
-    // in the same j-sorted order (float `+=` per row never crosses rows,
-    // so bucketing cannot change any sum's bits).
-    let mut row_sums = vec![0.0; n];
-    for (i, bucket) in buckets.iter().enumerate() {
-        for &(_, v) in bucket {
-            row_sums[i] += v;
-        }
+    if prev.n_rows() != n || prev.n_cols() != n {
+        return Err(CoocError::ShapeMismatch {
+            rows: prev.n_rows(),
+            cols: prev.n_cols(),
+            vocab_size: n,
+        });
     }
-    let total = cooc.total();
     let mut dirty = vec![false; n];
     for &r in rows {
-        assert!((r as usize) < n, "row id {r} out of vocabulary (size {n})");
-        dirty[r as usize] = true;
+        let slot = dirty
+            .get_mut(r as usize)
+            .ok_or(CoocError::TokenOutOfVocab {
+                token: r,
+                vocab_size: n,
+            })?;
+        *slot = true;
     }
-    let mut out = SparseMatrix::new(n, n);
-    if total > 0.0 {
-        for (i, bucket) in buckets.iter().enumerate() {
-            if !dirty[i] {
-                continue;
-            }
-            let ri = row_sums[i];
-            if ri <= 0.0 {
-                continue;
-            }
-            for &(j, c) in bucket {
-                let rj = row_sums[j as usize];
-                if rj <= 0.0 {
-                    continue;
-                }
-                let val = (c * total / (ri * rj)).ln();
-                if val > 0.0 {
-                    out.push(i as u32, j, val);
-                }
-            }
-        }
-    }
-    for i in 0..n {
-        if !dirty[i] {
-            out.rows[i] = prev.rows[i].clone();
-        }
-    }
-    out
+    Ok(SparseMatrix {
+        n_rows: n,
+        n_cols: n,
+        rows: build_rows(cooc, |i| dirty[i], |i| prev.rows[i].clone()),
+    })
 }
 
 #[cfg(test)]
@@ -409,7 +486,7 @@ mod tests {
         let prev = ppmi(&cooc);
         cooc.accumulate(&delta, &config).expect("valid delta");
         let all: Vec<u32> = (0..4).collect();
-        let incremental = recompute_rows(&prev, &cooc, &all);
+        let incremental = recompute_rows(&prev, &cooc, &all).expect("shapes agree");
         let mut full = base;
         full.extend(delta);
         let scratch = ppmi(&Cooc::count(&Corpus::from_docs(full), 4, &config));
@@ -428,7 +505,7 @@ mod tests {
         let dirty = cooc
             .accumulate(&[vec![2, 3, 3]], &config)
             .expect("valid delta");
-        let partial = recompute_rows(&prev, &cooc, &dirty);
+        let partial = recompute_rows(&prev, &cooc, &dirty).expect("shapes agree");
         let fresh = ppmi(&cooc);
         for i in 0..4u32 {
             let (got, want) = if dirty.contains(&i) {
@@ -450,9 +527,9 @@ mod tests {
             &CoocConfig::default(),
         );
         let prev = ppmi(&cooc);
-        let partial = recompute_rows(&prev, &cooc, &[1, 3]);
+        let partial = recompute_rows(&prev, &cooc, &[1, 3]).expect("shapes agree");
         assert_eq!(bits(&partial), bits(&prev));
-        let none = recompute_rows(&prev, &cooc, &[]);
+        let none = recompute_rows(&prev, &cooc, &[]).expect("shapes agree");
         assert_eq!(bits(&none), bits(&prev));
     }
 
@@ -461,9 +538,22 @@ mod tests {
         let mut m = SparseMatrix::new(3, 3);
         m.push(0, 2, 1.5);
         m.push(2, 0, 2.5);
-        assert_eq!(m.nnz(), 2);
+        m.push(0, 1, 0.5);
+        assert_eq!(m.nnz(), 3);
         assert_eq!(m.get(0, 2), 1.5);
-        assert_eq!(m.get(0, 1), 0.0);
+        assert_eq!(m.get(1, 1), 0.0);
+        // Out-of-order pushes land at their column's place.
+        assert_eq!(m.row(0), &[(1, 0.5), (2, 1.5)]);
+        // A row stored out of column order does not decode.
+        let mut bytes = Vec::new();
+        m.encode_into(&mut bytes);
+        assert!(SparseMatrix::decode_from(&mut bytes.as_slice()).is_some());
+        let first = 8 + 8 + 8; // n_rows, n_cols, row 0's length
+        let (a, b) = (first..first + 12, first + 12..first + 24);
+        let entry0 = bytes[a.clone()].to_vec();
+        bytes.copy_within(b.clone(), a.start);
+        bytes[b].copy_from_slice(&entry0);
+        assert!(SparseMatrix::decode_from(&mut bytes.as_slice()).is_none());
         let d = m.to_dense();
         assert_eq!(d[(2, 0)], 2.5);
         assert_eq!(d[(1, 1)], 0.0);

@@ -107,18 +107,20 @@ impl PpmiSvdTrainer {
     ///
     /// An unusable basis (wrong row count, zero columns) falls back to
     /// the cold path inside the warm SVD, so callers can pass whatever
-    /// they have without pre-validating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the PPMI matrix is not square or `dim` is zero or larger
-    /// than the vocabulary.
-    pub fn train_warm(&self, ppmi: &SparseMatrix, dim: usize, seed: u64, warm: &Mat) -> Embedding {
-        assert_eq!(ppmi.n_rows(), ppmi.n_cols(), "PPMI matrix must be square");
-        assert!(
-            dim > 0 && dim <= ppmi.n_rows(),
-            "dim must be in 1..=vocab_size"
-        );
+    /// they have without pre-validating. Returns `None`, rather than
+    /// panicking as the batch paths do, if the PPMI matrix is not square
+    /// or `dim` is zero or larger than the vocabulary: this is the call a
+    /// long-lived retraining service makes.
+    pub fn train_warm(
+        &self,
+        ppmi: &SparseMatrix,
+        dim: usize,
+        seed: u64,
+        warm: &Mat,
+    ) -> Option<Embedding> {
+        if ppmi.n_rows() != ppmi.n_cols() || dim == 0 || dim > ppmi.n_rows() {
+            return None;
+        }
         let cfg = RandomizedSvd {
             rank: dim,
             oversample: self.config.oversample,
@@ -127,10 +129,12 @@ impl PpmiSvdTrainer {
         };
         // The sparse PPMI matrix is its own SketchOp, so the warm range
         // finder runs on O(nnz * l) sparse products — no densification.
-        match embedstab_linalg::svd_randomized_warm_op(ppmi, cfg, warm) {
-            Some(svd) => self.scale_spectrum(svd, dim),
-            None => self.train(ppmi, dim, seed),
-        }
+        Some(
+            match embedstab_linalg::svd_randomized_warm_op(ppmi, cfg, warm) {
+                Some(svd) => self.scale_spectrum(svd, dim),
+                None => self.train(ppmi, dim, seed),
+            },
+        )
     }
 
     /// `X = U_k diag(s_k)^p` — the shared tail of every training path.
@@ -206,7 +210,7 @@ mod tests {
         let t = PpmiSvdTrainer::default();
         let cold = t.train(&ppmi, 8, 0);
         let basis = cold.mat().orthonormalize();
-        let warm = t.train_warm(&ppmi, 8, 0, &basis);
+        let warm = t.train_warm(&ppmi, 8, 0, &basis).expect("valid shape");
         assert_eq!(warm.shape(), cold.shape());
         for j in 0..8 {
             let nw = vecops::norm2(&warm.mat().col(j));
@@ -217,8 +221,13 @@ mod tests {
             );
         }
         // An unusable basis silently takes the cold path.
-        let fallback = t.train_warm(&ppmi, 8, 0, &Mat::zeros(3, 2));
+        let fallback = t
+            .train_warm(&ppmi, 8, 0, &Mat::zeros(3, 2))
+            .expect("valid shape");
         assert_eq!(fallback.shape(), cold.shape());
+        // An impossible dimension is a `None`, not a panic.
+        assert!(t.train_warm(&ppmi, 0, 0, &basis).is_none());
+        assert!(t.train_warm(&ppmi, ppmi.n_rows() + 1, 0, &basis).is_none());
     }
 
     #[test]

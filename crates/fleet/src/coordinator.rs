@@ -44,6 +44,7 @@ use crate::queue::{LeaseOutcome, QueueConfig, WorkQueue};
 use crate::transfer::chunk_range;
 use crate::wire::{ErrorCode, FleetSpec, Request, Response};
 use crate::FleetError;
+use embedstab_pipeline::log_line;
 
 /// One pushed row file may not exceed this (staged in memory until
 /// commit; a frame caps near 16 MiB anyway).
@@ -142,7 +143,7 @@ pub fn run_coordinator(
             (queue.is_drained(), queue.exhausted(), queue.expire(now))
         };
         for slice in expired {
-            eprintln!("[fleet] lease on slice {slice} expired; requeued");
+            log_line!("[fleet] lease on slice {slice} expired; requeued");
         }
         if let Some((slice, attempts)) = exhausted {
             shared.failed.store(true, Ordering::SeqCst);
@@ -175,7 +176,7 @@ fn release(shared: &Shared, worker: &str, why: &str) {
     let now = (shared.now_ms)();
     let released = shared.queue.lock().release_worker(worker, now);
     for slice in &released {
-        eprintln!("[fleet] worker '{worker}' {why}; slice {slice} requeued");
+        log_line!("[fleet] worker '{worker}' {why}; slice {slice} requeued");
     }
 }
 
@@ -218,7 +219,7 @@ impl Handler for Shared {
                         // A fresh dispatch starts with clean staging — any
                         // partial pushes from a dead predecessor vanish here.
                         self.staged.lock().remove(&slice);
-                        eprintln!("[fleet] slice {slice} leased to '{worker}'");
+                        log_line!("[fleet] slice {slice} leased to '{worker}'");
                         Response::Job {
                             slice,
                             shards: self.spec.shards,
@@ -291,14 +292,14 @@ impl Handler for Shared {
                         );
                     }
                 }
-                eprintln!("[fleet] slice {slice} complete: {count} row file(s) committed");
+                log_line!("[fleet] slice {slice} complete: {count} row file(s) committed");
                 Response::Ack
             }
             Request::Failed { slice, message } => {
                 if slice >= self.spec.shards {
                     return unknown_slice(slice, self.spec.shards);
                 }
-                eprintln!("[fleet] worker '{worker}' failed slice {slice}: {message}");
+                log_line!("[fleet] worker '{worker}' failed slice {slice}: {message}");
                 self.queue.lock().fail(&worker, slice, now);
                 Response::Ack
             }

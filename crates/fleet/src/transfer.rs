@@ -18,6 +18,7 @@ use embedstab_pipeline::CacheStore;
 
 use crate::wire::{call, Request, Response, CHUNK_BYTES};
 use crate::FleetError;
+use embedstab_pipeline::log_line;
 
 /// How many [`CHUNK_BYTES`] chunks a file of `len` bytes spans (an empty
 /// file still ships as one empty chunk).
@@ -135,7 +136,7 @@ pub fn ensure_key(
     let bytes = match pull_key(stream, key) {
         Ok(bytes) => bytes,
         Err(FleetError::CorruptTransfer { key: k, detail }) => {
-            eprintln!("[fleet] corrupt transfer of '{k}' ({detail}); re-pulling");
+            log_line!("[fleet] corrupt transfer of '{k}' ({detail}); re-pulling");
             pull_key(stream, key)?
         }
         Err(e) => return Err(e),

@@ -43,6 +43,7 @@ use embedstab_serve::wire::set_io_timeouts;
 use crate::transfer::ensure_key;
 use crate::wire::{call, ErrorCode, FleetSpec, Request, Response};
 use crate::FleetError;
+use embedstab_pipeline::log_line;
 
 /// Environment variable naming a marker file; see the module docs.
 pub const FAIL_ONCE_ENV: &str = "FLEET_FAIL_ONCE";
@@ -105,9 +106,13 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerReport, FleetError> {
     fs::create_dir_all(config.workdir.join("results"))?;
     let mut stream = connect(config)?;
     let spec = hello(&mut stream, &config.name)?;
-    eprintln!(
+    log_line!(
         "[worker {}] welcome: bin '{}', scale '{}', {} shard(s), world '{}'",
-        config.name, spec.bin, spec.scale, spec.shards, spec.world_key
+        config.name,
+        spec.bin,
+        spec.scale,
+        spec.shards,
+        spec.world_key
     );
     let mut report = WorkerReport::default();
     sync_caches(&mut stream, &store, &spec, config, &mut report)?;
@@ -129,7 +134,7 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerReport, FleetError> {
                 std::thread::sleep(Duration::from_millis(millis.min(5_000).max(1)));
             }
             Response::Drained => {
-                eprintln!(
+                log_line!(
                     "[worker {}] drained: {} slice(s) completed",
                     config.name,
                     report.completed.len()
@@ -191,9 +196,10 @@ fn sync_caches(
     report: &mut WorkerReport,
 ) -> Result<(), FleetError> {
     if ensure_key(stream, store, &spec.world_key)? {
-        eprintln!(
+        log_line!(
             "[worker {}] pulled world cache '{}'",
-            config.name, spec.world_key
+            config.name,
+            spec.world_key
         );
         report.pulled.push(spec.world_key.clone());
     }
@@ -215,7 +221,7 @@ fn sync_caches(
                 && (k.version, k.fingerprint) == (CACHE_FORMAT_VERSION, pair_fp)
         });
         if warm && ensure_key(stream, store, &key)? {
-            eprintln!("[worker {}] pulled pair cache '{key}'", config.name);
+            log_line!("[worker {}] pulled pair cache '{key}'", config.name);
             report.pulled.push(key);
         }
     }
@@ -253,7 +259,7 @@ fn run_slice(
     shards: u32,
     report: &mut WorkerReport,
 ) -> Result<(), FleetError> {
-    eprintln!("[worker {}] running slice {slice}/{shards}", config.name);
+    log_line!("[worker {}] running slice {slice}/{shards}", config.name);
     let results = config.workdir.join("results");
     clean_slice_rows(&results, slice, shards);
     let mut child = Command::new(bin)
@@ -265,7 +271,9 @@ fn run_slice(
         .arg("--cache-dir")
         .arg(&config.cache_dir)
         .args(&spec.extra)
-        .stdout(Stdio::inherit())
+        // A shard's tables cover only its slice; its rows are what the
+        // fleet merges, and its log lines go to the shared stderr.
+        .stdout(Stdio::null())
         .stderr(Stdio::inherit())
         .spawn()
         .map_err(|e| FleetError::SpawnFailed {
@@ -276,7 +284,7 @@ fn run_slice(
     let status = match supervise(stream, config, &mut child, slice)? {
         Supervision::Exited(status) => status,
         Supervision::LeaseLost => {
-            eprintln!(
+            log_line!(
                 "[worker {}] lease on slice {slice} lost; dropping the work",
                 config.name
             );
@@ -284,7 +292,7 @@ fn run_slice(
         }
     };
     if !status.success() {
-        eprintln!(
+        log_line!(
             "[worker {}] slice {slice} child failed ({status}); reporting",
             config.name
         );
@@ -386,7 +394,7 @@ fn push_and_complete(
         )? {
             Response::Ack => {}
             Response::Lost => {
-                eprintln!(
+                log_line!(
                     "[worker {}] lease on slice {slice} lost mid-push; dropping",
                     config.name
                 );
@@ -397,7 +405,7 @@ fn push_and_complete(
     }
     match call(stream, &Request::Complete { slice })? {
         Response::Ack => {
-            eprintln!(
+            log_line!(
                 "[worker {}] slice {slice} complete ({} row file(s) pushed)",
                 config.name,
                 names.len()
@@ -406,7 +414,7 @@ fn push_and_complete(
             Ok(())
         }
         Response::Lost => {
-            eprintln!(
+            log_line!(
                 "[worker {}] lease on slice {slice} lost at completion; dropping",
                 config.name
             );
@@ -429,7 +437,7 @@ fn maybe_die_once(config: &WorkerConfig, child: &mut Child) {
     std::thread::sleep(Duration::from_millis(150));
     child.kill().ok();
     child.wait().ok();
-    eprintln!(
+    log_line!(
         "[worker {}] injected failure: dying mid-slice ({FAIL_ONCE_ENV})",
         config.name
     );

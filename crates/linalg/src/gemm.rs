@@ -15,15 +15,17 @@
 //!
 //! Transposition is handled entirely in the packing step through strided
 //! [`View`]s, which is what lets `matmul_tn`/`matmul_nt`/`gram` share the
-//! kernel (and the crossbeam row-block parallelism) with `matmul`.
+//! kernel (and the row-block parallelism on [`crate::pool`]) with `matmul`.
 //! Products too small to amortize packing fall back to a simple i-k-j
 //! loop, and [`Mat::matmul_naive`] exposes the textbook triple loop as the
 //! reference implementation for the kernel-conformance tests.
 
-use crate::Mat;
+use std::sync::{Mutex, PoisonError};
+
+use crate::{pool, Mat};
 
 /// Above this many multiply-adds, the kernel splits output row blocks
-/// across threads with `crossbeam::scope`.
+/// across the worker pool.
 const PAR_THRESHOLD: usize = 4_000_000;
 
 /// Below this many multiply-adds, packing costs more than it saves and the
@@ -40,12 +42,6 @@ const MC: usize = 120;
 const KC: usize = 256;
 /// Columns of `B` packed per cache block (multiple of `NR`).
 const NC: usize = 512;
-
-fn n_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
 
 /// A strided read-only view of one GEMM operand with logical shape
 /// `rows x cols`; transposed operands are expressed by swapping strides,
@@ -215,17 +211,23 @@ fn gemm(a: View<'_>, b: View<'_>, out: &mut Mat) {
         gemm_small(a, b, out.as_mut_slice(), n);
         return;
     }
-    let threads = n_threads();
+    let threads = pool::threads();
     if work >= PAR_THRESHOLD && threads > 1 && m >= 2 * threads {
+        // One block per worker; each block is its own slot, locked once by
+        // the worker that computes it. A row's arithmetic does not depend
+        // on which block holds it, so the split never changes a bit.
         let chunk = m.div_ceil(threads);
-        let blocks: Vec<&mut [f64]> = out.as_mut_slice().chunks_mut(chunk * n).collect();
-        crossbeam::scope(|scope| {
-            for (t, block) in blocks.into_iter().enumerate() {
-                let a_sub = a.row_range(t * chunk, block.len() / n);
-                scope.spawn(move |_| gemm_blocked(a_sub, b, block, n));
-            }
-        })
-        .expect("gemm worker thread panicked");
+        let blocks: Vec<(usize, Mutex<&mut [f64]>)> = out
+            .as_mut_slice()
+            .chunks_mut(chunk * n)
+            .enumerate()
+            .map(|(t, block)| (t * chunk, Mutex::new(block)))
+            .collect();
+        pool::parallel_map(&blocks, |(start, slot)| {
+            let mut block = slot.lock().unwrap_or_else(PoisonError::into_inner);
+            let a_sub = a.row_range(*start, block.len() / n);
+            gemm_blocked(a_sub, b, &mut block, n);
+        });
     } else {
         gemm_blocked(a, b, out.as_mut_slice(), n);
     }

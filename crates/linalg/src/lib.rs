@@ -5,8 +5,7 @@
 //!
 //! - packed, cache-blocked, register-tiled matrix products
 //!   ([`Mat::matmul`], [`Mat::matmul_tn`], [`Mat::matmul_nt`],
-//!   [`Mat::gram`]) with crossbeam row-block parallelism for large
-//!   operands,
+//!   [`Mat::gram`]) with row-block parallelism for large operands,
 //! - thin Householder QR ([`Mat::qr`]),
 //! - singular value decomposition ([`Mat::svd`]) with two backends:
 //!   one-sided Jacobi ([`Mat::svd_exact`]) and a randomized range finder
@@ -15,7 +14,10 @@
 //!   ([`topk::cosine_top_k`]),
 //! - Cholesky factorization and SPD solves ([`chol`]),
 //! - the orthogonal Procrustes problem ([`procrustes::orthogonal_procrustes`]),
-//!   used by the paper to align Wiki'17/Wiki'18 embeddings before compression.
+//!   used by the paper to align Wiki'17/Wiki'18 embeddings before compression,
+//! - the workspace's one worker pool ([`pool::parallel_map`],
+//!   [`pool::join`]), which the GEMM's row blocks and every other
+//!   multi-core loop above this crate run on.
 //!
 //! # Kernel architecture
 //!
@@ -66,6 +68,7 @@ pub mod chol;
 pub mod gemm;
 pub mod mat;
 pub mod opt;
+pub mod pool;
 pub mod procrustes;
 pub mod qr;
 pub mod svd;

@@ -45,8 +45,7 @@
 
 use std::cmp::Ordering;
 
-use crate::vecops;
-use crate::Mat;
+use crate::{pool, vecops, Mat};
 
 /// Queries screened per tile. The screened-score buffer holds
 /// `TILE_ROWS x vocab` values.
@@ -133,6 +132,8 @@ pub fn row_norms(m: &Mat) -> Vec<f64> {
 ///
 /// The result is bitwise what a scan scoring every row with
 /// [`vecops::cosine_similarity`] would return (see the module docs).
+/// Query tiles are independent, so they run on the worker pool; a
+/// query's list never depends on which tile or thread computed it.
 /// Shapes are the caller's contract, checked only in debug builds: serving
 /// callers validate them into typed errors first.
 pub fn cosine_top_k(
@@ -150,8 +151,8 @@ pub fn cosine_top_k(
     // NaN, and NaN scores are always rescored.
     let inv_norms: Vec<f64> = vocab_norms.iter().map(|&n| inverse_norm(n)).collect();
     let band = (4 * d + 16) as f64 * f64::EPSILON;
-    let mut out = Vec::with_capacity(queries.rows());
-    for start in (0..queries.rows()).step_by(TILE_ROWS) {
+    let starts: Vec<usize> = (0..queries.rows()).step_by(TILE_ROWS).collect();
+    let tiles = pool::parallel_map(&starts, |&start| {
         let end = (start + TILE_ROWS).min(queries.rows());
         let mut screened = if end - start < GEMM_MIN_ROWS {
             Mat::from_fn(end - start, vocab.rows(), |i, w| {
@@ -165,21 +166,23 @@ pub fn cosine_top_k(
             );
             tile.matmul_nt(vocab)
         };
-        for qi in start..end {
-            let query = Query {
-                row: queries.row(qi),
-                norm: vecops::norm2(queries.row(qi)),
-                exclude: exclude.map(|e| e[qi] as usize),
-            };
-            let scores = screened.row_mut(qi - start);
-            let inv_q = inverse_norm(query.norm);
-            for (s, &inv_w) in scores.iter_mut().zip(&inv_norms) {
-                *s *= inv_q * inv_w;
-            }
-            out.push(query.top_k(vocab, vocab_norms, scores, k, band));
-        }
-    }
-    out
+        (start..end)
+            .map(|qi| {
+                let query = Query {
+                    row: queries.row(qi),
+                    norm: vecops::norm2(queries.row(qi)),
+                    exclude: exclude.map(|e| e[qi] as usize),
+                };
+                let scores = screened.row_mut(qi - start);
+                let inv_q = inverse_norm(query.norm);
+                for (s, &inv_w) in scores.iter_mut().zip(&inv_norms) {
+                    *s *= inv_q * inv_w;
+                }
+                query.top_k(vocab, vocab_norms, scores, k, band)
+            })
+            .collect::<Vec<_>>()
+    });
+    tiles.into_iter().flatten().collect()
 }
 
 /// The dot product of two equal-length rows in `LANES` interleaved

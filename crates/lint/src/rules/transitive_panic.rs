@@ -29,11 +29,12 @@ use crate::rules::{Finding, WorkspaceRule};
 pub const MAX_DEPTH: usize = 2;
 
 /// Exact hot-path entry files…
-const ENTRY_FILES: [&str; 4] = [
+const ENTRY_FILES: [&str; 5] = [
     "crates/serve/src/server.rs",
     "crates/serve/src/wire.rs",
     "crates/corpus/src/codec.rs",
     "crates/stream/src/checkpoint.rs",
+    "crates/stream/src/service.rs",
 ];
 
 /// …plus everything the fleet's handler threads run.

@@ -75,7 +75,7 @@ impl EmbeddingGrid {
             let x18 = x18.align_to(&x17);
             if let Some(cache) = cache {
                 if let Err(e) = cache.store_pair(world_fp, (algo, dim, seed), &x17, &x18) {
-                    eprintln!("[grid] warning: could not cache ({algo}, d={dim}, s={seed}): {e}");
+                    log_line!("[grid] warning: could not cache ({algo}, d={dim}, s={seed}): {e}");
                 }
             }
             (Arc::new(x17), Arc::new(x18))

@@ -27,6 +27,28 @@
 //! 2-core reproduction runs, [`Scale::Paper`] for a closer-to-paper grid
 //! (where sharding + the pair cache pay off).
 
+/// `eprintln!` for processes that share one stderr: formats the line and
+/// its newline into one `String` and writes it with one `write_all` on
+/// locked stderr (through [`write_stderr_line`]). A loopback fleet's
+/// coordinator, workers and shards all log to one stderr, and
+/// `eprintln!`, which writes each format piece separately, lets their
+/// lines split one another.
+#[macro_export]
+macro_rules! log_line {
+    ($($arg:tt)*) => {
+        $crate::write_stderr_line(::std::format!($($arg)*))
+    };
+}
+
+/// Appends a newline to `line` and writes it to stderr in one call; see
+/// [`log_line!`]. A failed write is dropped: a log line has nowhere else
+/// to go.
+pub fn write_stderr_line(mut line: String) {
+    use std::io::Write;
+    line.push('\n');
+    std::io::stderr().lock().write_all(line.as_bytes()).ok();
+}
+
 pub mod cache;
 pub mod experiment;
 pub mod grid;

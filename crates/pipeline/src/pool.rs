@@ -1,97 +1,5 @@
-//! A minimal shared work-queue: the one worker pool behind both embedding
-//! grid training and downstream grid evaluation.
+//! The worker pool behind embedding grid training and downstream grid
+//! evaluation: re-exports of the workspace's one pool,
+//! [`embedstab_linalg::pool`].
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use parking_lot::Mutex;
-
-/// The environment variable that overrides the pool's worker count.
-///
-/// Useful for pinning benchmark runs to a fixed width (the serving
-/// load-generator records it alongside its results) and for containers
-/// where `available_parallelism` sees the host's cores rather than the
-/// cgroup quota. Parsed as a decimal worker count and clamped to at least
-/// 1; unset, empty, or unparseable values fall back to the detected
-/// parallelism.
-pub const THREADS_ENV: &str = "EMBEDSTAB_THREADS";
-
-/// The worker count [`parallel_map`] uses: the `EMBEDSTAB_THREADS`
-/// override when set (clamped to ≥ 1), else `available`.
-fn worker_count(available: usize, env_override: Option<&str>) -> usize {
-    match env_override.and_then(|v| v.trim().parse::<usize>().ok()) {
-        Some(n) => n.max(1),
-        None => available.max(1),
-    }
-}
-
-/// Runs `f` over `items` with a scoped worker pool (one worker per
-/// available core — or the [`THREADS_ENV`] override — capped at the item
-/// count), returning results in input order.
-///
-/// Workers pull indices from a shared atomic counter, so long items only
-/// delay their own slot. `f` must be deterministic per item for the
-/// pipeline's reproducibility guarantees to hold.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker.
-pub fn parallel_map<I: Sync, T: Send>(items: &[I], f: impl Fn(&I) -> T + Sync) -> Vec<T> {
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(items.len()));
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let env = std::env::var(THREADS_ENV).ok();
-    let workers = worker_count(available, env.as_deref());
-    crossbeam::scope(|scope| {
-        for _ in 0..workers.min(items.len().max(1)) {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let out = f(&items[i]);
-                results.lock().push((i, out));
-            });
-        }
-    })
-    .expect("worker panicked");
-    let mut results = results.into_inner();
-    results.sort_by_key(|&(i, _)| i);
-    results.into_iter().map(|(_, t)| t).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn preserves_input_order() {
-        let items: Vec<usize> = (0..100).collect();
-        let out = parallel_map(&items, |&i| i * 2);
-        assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn handles_empty_input() {
-        let items: Vec<usize> = Vec::new();
-        assert!(parallel_map(&items, |&i| i).is_empty());
-    }
-
-    #[test]
-    fn worker_count_honors_override_and_clamps() {
-        // No override: the detected parallelism, itself clamped to ≥ 1.
-        assert_eq!(worker_count(8, None), 8);
-        assert_eq!(worker_count(0, None), 1);
-        // A valid override wins over detection (both directions).
-        assert_eq!(worker_count(8, Some("2")), 2);
-        assert_eq!(worker_count(2, Some("16")), 16);
-        assert_eq!(worker_count(8, Some(" 3 ")), 3);
-        // Zero is clamped to one worker, never a stalled pool.
-        assert_eq!(worker_count(8, Some("0")), 1);
-        // Garbage falls back to detection.
-        assert_eq!(worker_count(8, Some("")), 8);
-        assert_eq!(worker_count(8, Some("lots")), 8);
-        assert_eq!(worker_count(8, Some("-2")), 8);
-    }
-}
+pub use embedstab_linalg::pool::{parallel_map, THREADS_ENV};

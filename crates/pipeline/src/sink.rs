@@ -75,7 +75,7 @@ impl RowSink for JsonlSink {
             return;
         }
         if let Err(e) = save_jsonl_append(&self.path, row) {
-            eprintln!(
+            log_line!(
                 "[sink] warning: dropping rows, cannot append to {}: {e}",
                 self.path.display()
             );
@@ -151,7 +151,7 @@ impl RowSink for ProgressSink {
     fn emit(&mut self, _row: &Row) {
         self.done += 1;
         if self.done % self.every == 0 || self.done == self.total {
-            eprintln!("[{}] {}/{} rows", self.label, self.done, self.total);
+            log_line!("[{}] {}/{} rows", self.label, self.done, self.total);
         }
     }
 }

@@ -182,13 +182,13 @@ impl World {
     pub fn load_or_build(params: &ScaleParams, master_seed: u64, store: &CacheStore) -> World {
         let name = CacheKey::world(params, master_seed).name();
         if let Some(world) = store.load_world(params, master_seed) {
-            eprintln!("[world] loaded {name}");
+            log_line!("[world] loaded {name}");
             return world;
         }
         let world = World::build(params, master_seed);
         match store.store_world(&world) {
-            Ok(path) => eprintln!("[world] built and stored {}", path.display()),
-            Err(e) => eprintln!("[world] warning: built but could not store: {e}"),
+            Ok(path) => log_line!("[world] built and stored {}", path.display()),
+            Err(e) => log_line!("[world] warning: built but could not store: {e}"),
         }
         world
     }

@@ -25,6 +25,21 @@
 //! Because the live snapshot, its stored clip, and every measure are
 //! deterministic, scoring the same candidate twice gives bitwise-identical
 //! results (the `serve` proptests pin this).
+//!
+//! **Live side and candidate side.** Half of a score depends on the live
+//! snapshot alone: its SVD, its rank-truncated left basis, and the
+//! neighbour lists of the k-NN measure's query words. A
+//! `GateReference` holds that half for one live version. Each tenant
+//! keeps one, for its current live version only: it is computed the first
+//! time a candidate is scored against that version (or ahead of time, by
+//! [`TenantRegistry::prepare_references`](crate::TenantRegistry::prepare_references),
+//! which the streaming retrainer runs beside its training lane), reused
+//! by every later candidate, and dropped when a publish replaces the live
+//! version. The candidate side aligns and quantizes the candidate, then
+//! runs its SVD and the spectral measures beside its k-NN neighbour
+//! search on the worker pool. Every piece does the arithmetic a one-shot
+//! score does, in the same order, so the split changes no bit:
+//! [`StabilityGate::score`] is exactly reference plus candidate side.
 
 use std::io;
 
@@ -33,9 +48,10 @@ use embedstab_core::measures::{
     SemanticDisplacement, SvdMethod,
 };
 use embedstab_embeddings::Embedding;
+use embedstab_linalg::{pool, Mat, Svd};
 use embedstab_quant::quantize;
 
-use crate::snapshot::Snapshot;
+use crate::snapshot::{Snapshot, Version};
 
 /// A tenant's serving contract: how much instability each retrain may
 /// introduce, and how much memory the served snapshot may use.
@@ -87,6 +103,28 @@ const KNN_K: usize = 5;
 const KNN_QUERIES: usize = 1000;
 const KNN_SEED: u64 = 0;
 
+/// Rank truncation of the eigenspace bases; matches
+/// `left_singular_basis_with`'s tolerance.
+const RANK_TOL: f64 = 1e-10;
+
+/// The live side of a gate score, computed once per live version: the
+/// live snapshot's SVD, its rank-truncated left basis, and its k-NN
+/// neighbour lists (see the module docs).
+#[derive(Clone, Debug)]
+pub(crate) struct GateReference {
+    version: Version,
+    svd: Svd,
+    basis: Mat,
+    neighbors: Vec<Vec<u32>>,
+}
+
+impl GateReference {
+    /// The live version this reference was computed from.
+    pub(crate) fn version(&self) -> Version {
+        self.version
+    }
+}
+
 /// Scores candidates against live snapshots with the paper's measure
 /// settings. One gate is shared by every tenant of a registry; it holds
 /// only the SVD backend choice, no per-tenant state.
@@ -118,9 +156,32 @@ impl StabilityGate {
         self
     }
 
+    /// The gate's k-NN measure at the paper's settings.
+    fn knn(&self) -> KnnMeasure {
+        KnnMeasure::new(KNN_K, KNN_QUERIES, KNN_SEED)
+    }
+
+    /// The live side of every score against `live`: its k-NN neighbour
+    /// lists beside its SVD (with the configured backend).
+    pub(crate) fn reference(&self, live: &Snapshot) -> GateReference {
+        let emb = live.embedding();
+        let (neighbors, svd) = pool::join(
+            || self.knn().neighbors(emb),
+            || emb.mat().svd_with(self.svd),
+        );
+        GateReference {
+            version: live.meta().version,
+            basis: svd.u_rank(RANK_TOL),
+            svd,
+            neighbors,
+        }
+    }
+
     /// Scores a full-precision retrained `candidate` against the live
     /// snapshot: align (Procrustes), quantize with the live clip
-    /// (shared-clip convention), compute all five measures.
+    /// (shared-clip convention), compute all five measures. This is
+    /// the live side (`reference`) followed by the candidate side; a
+    /// tenant reuses the reference across candidates instead.
     ///
     /// Each side is decomposed exactly once with the configured SVD
     /// backend; the decomposition feeds both the EIS references and the
@@ -135,36 +196,53 @@ impl StabilityGate {
     /// [`TenantRegistry::submit`](crate::TenantRegistry::submit) reports;
     /// a serving process must reject such a candidate, not crash on it).
     pub fn score(&self, live: &Snapshot, candidate: &Embedding) -> io::Result<GateEvaluation> {
-        if candidate.shape() != live.embedding().shape() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "candidate shape {:?} must match the live snapshot's {:?}",
-                    candidate.shape(),
-                    live.embedding().shape()
-                ),
-            ));
-        }
+        check_shape(live, candidate)?;
+        self.score_against(live, &self.reference(live), candidate)
+    }
+
+    /// The candidate side of [`StabilityGate::score`], against a
+    /// `reference` computed from `live`.
+    pub(crate) fn score_against(
+        &self,
+        live: &Snapshot,
+        reference: &GateReference,
+        candidate: &Embedding,
+    ) -> io::Result<GateEvaluation> {
+        check_shape(live, candidate)?;
         let aligned = candidate.align_to(live.embedding());
         let q = quantize(&aligned, live.meta().precision, live.meta().clip);
-        let svd_live = live.embedding().mat().svd_with(self.svd);
-        let svd_cand = q.embedding.mat().svd_with(self.svd);
-        // Rank truncation matches `left_singular_basis_with`'s tolerance.
-        let u_live = svd_live.u_rank(1e-10);
-        let u_cand = svd_cand.u_rank(1e-10);
-        let eis = EisMeasure::from_reference_svds(
-            &svd_live,
-            &svd_cand,
-            live.meta().vocab_size,
-            EIS_ALPHA,
+        // The k-NN search is the larger lane, so it takes the calling
+        // thread, where its query tiles may still split across the pool.
+        let (knn_dist, spectral) = pool::join(
+            || {
+                1.0 - self
+                    .knn()
+                    .overlap_from_neighbors(&reference.neighbors, &q.embedding)
+            },
+            || {
+                let svd_cand = q.embedding.mat().svd_with(self.svd);
+                let u_cand = svd_cand.u_rank(RANK_TOL);
+                let eis = EisMeasure::from_reference_svds(
+                    &reference.svd,
+                    &svd_cand,
+                    live.meta().vocab_size,
+                    EIS_ALPHA,
+                );
+                [
+                    eis.distance_from_bases(&reference.basis, &u_cand),
+                    SemanticDisplacement.distance(live.embedding(), &q.embedding),
+                    PipLoss.distance(live.embedding(), &q.embedding),
+                    overlap_distance_from_bases(&reference.basis, &u_cand),
+                ]
+            },
         );
-        let knn = KnnMeasure::new(KNN_K, KNN_QUERIES, KNN_SEED);
+        let [eis, semantic_displacement, pip_loss, overlap_dist] = spectral;
         let measures = MeasureValues {
-            eis: eis.distance_from_bases(&u_live, &u_cand),
-            knn_dist: knn.distance(live.embedding(), &q.embedding),
-            semantic_displacement: SemanticDisplacement.distance(live.embedding(), &q.embedding),
-            pip_loss: PipLoss.distance(live.embedding(), &q.embedding),
-            overlap_dist: overlap_distance_from_bases(&u_live, &u_cand),
+            eis,
+            knn_dist,
+            semantic_displacement,
+            pip_loss,
+            overlap_dist,
         };
         Ok(GateEvaluation {
             predicted_instability: measures.eis,
@@ -178,6 +256,21 @@ impl StabilityGate {
     pub fn admits(&self, evaluation: &GateEvaluation, slo: &Slo) -> bool {
         evaluation.predicted_instability <= slo.max_predicted_instability
     }
+}
+
+/// Rejects a candidate whose shape differs from the live snapshot's.
+fn check_shape(live: &Snapshot, candidate: &Embedding) -> io::Result<()> {
+    if candidate.shape() == live.embedding().shape() {
+        return Ok(());
+    }
+    Err(io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!(
+            "candidate shape {:?} must match the live snapshot's {:?}",
+            candidate.shape(),
+            live.embedding().shape()
+        ),
+    ))
 }
 
 #[cfg(test)]
@@ -229,6 +322,40 @@ mod tests {
         assert!(gate.admits(&same, &slo));
         assert!(!gate.admits(&noisy, &slo));
         assert!(gate.admits(&noisy, &Slo::unbounded(6 * 32)));
+        std::fs::remove_dir_all(store.dir()).ok();
+    }
+
+    #[test]
+    fn split_score_is_bitwise_the_one_shot_measures() {
+        // The measures computed directly on (live, quantized candidate),
+        // as a gate without a live side would: the reference plus
+        // candidate-side split must not move a bit.
+        let base = emb(7, 60, 5);
+        let store = live_store("gate_split", &base, Precision::new(4));
+        let live = store.live().expect("live");
+        let gate = StabilityGate::new();
+        let eval = gate.score(live, &emb(8, 60, 5)).expect("score");
+        let (x, q) = (live.embedding(), &eval.quantized);
+        let svd_x = x.mat().svd_with(SvdMethod::Auto);
+        let svd_q = q.mat().svd_with(SvdMethod::Auto);
+        let (ux, uq) = (svd_x.u_rank(RANK_TOL), svd_q.u_rank(RANK_TOL));
+        let eis = EisMeasure::from_reference_svds(&svd_x, &svd_q, 60, EIS_ALPHA);
+        let direct = [
+            eis.distance_from_bases(&ux, &uq),
+            KnnMeasure::new(KNN_K, KNN_QUERIES, KNN_SEED).distance(x, q),
+            SemanticDisplacement.distance(x, q),
+            PipLoss.distance(x, q),
+            overlap_distance_from_bases(&ux, &uq),
+        ];
+        let m = &eval.measures;
+        let split = [
+            m.eis,
+            m.knn_dist,
+            m.semantic_displacement,
+            m.pip_loss,
+            m.overlap_dist,
+        ];
+        assert_eq!(split.map(f64::to_bits), direct.map(f64::to_bits));
         std::fs::remove_dir_all(store.dir()).ok();
     }
 

@@ -10,7 +10,7 @@ use embedstab_core::selection::{candidates_in_budget, pick_lowest_measure, Confi
 use embedstab_embeddings::Embedding;
 use embedstab_quant::Precision;
 
-use crate::gate::{GateEvaluation, Slo, StabilityGate};
+use crate::gate::{GateEvaluation, GateReference, Slo, StabilityGate};
 use crate::snapshot::{Snapshot, SnapshotStore, Version};
 
 /// One tenant: a named consumer of embeddings with a serving contract.
@@ -21,6 +21,9 @@ pub struct Tenant {
     dim: usize,
     precision: Precision,
     store: SnapshotStore,
+    /// The gate's live side for the current live version only; dropped
+    /// when a publish replaces it.
+    reference: Option<GateReference>,
 }
 
 impl Tenant {
@@ -52,6 +55,24 @@ impl Tenant {
     /// The tenant's live snapshot, if one has been published.
     pub fn live(&self) -> Option<&Snapshot> {
         self.store.live()
+    }
+
+    /// The gate reference held for the live version, if one has been
+    /// computed since the last publish.
+    fn reference(&self) -> Option<&GateReference> {
+        let live = self.store.live()?.meta().version;
+        self.reference.as_ref().filter(|r| r.version() == live)
+    }
+
+    /// Computes the gate reference for the live snapshot unless the one
+    /// held is already for it (no-op before the first publish).
+    fn prepare_reference(&mut self, gate: &StabilityGate) {
+        let Some(live) = self.store.live() else {
+            return;
+        };
+        if self.reference().is_none() {
+            self.reference = Some(gate.reference(live));
+        }
     }
 
     /// Submits a full-precision retrained candidate through the gate; see
@@ -92,13 +113,23 @@ impl Tenant {
                 ),
             ));
         }
-        let evaluation = gate.score(live, candidate)?;
+        let version = live.meta().version;
+        if self
+            .reference
+            .as_ref()
+            .is_some_and(|r| r.version() != version)
+        {
+            self.reference = None;
+        }
+        let reference = self.reference.get_or_insert_with(|| gate.reference(live));
+        let evaluation = gate.score_against(live, reference, candidate)?;
         if gate.admits(&evaluation, &self.slo) {
             let version = self.store.publish(
                 &evaluation.aligned,
                 self.precision,
                 Some(evaluation.predicted_instability),
             )?;
+            self.reference = None;
             Ok(GateOutcome::Promoted {
                 version,
                 evaluation,
@@ -270,6 +301,7 @@ impl TenantRegistry {
             dim,
             precision,
             store,
+            reference: None,
         };
         Ok(self.tenants.entry(name.to_string()).or_insert(tenant))
     }
@@ -299,6 +331,19 @@ impl TenantRegistry {
     /// True if no tenants are registered.
     pub fn is_empty(&self) -> bool {
         self.tenants.is_empty()
+    }
+
+    /// Computes the gate reference (the live side of a score; see
+    /// [`crate::gate`]) of every tenant whose live version has none yet,
+    /// so the next [`TenantRegistry::submit`] runs only the candidate
+    /// side. The
+    /// streaming retrainer calls this beside its training lane; calling
+    /// it is never required, since `submit` computes a missing reference
+    /// itself.
+    pub fn prepare_references(&mut self) {
+        for tenant in self.tenants.values_mut() {
+            tenant.prepare_reference(&self.gate);
+        }
     }
 
     /// Submits a full-precision retrained candidate for a tenant. With no
@@ -413,6 +458,59 @@ mod tests {
         let tenant = registry.tenant("t").expect("tenant");
         assert_eq!(tenant.live().expect("live").meta().version, Version(2));
         assert_eq!(tenant.store().len(), 2);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn gate_reference_follows_the_live_version_only() {
+        let root = scratch("tenant_reference");
+        let mut registry = TenantRegistry::new(&root);
+        let slo = Slo {
+            max_predicted_instability: 1e-6,
+            memory_budget_bits: 4 * 32,
+        };
+        registry
+            .register_config("t", slo, 4, Precision::FULL)
+            .expect("register");
+        let reference = |r: &TenantRegistry| {
+            r.tenant("t")
+                .expect("tenant")
+                .reference()
+                .map(GateReference::version)
+        };
+        // Nothing live, nothing to prepare.
+        registry.prepare_references();
+        assert_eq!(reference(&registry), None);
+        let base = emb(0, 25, 4);
+        registry.submit("t", &base).expect("bootstrap");
+        assert_eq!(reference(&registry), None);
+        registry.prepare_references();
+        assert_eq!(reference(&registry), Some(Version(1)));
+        // A held candidate keeps the live version and its reference.
+        let noisy = emb(9, 25, 4);
+        let held = registry.submit("t", &noisy).expect("noise");
+        assert!(!held.is_live());
+        assert_eq!(reference(&registry), Some(Version(1)));
+        // A promotion drops it; the next submit computes the new one.
+        registry.submit("t", &base).expect("same");
+        assert_eq!(reference(&registry), None);
+        let again = registry.submit("t", &noisy).expect("noise");
+        assert_eq!(reference(&registry), Some(Version(2)));
+        // Scored against the prepared reference or a fresh one: same bits.
+        let tenant = registry.tenant("t").expect("tenant");
+        let fresh = registry
+            .gate()
+            .score(tenant.live().expect("live"), &noisy)
+            .expect("score");
+        let prepared = again.evaluation().expect("scored");
+        assert_eq!(
+            fresh.predicted_instability.to_bits(),
+            prepared.predicted_instability.to_bits()
+        );
+        assert_eq!(
+            fresh.measures.knn_dist.to_bits(),
+            prepared.measures.knn_dist.to_bits()
+        );
         std::fs::remove_dir_all(&root).ok();
     }
 

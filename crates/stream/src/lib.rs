@@ -11,8 +11,8 @@
 //!        │ ContinuousRetrainer::ingest — validated, then += into the
 //!        ▼                               existing counts (bitwise the
 //!   Cooc (+ dirty-row set)               one-shot count's accumulators)
-//!        │ corpus::recompute_rows      — marginals re-summed in sorted
-//!        ▼                               order; exact over all rows
+//!        │ corpus::recompute_rows      — marginals summed along the
+//!        ▼                               sorted rows; exact over all rows
 //!   PPMI (bitwise == from-scratch)
 //!        │ PpmiSvdTrainer::train_warm  — previous basis seeds the
 //!        ▼                               range finder + subspace refresh
@@ -34,7 +34,9 @@
 //! [`ContinuousRetrainer`] packages the whole loop as a service: it owns
 //! a world's counting state, accepts increments, produces candidates per
 //! tenant dimension, and submits them through the serving layer's
-//! stability gate. [`checkpoint`] persists that state keyed by the
+//! stability gate. A step runs its training lane beside the gate's
+//! reference lane on the worker pool (see
+//! [`ContinuousRetrainer::step`]), bitwise the same as a serial step. [`checkpoint`] persists that state keyed by the
 //! *content* fingerprint ([`ContinuousRetrainer::fingerprint`]), so an
 //! incremental world always identifies as the corpus it now holds.
 //!

@@ -16,7 +16,7 @@ use embedstab_corpus::{
     SparseMatrix,
 };
 use embedstab_embeddings::{Embedding, PpmiSvdConfig, PpmiSvdTrainer};
-use embedstab_linalg::Mat;
+use embedstab_linalg::{pool, Mat};
 use embedstab_pipeline::World;
 use embedstab_serve::{GateOutcome, TenantRegistry};
 
@@ -115,9 +115,16 @@ pub struct StepReport {
 /// what makes its checkpoints ([`crate::checkpoint`]) and the bitwise
 /// keystone test possible.
 pub struct ContinuousRetrainer {
+    registry: TenantRegistry,
+    lane: TrainingLane,
+}
+
+/// Everything a step's training lane touches — counting state, PPMI,
+/// warm bases — kept apart from the registry so the gate's reference
+/// lane can borrow the registry beside it.
+struct TrainingLane {
     vocab_size: usize,
     config: RetrainerConfig,
-    registry: TenantRegistry,
     corpus: Corpus,
     cooc: Cooc,
     ppmi: SparseMatrix,
@@ -125,6 +132,71 @@ pub struct ContinuousRetrainer {
     pending_dirty: BTreeSet<u32>,
     bases: BTreeMap<usize, Mat>,
     increments: u64,
+}
+
+impl TrainingLane {
+    fn ingest(&mut self, docs: Vec<Vec<u32>>) -> Result<DeltaReport, StreamError> {
+        let dirty_rows = self.cooc.accumulate(&docs, &self.config.cooc)?;
+        let report = DeltaReport {
+            dirty_rows,
+            added_docs: docs.len(),
+            added_tokens: docs.iter().map(Vec::len).sum(),
+        };
+        self.corpus.append_docs(docs);
+        if !report.dirty_rows.is_empty() {
+            // Any added mass moves the PPMI total, so *all* rows are due
+            // for the exact refresh; the dirty set is what changed in the
+            // counts (diagnostics, approximate refreshes).
+            self.pending_dirty.extend(report.dirty_rows.iter().copied());
+            self.ppmi_fresh = false;
+        }
+        self.increments += 1;
+        Ok(report)
+    }
+
+    fn refresh_statistics(&mut self) -> Result<(), StreamError> {
+        if self.ppmi_fresh {
+            return Ok(());
+        }
+        match self.config.mode {
+            RetrainMode::FromScratch => {
+                self.cooc = Cooc::try_count(&self.corpus, self.vocab_size, &self.config.cooc)?;
+                self.ppmi = ppmi(&self.cooc);
+            }
+            RetrainMode::Incremental => {
+                let all_rows: Vec<u32> = (0..self.vocab_size as u32).collect();
+                self.ppmi = recompute_rows(&self.ppmi, &self.cooc, &all_rows)?;
+            }
+        }
+        self.pending_dirty.clear();
+        self.ppmi_fresh = true;
+        Ok(())
+    }
+
+    fn retrain(&mut self, dim: usize) -> Result<Embedding, StreamError> {
+        let invalid = StreamError::InvalidDim {
+            dim,
+            vocab_size: self.vocab_size,
+        };
+        if dim == 0 || dim > self.vocab_size {
+            return Err(invalid);
+        }
+        self.refresh_statistics()?;
+        let trainer = PpmiSvdTrainer::new(self.config.trainer.clone());
+        let seed = self.config.svd_seed;
+        let candidate = match (self.config.mode, self.bases.get(&dim)) {
+            (RetrainMode::Incremental, Some(warm)) => trainer
+                .train_warm(&self.ppmi, dim, seed, warm)
+                .ok_or(invalid)?,
+            _ => trainer.train(&self.ppmi, dim, seed),
+        };
+        if self.config.mode == RetrainMode::Incremental {
+            // The orthonormalized embedding columns span the candidate's
+            // dominant left subspace — next step's warm seed.
+            self.bases.insert(dim, candidate.mat().orthonormalize());
+        }
+        Ok(candidate)
+    }
 }
 
 impl ContinuousRetrainer {
@@ -144,18 +216,16 @@ impl ContinuousRetrainer {
         if config.cooc.window == 0 {
             return Err(CoocError::ZeroWindow.into());
         }
-        Ok(ContinuousRetrainer {
+        Ok(Self::from_parts(
             vocab_size,
             config,
             registry,
-            corpus: Corpus::from_docs(Vec::new()),
-            cooc: Cooc::empty(vocab_size),
-            ppmi: SparseMatrix::new(vocab_size, vocab_size),
-            ppmi_fresh: true,
-            pending_dirty: BTreeSet::new(),
-            bases: BTreeMap::new(),
-            increments: 0,
-        })
+            Corpus::from_docs(Vec::new()),
+            Cooc::empty(vocab_size),
+            SparseMatrix::new(vocab_size, vocab_size),
+            BTreeMap::new(),
+            0,
+        ))
     }
 
     /// A service seeded from a built [`World`]: the accumulated ('18)
@@ -181,36 +251,36 @@ impl ContinuousRetrainer {
             distance_weighting: false,
         };
         let mut svc = Self::new(world.params.vocab_size, config, registry)?;
-        svc.corpus = world.pair.corpus18.clone();
-        svc.cooc = world.stats18.cooc_flat.clone();
-        svc.ppmi = world.stats18.ppmi.clone();
+        svc.lane.corpus = world.pair.corpus18.clone();
+        svc.lane.cooc = world.stats18.cooc_flat.clone();
+        svc.lane.ppmi = world.stats18.ppmi.clone();
         Ok(svc)
     }
 
     /// Vocabulary size.
     pub fn vocab_size(&self) -> usize {
-        self.vocab_size
+        self.lane.vocab_size
     }
 
     /// The service configuration.
     pub fn config(&self) -> &RetrainerConfig {
-        &self.config
+        &self.lane.config
     }
 
     /// The accumulated corpus.
     pub fn corpus(&self) -> &Corpus {
-        &self.corpus
+        &self.lane.corpus
     }
 
     /// The standing co-occurrence table.
     pub fn cooc(&self) -> &Cooc {
-        &self.cooc
+        &self.lane.cooc
     }
 
     /// The PPMI matrix as of the last refresh (empty until the first
     /// retrain if the service started empty).
     pub fn ppmi(&self) -> &SparseMatrix {
-        &self.ppmi
+        &self.lane.ppmi
     }
 
     /// The tenant registry candidates are submitted through.
@@ -226,12 +296,12 @@ impl ContinuousRetrainer {
     /// Number of increments applied over the service's lifetime
     /// (checkpoint-persistent).
     pub fn increments(&self) -> u64 {
-        self.increments
+        self.lane.increments
     }
 
     /// Rows whose counts changed since the last PPMI refresh.
     pub fn pending_dirty_rows(&self) -> Vec<u32> {
-        self.pending_dirty.iter().copied().collect()
+        self.lane.pending_dirty.iter().copied().collect()
     }
 
     /// The content fingerprint of the world this service now holds:
@@ -242,7 +312,11 @@ impl ContinuousRetrainer {
     /// when seeded from a world before any increment. Checkpoints key on
     /// this value.
     pub fn fingerprint(&self) -> u64 {
-        corpus_state_fingerprint(&self.corpus, self.vocab_size, &self.config.cooc)
+        corpus_state_fingerprint(
+            &self.lane.corpus,
+            self.lane.vocab_size,
+            &self.lane.config.cooc,
+        )
     }
 
     /// Applies a corpus increment: streams it into the co-occurrence
@@ -257,22 +331,7 @@ impl ContinuousRetrainer {
     /// [`StreamError::Cooc`] if a token is out of vocabulary; the service
     /// state is untouched on error.
     pub fn ingest(&mut self, docs: Vec<Vec<u32>>) -> Result<DeltaReport, StreamError> {
-        let dirty_rows = self.cooc.accumulate(&docs, &self.config.cooc)?;
-        let report = DeltaReport {
-            dirty_rows,
-            added_docs: docs.len(),
-            added_tokens: docs.iter().map(Vec::len).sum(),
-        };
-        self.corpus.append_docs(docs);
-        if !report.dirty_rows.is_empty() {
-            // Any added mass moves the PPMI total, so *all* rows are due
-            // for the exact refresh; the dirty set is what changed in the
-            // counts (diagnostics, approximate refreshes).
-            self.pending_dirty.extend(report.dirty_rows.iter().copied());
-            self.ppmi_fresh = false;
-        }
-        self.increments += 1;
-        Ok(report)
+        self.lane.ingest(docs)
     }
 
     /// Brings the PPMI matrix up to date with the counting state, per the
@@ -282,26 +341,13 @@ impl ContinuousRetrainer {
     ///
     /// # Errors
     ///
-    /// [`StreamError::Cooc`] only in
-    /// [`RetrainMode::FromScratch`], if the accumulated corpus fails
-    /// revalidation (cannot happen for state built through this API).
+    /// [`StreamError::Cooc`] in [`RetrainMode::FromScratch`] if the
+    /// accumulated corpus fails revalidation, or in
+    /// [`RetrainMode::Incremental`] if the PPMI matrix's shape drifted
+    /// from the table's (neither can happen for state built through this
+    /// API).
     pub fn refresh_statistics(&mut self) -> Result<(), StreamError> {
-        if self.ppmi_fresh {
-            return Ok(());
-        }
-        match self.config.mode {
-            RetrainMode::FromScratch => {
-                self.cooc = Cooc::try_count(&self.corpus, self.vocab_size, &self.config.cooc)?;
-                self.ppmi = ppmi(&self.cooc);
-            }
-            RetrainMode::Incremental => {
-                let all_rows: Vec<u32> = (0..self.vocab_size as u32).collect();
-                self.ppmi = recompute_rows(&self.ppmi, &self.cooc, &all_rows);
-            }
-        }
-        self.pending_dirty.clear();
-        self.ppmi_fresh = true;
-        Ok(())
+        self.lane.refresh_statistics()
     }
 
     /// Trains a `dim`-dimensional candidate on the current statistics
@@ -316,54 +362,53 @@ impl ContinuousRetrainer {
     /// `1..=vocab_size`, plus anything
     /// [`ContinuousRetrainer::refresh_statistics`] can return.
     pub fn retrain(&mut self, dim: usize) -> Result<Embedding, StreamError> {
-        if dim == 0 || dim > self.vocab_size {
-            return Err(StreamError::InvalidDim {
-                dim,
-                vocab_size: self.vocab_size,
-            });
-        }
-        self.refresh_statistics()?;
-        let trainer = PpmiSvdTrainer::new(self.config.trainer.clone());
-        let seed = self.config.svd_seed;
-        let candidate = match (self.config.mode, self.bases.get(&dim)) {
-            (RetrainMode::Incremental, Some(warm)) => {
-                trainer.train_warm(&self.ppmi, dim, seed, warm)
-            }
-            _ => trainer.train(&self.ppmi, dim, seed),
-        };
-        if self.config.mode == RetrainMode::Incremental {
-            // The orthonormalized embedding columns span the candidate's
-            // dominant left subspace — next step's warm seed.
-            self.bases.insert(dim, candidate.mat().orthonormalize());
-        }
-        Ok(candidate)
+        self.lane.retrain(dim)
     }
 
     /// One full service step: ingest the increment, retrain one candidate
     /// per distinct tenant dimension, and submit to every tenant through
     /// the stability gate. Outcomes come back in tenant-name order.
     ///
+    /// The step runs two lanes on the worker pool: the training lane
+    /// (ingest, PPMI refresh, warm SVD per dimension, with the refresh
+    /// rows and the sparse products split across the pool) beside the
+    /// gate's reference lane, which computes the live side of the gate of
+    /// every tenant whose live version has none yet
+    /// ([`TenantRegistry::prepare_references`]). The submits follow, one
+    /// tenant at a time, each running only the gate's candidate side.
+    /// Every lane does the arithmetic of a serial step in the same order,
+    /// so the bits are those of a serial step.
+    ///
     /// # Errors
     ///
     /// Anything [`ContinuousRetrainer::ingest`],
     /// [`ContinuousRetrainer::retrain`], or
-    /// [`TenantRegistry::submit`] can return; tenants before the failure
-    /// keep their outcomes (snapshot stores are per-tenant, so there is
-    /// no cross-tenant rollback to do).
+    /// [`TenantRegistry::submit`] can return. A training error fails the
+    /// step before any tenant is submitted; after a submit error, tenants
+    /// before the failure keep their outcomes (snapshot stores are
+    /// per-tenant, so there is no cross-tenant rollback to do).
     pub fn step(&mut self, docs: Vec<Vec<u32>>) -> Result<StepReport, StreamError> {
-        let delta = self.ingest(docs)?;
         let specs: Vec<(String, usize)> = self
             .registry
             .tenants()
             .map(|t| (t.name().to_string(), t.dim()))
             .collect();
-        let mut candidates: BTreeMap<usize, Embedding> = BTreeMap::new();
+        let dims: BTreeSet<usize> = specs.iter().map(|&(_, dim)| dim).collect();
+        let (lane, registry) = (&mut self.lane, &mut self.registry);
+        let (trained, ()) = pool::join(
+            || -> Result<_, StreamError> {
+                let delta = lane.ingest(docs)?;
+                let mut candidates = BTreeMap::new();
+                for dim in dims {
+                    candidates.insert(dim, lane.retrain(dim)?);
+                }
+                Ok((delta, candidates))
+            },
+            || registry.prepare_references(),
+        );
+        let (delta, candidates) = trained?;
         let mut outcomes = Vec::with_capacity(specs.len());
         for (tenant, dim) in specs {
-            if !candidates.contains_key(&dim) {
-                let candidate = self.retrain(dim)?;
-                candidates.insert(dim, candidate);
-            }
             let outcome = self.registry.submit(&tenant, &candidates[&dim])?;
             outcomes.push(TenantOutcome { tenant, outcome });
         }
@@ -384,22 +429,24 @@ impl ContinuousRetrainer {
         increments: u64,
     ) -> Self {
         ContinuousRetrainer {
-            vocab_size,
-            config,
             registry,
-            corpus,
-            cooc,
-            ppmi,
-            ppmi_fresh: true,
-            pending_dirty: BTreeSet::new(),
-            bases,
-            increments,
+            lane: TrainingLane {
+                vocab_size,
+                config,
+                corpus,
+                cooc,
+                ppmi,
+                ppmi_fresh: true,
+                pending_dirty: BTreeSet::new(),
+                bases,
+                increments,
+            },
         }
     }
 
     /// Checkpoint-internal view of the warm bases.
     pub(crate) fn bases(&self) -> &BTreeMap<usize, Mat> {
-        &self.bases
+        &self.lane.bases
     }
 }
 
