@@ -1,19 +1,17 @@
 //! Criterion micro-benchmarks for the performance-facing kernels behind
 //! every experiment: GEMM, SVD, quantization, co-occurrence counting, the
 //! embedding distance measures, serve's batched nearest-neighbor query,
-//! the retrain step's PPMI refresh and gate score, and downstream
+//! the retrain step's ingest, PPMI refresh and gate score, and downstream
 //! training.
 
 use std::hint::black_box;
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use embedstab_core::measures::{
     DistanceMeasure, EigenspaceOverlap, EisMeasure, KnnMeasure, PipLoss, SemanticDisplacement,
 };
-use embedstab_corpus::{
-    ppmi, recompute_rows, Cooc, CoocConfig, CorpusConfig, LatentModel, LatentModelConfig,
-};
+use embedstab_corpus::{ppmi, Cooc, CoocConfig, CorpusConfig, LatentModel, LatentModelConfig};
 use embedstab_downstream::models::{LogReg, TrainSpec};
 use embedstab_embeddings::{CorpusStats, Embedding, PpmiSvdTrainer};
 use embedstab_linalg::Mat;
@@ -108,6 +106,7 @@ fn bench_cooccurrence(c: &mut Criterion) {
                     distance_weighting: false,
                 },
             ))
+            .expect("valid corpus")
         });
     });
 }
@@ -163,10 +162,11 @@ fn bench_nearest(c: &mut Criterion) {
 }
 
 fn bench_retrain(c: &mut Criterion) {
-    // The retrain step's two largest pieces at Small scale (1000 words,
-    // 200k tokens, window 8): the exact PPMI refresh over every row, and
-    // a dim-32 8-bit candidate scored against the live snapshot (live
-    // side included, as `StabilityGate::score` computes it).
+    // The retrain step's pieces at Small scale (1000 words, 200k tokens,
+    // window 8): a 1% (2k-token) ingest into the standing table, the PPMI
+    // refresh over every row, and a dim-32 8-bit candidate scored against
+    // the live snapshot (live side included, as `StabilityGate::score`
+    // computes it).
     let model = LatentModel::new(&LatentModelConfig {
         vocab_size: 1000,
         ..Default::default()
@@ -175,12 +175,30 @@ fn bench_retrain(c: &mut Criterion) {
         n_tokens: 200_000,
         ..Default::default()
     });
-    let cooc = Cooc::count(&corpus, 1000, &CoocConfig::default());
-    let prev = ppmi(&cooc);
-    let all: Vec<u32> = (0..1000).collect();
-    c.bench_function("recompute_rows_small", |bench| {
-        bench.iter(|| black_box(recompute_rows(&prev, &cooc, &all)));
+    let config = CoocConfig::default();
+    let cooc = Cooc::count(&corpus, 1000, &config).expect("valid corpus");
+    let delta = model
+        .generate_corpus(&CorpusConfig {
+            n_tokens: 2_000,
+            seed: 1,
+            ..Default::default()
+        })
+        .docs()
+        .to_vec();
+    c.bench_function("cooc_accumulate_small_1pct", |bench| {
+        bench.iter_batched(
+            || cooc.clone(),
+            |mut table| {
+                table.accumulate(&delta, &config).expect("valid delta");
+                table
+            },
+            BatchSize::LargeInput,
+        );
     });
+    c.bench_function("ppmi_refresh_small", |bench| {
+        bench.iter(|| black_box(ppmi(&cooc)));
+    });
+    let prev = ppmi(&cooc);
     let trainer = PpmiSvdTrainer::default();
     let dir = embedstab_pipeline::cache::scratch_dir("bench_gate");
     std::fs::remove_dir_all(&dir).ok();

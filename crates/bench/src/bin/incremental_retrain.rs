@@ -1,7 +1,8 @@
-//! Benchmarks the continuous-retraining service: incremental (streamed
-//! count deltas, exact PPMI refresh, warm-started SVD) against the
-//! from-scratch baseline (full recount, full PPMI, cold SVD) on the same
-//! increment sequence, and writes `BENCH_incremental.json`.
+//! Benchmarks the continuous-retraining service (streamed count deltas,
+//! PPMI refresh, warm-started SVD) against the from-scratch baseline — the
+//! batch calls `Cooc::count`, `ppmi` and `PpmiSvdTrainer::train` over the
+//! whole corpus — on the same increment sequence, and writes
+//! `BENCH_incremental.json`.
 //!
 //! ```text
 //! usage: incremental_retrain [--scale tiny|small|paper] [--steps N]
@@ -12,31 +13,36 @@
 //!     --max-submit-ratio 1.0
 //! ```
 //!
-//! Both services start from the same base corpus (a bootstrap retrain
-//! warms the incremental side's basis, untimed), then each timed step
-//! feeds an identical drifted increment of `--delta-frac` of the base
-//! token budget through ingest -> retrain -> gate-scored submit. The
-//! report records per-step wall clock for both modes, the speedup, the
-//! gate's predicted instability for both candidates, and the EIS / k-NN
-//! distance between the warm and cold retrains — re-measuring the
-//! [`WARM_SVD_EIS_TOLERANCE`] contract on every run. Exits nonzero if any
+//! Both sides start from the same base corpus, each with its own tenant
+//! registry (a bootstrap retrain warms the service's basis, untimed),
+//! then each timed step feeds an identical drifted increment of
+//! `--delta-frac` of the base token budget through ingest -> retrain ->
+//! gate-scored submit. The report records per-step wall clock for both
+//! sides, the speedup, the gate's predicted instability for both
+//! candidates, and the EIS / k-NN distance between the warm and cold
+//! retrains — re-measuring the [`WARM_SVD_EIS_TOLERANCE`] contract on
+//! every run. Exits nonzero if any
 //! step's speedup falls below `--min-speedup`, any warm-vs-cold EIS
 //! exceeds the recorded tolerance, or (with `--max-submit-ratio r`) any
 //! incremental step's gate submit takes longer than `r` times the step
 //! itself.
 
+use std::convert::Infallible;
+use std::fmt::Display;
 use std::process::exit;
 use std::time::Instant;
 
 use embedstab_bench::Cli;
 use embedstab_core::MeasureSuite;
-use embedstab_corpus::{CoocConfig, CorpusConfig, DriftConfig, LatentModel, LatentModelConfig};
-use embedstab_embeddings::Embedding;
+use embedstab_corpus::{
+    ppmi, Cooc, CoocConfig, Corpus, CorpusConfig, DriftConfig, LatentModel, LatentModelConfig,
+};
+use embedstab_embeddings::{Embedding, PpmiSvdTrainer};
 use embedstab_pipeline::cache::scratch_dir;
 use embedstab_pipeline::Scale;
 use embedstab_quant::Precision;
 use embedstab_serve::{GateOutcome, Slo, TenantRegistry};
-use embedstab_stream::{ContinuousRetrainer, RetrainMode, RetrainerConfig, WARM_SVD_EIS_TOLERANCE};
+use embedstab_stream::{ContinuousRetrainer, RetrainerConfig, WARM_SVD_EIS_TOLERANCE};
 use serde::Serialize;
 
 const TENANT: &str = "bench";
@@ -79,26 +85,13 @@ struct Report {
 const USAGE: &str = "usage: incremental_retrain [--scale tiny|small|paper] [--steps N]\n\
     \x20        [--delta-frac F] [--min-speedup X] [--max-submit-ratio R] [--out PATH]";
 
-fn service(mode: RetrainMode, params: &embedstab_pipeline::ScaleParams) -> ContinuousRetrainer {
-    let label = match mode {
-        RetrainMode::Incremental => "bench_inc",
-        RetrainMode::FromScratch => "bench_scratch",
-    };
-    let dir = scratch_dir(label);
-    let _ = std::fs::remove_dir_all(&dir);
-    let registry = TenantRegistry::new(dir);
-    let config = RetrainerConfig {
-        cooc: CoocConfig {
-            window: params.window,
-            distance_weighting: false,
-        },
-        mode,
-        ..RetrainerConfig::default()
-    };
-    ContinuousRetrainer::new(params.vocab_size, config, registry).unwrap_or_else(|e| {
-        eprintln!("incremental_retrain: cannot build service: {e}");
-        exit(1)
-    })
+/// The from-scratch baseline: its own corpus and registry, and on every
+/// step the batch pipeline over the whole corpus — count, PPMI, cold SVD.
+struct Baseline {
+    vocab_size: usize,
+    config: RetrainerConfig,
+    corpus: Corpus,
+    registry: TenantRegistry,
 }
 
 struct StepTiming {
@@ -109,58 +102,71 @@ struct StepTiming {
 }
 
 impl StepTiming {
-    /// The retraining cost the two modes differ on: ingest + statistics
+    /// The retraining cost the two sides differ on: ingest + statistics
     /// refresh + SVD. The gate submit is the serving layer's per-candidate
-    /// constant — identical work in both modes — and is reported
+    /// constant — identical work on both sides — and is reported
     /// separately.
     fn retrain_pipeline_seconds(&self) -> f64 {
         self.ingest_seconds + self.refresh_seconds + self.retrain_seconds
     }
 }
 
-/// Ingest + retrain + gate-scored submit, each phase timed.
-fn timed_step(
+/// Runs one phase of a step and times it; exits 1 naming the phase if it
+/// fails.
+fn timed<T, E: Display>(phase: &str, f: impl FnOnce() -> Result<T, E>) -> (T, f64) {
+    let start = Instant::now();
+    let value = f().unwrap_or_else(|e| {
+        eprintln!("incremental_retrain: {phase} failed: {e}");
+        exit(1)
+    });
+    (value, start.elapsed().as_secs_f64())
+}
+
+/// Ingest + retrain + gate-scored submit through the service, each phase
+/// timed.
+fn incremental_step(
     svc: &mut ContinuousRetrainer,
     docs: Vec<Vec<u32>>,
     dim: usize,
 ) -> (StepTiming, Embedding, GateOutcome) {
-    let start = Instant::now();
-    svc.ingest(docs).unwrap_or_else(|e| {
-        eprintln!("incremental_retrain: ingest failed: {e}");
-        exit(1)
-    });
-    let ingest_seconds = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    svc.refresh_statistics().unwrap_or_else(|e| {
-        eprintln!("incremental_retrain: refresh failed: {e}");
-        exit(1)
-    });
-    let refresh_seconds = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let candidate = svc.retrain(dim).unwrap_or_else(|e| {
-        eprintln!("incremental_retrain: retrain failed: {e}");
-        exit(1)
-    });
-    let retrain_seconds = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let outcome = svc
-        .registry_mut()
-        .submit(TENANT, &candidate)
-        .unwrap_or_else(|e| {
-            eprintln!("incremental_retrain: submit failed: {e}");
-            exit(1)
+    let (_, ingest_seconds) = timed("ingest", || svc.ingest(docs));
+    let ((), refresh_seconds) = timed("refresh", || svc.refresh_statistics());
+    let (candidate, retrain_seconds) = timed("retrain", || svc.retrain(dim));
+    let (outcome, submit_seconds) =
+        timed("submit", || svc.registry_mut().submit(TENANT, &candidate));
+    let timing = StepTiming {
+        ingest_seconds,
+        refresh_seconds,
+        retrain_seconds,
+        submit_seconds,
+    };
+    (timing, candidate, outcome)
+}
+
+impl Baseline {
+    /// The same step as [`incremental_step`], by the batch calls.
+    fn step(&mut self, docs: Vec<Vec<u32>>, dim: usize) -> (StepTiming, Embedding, GateOutcome) {
+        let ((), ingest_seconds) = timed("ingest", || {
+            self.corpus.append_docs(docs);
+            Ok::<_, Infallible>(())
         });
-    let submit_seconds = start.elapsed().as_secs_f64();
-    (
-        StepTiming {
+        let (stats, refresh_seconds) = timed("count", || {
+            Cooc::count(&self.corpus, self.vocab_size, &self.config.cooc).map(|c| ppmi(&c))
+        });
+        let (candidate, retrain_seconds) = timed("retrain", || {
+            let trainer = PpmiSvdTrainer::new(self.config.trainer.clone());
+            Ok::<_, Infallible>(trainer.train(&stats, dim, self.config.svd_seed))
+        });
+        let (outcome, submit_seconds) =
+            timed("submit", || self.registry.submit(TENANT, &candidate));
+        let timing = StepTiming {
             ingest_seconds,
             refresh_seconds,
             retrain_seconds,
             submit_seconds,
-        },
-        candidate,
-        outcome,
-    )
+        };
+        (timing, candidate, outcome)
+    }
 }
 
 fn main() {
@@ -204,10 +210,30 @@ fn main() {
         .to_vec();
     let delta_tokens = ((params.corpus_tokens as f64) * delta_frac) as usize;
 
-    let mut inc = service(RetrainMode::Incremental, &params);
-    let mut scratch = service(RetrainMode::FromScratch, &params);
-    for svc in [&mut inc, &mut scratch] {
-        svc.registry_mut()
+    let config = RetrainerConfig {
+        cooc: CoocConfig {
+            window: params.window,
+            distance_weighting: false,
+        },
+        ..RetrainerConfig::default()
+    };
+    // Both sides' snapshot stores, removed when the run ends.
+    let dir = scratch_dir("incremental_retrain");
+    let _ = std::fs::remove_dir_all(&dir);
+    let registry = TenantRegistry::new(dir.join("incremental"));
+    let mut inc = ContinuousRetrainer::new(params.vocab_size, config.clone(), registry)
+        .unwrap_or_else(|e| {
+            eprintln!("incremental_retrain: cannot build service: {e}");
+            exit(1)
+        });
+    let mut scratch = Baseline {
+        vocab_size: params.vocab_size,
+        config,
+        corpus: Corpus::from_docs(Vec::new()),
+        registry: TenantRegistry::new(dir.join("from_scratch")),
+    };
+    for registry in [inc.registry_mut(), &mut scratch.registry] {
+        registry
             .register_config(
                 TENANT,
                 Slo::unbounded(dim as u64 * 32),
@@ -226,11 +252,11 @@ fn main() {
         params.vocab_size, params.corpus_tokens, steps, delta_tokens
     );
 
-    // Bootstrap both services on the base corpus (untimed): establishes
-    // the live snapshot each later candidate is gated against and warms
-    // the incremental side's SVD basis.
-    let (_, _, _) = timed_step(&mut inc, base.clone(), dim);
-    let (_, _, _) = timed_step(&mut scratch, base, dim);
+    // Bootstrap both sides on the base corpus (untimed): establishes the
+    // live snapshot each later candidate is gated against and warms the
+    // service's SVD basis.
+    let (_, _, _) = incremental_step(&mut inc, base.clone(), dim);
+    let (_, _, _) = scratch.step(base, dim);
 
     let mut per_step = Vec::with_capacity(steps);
     let mut min_observed_speedup = f64::INFINITY;
@@ -255,8 +281,8 @@ fn main() {
         let delta_docs = docs.len();
         let n_tokens: usize = docs.iter().map(Vec::len).sum();
 
-        let (inc_t, warm, inc_outcome) = timed_step(&mut inc, docs.clone(), dim);
-        let (scratch_t, cold, scratch_outcome) = timed_step(&mut scratch, docs, dim);
+        let (inc_t, warm, inc_outcome) = incremental_step(&mut inc, docs.clone(), dim);
+        let (scratch_t, cold, scratch_outcome) = scratch.step(docs, dim);
 
         let suite = MeasureSuite::new(&cold, &cold, 3.0, 42);
         let measures = suite.compute_all(&cold, &warm);
@@ -299,6 +325,8 @@ fn main() {
                 .map(|e| e.predicted_instability),
         });
     }
+
+    let _ = std::fs::remove_dir_all(&dir);
 
     let report = Report {
         scale: scale.name().to_string(),

@@ -7,14 +7,12 @@ use std::hash::{BuildHasherDefault, Hasher};
 use crate::codec;
 use crate::generate::Corpus;
 
-/// A validation error from co-occurrence counting, increment streaming
-/// or the incremental PPMI refresh.
+/// A validation error from co-occurrence counting or increment streaming.
 ///
-/// Counting used to be panic-only; the streaming path
-/// (`embedstab_stream`) applies increments inside a long-lived service
-/// where malformed input must surface as a typed error, never crash the
-/// process. [`Cooc::count`] keeps its panicking contract by unwrapping
-/// this type.
+/// The streaming path (`embedstab_stream`) applies increments inside a
+/// long-lived service where malformed input must surface as a typed
+/// error, never crash the process; [`Cooc::count`] and
+/// [`Cooc::accumulate`] both report it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CoocError {
     /// `CoocConfig::window` was zero: every window would be empty, so the
@@ -28,16 +26,6 @@ pub enum CoocError {
         /// The vocabulary size it failed against.
         vocab_size: usize,
     },
-    /// A PPMI matrix handed to [`crate::recompute_rows`] is not
-    /// `vocab_size x vocab_size`.
-    ShapeMismatch {
-        /// The matrix's row count.
-        rows: usize,
-        /// The matrix's column count.
-        cols: usize,
-        /// The table's vocabulary size.
-        vocab_size: usize,
-    },
 }
 
 impl fmt::Display for CoocError {
@@ -49,14 +37,6 @@ impl fmt::Display for CoocError {
             CoocError::TokenOutOfVocab { token, vocab_size } => {
                 write!(f, "token id {token} out of vocabulary (size {vocab_size})")
             }
-            CoocError::ShapeMismatch {
-                rows,
-                cols,
-                vocab_size,
-            } => write!(
-                f,
-                "PPMI shape {rows}x{cols} does not match the table's vocabulary {vocab_size}"
-            ),
         }
     }
 }
@@ -94,7 +74,7 @@ impl Default for CoocConfig {
 /// stored one are empty and need not be allocated, so a decoded table
 /// costs memory in proportion to its entries, not to the vocabulary size
 /// its header claims. A whole-corpus count
-/// ([`Cooc::try_count`]) accumulates in a scratch hash map and converts
+/// ([`Cooc::count`]) accumulates in a scratch hash map and converts
 /// once into rows of exact capacity; [`Cooc::accumulate`] into a standing
 /// table updates its rows in place (binary search, insert on a new
 /// column). Either way every count is a plain `+=` accumulator that sees
@@ -112,7 +92,7 @@ fn key(i: u32, j: u32) -> u64 {
     ((i as u64) << 32) | j as u64
 }
 
-/// The hasher of [`Cooc::try_count`]'s scratch map: the packed `(i, j)`
+/// The hasher of [`Cooc::count`]'s scratch map: the packed `(i, j)`
 /// key through the MurmurHash3 64-bit finalizer. Token ids need no
 /// defence against chosen collisions, and SipHash cost most of a count.
 /// The map's layout never reaches a result: its entries are moved into
@@ -190,18 +170,6 @@ impl Cooc {
     /// Counts co-occurrences over all documents of a corpus. Windows do not
     /// cross document boundaries.
     ///
-    /// # Panics
-    ///
-    /// Panics if `config.window` is zero or a token id is `>= vocab_size`.
-    /// [`Cooc::try_count`] is the non-panicking equivalent.
-    pub fn count(corpus: &Corpus, vocab_size: usize, config: &CoocConfig) -> Self {
-        Self::try_count(corpus, vocab_size, config).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Counts co-occurrences like [`Cooc::count`], but reports invalid
-    /// input as a typed [`CoocError`] instead of panicking — the contract
-    /// long-lived services (the streaming retrainer) need.
-    ///
     /// The counts accumulate in a scratch hash map (one lookup per pair,
     /// however long the rows grow), which is then moved once into sorted
     /// rows of exact capacity.
@@ -210,7 +178,7 @@ impl Cooc {
     ///
     /// [`CoocError::ZeroWindow`] if `config.window == 0`,
     /// [`CoocError::TokenOutOfVocab`] if any token id is `>= vocab_size`.
-    pub fn try_count(
+    pub fn count(
         corpus: &Corpus,
         vocab_size: usize,
         config: &CoocConfig,
@@ -417,9 +385,13 @@ mod tests {
         Corpus::from_docs(vec![vec![0, 1, 2], vec![1, 1]])
     }
 
+    fn count(corpus: &Corpus, vocab_size: usize, config: &CoocConfig) -> Cooc {
+        Cooc::count(corpus, vocab_size, config).expect("valid corpus")
+    }
+
     #[test]
     fn window_one_flat_counts() {
-        let c = Cooc::count(
+        let c = count(
             &tiny_corpus(),
             3,
             &CoocConfig {
@@ -440,7 +412,7 @@ mod tests {
 
     #[test]
     fn window_two_distance_weighted() {
-        let c = Cooc::count(
+        let c = count(
             &tiny_corpus(),
             3,
             &CoocConfig {
@@ -456,7 +428,7 @@ mod tests {
     #[test]
     fn symmetric() {
         let docs = vec![vec![0, 1, 2, 3, 0, 2], vec![3, 2, 1]];
-        let c = Cooc::count(&Corpus::from_docs(docs), 4, &CoocConfig::default());
+        let c = count(&Corpus::from_docs(docs), 4, &CoocConfig::default());
         for i in 0..4u32 {
             for j in 0..4u32 {
                 assert_eq!(c.get(i, j), c.get(j, i), "asymmetry at ({i},{j})");
@@ -469,7 +441,7 @@ mod tests {
     #[test]
     fn no_cross_document_pairs() {
         let docs = vec![vec![0], vec![1]];
-        let c = Cooc::count(
+        let c = count(
             &Corpus::from_docs(docs),
             2,
             &CoocConfig {
@@ -482,16 +454,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of vocabulary")]
-    fn out_of_vocab_panics() {
-        let docs = vec![vec![0, 9]];
-        let _ = Cooc::count(&Corpus::from_docs(docs), 2, &CoocConfig::default());
-    }
-
-    #[test]
     fn codec_round_trips_bitwise() {
         let docs = vec![vec![2, 0, 1, 2, 0, 3, 1], vec![3, 2, 1]];
-        let c = Cooc::count(
+        let c = count(
             &Corpus::from_docs(docs),
             4,
             &CoocConfig {
@@ -538,7 +503,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_out_of_order_and_repeated_entries() {
-        let c = Cooc::count(&tiny_corpus(), 3, &CoocConfig::default());
+        let c = count(&tiny_corpus(), 3, &CoocConfig::default());
         let mut bytes = Vec::new();
         c.encode_into(&mut bytes);
         assert!(c.nnz() >= 2);
@@ -570,29 +535,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "window must be positive")]
-    fn zero_window_panics_in_count() {
-        let _ = Cooc::count(
-            &tiny_corpus(),
-            3,
-            &CoocConfig {
-                window: 0,
-                distance_weighting: false,
-            },
-        );
-    }
-
-    #[test]
-    fn try_count_reports_typed_errors() {
+    fn count_reports_typed_errors() {
         let zero = CoocConfig {
             window: 0,
             distance_weighting: false,
         };
         assert_eq!(
-            Cooc::try_count(&tiny_corpus(), 3, &zero).expect_err("zero window"),
+            Cooc::count(&tiny_corpus(), 3, &zero).expect_err("zero window"),
             CoocError::ZeroWindow
         );
-        let oov = Cooc::try_count(
+        let oov = Cooc::count(
             &Corpus::from_docs(vec![vec![0, 9]]),
             2,
             &CoocConfig::default(),
@@ -604,15 +556,12 @@ mod tests {
                 vocab_size: 2
             }
         );
-        let ok = Cooc::try_count(&tiny_corpus(), 3, &CoocConfig::default()).expect("valid corpus");
-        let counted = Cooc::count(&tiny_corpus(), 3, &CoocConfig::default());
-        assert_eq!(ok.total().to_bits(), counted.total().to_bits());
     }
 
     #[test]
     fn accumulate_error_leaves_table_untouched() {
         let config = CoocConfig::default();
-        let mut c = Cooc::count(&tiny_corpus(), 3, &config);
+        let mut c = count(&tiny_corpus(), 3, &config);
         let before_total = c.total().to_bits();
         let before_entries = c.entries();
         // The bad token sits at the *end* of the batch: a validate-as-you-go
@@ -663,7 +612,7 @@ mod tests {
             window: 2,
             distance_weighting: true,
         };
-        let one_shot = Cooc::count(&Corpus::from_docs(docs.clone()), 4, &config);
+        let one_shot = count(&Corpus::from_docs(docs.clone()), 4, &config);
         let mut streamed = Cooc::empty(4);
         for batch in docs.chunks(1) {
             streamed.accumulate(batch, &config).expect("valid batch");
@@ -689,8 +638,8 @@ mod tests {
     fn entries_sorted_and_deterministic() {
         let docs = vec![vec![2, 0, 1, 2, 0]];
         let corpus = Corpus::from_docs(docs);
-        let a = Cooc::count(&corpus, 3, &CoocConfig::default()).entries();
-        let b = Cooc::count(&corpus, 3, &CoocConfig::default()).entries();
+        let a = count(&corpus, 3, &CoocConfig::default()).entries();
+        let b = count(&corpus, 3, &CoocConfig::default()).entries();
         assert_eq!(a, b);
         for w in a.windows(2) {
             assert!(w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1));

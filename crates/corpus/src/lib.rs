@@ -46,5 +46,5 @@ pub use generate::{
     corpus_state_fingerprint, Corpus, CorpusConfig, TemporalPair, TemporalPairConfig,
 };
 pub use latent::{DriftConfig, LatentModel, LatentModelConfig};
-pub use ppmi::{ppmi, recompute_rows, SparseMatrix};
+pub use ppmi::{ppmi, SparseMatrix};
 pub use vocab::Vocab;

@@ -11,7 +11,7 @@ use std::sync::{Mutex, PoisonError};
 use embedstab_linalg::{pool, vecops, Mat, SketchOp};
 
 use crate::codec;
-use crate::cooc::{Cooc, CoocError};
+use crate::cooc::Cooc;
 
 /// Rows (or, for [`SparseMatrix::apply_t`], columns) per pool item in the
 /// row-split loops of this module: enough items for two workers to
@@ -244,8 +244,7 @@ impl SketchOp for SparseMatrix {
 
 /// Row `i` of the PPMI matrix of `cooc`, given its marginals and total:
 /// `ln(c_ij * T / (r_i * r_j))` for every stored `c_ij` whose value is
-/// positive, in column order. The one formula both [`ppmi`] and
-/// [`recompute_rows`] evaluate. The row is gathered in `scratch` and
+/// positive, in column order. The row is gathered in `scratch` and
 /// returned at exact capacity, one allocation per row (growing rows by
 /// doubling made the allocator, not the arithmetic, the refresh's cost).
 fn ppmi_row(
@@ -273,95 +272,29 @@ fn ppmi_row(
     scratch.to_vec()
 }
 
-/// The PPMI rows of `cooc` for which `dirty(i)` holds, built on the pool
-/// [`ROW_BLOCK`] rows at a time; every other row comes from `clean(i)`.
-fn build_rows(
-    cooc: &Cooc,
-    dirty: impl Fn(usize) -> bool + Sync,
-    clean: impl Fn(usize) -> Vec<(u32, f64)> + Sync,
-) -> Vec<Vec<(u32, f64)>> {
+/// Builds the PPMI matrix from a co-occurrence table.
+///
+/// `ppmi(i, j) = max(0, ln( c_ij * total / (r_i * r_j) ))` where `r` are row
+/// marginals; zero entries are dropped. Rows are built on the worker pool,
+/// [`ROW_BLOCK`] at a time; each row is one item's, so the split cannot
+/// change a bit.
+pub fn ppmi(cooc: &Cooc) -> SparseMatrix {
+    let n = cooc.n();
     let (row_sums, total) = (cooc.row_sums(), cooc.total());
-    pool::parallel_map(&row_blocks(cooc.n()), |rows| {
+    let rows = pool::parallel_map(&row_blocks(n), |rows| {
         let mut scratch = Vec::new();
         rows.clone()
-            .map(|i| {
-                if dirty(i) {
-                    ppmi_row(cooc, &row_sums, total, i, &mut scratch)
-                } else {
-                    clean(i)
-                }
-            })
+            .map(|i| ppmi_row(cooc, &row_sums, total, i, &mut scratch))
             .collect::<Vec<_>>()
     })
     .into_iter()
     .flatten()
-    .collect()
-}
-
-/// Builds the PPMI matrix from a co-occurrence table.
-///
-/// `ppmi(i, j) = max(0, ln( c_ij * total / (r_i * r_j) ))` where `r` are row
-/// marginals; zero entries are dropped. Rows are built on the worker pool.
-pub fn ppmi(cooc: &Cooc) -> SparseMatrix {
-    let n = cooc.n();
+    .collect();
     SparseMatrix {
         n_rows: n,
         n_cols: n,
-        rows: build_rows(cooc, |_| true, |_| Vec::new()),
+        rows,
     }
-}
-
-/// Rebuilds the listed `rows` of a PPMI matrix against the *current*
-/// co-occurrence table, copying every other row bitwise from `prev` —
-/// the incremental-retrain entry point (`embedstab_stream`).
-///
-/// **Exactness contract.** `ppmi(i, j) = ln(c_ij · T / (r_i · r_j))`
-/// depends on the global total `T` and the *column* marginal `r_j`, so
-/// after a delta that adds any mass, every non-empty row's values shift —
-/// not just the rows whose counts changed. Passing the full row range
-/// (what the streaming service's exact path does) therefore reproduces
-/// [`ppmi`] bitwise — same entries, same f64 bits: both evaluate one row
-/// formula over the table's column-sorted rows, on the worker pool.
-/// Passing only the count-dirty rows gives a cheaper *approximate*
-/// refresh whose untouched rows keep their stale normalization — itself
-/// a stability axis (Hellrich et al. 2018), which is why the choice is
-/// the caller's, not hard-coded here.
-///
-/// # Errors
-///
-/// [`CoocError::ShapeMismatch`] if `prev`'s shape is not
-/// `(cooc.n(), cooc.n())`, and [`CoocError::TokenOutOfVocab`] for a row
-/// id `>= cooc.n()` — the cached PPMI drifting from the table it was
-/// built from is a caller logic error, which a long-lived service reports
-/// rather than dies on.
-pub fn recompute_rows(
-    prev: &SparseMatrix,
-    cooc: &Cooc,
-    rows: &[u32],
-) -> Result<SparseMatrix, CoocError> {
-    let n = cooc.n();
-    if prev.n_rows() != n || prev.n_cols() != n {
-        return Err(CoocError::ShapeMismatch {
-            rows: prev.n_rows(),
-            cols: prev.n_cols(),
-            vocab_size: n,
-        });
-    }
-    let mut dirty = vec![false; n];
-    for &r in rows {
-        let slot = dirty
-            .get_mut(r as usize)
-            .ok_or(CoocError::TokenOutOfVocab {
-                token: r,
-                vocab_size: n,
-            })?;
-        *slot = true;
-    }
-    Ok(SparseMatrix {
-        n_rows: n,
-        n_cols: n,
-        rows: build_rows(cooc, |i| dirty[i], |i| prev.rows[i].clone()),
-    })
 }
 
 #[cfg(test)]
@@ -370,10 +303,14 @@ mod tests {
     use crate::cooc::CoocConfig;
     use crate::generate::Corpus;
 
+    fn count(docs: Vec<Vec<u32>>, vocab_size: usize, config: &CoocConfig) -> Cooc {
+        Cooc::count(&Corpus::from_docs(docs), vocab_size, config).expect("valid corpus")
+    }
+
     #[test]
     fn sketch_op_products_match_dense() {
         let docs = vec![vec![0u32, 1, 2, 0, 1], vec![2, 3, 1, 0], vec![3, 3, 0, 4]];
-        let cooc = Cooc::count(&Corpus::from_docs(docs), 5, &CoocConfig::default());
+        let cooc = count(docs, 5, &CoocConfig::default());
         let p = ppmi(&cooc);
         let dense = p.to_dense();
         let x = Mat::from_fn(5, 3, |i, j| (i * 3 + j) as f64 * 0.25 - 1.0);
@@ -391,7 +328,7 @@ mod tests {
     #[test]
     fn ppmi_nonnegative_and_symmetric() {
         let docs = vec![vec![0, 1, 2, 0, 1], vec![2, 3, 1, 0], vec![3, 3, 0]];
-        let cooc = Cooc::count(&Corpus::from_docs(docs), 4, &CoocConfig::default());
+        let cooc = count(docs, 4, &CoocConfig::default());
         let p = ppmi(&cooc);
         for (i, j, v) in p.iter_entries() {
             assert!(v > 0.0);
@@ -403,8 +340,8 @@ mod tests {
     fn ppmi_hand_computed() {
         // Single doc [0, 1], window 1: counts c(0,1)=c(1,0)=1, total=2,
         // r0=r1=1 => pmi = ln(1*2/(1*1)) = ln 2 for both entries.
-        let cooc = Cooc::count(
-            &Corpus::from_docs(vec![vec![0, 1]]),
+        let cooc = count(
+            vec![vec![0, 1]],
             2,
             &CoocConfig {
                 window: 1,
@@ -425,8 +362,8 @@ mod tests {
         use rand::{RngExt, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         let doc: Vec<u32> = (0..20_000).map(|_| rng.random_range(0..8u32)).collect();
-        let cooc = Cooc::count(
-            &Corpus::from_docs(vec![doc]),
+        let cooc = count(
+            vec![doc],
             8,
             &CoocConfig {
                 window: 2,
@@ -442,7 +379,7 @@ mod tests {
     #[test]
     fn sparse_codec_round_trips_bitwise() {
         let docs = vec![vec![0, 1, 2, 0, 1], vec![2, 3, 1, 0], vec![3, 3, 0]];
-        let cooc = Cooc::count(&Corpus::from_docs(docs), 4, &CoocConfig::default());
+        let cooc = count(docs, 4, &CoocConfig::default());
         let p = ppmi(&cooc);
         let mut bytes = Vec::new();
         p.encode_into(&mut bytes);
@@ -479,58 +416,16 @@ mod tests {
 
     #[test]
     fn recompute_all_rows_matches_from_scratch_bitwise() {
+        // The streaming refresh: `ppmi` over a table grown by `accumulate`
+        // is bitwise the PPMI of one count over the concatenated corpus.
         let base = vec![vec![0u32, 1, 2, 0, 1], vec![2, 3, 1, 0]];
         let delta = vec![vec![3u32, 3, 0], vec![1, 2, 2]];
         let config = CoocConfig::default();
-        let mut cooc = Cooc::count(&Corpus::from_docs(base.clone()), 4, &config);
-        let prev = ppmi(&cooc);
+        let mut cooc = count(base.clone(), 4, &config);
         cooc.accumulate(&delta, &config).expect("valid delta");
-        let all: Vec<u32> = (0..4).collect();
-        let incremental = recompute_rows(&prev, &cooc, &all).expect("shapes agree");
         let mut full = base;
         full.extend(delta);
-        let scratch = ppmi(&Cooc::count(&Corpus::from_docs(full), 4, &config));
-        assert_eq!(bits(&incremental), bits(&scratch));
-    }
-
-    #[test]
-    fn partial_recompute_refreshes_dirty_rows_and_keeps_clean_rows_bitwise() {
-        let config = CoocConfig::default();
-        let mut cooc = Cooc::count(
-            &Corpus::from_docs(vec![vec![0u32, 1, 2, 0, 1], vec![2, 3, 1, 0]]),
-            4,
-            &config,
-        );
-        let prev = ppmi(&cooc);
-        let dirty = cooc
-            .accumulate(&[vec![2, 3, 3]], &config)
-            .expect("valid delta");
-        let partial = recompute_rows(&prev, &cooc, &dirty).expect("shapes agree");
-        let fresh = ppmi(&cooc);
-        for i in 0..4u32 {
-            let (got, want) = if dirty.contains(&i) {
-                (partial.row(i as usize), fresh.row(i as usize))
-            } else {
-                (partial.row(i as usize), prev.row(i as usize))
-            };
-            let as_bits =
-                |r: &[(u32, f64)]| r.iter().map(|&(j, v)| (j, v.to_bits())).collect::<Vec<_>>();
-            assert_eq!(as_bits(got), as_bits(want), "row {i}");
-        }
-    }
-
-    #[test]
-    fn recompute_on_unchanged_table_is_exact_for_any_row_subset() {
-        let cooc = Cooc::count(
-            &Corpus::from_docs(vec![vec![0u32, 1, 2, 0, 1], vec![2, 3, 1, 0]]),
-            4,
-            &CoocConfig::default(),
-        );
-        let prev = ppmi(&cooc);
-        let partial = recompute_rows(&prev, &cooc, &[1, 3]).expect("shapes agree");
-        assert_eq!(bits(&partial), bits(&prev));
-        let none = recompute_rows(&prev, &cooc, &[]).expect("shapes agree");
-        assert_eq!(bits(&none), bits(&prev));
+        assert_eq!(bits(&ppmi(&cooc)), bits(&ppmi(&count(full, 4, &config))));
     }
 
     #[test]

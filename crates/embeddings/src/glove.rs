@@ -175,6 +175,7 @@ mod tests {
                 distance_weighting: true,
             },
         )
+        .expect("valid corpus")
     }
 
     #[test]
@@ -209,7 +210,8 @@ mod tests {
                 window: 1,
                 distance_weighting: false,
             },
-        );
+        )
+        .expect("valid corpus");
         let (emb, _) = GloveTrainer::default().train_with_report(&cooc, 4, 0);
         assert!(emb.mat().is_finite());
     }

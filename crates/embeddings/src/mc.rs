@@ -146,7 +146,7 @@ mod tests {
             n_tokens: 20_000,
             ..Default::default()
         });
-        let cooc = Cooc::count(&corpus, 80, &CoocConfig::default());
+        let cooc = Cooc::count(&corpus, 80, &CoocConfig::default()).expect("valid corpus");
         embedstab_corpus::ppmi(&cooc)
     }
 

@@ -37,22 +37,14 @@ impl CorpusStats {
     /// Panics if `window` is zero or the corpus contains out-of-vocabulary
     /// ids.
     pub fn compute(corpus: Arc<Corpus>, vocab_size: usize, window: usize) -> Self {
-        let cooc_flat = Cooc::count(
-            &corpus,
-            vocab_size,
-            &CoocConfig {
+        let count = |distance_weighting| {
+            let config = CoocConfig {
                 window,
-                distance_weighting: false,
-            },
-        );
-        let cooc_weighted = Cooc::count(
-            &corpus,
-            vocab_size,
-            &CoocConfig {
-                window,
-                distance_weighting: true,
-            },
-        );
+                distance_weighting,
+            };
+            Cooc::count(&corpus, vocab_size, &config).unwrap_or_else(|e| panic!("{e}"))
+        };
+        let (cooc_flat, cooc_weighted) = (count(false), count(true));
         let ppmi_mat = ppmi(&cooc_flat);
         let unigram_counts = corpus.token_counts(vocab_size);
         CorpusStats {
@@ -85,5 +77,17 @@ mod tests {
         assert_eq!(stats.unigram_counts, vec![2, 3, 3]);
         assert!(stats.cooc_flat.total() >= stats.cooc_weighted.total());
         assert!(stats.ppmi.nnz() > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of vocabulary")]
+    fn out_of_vocab_panics() {
+        let _ = CorpusStats::compute(Arc::new(Corpus::from_docs(vec![vec![0, 9]])), 2, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "window must be positive")]
+    fn zero_window_panics() {
+        let _ = CorpusStats::compute(Arc::new(Corpus::from_docs(vec![vec![0, 1]])), 2, 0);
     }
 }

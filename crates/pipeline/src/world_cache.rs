@@ -15,10 +15,11 @@
 //!
 //! The file rides the pair file's conventions: the artifact envelope
 //! ([`codec::seal`], magic `ESWC`), raw `f64` bit dumps for every float,
-//! and [`codec::atomic_write`]. Note that the co-occurrence tables and the
-//! PPMI matrix are **stored, not recomputed** on load: their floats were
-//! accumulated in counting order, and recomputation would round
-//! differently.
+//! and [`codec::atomic_write`]. The co-occurrence tables and the PPMI
+//! matrix are **stored, not recomputed** on load, to skip the count.
+//! Counting is deterministic — a recount gives the same bits, and the
+//! stream crate's proptests pin that a streamed table equals a one-shot
+//! count — so storing them saves time, not bits.
 //!
 //! The key is [`world_fingerprint`], which mixes the master seed and
 //! *every* [`ScaleParams`] field — unlike the pair fingerprint

@@ -3,10 +3,13 @@
 //! A service that has streamed increments holds a corpus no
 //! `(parameters, seed)` pair describes, so checkpoints are keyed by the
 //! **content** fingerprint ([`ContinuousRetrainer::fingerprint`]) and
-//! verified against it on resume. The file carries the full counting
-//! state — corpus, co-occurrence table (in counting order, like the
-//! world cache), PPMI, and the per-dimension warm bases — so a resumed
-//! service continues bitwise where the saved one stopped.
+//! verified against it on resume. The file carries the counting state —
+//! corpus, co-occurrence table (in counting order, like the world cache)
+//! and the per-dimension warm bases — so a resumed service continues
+//! bitwise where the saved one stopped. PPMI is not stored: resume
+//! rebuilds it from the table, which is what a refresh would compute,
+//! so a checkpoint taken between an ingest and the next refresh cannot
+//! resume on stale PPMI.
 //!
 //! The file is the artifact envelope (`corpus::codec::seal`, magic
 //! `ESSC`) written with `codec::atomic_write`; a file that fails
@@ -17,7 +20,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use embedstab_corpus::codec::{self, atomic_write};
-use embedstab_corpus::{corpus_state_fingerprint, Cooc, Corpus, SparseMatrix};
+use embedstab_corpus::{corpus_state_fingerprint, ppmi, Cooc, Corpus};
 use embedstab_serve::TenantRegistry;
 
 use crate::error::StreamError;
@@ -25,7 +28,7 @@ use crate::service::{ContinuousRetrainer, RetrainerConfig};
 
 /// Bump when the checkpoint byte layout changes; older files then decode
 /// as misses instead of misparsing.
-pub const STREAM_CHECKPOINT_FORMAT_VERSION: u32 = 2;
+pub const STREAM_CHECKPOINT_FORMAT_VERSION: u32 = 3;
 
 const MAGIC: [u8; 4] = *b"ESSC";
 
@@ -57,7 +60,6 @@ impl ContinuousRetrainer {
             codec::put_u64(out, self.increments());
             self.corpus().encode_into(out);
             self.cooc().encode_into(out);
-            self.ppmi().encode_into(out);
             codec::put_u64(out, self.bases().len() as u64);
             for (&dim, basis) in self.bases() {
                 codec::put_u64(out, dim as u64);
@@ -115,8 +117,7 @@ fn decode_checkpoint(
     let increments = codec::take_u64(r)?;
     let corpus = Corpus::decode_from(r)?;
     let cooc = Cooc::decode_from(r)?;
-    let ppmi = SparseMatrix::decode_from(r)?;
-    if cooc.n() != vocab_size || ppmi.n_rows() != vocab_size || ppmi.n_cols() != vocab_size {
+    if cooc.n() != vocab_size {
         return None;
     }
     let n_bases = codec::take_len(r, 8)?;
@@ -137,6 +138,7 @@ fn decode_checkpoint(
     if corpus_state_fingerprint(&corpus, vocab_size, &config.cooc) != stored_fp {
         return None;
     }
+    let ppmi = ppmi(&cooc);
     Some(ContinuousRetrainer::from_parts(
         vocab_size, config, registry, corpus, cooc, ppmi, bases, increments,
     ))

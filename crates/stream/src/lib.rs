@@ -11,8 +11,8 @@
 //!        │ ContinuousRetrainer::ingest — validated, then += into the
 //!        ▼                               existing counts (bitwise the
 //!   Cooc (+ dirty-row set)               one-shot count's accumulators)
-//!        │ corpus::recompute_rows      — marginals summed along the
-//!        ▼                               sorted rows; exact over all rows
+//!        │ corpus::ppmi                — marginals summed along the
+//!        ▼                               sorted rows; every row rebuilt
 //!   PPMI (bitwise == from-scratch)
 //!        │ PpmiSvdTrainer::train_warm  — previous basis seeds the
 //!        ▼                               range finder + subspace refresh
@@ -26,10 +26,10 @@
 //! [`ContinuousRetrainer::ingest`] leaves the co-occurrence table —
 //! values, `total`, entry order, `row_sums` — bit-identical to one
 //! [`Cooc::count`](embedstab_corpus::Cooc::count) over the concatenated
-//! corpus, and the exact PPMI refresh reproduces the from-scratch PPMI
-//! bit-for-bit. Only the warm-started SVD is approximate, and
-//! [`ContinuousRetrainer`] pins its drift under
-//! [`WARM_SVD_EIS_TOLERANCE`].
+//! corpus, so the PPMI refresh ([`ppmi`](embedstab_corpus::ppmi) over
+//! that table) reproduces the from-scratch PPMI bit-for-bit. Only the
+//! warm-started SVD is approximate, and [`ContinuousRetrainer`] pins its
+//! drift under [`WARM_SVD_EIS_TOLERANCE`].
 //!
 //! [`ContinuousRetrainer`] packages the whole loop as a service: it owns
 //! a world's counting state, accepts increments, produces candidates per
@@ -52,6 +52,6 @@ pub mod service;
 pub use checkpoint::{checkpoint_path, STREAM_CHECKPOINT_FORMAT_VERSION};
 pub use error::StreamError;
 pub use service::{
-    ContinuousRetrainer, DeltaReport, RetrainMode, RetrainerConfig, StepReport, TenantOutcome,
+    ContinuousRetrainer, DeltaReport, RetrainerConfig, StepReport, TenantOutcome,
     WARM_SVD_EIS_TOLERANCE,
 };

@@ -2,18 +2,17 @@
 //!
 //! [`ContinuousRetrainer`] owns one world's counting state — corpus,
 //! co-occurrence table, PPMI — plus a [`TenantRegistry`] to publish
-//! through. Feed it corpus increments; it keeps the statistics current
-//! (incrementally or from scratch, per [`RetrainMode`]), trains one
-//! candidate per tenant dimension, and submits each through the serving
-//! layer's stability gate. This is the ROADMAP's gate-scored `Submit`
+//! through. Feed it corpus increments; it streams them into the counts,
+//! refreshes PPMI, trains one candidate per tenant dimension (warm-started
+//! from the previous basis), and submits each through the serving layer's
+//! stability gate. This is the ROADMAP's gate-scored `Submit`
 //! path: retrains arrive as increments and reach tenants only if their
 //! predicted instability clears the SLO.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use embedstab_corpus::{
-    corpus_state_fingerprint, ppmi, recompute_rows, Cooc, CoocConfig, CoocError, Corpus,
-    SparseMatrix,
+    corpus_state_fingerprint, ppmi, Cooc, CoocConfig, CoocError, Corpus, SparseMatrix,
 };
 use embedstab_embeddings::{Embedding, PpmiSvdConfig, PpmiSvdTrainer};
 use embedstab_linalg::{pool, Mat};
@@ -30,30 +29,11 @@ use crate::error::StreamError;
 /// every bench run re-measures it.
 pub const WARM_SVD_EIS_TOLERANCE: f64 = 0.05;
 
-/// How the service refreshes statistics and trains when a retrain is due.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RetrainMode {
-    /// Recount the full accumulated corpus, rebuild PPMI with
-    /// [`ppmi`], and train with a cold randomized SVD — the batch
-    /// pipeline's exact behavior, kept as the reference (and the bench
-    /// baseline). Cost grows with the corpus.
-    FromScratch,
-    /// Stream count deltas into the standing table, refresh PPMI through
-    /// [`recompute_rows`] over all rows (exact: bitwise identical to
-    /// [`FromScratch`](RetrainMode::FromScratch)'s PPMI), and warm-start
-    /// the SVD with the previous step's basis. Cost grows with the
-    /// *delta*; only the SVD stage is approximate, within
-    /// [`WARM_SVD_EIS_TOLERANCE`].
-    Incremental,
-}
-
 /// Configuration for a [`ContinuousRetrainer`].
 #[derive(Clone, Debug)]
 pub struct RetrainerConfig {
     /// Counting configuration every increment is applied with.
     pub cooc: CoocConfig,
-    /// Refresh/training strategy.
-    pub mode: RetrainMode,
     /// Trainer hyperparameters (shared by the warm and cold paths).
     pub trainer: PpmiSvdConfig,
     /// SVD sketch seed, fixed so retrains are deterministic functions of
@@ -65,7 +45,6 @@ impl Default for RetrainerConfig {
     fn default() -> Self {
         RetrainerConfig {
             cooc: CoocConfig::default(),
-            mode: RetrainMode::Incremental,
             trainer: PpmiSvdConfig::default(),
             svd_seed: 0x5eed,
         }
@@ -75,11 +54,9 @@ impl Default for RetrainerConfig {
 /// What an increment did to the co-occurrence table.
 #[derive(Clone, Debug)]
 pub struct DeltaReport {
-    /// Sorted ids of rows whose *counts* changed. Note the asymmetry with
-    /// PPMI: any added mass moves the global total and therefore every
-    /// PPMI entry, so this set drives diagnostics and approximate
-    /// refreshes, while the exact refresh passes all rows to
-    /// [`recompute_rows`].
+    /// Sorted ids of rows whose *counts* changed: how far the increment
+    /// reaches. A diagnostic only — any added mass moves the global total
+    /// and therefore every PPMI entry, so the refresh rebuilds all rows.
     pub dirty_rows: Vec<u32>,
     /// Number of documents the increment appended.
     pub added_docs: usize,
@@ -129,7 +106,6 @@ struct TrainingLane {
     cooc: Cooc,
     ppmi: SparseMatrix,
     ppmi_fresh: bool,
-    pending_dirty: BTreeSet<u32>,
     bases: BTreeMap<usize, Mat>,
     increments: u64,
 }
@@ -143,34 +119,17 @@ impl TrainingLane {
             added_tokens: docs.iter().map(Vec::len).sum(),
         };
         self.corpus.append_docs(docs);
-        if !report.dirty_rows.is_empty() {
-            // Any added mass moves the PPMI total, so *all* rows are due
-            // for the exact refresh; the dirty set is what changed in the
-            // counts (diagnostics, approximate refreshes).
-            self.pending_dirty.extend(report.dirty_rows.iter().copied());
-            self.ppmi_fresh = false;
-        }
+        // Any added mass moves the PPMI total: a changed count stales every row.
+        self.ppmi_fresh &= report.dirty_rows.is_empty();
         self.increments += 1;
         Ok(report)
     }
 
-    fn refresh_statistics(&mut self) -> Result<(), StreamError> {
-        if self.ppmi_fresh {
-            return Ok(());
+    fn refresh_statistics(&mut self) {
+        if !self.ppmi_fresh {
+            self.ppmi = ppmi(&self.cooc);
+            self.ppmi_fresh = true;
         }
-        match self.config.mode {
-            RetrainMode::FromScratch => {
-                self.cooc = Cooc::try_count(&self.corpus, self.vocab_size, &self.config.cooc)?;
-                self.ppmi = ppmi(&self.cooc);
-            }
-            RetrainMode::Incremental => {
-                let all_rows: Vec<u32> = (0..self.vocab_size as u32).collect();
-                self.ppmi = recompute_rows(&self.ppmi, &self.cooc, &all_rows)?;
-            }
-        }
-        self.pending_dirty.clear();
-        self.ppmi_fresh = true;
-        Ok(())
     }
 
     fn retrain(&mut self, dim: usize) -> Result<Embedding, StreamError> {
@@ -181,20 +140,18 @@ impl TrainingLane {
         if dim == 0 || dim > self.vocab_size {
             return Err(invalid);
         }
-        self.refresh_statistics()?;
+        self.refresh_statistics();
         let trainer = PpmiSvdTrainer::new(self.config.trainer.clone());
         let seed = self.config.svd_seed;
-        let candidate = match (self.config.mode, self.bases.get(&dim)) {
-            (RetrainMode::Incremental, Some(warm)) => trainer
+        let candidate = match self.bases.get(&dim) {
+            Some(warm) => trainer
                 .train_warm(&self.ppmi, dim, seed, warm)
                 .ok_or(invalid)?,
-            _ => trainer.train(&self.ppmi, dim, seed),
+            None => trainer.train(&self.ppmi, dim, seed),
         };
-        if self.config.mode == RetrainMode::Incremental {
-            // The orthonormalized embedding columns span the candidate's
-            // dominant left subspace — next step's warm seed.
-            self.bases.insert(dim, candidate.mat().orthonormalize());
-        }
+        // The orthonormalized embedding columns span the candidate's
+        // dominant left subspace — next step's warm seed.
+        self.bases.insert(dim, candidate.mat().orthonormalize());
         Ok(candidate)
     }
 }
@@ -299,11 +256,6 @@ impl ContinuousRetrainer {
         self.lane.increments
     }
 
-    /// Rows whose counts changed since the last PPMI refresh.
-    pub fn pending_dirty_rows(&self) -> Vec<u32> {
-        self.lane.pending_dirty.iter().copied().collect()
-    }
-
     /// The content fingerprint of the world this service now holds:
     /// [`corpus_state_fingerprint`] over the accumulated corpus under the
     /// service's counting configuration. Two services that reached the
@@ -334,33 +286,30 @@ impl ContinuousRetrainer {
         self.lane.ingest(docs)
     }
 
-    /// Brings the PPMI matrix up to date with the counting state, per the
-    /// configured [`RetrainMode`]. Normally called through
+    /// Brings the PPMI matrix up to date with the counting state:
+    /// [`ppmi`] over the standing table, bitwise the PPMI of a one-shot
+    /// count of the accumulated corpus. Normally called through
     /// [`ContinuousRetrainer::retrain`]; exposed for callers that want
     /// fresh statistics without training.
     ///
     /// # Errors
     ///
-    /// [`StreamError::Cooc`] in [`RetrainMode::FromScratch`] if the
-    /// accumulated corpus fails revalidation, or in
-    /// [`RetrainMode::Incremental`] if the PPMI matrix's shape drifted
-    /// from the table's (neither can happen for state built through this
-    /// API).
+    /// None at present: the refresh is total. The `Result` lets callers
+    /// chain it with the fallible steps.
     pub fn refresh_statistics(&mut self) -> Result<(), StreamError> {
-        self.lane.refresh_statistics()
+        self.lane.refresh_statistics();
+        Ok(())
     }
 
     /// Trains a `dim`-dimensional candidate on the current statistics
-    /// (refreshing them first if stale). In
-    /// [`RetrainMode::Incremental`], the SVD warm-starts from the
-    /// previous basis at this dimension when one exists; the new basis is
-    /// retained for the next step.
+    /// (refreshing them first if stale). The SVD warm-starts from the
+    /// previous basis at this dimension when one exists and runs cold
+    /// otherwise; the new basis is retained for the next step.
     ///
     /// # Errors
     ///
     /// [`StreamError::InvalidDim`] if `dim` is outside
-    /// `1..=vocab_size`, plus anything
-    /// [`ContinuousRetrainer::refresh_statistics`] can return.
+    /// `1..=vocab_size`.
     pub fn retrain(&mut self, dim: usize) -> Result<Embedding, StreamError> {
         self.lane.retrain(dim)
     }
@@ -437,7 +386,6 @@ impl ContinuousRetrainer {
                 cooc,
                 ppmi,
                 ppmi_fresh: true,
-                pending_dirty: BTreeSet::new(),
                 bases,
                 increments,
             },
@@ -504,10 +452,10 @@ mod tests {
         assert_eq!(report.dirty_rows, vec![1, 3]);
         assert_eq!(report.added_docs, 2);
         assert_eq!(report.added_tokens, 5);
-        assert_eq!(svc.pending_dirty_rows(), vec![0, 1, 2, 3]);
         let mut full = base;
         full.extend(inc);
-        let one_shot = Cooc::count(&Corpus::from_docs(full), 4, &svc.config().cooc);
+        let one_shot =
+            Cooc::count(&Corpus::from_docs(full), 4, &svc.config().cooc).expect("in vocab");
         assert_eq!(svc.cooc().total().to_bits(), one_shot.total().to_bits());
         let bits = |c: &Cooc| {
             c.entries()

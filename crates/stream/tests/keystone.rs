@@ -2,19 +2,23 @@
 //!
 //! The contract, end to end: a service that streams corpus increments
 //! must hold *bitwise* the same counting state — co-occurrence table and
-//! PPMI matrix — as a service that recounts the final corpus from
-//! scratch. Only the warm-started SVD stage is allowed to drift, and that
-//! drift is pinned under [`WARM_SVD_EIS_TOLERANCE`].
+//! PPMI matrix — as the batch functions ([`Cooc::count`] and [`ppmi`])
+//! over the concatenated corpus, and its first retrain must be bitwise
+//! [`PpmiSvdTrainer::train`] on that PPMI. Only the warm-started SVD
+//! stage is allowed to drift, and that drift is pinned under
+//! [`WARM_SVD_EIS_TOLERANCE`].
 
 use embedstab_core::MeasureSuite;
-use embedstab_corpus::{Cooc, CoocConfig, Corpus, CorpusConfig, LatentModel, LatentModelConfig};
+use embedstab_corpus::{
+    ppmi, Cooc, CoocConfig, Corpus, CorpusConfig, LatentModel, LatentModelConfig, SparseMatrix,
+};
+use embedstab_embeddings::{Embedding, PpmiSvdTrainer};
 use embedstab_pipeline::cache::scratch_dir;
 use embedstab_pipeline::{Scale, World};
 use embedstab_quant::Precision;
 use embedstab_serve::{Slo, TenantRegistry};
 use embedstab_stream::{
-    checkpoint_path, ContinuousRetrainer, RetrainMode, RetrainerConfig, StreamError,
-    WARM_SVD_EIS_TOLERANCE,
+    checkpoint_path, ContinuousRetrainer, RetrainerConfig, StreamError, WARM_SVD_EIS_TOLERANCE,
 };
 
 const VOCAB: usize = 60;
@@ -27,12 +31,27 @@ fn cooc_config() -> CoocConfig {
     }
 }
 
-fn retrainer_config(mode: RetrainMode) -> RetrainerConfig {
+fn retrainer_config() -> RetrainerConfig {
     RetrainerConfig {
         cooc: cooc_config(),
-        mode,
         ..RetrainerConfig::default()
     }
+}
+
+fn service() -> ContinuousRetrainer {
+    ContinuousRetrainer::new(VOCAB, retrainer_config(), registry()).expect("valid config")
+}
+
+/// The batch reference: one count of the whole corpus.
+fn count(docs: &[Vec<u32>]) -> Cooc {
+    Cooc::count(&Corpus::from_docs(docs.to_vec()), VOCAB, &cooc_config()).expect("in vocab")
+}
+
+/// The batch reference: a cold train of `ppmi` with the service's
+/// trainer and seed.
+fn cold_train(ppmi: &SparseMatrix, dim: usize) -> Embedding {
+    let config = retrainer_config();
+    PpmiSvdTrainer::new(config.trainer).train(ppmi, dim, config.svd_seed)
 }
 
 fn registry() -> TenantRegistry {
@@ -82,82 +101,59 @@ fn cooc_bits(c: &Cooc) -> (u64, Vec<(u32, u32, u64)>, Vec<u64>) {
     )
 }
 
-fn ppmi_bits(m: &embedstab_corpus::SparseMatrix) -> Vec<(u32, u32, u64)> {
+fn ppmi_bits(m: &SparseMatrix) -> Vec<(u32, u32, u64)> {
     m.iter_entries()
         .map(|(i, j, v)| (i, j, v.to_bits()))
         .collect()
 }
 
+fn emb_bits(e: &Embedding) -> Vec<u64> {
+    e.mat().as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 #[test]
 fn incremental_statistics_match_from_scratch_bitwise() {
     let (base, increments) = corpus_and_increments(3);
-    let mut inc = ContinuousRetrainer::new(
-        VOCAB,
-        retrainer_config(RetrainMode::Incremental),
-        registry(),
-    )
-    .expect("valid config");
-    let mut scratch = ContinuousRetrainer::new(
-        VOCAB,
-        retrainer_config(RetrainMode::FromScratch),
-        registry(),
-    )
-    .expect("valid config");
-
-    inc.ingest(base.clone()).expect("base in vocab");
-    scratch.ingest(base).expect("base in vocab");
+    let mut svc = service();
+    let mut all = base.clone();
+    svc.ingest(base).expect("base in vocab");
     for delta in increments {
-        inc.ingest(delta.clone()).expect("increment in vocab");
-        scratch.ingest(delta).expect("increment in vocab");
-        inc.refresh_statistics().expect("incremental refresh");
-        scratch.refresh_statistics().expect("full recount");
+        all.extend(delta.iter().cloned());
+        svc.ingest(delta).expect("increment in vocab");
+        svc.refresh_statistics().expect("refresh");
+        let scratch = count(&all);
         // The streamed table is bitwise the recounted table...
-        assert_eq!(cooc_bits(inc.cooc()), cooc_bits(scratch.cooc()));
-        // ...and the incrementally refreshed PPMI is bitwise the
-        // from-scratch PPMI: the exact-PPMI path has no tolerance.
-        assert_eq!(ppmi_bits(inc.ppmi()), ppmi_bits(scratch.ppmi()));
+        assert_eq!(cooc_bits(svc.cooc()), cooc_bits(&scratch));
+        // ...and the refreshed PPMI is bitwise the batch PPMI of the
+        // recount: the exact-PPMI path has no tolerance.
+        assert_eq!(ppmi_bits(svc.ppmi()), ppmi_bits(&ppmi(&scratch)));
     }
-    assert_eq!(inc.fingerprint(), scratch.fingerprint());
 }
 
 #[test]
 fn first_incremental_retrain_is_bitwise_cold_then_warm_stays_in_tolerance() {
     let (base, increments) = corpus_and_increments(2);
     let dim = 8;
-    let mut inc = ContinuousRetrainer::new(
-        VOCAB,
-        retrainer_config(RetrainMode::Incremental),
-        registry(),
-    )
-    .expect("valid config");
-    let mut scratch = ContinuousRetrainer::new(
-        VOCAB,
-        retrainer_config(RetrainMode::FromScratch),
-        registry(),
-    )
-    .expect("valid config");
-    inc.ingest(base.clone()).expect("base in vocab");
-    scratch.ingest(base).expect("base in vocab");
+    let mut svc = service();
+    let mut all = base.clone();
+    svc.ingest(base).expect("base in vocab");
 
-    // Step 1: no stored basis yet, so the incremental service trains
-    // cold on bitwise-identical PPMI with the same seed — identical bits.
-    let e_inc = inc.retrain(dim).expect("retrain");
-    let e_cold = scratch.retrain(dim).expect("retrain");
-    let bits = |e: &embedstab_embeddings::Embedding| {
-        (0..e.vocab_size())
-            .flat_map(|i| e.mat().row(i).iter().map(|v| v.to_bits()))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(bits(&e_inc), bits(&e_cold));
+    // Step 1: no stored basis yet, so the service trains cold on bitwise
+    // the batch PPMI with the same seed — identical bits.
+    let first = svc.retrain(dim).expect("retrain");
+    assert_eq!(
+        emb_bits(&first),
+        emb_bits(&cold_train(&ppmi(&count(&all)), dim))
+    );
 
     // Later steps: the warm start is the one approximate stage. Pin its
     // EIS drift from the cold retrain of the same statistics under the
     // recorded tolerance.
     for delta in increments {
-        inc.ingest(delta.clone()).expect("increment in vocab");
-        scratch.ingest(delta).expect("increment in vocab");
-        let warm = inc.retrain(dim).expect("warm retrain");
-        let cold = scratch.retrain(dim).expect("cold retrain");
+        all.extend(delta.iter().cloned());
+        svc.ingest(delta).expect("increment in vocab");
+        let warm = svc.retrain(dim).expect("warm retrain");
+        let cold = cold_train(&ppmi(&count(&all)), dim);
         let suite = MeasureSuite::new(&cold, &cold, 3.0, 42);
         let eis = suite.compute_all(&cold, &warm).eis;
         assert!(
@@ -171,24 +167,14 @@ fn first_incremental_retrain_is_bitwise_cold_then_warm_stays_in_tolerance() {
 fn fingerprint_is_split_invariant() {
     let (base, increments) = corpus_and_increments(3);
     // One service takes everything as a single increment...
-    let mut one_shot = ContinuousRetrainer::new(
-        VOCAB,
-        retrainer_config(RetrainMode::Incremental),
-        registry(),
-    )
-    .expect("valid config");
+    let mut one_shot = service();
     let mut all = base.clone();
     for delta in &increments {
         all.extend(delta.iter().cloned());
     }
     one_shot.ingest(all).expect("in vocab");
     // ...the other streams the same documents in four pieces.
-    let mut streamed = ContinuousRetrainer::new(
-        VOCAB,
-        retrainer_config(RetrainMode::Incremental),
-        registry(),
-    )
-    .expect("valid config");
+    let mut streamed = service();
     streamed.ingest(base).expect("in vocab");
     for delta in increments {
         streamed.ingest(delta).expect("in vocab");
@@ -200,12 +186,8 @@ fn fingerprint_is_split_invariant() {
 #[test]
 fn from_world_adopts_state_and_stream_fingerprint() {
     let world = World::build(&Scale::Tiny.params(), 3);
-    let svc = ContinuousRetrainer::from_world(
-        &world,
-        retrainer_config(RetrainMode::Incremental),
-        registry(),
-    )
-    .expect("valid config");
+    let svc = ContinuousRetrainer::from_world(&world, retrainer_config(), registry())
+        .expect("valid config");
     // Before any increment the service *is* the world's '18 corpus state:
     // content fingerprints agree, and the adopted table is the cached one.
     assert_eq!(svc.fingerprint(), world.stream_fingerprint());
@@ -222,12 +204,7 @@ fn checkpoint_roundtrip_resumes_bitwise() {
     let dir = scratch_dir("stream_ckpt");
     let _ = std::fs::remove_dir_all(&dir);
     let (base, increments) = corpus_and_increments(2);
-    let mut svc = ContinuousRetrainer::new(
-        VOCAB,
-        retrainer_config(RetrainMode::Incremental),
-        registry(),
-    )
-    .expect("valid config");
+    let mut svc = service();
     svc.ingest(base).expect("in vocab");
     svc.ingest(increments[0].clone()).expect("in vocab");
     svc.retrain(8).expect("retrain stores a warm basis");
@@ -235,13 +212,9 @@ fn checkpoint_roundtrip_resumes_bitwise() {
     let path = svc.save_checkpoint(&dir).expect("checkpoint write");
     assert_eq!(path, checkpoint_path(&dir, svc.fingerprint()));
 
-    let resumed = ContinuousRetrainer::resume(
-        &path,
-        retrainer_config(RetrainMode::Incremental),
-        registry(),
-    )
-    .expect("read ok")
-    .expect("checkpoint decodes");
+    let resumed = ContinuousRetrainer::resume(&path, retrainer_config(), registry())
+        .expect("read ok")
+        .expect("checkpoint decodes");
     assert_eq!(resumed.fingerprint(), svc.fingerprint());
     assert_eq!(resumed.increments(), svc.increments());
     assert_eq!(cooc_bits(resumed.cooc()), cooc_bits(svc.cooc()));
@@ -263,20 +236,41 @@ fn checkpoint_roundtrip_resumes_bitwise() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xff;
     std::fs::write(&path, &bytes).expect("rewrite");
-    assert!(ContinuousRetrainer::resume(
-        &path,
-        retrainer_config(RetrainMode::Incremental),
-        registry(),
-    )
-    .expect("read ok")
-    .is_none());
+    assert!(
+        ContinuousRetrainer::resume(&path, retrainer_config(), registry(),)
+            .expect("read ok")
+            .is_none()
+    );
     assert!(ContinuousRetrainer::resume(
         &dir.join("stream_0000000000000000.ckpt"),
-        retrainer_config(RetrainMode::Incremental),
+        retrainer_config(),
         registry(),
     )
     .expect("missing file is a miss, not an error")
     .is_none());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn checkpoint_between_ingest_and_refresh_resumes_on_current_ppmi() {
+    // Saved after an ingest and before the next refresh: the counts are
+    // newer than the last-refreshed PPMI. The resumed copy must still
+    // retrain exactly as the uninterrupted service does.
+    let dir = scratch_dir("stream_ckpt_unrefreshed");
+    let _ = std::fs::remove_dir_all(&dir);
+    let (base, increments) = corpus_and_increments(1);
+    let mut live = service();
+    live.ingest(base).expect("in vocab");
+    live.retrain(8).expect("retrain stores a warm basis");
+    live.ingest(increments[0].clone()).expect("in vocab");
+    let path = live.save_checkpoint(&dir).expect("checkpoint write");
+    let mut resumed = ContinuousRetrainer::resume(&path, retrainer_config(), registry())
+        .expect("read ok")
+        .expect("checkpoint decodes");
+    let want = live.retrain(8).expect("warm retrain");
+    let got = resumed.retrain(8).expect("warm retrain");
+    assert_eq!(ppmi_bits(resumed.ppmi()), ppmi_bits(live.ppmi()));
+    assert_eq!(emb_bits(&got), emb_bits(&want));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -304,8 +298,7 @@ fn step_submits_gate_scored_candidates_per_tenant() {
         .expect("valid tenant");
 
     let mut svc =
-        ContinuousRetrainer::new(VOCAB, retrainer_config(RetrainMode::Incremental), registry)
-            .expect("valid config");
+        ContinuousRetrainer::new(VOCAB, retrainer_config(), registry).expect("valid config");
 
     let report = svc.step(base).expect("first step");
     assert_eq!(report.outcomes.len(), 2);
@@ -335,12 +328,7 @@ fn step_submits_gate_scored_candidates_per_tenant() {
 
 #[test]
 fn errors_are_typed_and_leave_state_intact() {
-    let mut svc = ContinuousRetrainer::new(
-        VOCAB,
-        retrainer_config(RetrainMode::Incremental),
-        registry(),
-    )
-    .expect("valid config");
+    let mut svc = service();
     svc.ingest(vec![vec![0, 1, 2]]).expect("in vocab");
     let fp = svc.fingerprint();
 
@@ -374,18 +362,12 @@ fn streamed_service_matches_one_shot_count() {
     // The delta path against the ground truth `Cooc::count`, through the
     // service API rather than `Cooc::accumulate` directly.
     let (base, increments) = corpus_and_increments(2);
-    let mut svc = ContinuousRetrainer::new(
-        VOCAB,
-        retrainer_config(RetrainMode::Incremental),
-        registry(),
-    )
-    .expect("valid config");
+    let mut svc = service();
     let mut all = base.clone();
     svc.ingest(base).expect("in vocab");
     for delta in increments {
         all.extend(delta.iter().cloned());
         svc.ingest(delta).expect("in vocab");
     }
-    let one_shot = Cooc::count(&Corpus::from_docs(all), VOCAB, &cooc_config());
-    assert_eq!(cooc_bits(svc.cooc()), cooc_bits(&one_shot));
+    assert_eq!(cooc_bits(svc.cooc()), cooc_bits(&count(&all)));
 }

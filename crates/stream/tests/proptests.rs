@@ -65,7 +65,8 @@ proptest! {
         dw in 0usize..2,
     ) {
         let config = CoocConfig { window, distance_weighting: dw == 1 };
-        let one_shot = Cooc::count(&Corpus::from_docs(docs.clone()), VOCAB, &config);
+        let one_shot =
+            Cooc::count(&Corpus::from_docs(docs.clone()), VOCAB, &config).expect("tokens in vocab");
 
         let mut streamed = Cooc::empty(VOCAB);
         for batch in split(&docs, &cuts) {
