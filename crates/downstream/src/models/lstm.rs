@@ -5,6 +5,33 @@
 //! The LSTM forward and backward passes (backpropagation through time) are
 //! written from scratch and verified against finite differences in the
 //! test suite.
+//!
+//! Both taggers, in training and in prediction, run one pass over a
+//! per-fit `Scratch`: flat `T x d` inputs, and per direction the flat
+//! `T x 4h` gates and `T x h` cell and hidden states, reused from
+//! sentence to sentence, with one gradient block per parameter block.
+//!
+//! **Same bits as the step-by-step loop.** Speed comes only from running
+//! independent chains of floating-point operations side by side; every
+//! chain runs in the order of a textbook loop that computes one timestep
+//! and one gate row at a time, so the results are that loop's bits:
+//! - a gate's pre-activation is `dot(w_r, [x_t; h_{t-1}]) + b_r`: one
+//!   chain from `0.0`, left to right. Its input part runs for every step
+//!   before the recurrence (one chain per token, the tokens side by side),
+//!   and the recurrence continues it over `h_{t-1}` (every gate row side
+//!   by side), both through [`vecops::dot_cols`];
+//! - an emission is `dot(w_out_k, [hf_t; hb_t]) + b_out_k`, continued
+//!   over the two halves by [`vecops::dot_rows`];
+//! - each weight-gradient entry sums its terms from the last step to the
+//!   first, one row at a time after the recurrence, skipping the steps
+//!   whose gate gradient is exactly zero (and the output layer skips zero
+//!   emission gradients). At `t == 0` the recurrent columns still add
+//!   `da * 0.0`, which is NaN when `da` is infinite;
+//! - word dropout draws only when its probability is positive, in token
+//!   order; no sum is fused into a `mul_add`; Adam and the per-block
+//!   gradient clipping are unchanged.
+//!
+//! `tests/golden_rows.rs` pins the resulting bits.
 
 use embedstab_embeddings::Embedding;
 use embedstab_linalg::{vecops, Mat};
@@ -58,12 +85,41 @@ struct LstmDir {
     d: usize,
 }
 
-/// Per-timestep activations saved by the forward pass.
-struct DirCache {
-    gates: Vec<Vec<f64>>, // 4h per step: [i, f, g, o] post-activation
-    cs: Vec<Vec<f64>>,
-    tanh_cs: Vec<Vec<f64>>,
-    hs: Vec<Vec<f64>>,
+/// One direction's activations for the current sentence, in processing
+/// order, plus its gradient buffers.
+#[derive(Default)]
+struct DirState {
+    /// `T x 4h`: gate pre-activations, then `[i, f, g, o]` activations.
+    gates: Vec<f64>,
+    /// `(T + 1) x h`: row `t + 1` is `c_t`; row 0 is the zero `c_{-1}`.
+    cs: Vec<f64>,
+    /// `T x h`: `tanh(c_t)`.
+    tanh_cs: Vec<f64>,
+    /// `(T + 1) x h`: row `t + 1` is `h_t`; row 0 is the zero `h_{-1}`.
+    hs: Vec<f64>,
+    /// `T x h`: the loss gradient flowing into `h_t` from the output layer.
+    dh: Vec<f64>,
+    /// `T x 4h`: the gradient of the gate pre-activations.
+    da: Vec<f64>,
+    /// `h x 4h`: the recurrent weight columns, transposed.
+    w_rec: Vec<f64>,
+    /// One gate row's input chains, one per (padded) token.
+    lanes: Vec<f64>,
+    dh_rec: Vec<f64>,
+    dc_rec: Vec<f64>,
+}
+
+/// Clears `buf` to `len` zeros, keeping its allocation.
+fn zeroed(buf: &mut Vec<f64>, len: usize) {
+    buf.clear();
+    buf.resize(len, 0.0);
+}
+
+/// Input row `t` in processing order: token order, or reversed.
+fn step_input(xs: &[f64], d: usize, t: usize, reverse: bool) -> &[f64] {
+    let t_len = xs.len() / d;
+    let i = if reverse { t_len - 1 - t } else { t };
+    &xs[i * d..(i + 1) * d]
 }
 
 impl LstmDir {
@@ -78,29 +134,44 @@ impl LstmDir {
         LstmDir { w, b, h, d }
     }
 
-    /// Runs the direction over `xs` (already in processing order).
-    fn forward(&self, xs: &[Vec<f64>]) -> DirCache {
+    /// Runs the direction over a sentence, filling `st`. `xt` holds the
+    /// `T` inputs as the columns of a `d x tp` matrix (token order,
+    /// zero-padded to `tp` columns); `reverse` processes them last first.
+    fn forward(&self, xt: &[f64], t_len: usize, reverse: bool, st: &mut DirState) {
         let (h, d) = (self.h, self.d);
-        let t_len = xs.len();
-        let mut cache = DirCache {
-            gates: Vec::with_capacity(t_len),
-            cs: Vec::with_capacity(t_len),
-            tanh_cs: Vec::with_capacity(t_len),
-            hs: Vec::with_capacity(t_len),
-        };
-        let mut h_prev = vec![0.0; h];
-        let mut c_prev = vec![0.0; h];
-        let mut zin = vec![0.0; d + h];
-        for x in xs {
-            zin[..d].copy_from_slice(x);
-            zin[d..].copy_from_slice(&h_prev);
-            let mut gates = vec![0.0; 4 * h];
-            for (r, gr) in gates.iter_mut().enumerate() {
-                *gr = vecops::dot(self.w.row(r), &zin) + self.b[r];
+        let g4 = 4 * h;
+        let tp = xt.len() / d;
+        zeroed(&mut st.gates, t_len * g4);
+        zeroed(&mut st.cs, (t_len + 1) * h);
+        zeroed(&mut st.tanh_cs, t_len * h);
+        zeroed(&mut st.hs, (t_len + 1) * h);
+        // The input part of every gate's chain, for every step: per gate
+        // row, one chain per token.
+        for r in 0..g4 {
+            zeroed(&mut st.lanes, tp);
+            vecops::dot_cols(&mut st.lanes, &self.w.row(r)[..d], xt);
+            for (t, &a) in st.lanes[..t_len].iter().enumerate() {
+                let step = if reverse { t_len - 1 - t } else { t };
+                st.gates[step * g4 + r] = a;
             }
-            let mut c = vec![0.0; h];
-            let mut tanh_c = vec![0.0; h];
-            let mut h_new = vec![0.0; h];
+        }
+        // The recurrent columns, transposed: row j holds every gate's
+        // weight on h_{t-1}[j].
+        st.w_rec.resize(h * g4, 0.0);
+        for r in 0..g4 {
+            for (j, &w) in self.w.row(r)[d..].iter().enumerate() {
+                st.w_rec[j * g4 + r] = w;
+            }
+        }
+        for t in 0..t_len {
+            let gates = &mut st.gates[t * g4..(t + 1) * g4];
+            vecops::dot_cols(gates, &st.hs[t * h..(t + 1) * h], &st.w_rec);
+            for (a, &b) in gates.iter_mut().zip(&self.b) {
+                *a += b;
+            }
+            let (c_prev, c) = st.cs[t * h..(t + 2) * h].split_at_mut(h);
+            let tanh_c = &mut st.tanh_cs[t * h..(t + 1) * h];
+            let h_new = &mut st.hs[(t + 1) * h..(t + 2) * h];
             for j in 0..h {
                 let i = vecops::sigmoid(gates[j]);
                 let f = vecops::sigmoid(gates[h + j]);
@@ -114,69 +185,112 @@ impl LstmDir {
                 tanh_c[j] = c[j].tanh();
                 h_new[j] = o * tanh_c[j];
             }
-            cache.gates.push(gates);
-            cache.cs.push(c.clone());
-            cache.tanh_cs.push(tanh_c);
-            cache.hs.push(h_new.clone());
-            h_prev = h_new;
-            c_prev = c;
         }
-        cache
     }
 
-    /// Backpropagation through time. `dhs[t]` is the loss gradient flowing
-    /// into `h_t` from the output layer; returns `(dW, db)`.
-    fn backward(&self, xs: &[Vec<f64>], cache: &DirCache, dhs: &[Vec<f64>]) -> (Mat, Vec<f64>) {
+    /// Backpropagation through time from `st.dh` (the output layer's
+    /// gradient into each `h_t`). Adds the weight and bias gradients to
+    /// `gw` and `gb`, which the caller zeroes.
+    fn backward(&self, xs: &[f64], reverse: bool, st: &mut DirState, gw: &mut Mat, gb: &mut [f64]) {
         let (h, d) = (self.h, self.d);
-        let t_len = xs.len();
-        let mut gw = Mat::zeros(4 * h, d + h);
-        let mut gb = vec![0.0; 4 * h];
-        let mut dh_rec = vec![0.0; h];
-        let mut dc_rec = vec![0.0; h];
-        let mut da = vec![0.0; 4 * h];
-        let mut zin = vec![0.0; d + h];
+        let g4 = 4 * h;
+        let t_len = xs.len() / d;
+        zeroed(&mut st.da, t_len * g4);
+        zeroed(&mut st.dh_rec, h);
+        zeroed(&mut st.dc_rec, h);
         for t in (0..t_len).rev() {
-            let gates = &cache.gates[t];
-            let tanh_c = &cache.tanh_cs[t];
-            let c_prev: &[f64] = if t == 0 { &[] } else { &cache.cs[t - 1] };
-            let h_prev: &[f64] = if t == 0 { &[] } else { &cache.hs[t - 1] };
+            let gates = &st.gates[t * g4..(t + 1) * g4];
+            let tanh_c = &st.tanh_cs[t * h..(t + 1) * h];
+            let c_prev = &st.cs[t * h..(t + 1) * h];
+            let dh = &st.dh[t * h..(t + 1) * h];
+            let da = &mut st.da[t * g4..(t + 1) * g4];
             for j in 0..h {
-                let dh_tot = dhs[t][j] + dh_rec[j];
+                let dh_tot = dh[j] + st.dh_rec[j];
                 let o = gates[3 * h + j];
-                let dc_tot = dc_rec[j] + dh_tot * o * (1.0 - tanh_c[j] * tanh_c[j]);
+                let dc_tot = st.dc_rec[j] + dh_tot * o * (1.0 - tanh_c[j] * tanh_c[j]);
                 let i = gates[j];
                 let f = gates[h + j];
                 let g = gates[2 * h + j];
-                let cp = if t == 0 { 0.0 } else { c_prev[j] };
                 da[j] = dc_tot * g * i * (1.0 - i);
-                da[h + j] = dc_tot * cp * f * (1.0 - f);
+                da[h + j] = dc_tot * c_prev[j] * f * (1.0 - f);
                 da[2 * h + j] = dc_tot * i * (1.0 - g * g);
                 da[3 * h + j] = dh_tot * tanh_c[j] * o * (1.0 - o);
-                dc_rec[j] = dc_tot * f;
-            }
-            zin[..d].copy_from_slice(&xs[t]);
-            if t == 0 {
-                zin[d..].iter_mut().for_each(|z| *z = 0.0);
-            } else {
-                zin[d..].copy_from_slice(h_prev);
-            }
-            for (r, &da_r) in da.iter().enumerate() {
-                if da_r != 0.0 {
-                    vecops::axpy(da_r, &zin, gw.row_mut(r));
-                    gb[r] += da_r;
-                }
+                st.dc_rec[j] = dc_tot * f;
             }
             // Recurrent gradient into h_{t-1}.
-            dh_rec.iter_mut().for_each(|x| *x = 0.0);
+            st.dh_rec.iter_mut().for_each(|x| *x = 0.0);
             for (r, &da_r) in da.iter().enumerate() {
                 if da_r != 0.0 {
-                    let wrow = &self.w.row(r)[d..];
-                    vecops::axpy(da_r, wrow, &mut dh_rec);
+                    vecops::axpy(da_r, &self.w.row(r)[d..], &mut st.dh_rec);
                 }
             }
         }
-        (gw, gb)
+        // Weight gradients, one row at a time, each over t descending.
+        for (r, gb_r) in gb.iter_mut().enumerate() {
+            let (gx, gh) = gw.row_mut(r).split_at_mut(d);
+            for t in (0..t_len).rev() {
+                let da_r = st.da[t * g4 + r];
+                if da_r != 0.0 {
+                    vecops::axpy(da_r, step_input(xs, d, t, reverse), gx);
+                    vecops::axpy(da_r, &st.hs[t * h..(t + 1) * h], gh);
+                    *gb_r += da_r;
+                }
+            }
+        }
     }
+}
+
+/// Everything one sentence's pass needs, kept across the sentences of a
+/// fit (or a prediction run) so no step allocates.
+struct Scratch {
+    /// `T x d`: the sentence's word vectors in token order.
+    xs: Vec<f64>,
+    /// `d x tp`: `xs` transposed, zero-padded to a multiple of 8 tokens.
+    xt: Vec<f64>,
+    fwd: DirState,
+    bwd: DirState,
+    /// `T x n_tags` emission scores.
+    emis: Mat,
+}
+
+impl Scratch {
+    fn new() -> Self {
+        Scratch {
+            xs: Vec::new(),
+            xt: Vec::new(),
+            fwd: DirState::default(),
+            bwd: DirState::default(),
+            emis: Mat::zeros(0, 0),
+        }
+    }
+
+    /// Loads the word vectors of `tokens`. With an `rng`, each word is
+    /// zeroed with probability `dropout`, drawing only when `dropout > 0`.
+    fn embed(
+        &mut self,
+        emb: &Embedding,
+        tokens: &[u32],
+        dropout: f64,
+        mut rng: Option<&mut rand::rngs::StdRng>,
+    ) {
+        self.xs.clear();
+        for &t in tokens {
+            if let Some(r) = rng.as_deref_mut() {
+                if dropout > 0.0 && r.random::<f64>() < dropout {
+                    self.xs.resize(self.xs.len() + emb.dim(), 0.0);
+                    continue;
+                }
+            }
+            self.xs.extend_from_slice(emb.vector(t));
+        }
+    }
+}
+
+/// `m` as a `rows x cols` matrix of zeros, keeping its allocation.
+fn zeroed_mat(m: &mut Mat, rows: usize, cols: usize) {
+    let mut data = std::mem::replace(m, Mat::zeros(0, 0)).into_vec();
+    zeroed(&mut data, rows * cols);
+    *m = Mat::from_vec(rows, cols, data);
 }
 
 /// Shared BiLSTM encoder + linear emission layer.
@@ -188,6 +302,7 @@ struct BiLstmCore {
     b_out: Vec<f64>,
 }
 
+/// One gradient block per parameter block, reused across sentences.
 struct CoreGrads {
     wf: Mat,
     bf: Vec<f64>,
@@ -195,6 +310,33 @@ struct CoreGrads {
     bb: Vec<f64>,
     wout: Mat,
     bout: Vec<f64>,
+}
+
+impl CoreGrads {
+    fn new(core: &BiLstmCore) -> Self {
+        let zeros_like = |m: &Mat| Mat::zeros(m.rows(), m.cols());
+        CoreGrads {
+            wf: zeros_like(&core.fwd.w),
+            bf: vec![0.0; core.fwd.b.len()],
+            wb: zeros_like(&core.bwd.w),
+            bb: vec![0.0; core.bwd.b.len()],
+            wout: zeros_like(&core.w_out),
+            bout: vec![0.0; core.b_out.len()],
+        }
+    }
+
+    fn zero(&mut self) {
+        for block in [
+            self.wf.as_mut_slice(),
+            &mut self.bf,
+            self.wb.as_mut_slice(),
+            &mut self.bb,
+            self.wout.as_mut_slice(),
+            &mut self.bout,
+        ] {
+            block.iter_mut().for_each(|g| *g = 0.0);
+        }
+    }
 }
 
 impl BiLstmCore {
@@ -207,68 +349,65 @@ impl BiLstmCore {
         }
     }
 
-    /// Emission scores (`T x n_tags`) plus the direction caches.
-    fn emissions(&self, xs: &[Vec<f64>]) -> (Mat, DirCache, DirCache) {
-        let t_len = xs.len();
-        let h = self.fwd.h;
-        let fcache = self.fwd.forward(xs);
-        let rev: Vec<Vec<f64>> = xs.iter().rev().cloned().collect();
-        let bcache = self.bwd.forward(&rev);
-        let n_tags = self.w_out.rows();
-        let mut emis = Mat::zeros(t_len, n_tags);
-        let mut concat = vec![0.0; 2 * h];
-        for t in 0..t_len {
-            concat[..h].copy_from_slice(&fcache.hs[t]);
-            concat[h..].copy_from_slice(&bcache.hs[t_len - 1 - t]);
-            for k in 0..n_tags {
-                emis[(t, k)] = vecops::dot(self.w_out.row(k), &concat) + self.b_out[k];
+    /// Runs both directions over `s.xs` and fills `s.emis` with the
+    /// emission scores: `dot(w_out_k, [hf_t; hb_t]) + b_out_k`.
+    fn emissions(&self, s: &mut Scratch) {
+        let (h, d) = (self.fwd.h, self.fwd.d);
+        let t_len = s.xs.len() / d;
+        let tp = t_len.next_multiple_of(8);
+        zeroed(&mut s.xt, d * tp);
+        for (t, x) in s.xs.chunks_exact(d).enumerate() {
+            for (j, &v) in x.iter().enumerate() {
+                s.xt[j * tp + t] = v;
             }
         }
-        (emis, fcache, bcache)
+        self.fwd.forward(&s.xt, t_len, false, &mut s.fwd);
+        self.bwd.forward(&s.xt, t_len, true, &mut s.bwd);
+        let n_tags = self.w_out.rows();
+        zeroed_mat(&mut s.emis, t_len, n_tags);
+        for t in 0..t_len {
+            let row = s.emis.row_mut(t);
+            let hf = &s.fwd.hs[(t + 1) * h..(t + 2) * h];
+            let hb = &s.bwd.hs[(t_len - t) * h..(t_len - t + 1) * h];
+            vecops::dot_rows(row, hf, |k| &self.w_out.row(k)[..h]);
+            vecops::dot_rows(row, hb, |k| &self.w_out.row(k)[h..]);
+            for (e, &b) in row.iter_mut().zip(&self.b_out) {
+                *e += b;
+            }
+        }
     }
 
-    /// Backward pass from emission gradients to all parameter gradients.
-    fn backward(
-        &self,
-        xs: &[Vec<f64>],
-        fcache: &DirCache,
-        bcache: &DirCache,
-        d_emis: &Mat,
-    ) -> CoreGrads {
-        let t_len = xs.len();
+    /// Backward pass from the emission gradients `d_emis` to every
+    /// parameter gradient, written into `g`.
+    fn backward(&self, s: &mut Scratch, d_emis: &Mat, g: &mut CoreGrads) {
         let h = self.fwd.h;
+        let t_len = s.xs.len() / self.fwd.d;
         let n_tags = self.w_out.rows();
-        let mut gout = Mat::zeros(n_tags, 2 * h);
-        let mut gbout = vec![0.0; n_tags];
-        let mut dh_f: Vec<Vec<f64>> = vec![vec![0.0; h]; t_len];
-        let mut dh_b: Vec<Vec<f64>> = vec![vec![0.0; h]; t_len];
-        let mut concat = vec![0.0; 2 * h];
+        g.zero();
+        zeroed(&mut s.fwd.dh, t_len * h);
+        zeroed(&mut s.bwd.dh, t_len * h);
         for t in 0..t_len {
-            concat[..h].copy_from_slice(&fcache.hs[t]);
-            concat[h..].copy_from_slice(&bcache.hs[t_len - 1 - t]);
+            let tb = t_len - 1 - t;
+            let hf = &s.fwd.hs[(t + 1) * h..(t + 2) * h];
+            let hb = &s.bwd.hs[(tb + 1) * h..(tb + 2) * h];
             for k in 0..n_tags {
                 let dl = d_emis[(t, k)];
                 if dl == 0.0 {
                     continue;
                 }
-                vecops::axpy(dl, &concat, gout.row_mut(k));
-                gbout[k] += dl;
+                let (gf, gbk) = g.wout.row_mut(k).split_at_mut(h);
+                vecops::axpy(dl, hf, gf);
+                vecops::axpy(dl, hb, gbk);
+                g.bout[k] += dl;
                 let wrow = self.w_out.row(k);
-                vecops::axpy(dl, &wrow[..h], &mut dh_f[t]);
-                vecops::axpy(dl, &wrow[h..], &mut dh_b[t_len - 1 - t]);
+                vecops::axpy(dl, &wrow[..h], &mut s.fwd.dh[t * h..(t + 1) * h]);
+                vecops::axpy(dl, &wrow[h..], &mut s.bwd.dh[tb * h..(tb + 1) * h]);
             }
         }
-        let (gwf, gbf) = self.fwd.backward(xs, fcache, &dh_f);
-        let rev: Vec<Vec<f64>> = xs.iter().rev().cloned().collect();
-        let (gwb, gbb) = self.bwd.backward(&rev, bcache, &dh_b);
-        CoreGrads {
-            wf: gwf,
-            bf: gbf,
-            wb: gwb,
-            bb: gbb,
-            wout: gout,
-            bout: gbout,
-        }
+        self.fwd
+            .backward(&s.xs, false, &mut s.fwd, &mut g.wf, &mut g.bf);
+        self.bwd
+            .backward(&s.xs, true, &mut s.bwd, &mut g.wb, &mut g.bb);
     }
 }
 
@@ -294,7 +433,7 @@ impl CoreOpt {
         }
     }
 
-    fn step(&mut self, core: &mut BiLstmCore, mut grads: CoreGrads, clip: f64) {
+    fn step(&mut self, core: &mut BiLstmCore, grads: &mut CoreGrads, clip: f64) {
         clip_global_norm(grads.wf.as_mut_slice(), clip);
         clip_global_norm(&mut grads.bf, clip);
         clip_global_norm(grads.wb.as_mut_slice(), clip);
@@ -311,44 +450,25 @@ impl CoreOpt {
     }
 }
 
-/// Looks up token vectors, optionally applying word dropout.
-fn embed_tokens(
-    emb: &Embedding,
-    tokens: &[u32],
-    dropout: f64,
-    rng: Option<&mut rand::rngs::StdRng>,
-) -> Vec<Vec<f64>> {
-    let mut rng = rng;
-    tokens
-        .iter()
-        .map(|&t| {
-            if let Some(r) = rng.as_deref_mut() {
-                if dropout > 0.0 && r.random::<f64>() < dropout {
-                    return vec![0.0; emb.dim()];
-                }
-            }
-            emb.vector(t).to_vec()
-        })
-        .collect()
-}
-
-/// Softmax cross-entropy over emissions; returns `(loss, d_emissions)`.
-fn softmax_ce(emis: &Mat, tags: &[u8]) -> (f64, Mat) {
+/// Softmax cross-entropy over `emis`; writes the emission gradient into
+/// `d` and returns the loss.
+fn softmax_ce(emis: &Mat, tags: &[u8], d: &mut Mat) -> f64 {
     let t_len = emis.rows();
     let k = emis.cols();
-    let mut d = Mat::zeros(t_len, k);
+    zeroed_mat(d, t_len, k);
     let mut loss = 0.0;
     let inv = 1.0 / t_len as f64;
     for t in 0..t_len {
-        let mut probs: Vec<f64> = emis.row(t).to_vec();
-        vecops::softmax_inplace(&mut probs);
+        let probs = d.row_mut(t);
+        probs.copy_from_slice(emis.row(t));
+        vecops::softmax_inplace(probs);
         let gold = tags[t] as usize;
         loss -= probs[gold].max(1e-12).ln() * inv;
-        for j in 0..k {
-            d[(t, j)] = (probs[j] - if j == gold { 1.0 } else { 0.0 }) * inv;
+        for (j, p) in probs.iter_mut().enumerate() {
+            *p = (*p - if j == gold { 1.0 } else { 0.0 }) * inv;
         }
     }
-    (loss, d)
+    loss
 }
 
 /// The BiLSTM tagger used for the paper's NER experiments (no CRF layer,
@@ -383,6 +503,9 @@ impl BiLstmTagger {
         let mut init_rng = rand::rngs::StdRng::seed_from_u64(config.init_seed);
         let mut core = BiLstmCore::new(emb.dim(), config.hidden, N_TAGS, &mut init_rng);
         let mut opt = CoreOpt::new(&core, config.lr);
+        let mut grads = CoreGrads::new(&core);
+        let mut scratch = Scratch::new();
+        let mut d_emis = Mat::zeros(0, 0);
         let mut sample_rng = rand::rngs::StdRng::seed_from_u64(config.sample_seed);
         let mut order: Vec<usize> = (0..train.len()).collect();
         let mut losses = Vec::with_capacity(config.epochs);
@@ -394,12 +517,11 @@ impl BiLstmTagger {
                 if s.tokens.is_empty() {
                     continue;
                 }
-                let xs = embed_tokens(emb, &s.tokens, config.word_dropout, Some(&mut sample_rng));
-                let (emis, fc, bc) = core.emissions(&xs);
-                let (loss, d_emis) = softmax_ce(&emis, &s.tags);
-                epoch_loss += loss;
-                let grads = core.backward(&xs, &fc, &bc, &d_emis);
-                opt.step(&mut core, grads, config.clip);
+                scratch.embed(emb, &s.tokens, config.word_dropout, Some(&mut sample_rng));
+                core.emissions(&mut scratch);
+                epoch_loss += softmax_ce(&scratch.emis, &s.tags, &mut d_emis);
+                core.backward(&mut scratch, &d_emis, &mut grads);
+                opt.step(&mut core, &mut grads, config.clip);
             }
             losses.push(epoch_loss / train.len() as f64);
         }
@@ -408,19 +530,24 @@ impl BiLstmTagger {
 
     /// Predicted tags for one sentence.
     pub fn predict(&self, emb: &Embedding, tokens: &[u32]) -> Vec<u8> {
+        self.predict_with(emb, tokens, &mut Scratch::new())
+    }
+
+    fn predict_with(&self, emb: &Embedding, tokens: &[u32], scratch: &mut Scratch) -> Vec<u8> {
         if tokens.is_empty() {
             return Vec::new();
         }
-        let xs = embed_tokens(emb, tokens, 0.0, None);
-        let (emis, _, _) = self.core.emissions(&xs);
-        argmax_tags(&emis)
+        scratch.embed(emb, tokens, 0.0, None);
+        self.core.emissions(scratch);
+        argmax_tags(&scratch.emis)
     }
 
     /// Predicted tags for every sentence of a dataset split.
     pub fn predict_all(&self, emb: &Embedding, sentences: &[TaggedSentence]) -> Vec<Vec<u8>> {
+        let mut scratch = Scratch::new();
         sentences
             .iter()
-            .map(|s| self.predict(emb, &s.tokens))
+            .map(|s| self.predict_with(emb, &s.tokens, &mut scratch))
             .collect()
     }
 }
@@ -445,6 +572,8 @@ impl BiLstmCrfTagger {
         let mut core = BiLstmCore::new(emb.dim(), config.hidden, N_TAGS, &mut init_rng);
         let mut crf = Crf::new(N_TAGS);
         let mut opt = CoreOpt::new(&core, config.lr);
+        let mut grads = CoreGrads::new(&core);
+        let mut scratch = Scratch::new();
         let mut crf_trans_opt = Adam::new(N_TAGS * N_TAGS, config.lr);
         let mut crf_start_opt = Adam::new(N_TAGS, config.lr);
         let mut crf_end_opt = Adam::new(N_TAGS, config.lr);
@@ -457,13 +586,13 @@ impl BiLstmCrfTagger {
                 if s.tokens.is_empty() {
                     continue;
                 }
-                let xs = embed_tokens(emb, &s.tokens, config.word_dropout, Some(&mut sample_rng));
-                let (emis, fc, bc) = core.emissions(&xs);
+                scratch.embed(emb, &s.tokens, config.word_dropout, Some(&mut sample_rng));
+                core.emissions(&mut scratch);
                 let inv = 1.0 / s.tokens.len() as f64;
-                let (_nll, mut cgrads, d_emis) = crf.nll_and_grads(&emis, &s.tags);
+                let (_nll, mut cgrads, d_emis) = crf.nll_and_grads(&scratch.emis, &s.tags);
                 let d_emis = d_emis.scale(inv);
-                let grads = core.backward(&xs, &fc, &bc, &d_emis);
-                opt.step(&mut core, grads, config.clip);
+                core.backward(&mut scratch, &d_emis, &mut grads);
+                opt.step(&mut core, &mut grads, config.clip);
                 let mut gt = cgrads.trans.scale(inv);
                 clip_global_norm(gt.as_mut_slice(), config.clip);
                 crf_trans_opt.step(crf.trans.as_mut_slice(), gt.as_slice());
@@ -482,19 +611,24 @@ impl BiLstmCrfTagger {
 
     /// Predicted tags for one sentence (Viterbi decoding).
     pub fn predict(&self, emb: &Embedding, tokens: &[u32]) -> Vec<u8> {
+        self.predict_with(emb, tokens, &mut Scratch::new())
+    }
+
+    fn predict_with(&self, emb: &Embedding, tokens: &[u32], scratch: &mut Scratch) -> Vec<u8> {
         if tokens.is_empty() {
             return Vec::new();
         }
-        let xs = embed_tokens(emb, tokens, 0.0, None);
-        let (emis, _, _) = self.core.emissions(&xs);
-        self.crf.viterbi(&emis)
+        scratch.embed(emb, tokens, 0.0, None);
+        self.core.emissions(scratch);
+        self.crf.viterbi(&scratch.emis)
     }
 
     /// Predicted tags for every sentence of a dataset split.
     pub fn predict_all(&self, emb: &Embedding, sentences: &[TaggedSentence]) -> Vec<Vec<u8>> {
+        let mut scratch = Scratch::new();
         sentences
             .iter()
-            .map(|s| self.predict(emb, &s.tokens))
+            .map(|s| self.predict_with(emb, &s.tokens, &mut scratch))
             .collect()
     }
 }
@@ -537,73 +671,67 @@ mod tests {
         (model, ds, emb)
     }
 
+    /// The softmax cross-entropy loss of `core` on `xs` (`T x d`, token
+    /// order), and its gradients when `grads` is given.
+    fn loss_of(core: &BiLstmCore, xs: &[f64], tags: &[u8], grads: Option<&mut CoreGrads>) -> f64 {
+        let mut s = Scratch::new();
+        s.xs.extend_from_slice(xs);
+        core.emissions(&mut s);
+        let mut d_emis = Mat::zeros(0, 0);
+        let loss = softmax_ce(&s.emis, tags, &mut d_emis);
+        if let Some(g) = grads {
+            core.backward(&mut s, &d_emis, g);
+        }
+        loss
+    }
+
     #[test]
     fn lstm_gradient_check() {
         // Finite differences through the full BiLSTM + softmax CE loss for
-        // a handful of parameters in every block.
+        // every entry of every parameter block: both directions' weights
+        // (input and recurrent columns) and biases, and the output layer.
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         let core = BiLstmCore::new(3, 4, N_TAGS, &mut rng);
-        let xs: Vec<Vec<f64>> = (0..5)
-            .map(|_| Mat::random_normal(1, 3, &mut rng).into_vec())
-            .collect();
+        let xs = Mat::random_normal(5, 3, &mut rng).into_vec();
         let tags = [0u8, 2, 1, 4, 0];
-        let loss_of = |c: &BiLstmCore| -> f64 {
-            let (emis, _, _) = c.emissions(&xs);
-            softmax_ce(&emis, &tags).0
-        };
-        let (emis, fc, bc) = core.emissions(&xs);
-        let (_, d_emis) = softmax_ce(&emis, &tags);
-        let grads = core.backward(&xs, &fc, &bc, &d_emis);
+        let mut grads = CoreGrads::new(&core);
+        loss_of(&core, &xs, &tags, Some(&mut grads));
+        type Block = fn(&mut BiLstmCore) -> &mut [f64];
+        let blocks: [(&str, Block, &[f64]); 6] = [
+            ("fwd w", |c| c.fwd.w.as_mut_slice(), grads.wf.as_slice()),
+            ("fwd b", |c| &mut c.fwd.b, &grads.bf),
+            ("bwd w", |c| c.bwd.w.as_mut_slice(), grads.wb.as_slice()),
+            ("bwd b", |c| &mut c.bwd.b, &grads.bb),
+            ("w_out", |c| c.w_out.as_mut_slice(), grads.wout.as_slice()),
+            ("b_out", |c| &mut c.b_out, &grads.bout),
+        ];
         let eps = 1e-6;
-        // Forward-direction weights: sample a grid of entries.
         let mut c2 = core.clone();
-        for r in (0..16).step_by(3) {
-            for col in (0..7).step_by(2) {
-                let orig = c2.fwd.w[(r, col)];
-                c2.fwd.w[(r, col)] = orig + eps;
-                let up = loss_of(&c2);
-                c2.fwd.w[(r, col)] = orig - eps;
-                let down = loss_of(&c2);
-                c2.fwd.w[(r, col)] = orig;
+        for (name, block, analytic) in blocks {
+            assert_eq!(block(&mut c2).len(), analytic.len());
+            for (i, &want) in analytic.iter().enumerate() {
+                let orig = block(&mut c2)[i];
+                block(&mut c2)[i] = orig + eps;
+                let up = loss_of(&c2, &xs, &tags, None);
+                block(&mut c2)[i] = orig - eps;
+                let down = loss_of(&c2, &xs, &tags, None);
+                block(&mut c2)[i] = orig;
                 let fd = (up - down) / (2.0 * eps);
                 assert!(
-                    (fd - grads.wf[(r, col)]).abs() < 1e-5,
-                    "fwd w ({r},{col}): fd {fd} vs analytic {}",
-                    grads.wf[(r, col)]
+                    (fd - want).abs() < 1e-5,
+                    "{name}[{i}]: fd {fd} vs analytic {want}"
                 );
             }
         }
-        // Backward-direction bias and output weights.
-        for j in 0..8 {
-            let orig = c2.bwd.b[j];
-            c2.bwd.b[j] = orig + eps;
-            let up = loss_of(&c2);
-            c2.bwd.b[j] = orig - eps;
-            let down = loss_of(&c2);
-            c2.bwd.b[j] = orig;
-            let fd = (up - down) / (2.0 * eps);
-            assert!(
-                (fd - grads.bf.len().pow(0) as f64 * grads.bb[j]).abs() < 1e-5,
-                "bwd b {j}: fd {fd} vs {}",
-                grads.bb[j]
-            );
-        }
-        for k in 0..N_TAGS {
-            for col in 0..8 {
-                let orig = c2.w_out[(k, col)];
-                c2.w_out[(k, col)] = orig + eps;
-                let up = loss_of(&c2);
-                c2.w_out[(k, col)] = orig - eps;
-                let down = loss_of(&c2);
-                c2.w_out[(k, col)] = orig;
-                let fd = (up - down) / (2.0 * eps);
-                assert!(
-                    (fd - grads.wout[(k, col)]).abs() < 1e-5,
-                    "w_out ({k},{col}): fd {fd} vs {}",
-                    grads.wout[(k, col)]
-                );
-            }
-        }
+        // The recurrent columns (>= d) carry gradient, so the check above
+        // exercised them and not only zeros.
+        let h_cols = |m: &Mat| {
+            (0..m.rows())
+                .flat_map(|r| m.row(r)[3..].to_vec())
+                .collect::<Vec<_>>()
+        };
+        assert!(h_cols(&grads.wf).iter().any(|&g| g != 0.0));
+        assert!(h_cols(&grads.wb).iter().any(|&g| g != 0.0));
     }
 
     #[test]

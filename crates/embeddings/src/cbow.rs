@@ -4,7 +4,7 @@
 use embedstab_linalg::{vecops, Mat};
 use rand::{Rng, RngExt, SeedableRng};
 
-use crate::negative::NegativeTable;
+use crate::negative::{NegativeStep, NegativeTable};
 use crate::stats::CorpusStats;
 use crate::{Embedding, TrainReport};
 
@@ -59,7 +59,7 @@ impl CbowTrainer {
     ///
     /// Panics if `dim` is zero or the corpus is empty.
     pub fn train(&self, stats: &CorpusStats, dim: usize, seed: u64) -> Embedding {
-        self.train_with_report(stats, dim, seed).0
+        self.fit(stats, dim, seed, false).0
     }
 
     /// Trains and also returns first/last-epoch mean negative-sampling
@@ -73,6 +73,18 @@ impl CbowTrainer {
         stats: &CorpusStats,
         dim: usize,
         seed: u64,
+    ) -> (Embedding, TrainReport) {
+        self.fit(stats, dim, seed, true)
+    }
+
+    /// The training loop; the losses are computed only when `report` is
+    /// set (they are zero otherwise).
+    fn fit(
+        &self,
+        stats: &CorpusStats,
+        dim: usize,
+        seed: u64,
+        report: bool,
     ) -> (Embedding, TrainReport) {
         assert!(dim > 0, "dim must be positive");
         assert!(stats.n_tokens() > 0, "corpus must be non-empty");
@@ -93,8 +105,8 @@ impl CbowTrainer {
         let mut processed = 0usize;
         let mut doc_order: Vec<usize> = (0..stats.corpus.docs().len()).collect();
 
+        let mut step = NegativeStep::new(&neg_table, cfg.negatives, dim);
         let mut h = vec![0.0; dim];
-        let mut neu1e = vec![0.0; dim];
         let mut initial_loss = 0.0;
         let mut final_loss = 0.0;
         for epoch in 0..cfg.epochs {
@@ -125,28 +137,18 @@ impl CbowTrainer {
                     vecops::scale(1.0 / ctx_count as f64, &mut h);
 
                     let lr = cfg.lr * (1.0 - processed as f64 / total_work).max(cfg.min_lr_frac);
-                    neu1e.iter_mut().for_each(|x| *x = 0.0);
-                    for s in 0..=cfg.negatives {
-                        let (wo, label) = if s == 0 {
-                            (target, 1.0)
-                        } else {
-                            (neg_table.sample(target, &mut rng), 0.0)
-                        };
-                        let orow = output.row_mut(wo as usize);
-                        let f = vecops::sigmoid(vecops::dot(orow, &h));
-                        loss -= if label > 0.5 {
-                            f.max(1e-12).ln()
-                        } else {
-                            (1.0 - f).max(1e-12).ln()
-                        };
-                        let g = (label - f) * lr;
-                        vecops::axpy(g, orow, &mut neu1e);
-                        vecops::axpy(g, &h, orow);
-                    }
+                    step.apply(
+                        &mut output,
+                        &h,
+                        target,
+                        lr,
+                        &mut rng,
+                        report.then_some(&mut loss),
+                    );
                     positions += 1;
                     for (u, &c) in doc[lo..hi].iter().enumerate() {
                         if lo + u != t {
-                            vecops::axpy(1.0, &neu1e, input.row_mut(c as usize));
+                            vecops::axpy(1.0, step.input_grad(), input.row_mut(c as usize));
                         }
                     }
                 }

@@ -6,7 +6,7 @@ use embedstab_corpus::Vocab;
 use embedstab_linalg::{vecops, Mat};
 use rand::{Rng, RngExt, SeedableRng};
 
-use crate::negative::NegativeTable;
+use crate::negative::{NegativeStep, NegativeTable};
 use crate::stats::CorpusStats;
 use crate::{Embedding, TrainReport};
 
@@ -103,7 +103,7 @@ impl FastTextTrainer {
     /// Panics if `dim` is zero, the corpus is empty, or the vocabulary size
     /// disagrees with the corpus statistics.
     pub fn train(&self, stats: &CorpusStats, vocab: &Vocab, dim: usize, seed: u64) -> Embedding {
-        self.train_with_report(stats, vocab, dim, seed).0
+        self.fit(stats, vocab, dim, seed, false).0
     }
 
     /// Trains and also returns first/last-epoch mean losses.
@@ -117,6 +117,19 @@ impl FastTextTrainer {
         vocab: &Vocab,
         dim: usize,
         seed: u64,
+    ) -> (Embedding, TrainReport) {
+        self.fit(stats, vocab, dim, seed, true)
+    }
+
+    /// The training loop; the losses are computed only when `report` is
+    /// set (they are zero otherwise).
+    fn fit(
+        &self,
+        stats: &CorpusStats,
+        vocab: &Vocab,
+        dim: usize,
+        seed: u64,
+        report: bool,
     ) -> (Embedding, TrainReport) {
         assert!(dim > 0, "dim must be positive");
         assert!(stats.n_tokens() > 0, "corpus must be non-empty");
@@ -152,8 +165,8 @@ impl FastTextTrainer {
         let mut processed = 0usize;
         let mut doc_order: Vec<usize> = (0..stats.corpus.docs().len()).collect();
 
+        let mut step = NegativeStep::new(&neg_table, cfg.negatives, dim);
         let mut rep = vec![0.0; dim];
-        let mut neu1e = vec![0.0; dim];
         let mut initial_loss = 0.0;
         let mut final_loss = 0.0;
         for epoch in 0..cfg.epochs {
@@ -184,30 +197,21 @@ impl FastTextTrainer {
                         if lo + u == t {
                             continue;
                         }
-                        neu1e.iter_mut().for_each(|x| *x = 0.0);
-                        for s in 0..=cfg.negatives {
-                            let (wo, label) = if s == 0 {
-                                (ctx, 1.0)
-                            } else {
-                                (neg_table.sample(ctx, &mut rng), 0.0)
-                            };
-                            let orow = output.row_mut(wo as usize);
-                            let f = vecops::sigmoid(vecops::dot(orow, &rep));
-                            loss -= if label > 0.5 {
-                                f.max(1e-12).ln()
-                            } else {
-                                (1.0 - f).max(1e-12).ln()
-                            };
-                            let g = (label - f) * lr;
-                            vecops::axpy(g, orow, &mut neu1e);
-                            vecops::axpy(g, &rep, orow);
-                        }
+                        step.apply(
+                            &mut output,
+                            &rep,
+                            ctx,
+                            lr,
+                            &mut rng,
+                            report.then_some(&mut loss),
+                        );
                         pairs += 1;
                         // Spread the input gradient over the components.
-                        vecops::scale(1.0 / denom, &mut neu1e);
-                        vecops::axpy(1.0, &neu1e, word_vecs.row_mut(center as usize));
+                        let neu1e = step.input_grad();
+                        vecops::scale(1.0 / denom, neu1e);
+                        vecops::axpy(1.0, neu1e, word_vecs.row_mut(center as usize));
                         for &g in grams {
-                            vecops::axpy(1.0, &neu1e, gram_vecs.row_mut(g as usize));
+                            vecops::axpy(1.0, neu1e, gram_vecs.row_mut(g as usize));
                         }
                         // rep changed implicitly; recompute lazily next pair.
                         rep.copy_from_slice(word_vecs.row(center as usize));

@@ -1,6 +1,20 @@
-//! Negative sampling table (unigram distribution raised to the 3/4 power).
+//! Negative sampling: the word2vec noise distribution (unigram counts
+//! raised to the 3/4 power) and the one update step CBOW and fastText
+//! skipgram share.
+//!
+//! [`NegativeStep::apply`] gives the same bits as the word2vec loop it
+//! replaced, which drew each negative just before its update and computed
+//! each dot product against the output row as it stood then. It draws the
+//! negatives first, in the same rng order. When the target and the
+//! negatives are distinct, no update touches another's output row, so
+//! their dot products are computed up front as interleaved chains
+//! ([`vecops::dot_rows`], each bitwise [`vecops::dot`]). With a repeated
+//! word they run one at a time, each after the previous update, as
+//! before. The sigmoid and `axpy` updates then run in the original order.
+//! A step asked for no loss skips the `ln`s, and nothing else changes.
 
 use embedstab_corpus::AliasTable;
+use embedstab_linalg::{vecops, Mat};
 use rand::Rng;
 
 /// The word2vec negative-sampling distribution: word probabilities
@@ -52,6 +66,93 @@ impl NegativeTable {
     /// True if the table is empty (never constructible).
     pub fn is_empty(&self) -> bool {
         self.table.is_empty()
+    }
+}
+
+/// One negative-sampling update against the output matrix, with the
+/// buffers it reuses from step to step.
+#[derive(Clone, Debug)]
+pub struct NegativeStep<'t> {
+    table: &'t NegativeTable,
+    /// The target, then the negatives, in draw order.
+    words: Vec<u32>,
+    dots: Vec<f64>,
+    grad: Vec<f64>,
+}
+
+impl<'t> NegativeStep<'t> {
+    /// A step drawing `negatives` words per target from `table`, for
+    /// `dim`-dimensional vectors.
+    pub fn new(table: &'t NegativeTable, negatives: usize, dim: usize) -> Self {
+        NegativeStep {
+            table,
+            words: Vec::with_capacity(negatives + 1),
+            dots: vec![0.0; negatives + 1],
+            grad: vec![0.0; dim],
+        }
+    }
+
+    /// Trains `output` to score `target` above the negatives against
+    /// `input`, at learning rate `lr`. Draws the negatives from `rng`,
+    /// adds the logistic loss to `loss` when one is given, and leaves the
+    /// gradient for the input side in [`NegativeStep::input_grad`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` or `output`'s rows differ from the step's `dim`,
+    /// or a drawn word is out of `output`'s range.
+    pub fn apply(
+        &mut self,
+        output: &mut Mat,
+        input: &[f64],
+        target: u32,
+        lr: f64,
+        rng: &mut impl Rng,
+        mut loss: Option<&mut f64>,
+    ) {
+        self.words.clear();
+        self.words.push(target);
+        for _ in 1..self.dots.len() {
+            self.words.push(self.table.sample(target, rng));
+        }
+        let distinct = self
+            .words
+            .iter()
+            .enumerate()
+            .all(|(i, w)| !self.words[..i].contains(w));
+        if distinct {
+            self.dots.iter_mut().for_each(|d| *d = 0.0);
+            let out = &*output;
+            let words = &self.words;
+            vecops::dot_rows(&mut self.dots, input, |i| out.row(words[i] as usize));
+        }
+        self.grad.iter_mut().for_each(|x| *x = 0.0);
+        for (s, &w) in self.words.iter().enumerate() {
+            let orow = output.row_mut(w as usize);
+            let dot = if distinct {
+                self.dots[s]
+            } else {
+                vecops::dot(orow, input)
+            };
+            let f = vecops::sigmoid(dot);
+            let label = if s == 0 { 1.0 } else { 0.0 };
+            if let Some(loss) = loss.as_deref_mut() {
+                *loss -= if s == 0 {
+                    f.max(1e-12).ln()
+                } else {
+                    (1.0 - f).max(1e-12).ln()
+                };
+            }
+            let g = (label - f) * lr;
+            vecops::axpy(g, orow, &mut self.grad);
+            vecops::axpy(g, input, orow);
+        }
+    }
+
+    /// The input-side gradient of the last [`NegativeStep::apply`],
+    /// already scaled by its learning rate.
+    pub fn input_grad(&mut self) -> &mut [f64] {
+        &mut self.grad
     }
 }
 

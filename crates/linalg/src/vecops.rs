@@ -15,6 +15,98 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     s
 }
 
+/// Continues one dot-product chain per entry of `acc`: entry `i` adds
+/// `row(i)[j] * x[j]` for `j` left to right, starting from its current
+/// value. Up to eight chains run side by side, so the adds of one chain
+/// overlap the latency of another's.
+///
+/// Each chain is the same sequence of floating-point operations as
+/// [`dot`]. From `acc[i] == 0.0` it ends at bitwise `dot(row(i), x)`, and
+/// a chain split at any column continues exactly: from
+/// `acc[i] == dot(&a[..k], &x[..k])` over `row(i) == &a[k..]` and
+/// `&x[k..]` it ends at bitwise `dot(a, x)`.
+///
+/// The rows may lie anywhere (the negative-sampling step scores scattered
+/// output rows). When the chains' operands lie side by side in memory,
+/// [`dot_cols`] reads them without gathering.
+///
+/// # Panics
+///
+/// Panics if a row's length differs from `x`'s.
+pub fn dot_rows<'a>(acc: &mut [f64], x: &[f64], row: impl Fn(usize) -> &'a [f64]) {
+    let mut i = 0;
+    while acc.len() - i >= 8 {
+        row_chains::<8>(&mut acc[i..i + 8], x, |l| row(i + l));
+        i += 8;
+    }
+    if acc.len() - i >= 4 {
+        row_chains::<4>(&mut acc[i..i + 4], x, |l| row(i + l));
+        i += 4;
+    }
+    if acc.len() - i >= 2 {
+        row_chains::<2>(&mut acc[i..i + 2], x, |l| row(i + l));
+        i += 2;
+    }
+    if acc.len() > i {
+        row_chains::<1>(&mut acc[i..], x, |l| row(i + l));
+    }
+}
+
+/// `N` chains of [`dot_rows`] in lockstep.
+#[inline(always)]
+fn row_chains<'a, const N: usize>(acc: &mut [f64], x: &[f64], row: impl Fn(usize) -> &'a [f64]) {
+    let n = x.len();
+    let rows: [&[f64]; N] = std::array::from_fn(|l| {
+        let r = row(l);
+        assert_eq!(r.len(), n, "dot_rows requires equal lengths");
+        &r[..n]
+    });
+    let mut s: [f64; N] = std::array::from_fn(|l| acc[l]);
+    for (j, &xj) in x.iter().enumerate() {
+        for (si, r) in s.iter_mut().zip(&rows) {
+            *si += r[j] * xj;
+        }
+    }
+    acc.copy_from_slice(&s);
+}
+
+/// [`dot_rows`] over the columns of `cols`, a row-major
+/// `x.len() x acc.len()` matrix: entry `i` adds `cols[j][i] * x[j]` for
+/// `j` left to right. Each chain is bitwise [`dot`] of column `i` and
+/// `x`, continued from `acc[i]` as in [`dot_rows`] (products commute
+/// exactly). A row of `cols` holds eight chains' operands side by side,
+/// so they load as vectors; this is the layout of a transposed weight
+/// matrix, or of a sentence's inputs with the tokens as columns.
+///
+/// # Panics
+///
+/// Panics if `cols.len() != x.len() * acc.len()`.
+pub fn dot_cols(acc: &mut [f64], x: &[f64], cols: &[f64]) {
+    let lanes = acc.len();
+    assert_eq!(
+        cols.len(),
+        x.len() * lanes,
+        "dot_cols requires an x.len() x acc.len() matrix"
+    );
+    let mut i = 0;
+    while lanes - i >= 8 {
+        let mut s: [f64; 8] = std::array::from_fn(|l| acc[i + l]);
+        for (j, &xj) in x.iter().enumerate() {
+            let c = &cols[j * lanes + i..j * lanes + i + 8];
+            for (si, &cl) in s.iter_mut().zip(c) {
+                *si += cl * xj;
+            }
+        }
+        acc[i..i + 8].copy_from_slice(&s);
+        i += 8;
+    }
+    for (l, a) in acc.iter_mut().enumerate().skip(i) {
+        for (j, &xj) in x.iter().enumerate() {
+            *a += cols[j * lanes + l] * xj;
+        }
+    }
+}
+
 /// `y += alpha * x` in place.
 ///
 /// # Panics
