@@ -12,7 +12,8 @@ use embedstab_core::measures::{
     DistanceMeasure, EigenspaceOverlap, EisMeasure, KnnMeasure, PipLoss, SemanticDisplacement,
 };
 use embedstab_corpus::{ppmi, Cooc, CoocConfig, CorpusConfig, LatentModel, LatentModelConfig};
-use embedstab_downstream::models::{LogReg, TrainSpec};
+use embedstab_downstream::models::{BiLstmTagger, LogReg, LstmConfig, TrainSpec};
+use embedstab_downstream::NerSpec;
 use embedstab_embeddings::{CorpusStats, Embedding, PpmiSvdTrainer};
 use embedstab_linalg::Mat;
 use embedstab_quant::{quantize, Precision};
@@ -236,6 +237,44 @@ fn bench_training(c: &mut Criterion) {
             ))
         });
     });
+    // CBOW, the sweep's second-largest stage, on the same corpus.
+    for dim in [32usize, 128] {
+        c.bench_function(&format!("train_cbow_d{dim}"), |bench| {
+            bench.iter(|| {
+                black_box(embedstab_embeddings::train_embedding(
+                    embedstab_embeddings::Algo::Cbow,
+                    &stats,
+                    &model.vocab,
+                    dim,
+                    0,
+                ))
+            });
+        });
+    }
+    // The BiLSTM NER tagger, the sweep's largest stage: fit 100 sentences
+    // for 2 epochs at hidden 16, then tag 100 test sentences.
+    let ner = NerSpec {
+        n_train: 100,
+        n_valid: 0,
+        n_test: 100,
+        ..Default::default()
+    }
+    .generate(&model);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    for dim in [32usize, 128] {
+        let emb = Embedding::new(Mat::random_normal(300, dim, &mut rng));
+        let config = LstmConfig {
+            hidden: 16,
+            epochs: 2,
+            ..Default::default()
+        };
+        c.bench_function(&format!("train_bilstm_ner_d{dim}"), |bench| {
+            bench.iter(|| {
+                let tagger = BiLstmTagger::train(&emb, &ner.train, &config);
+                black_box(tagger.predict_all(&emb, &ner.test))
+            });
+        });
+    }
     // Logistic regression on synthetic features.
     let mut rng = rand::rngs::StdRng::seed_from_u64(4);
     let feats = Mat::random_normal(500, 32, &mut rng);

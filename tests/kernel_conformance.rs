@@ -1,18 +1,23 @@
 //! Kernel-conformance suite: pins the accuracy of the packed blocked GEMM
 //! and the randomized range-finder SVD against their reference
-//! implementations (`Mat::matmul_naive`, `Mat::svd_exact`), and the cosine
-//! top-k kernel bitwise against a naive scalar scan, so the hot paths can
-//! keep changing underneath without the figures drifting.
+//! implementations (`Mat::matmul_naive`, `Mat::svd_exact`), the cosine
+//! top-k kernel bitwise against a naive scalar scan, and the trainers'
+//! interleaved dot-product chains (`vecops::dot_rows`, `vecops::dot_cols`
+//! and the negative-sampling step) bitwise against scalar `dot` loops, so
+//! the hot paths can keep changing underneath without the figures
+//! drifting.
 //!
 //! Rettenmeier (2020) shows stability estimates are sensitive to numerical
 //! noise in the factorization itself; these bounds are the contract every
 //! kernel rewrite must keep.
 
+use embedstab::embeddings::negative::{NegativeStep, NegativeTable};
 use embedstab::linalg::topk::GEMM_MIN_ROWS;
 use embedstab::linalg::{
     cmp_desc_nan_last, cosine_top_k, row_norms, vecops, Mat, RandomizedSvd, SvdMethod,
 };
 use proptest::prelude::*;
+use rand::{RngExt, SeedableRng};
 
 /// Relative Frobenius error bound for GEMM vs the naive triple loop.
 const GEMM_TOL: f64 = 1e-10;
@@ -525,4 +530,225 @@ fn auto_dispatch_agrees_with_exact_across_the_threshold() {
             );
         }
     }
+}
+
+/// Vector entries for the chain tests: mostly normal values, with signed
+/// zeros planted so that products of `+0.0` and `-0.0` occur.
+fn chain_values(n: usize, rng: &mut rand::rngs::StdRng) -> Vec<f64> {
+    (0..n)
+        .map(|_| match rng.random_range(0..6u8) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.random::<f64>() * 4.0 - 2.0,
+        })
+        .collect()
+}
+
+/// The scalar chain `dot_rows` and `dot_cols` must reproduce: `init`
+/// plus `row[j] * x[j]` for `j` left to right.
+fn chain(init: f64, row: &[f64], x: &[f64]) -> f64 {
+    let mut s = init;
+    for (r, v) in row.iter().zip(x) {
+        s += r * v;
+    }
+    s
+}
+
+#[test]
+fn dot_rows_and_dot_cols_match_dot_per_lane_bitwise() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xD07);
+    // Lane counts across the 8/4/2/1 blocking, lengths from empty up.
+    for lanes in 0..=19usize {
+        for n in [0usize, 1, 3, 8, 17] {
+            let rows: Vec<Vec<f64>> = (0..lanes).map(|_| chain_values(n, &mut rng)).collect();
+            let x = chain_values(n, &mut rng);
+            // From 0.0, each lane is bitwise `dot`.
+            let mut acc = vec![0.0; lanes];
+            vecops::dot_rows(&mut acc, &x, |i| &rows[i]);
+            let mut cols = vec![0.0; n * lanes];
+            for (i, r) in rows.iter().enumerate() {
+                for (j, &v) in r.iter().enumerate() {
+                    cols[j * lanes + i] = v;
+                }
+            }
+            let mut acc_cols = vec![0.0; lanes];
+            vecops::dot_cols(&mut acc_cols, &x, &cols);
+            for (i, r) in rows.iter().enumerate() {
+                let want = vecops::dot(r, &x).to_bits();
+                assert_eq!(acc[i].to_bits(), want, "dot_rows lane {i}/{lanes}, n {n}");
+                assert_eq!(
+                    acc_cols[i].to_bits(),
+                    want,
+                    "dot_cols lane {i}/{lanes}, n {n}"
+                );
+            }
+            // From any start, signed zeros included, each lane continues
+            // the scalar chain.
+            let init = chain_values(lanes, &mut rng);
+            let mut acc = init.clone();
+            vecops::dot_rows(&mut acc, &x, |i| &rows[i]);
+            let mut acc_cols = init.clone();
+            vecops::dot_cols(&mut acc_cols, &x, &cols);
+            for (i, r) in rows.iter().enumerate() {
+                let want = chain(init[i], r, &x).to_bits();
+                assert_eq!(
+                    acc[i].to_bits(),
+                    want,
+                    "dot_rows continued lane {i}/{lanes}"
+                );
+                assert_eq!(
+                    acc_cols[i].to_bits(),
+                    want,
+                    "dot_cols continued lane {i}/{lanes}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_split_chain_continues_to_the_whole_dot_bitwise() {
+    // The LSTM gate chain `dot(w, [x; h])`: the `x` part for every row
+    // first, then the `h` part continued in place.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0);
+    for (rows, d, h) in [
+        (16usize, 3usize, 4usize),
+        (20, 5, 5),
+        (64, 32, 16),
+        (9, 1, 7),
+    ] {
+        let w: Vec<Vec<f64>> = (0..rows).map(|_| chain_values(d + h, &mut rng)).collect();
+        let zin = chain_values(d + h, &mut rng);
+        let (x, hp) = zin.split_at(d);
+        let mut acc = vec![0.0; rows];
+        vecops::dot_rows(&mut acc, x, |r| &w[r][..d]);
+        vecops::dot_rows(&mut acc, hp, |r| &w[r][d..]);
+        let mut w_rec = vec![0.0; h * rows];
+        for (r, row) in w.iter().enumerate() {
+            for (j, &v) in row[d..].iter().enumerate() {
+                w_rec[j * rows + r] = v;
+            }
+        }
+        let mut acc_cols = vec![0.0; rows];
+        vecops::dot_rows(&mut acc_cols, x, |r| &w[r][..d]);
+        vecops::dot_cols(&mut acc_cols, hp, &w_rec);
+        for (r, row) in w.iter().enumerate() {
+            let want = vecops::dot(row, &zin).to_bits();
+            assert_eq!(acc[r].to_bits(), want, "dot_rows split, row {r}");
+            assert_eq!(acc_cols[r].to_bits(), want, "dot_cols split, row {r}");
+        }
+    }
+}
+
+/// The word2vec loop the negative-sampling step replaced: each negative
+/// drawn just before its update, each dot product taken against the
+/// output row as it stands then. Returns the words it drew.
+#[allow(clippy::too_many_arguments)]
+fn reference_negative_step(
+    table: &NegativeTable,
+    negatives: usize,
+    output: &mut Mat,
+    input: &[f64],
+    target: u32,
+    lr: f64,
+    rng: &mut rand::rngs::StdRng,
+    grad: &mut [f64],
+    loss: &mut f64,
+) -> Vec<u32> {
+    grad.iter_mut().for_each(|g| *g = 0.0);
+    let mut words = Vec::new();
+    for s in 0..=negatives {
+        let (wo, label) = if s == 0 {
+            (target, 1.0)
+        } else {
+            (table.sample(target, rng), 0.0)
+        };
+        words.push(wo);
+        let orow = output.row_mut(wo as usize);
+        let f = vecops::sigmoid(vecops::dot(orow, input));
+        *loss -= if label > 0.5 {
+            f.max(1e-12).ln()
+        } else {
+            (1.0 - f).max(1e-12).ln()
+        };
+        let g = (label - f) * lr;
+        vecops::axpy(g, orow, grad);
+        vecops::axpy(g, input, orow);
+    }
+    words
+}
+
+fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(got), bits(want), "{what}");
+}
+
+#[test]
+fn negative_step_matches_the_sequential_loop_bitwise() {
+    // Eight equally likely words and five negatives: about one step in
+    // seven draws five distinct negatives (interleaved dots), the rest
+    // repeat a word (sequential dots). A two-word table repeats on every
+    // step with more than one negative.
+    let mut saw = [0usize; 2];
+    for (counts, negatives) in [
+        (vec![9u64; 8], 5usize),
+        (vec![5, 5], 3),
+        (vec![3, 7, 1, 0], 1),
+    ] {
+        let table = NegativeTable::new(&counts);
+        let vocab = counts.len();
+        let dim = 6;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(vocab as u64);
+        let mut output = Mat::from_vec(vocab, dim, chain_values(vocab * dim, &mut rng));
+        let mut want_output = output.clone();
+        let mut step = NegativeStep::new(&table, negatives, dim);
+        let mut want_grad = vec![0.0; dim];
+        let (mut loss, mut want_loss) = (0.0, 0.0);
+        let mut step_rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut want_rng = rand::rngs::StdRng::seed_from_u64(7);
+        for i in 0..300 {
+            let input = chain_values(dim, &mut rng);
+            let target = rng.random_range(0..vocab as u32);
+            let lr = 0.05 + 0.01 * (i % 3) as f64;
+            // Every third step asks for no loss, as `train` does.
+            let report = i % 3 != 0;
+            step.apply(
+                &mut output,
+                &input,
+                target,
+                lr,
+                &mut step_rng,
+                report.then_some(&mut loss),
+            );
+            let mut ref_loss = want_loss;
+            let words = reference_negative_step(
+                &table,
+                negatives,
+                &mut want_output,
+                &input,
+                target,
+                lr,
+                &mut want_rng,
+                &mut want_grad,
+                &mut ref_loss,
+            );
+            if report {
+                want_loss = ref_loss;
+            }
+            let distinct = words
+                .iter()
+                .enumerate()
+                .all(|(k, w)| !words[..k].contains(w));
+            saw[usize::from(distinct)] += 1;
+            assert_same_bits(output.as_slice(), want_output.as_slice(), "output rows");
+            assert_same_bits(step.input_grad(), &want_grad, "input gradient");
+            assert_eq!(loss.to_bits(), want_loss.to_bits(), "loss");
+        }
+        // Same draws, in the same order.
+        assert_eq!(step_rng.random::<u64>(), want_rng.random::<u64>());
+    }
+    assert!(
+        saw[0] > 0 && saw[1] > 0,
+        "duplicate/distinct steps seen: {saw:?}"
+    );
 }
