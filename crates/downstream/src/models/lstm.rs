@@ -685,6 +685,155 @@ mod tests {
         loss
     }
 
+    /// One direction's per-step `(gates, cs, tanh_cs, hs)`.
+    type StepVecs = (Vec<Vec<f64>>, Vec<Vec<f64>>, Vec<Vec<f64>>, Vec<Vec<f64>>);
+
+    /// The step-by-step loop the pass must reproduce bit for bit: one
+    /// timestep and one gate row at a time over `zin = [x_t; h_{t-1}]`,
+    /// fresh vectors per step.
+    fn reference_forward(dir: &LstmDir, xs: &[Vec<f64>]) -> StepVecs {
+        let (h, d) = (dir.h, dir.d);
+        let (mut gs, mut cs, mut tcs, mut hs) = (vec![], vec![], vec![], vec![]);
+        let (mut h_prev, mut c_prev) = (vec![0.0; h], vec![0.0; h]);
+        for x in xs {
+            let zin: Vec<f64> = x.iter().chain(&h_prev).copied().collect();
+            let mut g: Vec<f64> = (0..4 * h)
+                .map(|r| vecops::dot(dir.w.row(r), &zin) + dir.b[r])
+                .collect();
+            let (mut c, mut tc, mut hn) = (vec![0.0; h], vec![0.0; h], vec![0.0; h]);
+            for j in 0..h {
+                let i = vecops::sigmoid(g[j]);
+                let f = vecops::sigmoid(g[h + j]);
+                let gg = g[2 * h + j].tanh();
+                let o = vecops::sigmoid(g[3 * h + j]);
+                (g[j], g[h + j], g[2 * h + j], g[3 * h + j]) = (i, f, gg, o);
+                c[j] = f * c_prev[j] + i * gg;
+                tc[j] = c[j].tanh();
+                hn[j] = o * tc[j];
+            }
+            assert_eq!(zin.len(), d + h);
+            (h_prev, c_prev) = (hn.clone(), c.clone());
+            gs.push(g);
+            cs.push(c);
+            tcs.push(tc);
+            hs.push(hn);
+        }
+        (gs, cs, tcs, hs)
+    }
+
+    /// Backpropagation through time in the same step-by-step order:
+    /// `t` descending, each row's `axpy` over `zin` as `t` goes.
+    fn reference_backward(
+        dir: &LstmDir,
+        xs: &[Vec<f64>],
+        fw: &StepVecs,
+        dhs: &[Vec<f64>],
+    ) -> (Mat, Vec<f64>) {
+        let (gates, cs, tanh_cs, hs) = fw;
+        let (h, d) = (dir.h, dir.d);
+        let mut gw = Mat::zeros(4 * h, d + h);
+        let mut gb = vec![0.0; 4 * h];
+        let (mut dh_rec, mut dc_rec) = (vec![0.0; h], vec![0.0; h]);
+        for t in (0..xs.len()).rev() {
+            let (g, tc) = (&gates[t], &tanh_cs[t]);
+            let mut da = vec![0.0; 4 * h];
+            for j in 0..h {
+                let dh_tot = dhs[t][j] + dh_rec[j];
+                let (i, f, gg, o) = (g[j], g[h + j], g[2 * h + j], g[3 * h + j]);
+                let dc_tot = dc_rec[j] + dh_tot * o * (1.0 - tc[j] * tc[j]);
+                let cp = if t == 0 { 0.0 } else { cs[t - 1][j] };
+                da[j] = dc_tot * gg * i * (1.0 - i);
+                da[h + j] = dc_tot * cp * f * (1.0 - f);
+                da[2 * h + j] = dc_tot * i * (1.0 - gg * gg);
+                da[3 * h + j] = dh_tot * tc[j] * o * (1.0 - o);
+                dc_rec[j] = dc_tot * f;
+            }
+            let h_prev = if t == 0 {
+                vec![0.0; h]
+            } else {
+                hs[t - 1].clone()
+            };
+            let zin: Vec<f64> = xs[t].iter().chain(&h_prev).copied().collect();
+            dh_rec = vec![0.0; h];
+            for (r, &da_r) in da.iter().enumerate() {
+                if da_r != 0.0 {
+                    vecops::axpy(da_r, &zin, gw.row_mut(r));
+                    gb[r] += da_r;
+                    vecops::axpy(da_r, &dir.w.row(r)[d..], &mut dh_rec);
+                }
+            }
+        }
+        (gw, gb)
+    }
+
+    #[test]
+    fn pass_matches_the_step_by_step_loop_bitwise() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for (d, h, t_len) in [(3usize, 4usize, 5usize), (5, 5, 9), (16, 8, 17), (1, 3, 1)] {
+            let core = BiLstmCore::new(d, h, N_TAGS, &mut rng);
+            let mut xs: Vec<Vec<f64>> = (0..t_len)
+                .map(|_| Mat::random_normal(1, d, &mut rng).into_vec())
+                .collect();
+            // A dropped word, and signed zeros inside a vector.
+            xs[t_len / 2].iter_mut().for_each(|v| *v = 0.0);
+            xs[0][0] = -0.0;
+            let tags: Vec<u8> = (0..t_len).map(|t| (t % N_TAGS) as u8).collect();
+            let mut s = Scratch::new();
+            s.xs = xs.concat();
+            core.emissions(&mut s);
+            let mut d_emis = Mat::zeros(0, 0);
+            softmax_ce(&s.emis, &tags, &mut d_emis);
+            let mut grads = CoreGrads::new(&core);
+            core.backward(&mut s, &d_emis, &mut grads);
+
+            let rev: Vec<Vec<f64>> = xs.iter().rev().cloned().collect();
+            let fw = reference_forward(&core.fwd, &xs);
+            let bw = reference_forward(&core.bwd, &rev);
+            let mut want_emis = Mat::zeros(t_len, N_TAGS);
+            let mut gout = Mat::zeros(N_TAGS, 2 * h);
+            let mut gbout = [0.0; N_TAGS];
+            let (mut dh_f, mut dh_b) = (vec![vec![0.0; h]; t_len], vec![vec![0.0; h]; t_len]);
+            for t in 0..t_len {
+                let concat: Vec<f64> = fw.3[t]
+                    .iter()
+                    .chain(&bw.3[t_len - 1 - t])
+                    .copied()
+                    .collect();
+                for k in 0..N_TAGS {
+                    want_emis[(t, k)] = vecops::dot(core.w_out.row(k), &concat) + core.b_out[k];
+                    let dl = d_emis[(t, k)];
+                    if dl == 0.0 {
+                        continue;
+                    }
+                    vecops::axpy(dl, &concat, gout.row_mut(k));
+                    gbout[k] += dl;
+                    let wrow = core.w_out.row(k);
+                    vecops::axpy(dl, &wrow[..h], &mut dh_f[t]);
+                    vecops::axpy(dl, &wrow[h..], &mut dh_b[t_len - 1 - t]);
+                }
+            }
+            let (gwf, gbf) = reference_backward(&core.fwd, &xs, &fw, &dh_f);
+            let (gwb, gbb) = reference_backward(&core.bwd, &rev, &bw, &dh_b);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let shape = format!("d {d}, h {h}, T {t_len}");
+            assert_eq!(
+                bits(s.emis.as_slice()),
+                bits(want_emis.as_slice()),
+                "emissions, {shape}"
+            );
+            for (name, got, want) in [
+                ("fwd w", grads.wf.as_slice(), gwf.as_slice()),
+                ("fwd b", &grads.bf[..], &gbf[..]),
+                ("bwd w", grads.wb.as_slice(), gwb.as_slice()),
+                ("bwd b", &grads.bb[..], &gbb[..]),
+                ("w_out", grads.wout.as_slice(), gout.as_slice()),
+                ("b_out", &grads.bout[..], &gbout[..]),
+            ] {
+                assert_eq!(bits(got), bits(want), "{name} gradient, {shape}");
+            }
+        }
+    }
+
     #[test]
     fn lstm_gradient_check() {
         // Finite differences through the full BiLSTM + softmax CE loss for
