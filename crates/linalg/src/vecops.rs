@@ -73,10 +73,11 @@ fn row_chains<'a, const N: usize>(acc: &mut [f64], x: &[f64], row: impl Fn(usize
 /// [`dot_rows`] over the columns of `cols`, a row-major
 /// `x.len() x acc.len()` matrix: entry `i` adds `cols[j][i] * x[j]` for
 /// `j` left to right. Each chain is bitwise [`dot`] of column `i` and
-/// `x`, continued from `acc[i]` as in [`dot_rows`] (products commute
-/// exactly). A row of `cols` holds eight chains' operands side by side,
-/// so they load as vectors; this is the layout of a transposed weight
-/// matrix, or of a sentence's inputs with the tokens as columns.
+/// `x`, continued from `acc[i]` as in [`dot_rows`] (a product's bits do
+/// not depend on its operands' order, NaN payloads aside). A row of
+/// `cols` holds eight chains' operands side by side, so they load as
+/// vectors; this is the layout of a transposed weight matrix, or of a
+/// sentence's inputs with the tokens as columns.
 ///
 /// # Panics
 ///
