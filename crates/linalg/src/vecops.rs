@@ -187,15 +187,16 @@ pub fn sq_distance(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-/// Numerically stable logistic sigmoid.
+/// Numerically stable logistic sigmoid: `1 / (1 + e^-x)` for `x >= 0`,
+/// `e^x / (1 + e^x)` below. Both forms share one `e = exp(-|x|)` and
+/// differ only in the numerator, so choosing the numerator gives the two
+/// branches' bits without a branch: gate activations take either sign
+/// at random, and a mispredicted branch per call nearly doubled its cost.
 #[inline]
 pub fn sigmoid(x: f64) -> f64 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
+    let e = (-x.abs()).exp();
+    let num = if x >= 0.0 { 1.0 } else { e };
+    num / (1.0 + e)
 }
 
 /// Log-sum-exp of a slice; `-inf` for an empty slice.
@@ -234,6 +235,41 @@ mod tests {
         assert_eq!(cosine_similarity(&[0.0, 0.0], &[1.0, 0.0]), 0.0);
         assert!((cosine_similarity(&[1.0, 0.0], &[1.0, 0.0]) - 1.0).abs() < 1e-12);
         assert!((cosine_distance(&[1.0, 0.0], &[-1.0, 0.0]) - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sigmoid_matches_the_two_branch_form_bitwise() {
+        let two_branch = |x: f64| {
+            if x >= 0.0 {
+                1.0 / (1.0 + (-x).exp())
+            } else {
+                let e = x.exp();
+                e / (1.0 + e)
+            }
+        };
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            5e-324,
+            -5e-324,
+        ];
+        xs.extend([
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            745.0,
+            -745.0,
+        ]);
+        for i in 0..4000 {
+            let x = (i as f64 - 2000.0) * 0.0173;
+            xs.extend([x, x * 1e-9, x * 41.0]);
+        }
+        for x in xs {
+            assert_eq!(sigmoid(x).to_bits(), two_branch(x).to_bits(), "x = {x:e}");
+        }
     }
 
     #[test]
