@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks for the performance-facing kernels behind
-//! every experiment: GEMM, SVD, quantization, co-occurrence counting, the
+//! every experiment: GEMM, SVD, quantization, corpus generation,
+//! co-occurrence counting, the
 //! embedding distance measures, serve's batched nearest-neighbor query,
 //! the retrain step's ingest, PPMI refresh and gate score, and downstream
 //! training.
@@ -86,6 +87,25 @@ fn bench_quantization(c: &mut Criterion) {
             bench.iter(|| black_box(quantize(&emb, Precision::new(bits), None)));
         });
     }
+}
+
+fn bench_generate(c: &mut Criterion) {
+    // The Small world's corpus: a 1000-word, 160-dim latent model and
+    // 200k tokens (about 5000 documents, planned serially and sampled on
+    // the pool).
+    let model = LatentModel::new(&LatentModelConfig {
+        vocab_size: 1000,
+        latent_dim: 160,
+        n_topics: 20,
+        ..Default::default()
+    });
+    let config = CorpusConfig {
+        n_tokens: 200_000,
+        ..Default::default()
+    };
+    c.bench_function("generate_corpus_small", |bench| {
+        bench.iter(|| black_box(model.generate_corpus(&config)));
+    });
 }
 
 fn bench_cooccurrence(c: &mut Criterion) {
@@ -296,7 +316,8 @@ fn bench_training(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_gemm, bench_svd, bench_quantization, bench_cooccurrence,
-              bench_measures, bench_nearest, bench_retrain, bench_training
+    targets = bench_gemm, bench_svd, bench_quantization, bench_generate,
+              bench_cooccurrence, bench_measures, bench_nearest, bench_retrain,
+              bench_training
 }
 criterion_main!(benches);

@@ -3,7 +3,7 @@
 use rand::{Rng, RngExt, SeedableRng};
 
 use crate::codec::{self, Fnv64};
-use crate::latent::{DriftConfig, LatentModel, LatentModelConfig};
+use crate::latent::{DocPlan, DriftConfig, LatentModel, LatentModelConfig};
 
 /// Configuration for sampling one corpus from a [`LatentModel`].
 #[derive(Clone, Debug)]
@@ -167,6 +167,14 @@ impl LatentModel {
     /// corpora are not rank-K), which the paper's eigenspace measures rely
     /// on.
     ///
+    /// Generation is split in two (see [`LatentModel::sample_documents`]).
+    /// A serial plan walks the seeded stream and draws each document's
+    /// length, topics and noise; the words, which hold almost all the
+    /// cost, are then sampled on the worker pool. Every word takes
+    /// exactly one draw, so the plan knows where each document's words
+    /// start, and the corpus is bitwise that of drawing the documents in
+    /// turn, at any pool width.
+    ///
     /// # Panics
     ///
     /// Panics if `topics_per_doc` is zero or exceeds the model's topic count.
@@ -178,28 +186,28 @@ impl LatentModel {
         );
         let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
         let d = self.word_vecs.cols();
-        let mut docs = Vec::new();
         let mut total = 0usize;
         let lo = (config.doc_len_mean / 2).max(2);
         let hi = config.doc_len_mean + config.doc_len_mean / 2;
-        while total < config.n_tokens {
+        let docs = self.sample_documents(config.temperature, &mut rng, |rng| {
+            if total >= config.n_tokens {
+                return None;
+            }
             let len = rng.random_range(lo..=hi.max(lo));
-            let (topics, weights) = sample_doc_mixture(self, config.topics_per_doc, &mut rng);
+            let (topics, weights) = sample_doc_mixture(self, config.topics_per_doc, rng);
             // Document vector: topic mixture plus fixed-norm latent noise.
             let mut h = vec![0.0; d];
             for (&k, &w) in topics.iter().zip(&weights) {
                 embedstab_linalg::vecops::axpy(w, self.topic_centers.row(k), &mut h);
             }
             if config.doc_noise > 0.0 {
-                let mut g = embedstab_linalg::Mat::random_normal(1, d, &mut rng).into_vec();
+                let mut g = embedstab_linalg::Mat::random_normal(1, d, rng).into_vec();
                 embedstab_linalg::vecops::normalize(&mut g);
                 embedstab_linalg::vecops::axpy(config.doc_noise, &g, &mut h);
             }
-            let sampler = self.word_sampler(&h, config.temperature);
-            let doc = sampler.sample_many(len, &mut rng);
-            total += doc.len();
-            docs.push(doc);
-        }
+            total += len;
+            Some(DocPlan::reserve(h, len, rng))
+        });
         Corpus {
             docs,
             n_tokens: total,

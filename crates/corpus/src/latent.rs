@@ -1,6 +1,7 @@
 //! The latent semantic ground truth behind the synthetic corpora.
 
-use embedstab_linalg::{vecops, Mat};
+use embedstab_linalg::{pool, vecops, Mat};
+use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 
 use crate::alias::AliasTable;
@@ -186,12 +187,14 @@ impl LatentModel {
         );
         assert!(tau > 0.0, "temperature must be positive");
         let n = self.config.vocab_size;
-        let mut logits = Vec::with_capacity(n);
+        // Each logit is bitwise `dot(word_vecs.row(w), h)`, eight chains
+        // side by side rather than one after another.
+        let mut logits = vec![0.0; n];
+        vecops::dot_rows(&mut logits, h, |w| self.word_vecs.row(w));
         let mut max_logit = f64::NEG_INFINITY;
-        for w in 0..n {
-            let l = vecops::dot(self.word_vecs.row(w), h) / tau;
-            max_logit = max_logit.max(l);
-            logits.push(l);
+        for l in logits.iter_mut() {
+            *l /= tau;
+            max_logit = max_logit.max(*l);
         }
         let mut cumulative = Vec::with_capacity(n);
         let mut total = 0.0;
@@ -200,6 +203,42 @@ impl LatentModel {
             cumulative.push(total);
         }
         WordSampler { cumulative, total }
+    }
+
+    /// Generates documents in two phases: a serial plan and a parallel
+    /// sampling of the planned words.
+    ///
+    /// `plan` is called on the live `rng` until it returns `None`. Each
+    /// call makes the document's draws in the generator's own order and
+    /// ends its word draws with [`DocPlan::reserve`], which records where
+    /// they start and advances `rng` past them. The planned documents are
+    /// then sampled on the worker pool, each from its recorded stream, so
+    /// the result is bitwise that of drawing every document in turn, at
+    /// any pool width. Plans are taken in batches of `PLAN_BATCH`, which
+    /// bounds the document vectors held at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a plan's vector does not have `latent_dim` entries or
+    /// `tau <= 0` (see [`LatentModel::word_sampler`]).
+    pub fn sample_documents(
+        &self,
+        tau: f64,
+        rng: &mut StdRng,
+        mut plan: impl FnMut(&mut StdRng) -> Option<DocPlan>,
+    ) -> Vec<Vec<u32>> {
+        let mut docs = Vec::new();
+        loop {
+            let batch: Vec<DocPlan> = std::iter::from_fn(|| plan(rng)).take(PLAN_BATCH).collect();
+            let done = batch.len() < PLAN_BATCH;
+            docs.extend(pool::parallel_map(&batch, |p| {
+                let mut rng = p.rng.clone();
+                self.word_sampler(&p.h, tau).sample_many(p.len, &mut rng)
+            }));
+            if done {
+                return docs;
+            }
+        }
     }
 
     /// Ground-truth cosine similarity between two words' latent vectors.
@@ -346,6 +385,38 @@ impl LatentModel {
     }
 }
 
+/// How many documents [`LatentModel::sample_documents`] plans before it
+/// samples them: at Paper scale the planned vectors stay near 2 MB.
+const PLAN_BATCH: usize = 256;
+
+/// One planned document: its vector, its length, and the random stream
+/// its words are drawn from (see [`LatentModel::sample_documents`]).
+#[derive(Clone, Debug)]
+pub struct DocPlan {
+    h: Vec<f64>,
+    len: usize,
+    rng: StdRng,
+}
+
+impl DocPlan {
+    /// Plans `len` words around the document vector `h`, drawn from the
+    /// next `len` outputs of `rng`, and advances `rng` past them.
+    ///
+    /// This leaves `rng` where drawing the words in place would have:
+    /// [`WordSampler::sample`] takes exactly one `next_u64` per word.
+    pub fn reserve(h: Vec<f64>, len: usize, rng: &mut StdRng) -> DocPlan {
+        let plan = DocPlan {
+            h,
+            len,
+            rng: rng.clone(),
+        };
+        for _ in 0..len {
+            rng.next_u64();
+        }
+        plan
+    }
+}
+
 /// A cumulative-distribution sampler over the vocabulary for one document
 /// vector (see [`LatentModel::word_sampler`]).
 #[derive(Clone, Debug)]
@@ -355,7 +426,8 @@ pub struct WordSampler {
 }
 
 impl WordSampler {
-    /// Draws one word id.
+    /// Draws one word id, taking exactly one `next_u64` from `rng`
+    /// ([`DocPlan::reserve`] relies on it).
     pub fn sample(&self, rng: &mut impl Rng) -> u32 {
         let u: f64 = rng.random_range(0.0..self.total);
         let idx = self.cumulative.partition_point(|&c| c <= u);
@@ -536,6 +608,58 @@ mod tests {
         let mut corrupt = bytes;
         corrupt[6 * 8..7 * 8].copy_from_slice(&1e-300f64.to_le_bytes());
         assert!(LatentModel::decode_from(&mut corrupt.as_slice()).is_none());
+    }
+
+    #[test]
+    fn sample_many_takes_one_draw_per_word() {
+        let m = small_model();
+        let sampler = m.word_sampler(&vec![0.3; m.config().latent_dim], 1.0);
+        for len in [0usize, 1, 37] {
+            let mut rng = StdRng::seed_from_u64(len as u64);
+            let mut skipped = rng.clone();
+            assert_eq!(sampler.sample_many(len, &mut rng).len(), len);
+            for _ in 0..len {
+                skipped.next_u64();
+            }
+            assert_eq!(rng.next_u64(), skipped.next_u64(), "len {len}");
+        }
+    }
+
+    #[test]
+    fn planned_documents_match_drawing_them_in_turn() {
+        // Enough documents to cross several plan batches, with a draw
+        // after each document's words, as the sentiment generator makes.
+        let m = small_model();
+        let d = m.config().latent_dim;
+        let n_docs = 2 * PLAN_BATCH + 37;
+        let draw_doc = |rng: &mut StdRng| {
+            let h = Mat::random_normal(1, d, rng).into_vec();
+            let len = rng.random_range(0..9usize);
+            (h, len)
+        };
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut serial = Vec::new();
+        for _ in 0..n_docs {
+            let (h, len) = draw_doc(&mut rng);
+            serial.push(m.word_sampler(&h, 0.8).sample_many(len, &mut rng));
+            rng.next_u64();
+        }
+        let serial_next = rng.next_u64();
+
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut planned = 0;
+        let docs = m.sample_documents(0.8, &mut rng, |rng| {
+            if planned == n_docs {
+                return None;
+            }
+            planned += 1;
+            let (h, len) = draw_doc(rng);
+            let plan = DocPlan::reserve(h, len, rng);
+            rng.next_u64();
+            Some(plan)
+        });
+        assert_eq!(docs, serial);
+        assert_eq!(rng.next_u64(), serial_next);
     }
 
     #[test]

@@ -45,6 +45,6 @@ pub use cooc::{Cooc, CoocConfig, CoocError};
 pub use generate::{
     corpus_state_fingerprint, Corpus, CorpusConfig, TemporalPair, TemporalPairConfig,
 };
-pub use latent::{DriftConfig, LatentModel, LatentModelConfig};
+pub use latent::{DocPlan, DriftConfig, LatentModel, LatentModelConfig};
 pub use ppmi::{ppmi, SparseMatrix};
 pub use vocab::Vocab;

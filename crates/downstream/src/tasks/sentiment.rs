@@ -11,7 +11,7 @@
 //! label noise, giving the spread of task difficulty the paper's four
 //! datasets exhibit.
 
-use embedstab_corpus::{codec, LatentModel};
+use embedstab_corpus::{codec, DocPlan, LatentModel};
 use embedstab_linalg::{vecops, Mat};
 use rand::{RngExt, SeedableRng};
 
@@ -195,6 +195,14 @@ impl SentimentSpec {
     /// Generates the dataset from a latent model (deterministic given the
     /// spec).
     ///
+    /// Generation is split in two (see [`LatentModel::sample_documents`]).
+    /// A serial plan walks the seeded stream and draws each sentence's
+    /// vector, length and label noise; the words, which hold almost all
+    /// the cost, are then sampled on the worker pool. Every word takes
+    /// exactly one draw, so the plan skips a sentence's words to reach its
+    /// label-noise draw, and the dataset is bitwise that of drawing the
+    /// sentences in turn, at any pool width.
+    ///
     /// # Panics
     ///
     /// Panics if the length range is empty or inverted.
@@ -214,25 +222,31 @@ impl SentimentSpec {
         let strength = self.strength * (d as f64 / 16.0).sqrt();
 
         let total = self.n_train + self.n_valid + self.n_test;
-        let mut examples = Vec::with_capacity(total);
-        for i in 0..total {
-            let label = i % 2 == 0; // balanced labels
+        let mut labels = Vec::with_capacity(total);
+        let sentences = model.sample_documents(self.temperature, &mut rng, |rng| {
+            if labels.len() == total {
+                return None;
+            }
+            let label = labels.len() % 2 == 0; // balanced labels
             let sign = if label { 1.0 } else { -1.0 };
-            let noise = Mat::random_normal(1, d, &mut rng);
+            let noise = Mat::random_normal(1, d, rng);
             let h: Vec<f64> = (0..d)
                 .map(|j| sign * strength * beta[j] + self.doc_noise * noise[(0, j)])
                 .collect();
             let len = rng.random_range(self.len_range.0..=self.len_range.1);
-            let tokens = model
-                .word_sampler(&h, self.temperature)
-                .sample_many(len, &mut rng);
-            let label = if rng.random::<f64>() < self.label_noise {
+            let plan = DocPlan::reserve(h, len, rng);
+            labels.push(if rng.random::<f64>() < self.label_noise {
                 !label
             } else {
                 label
-            };
-            examples.push(SentimentExample { tokens, label });
-        }
+            });
+            Some(plan)
+        });
+        let mut examples: Vec<SentimentExample> = sentences
+            .into_iter()
+            .zip(labels)
+            .map(|(tokens, label)| SentimentExample { tokens, label })
+            .collect();
         crate::nn::shuffle(&mut examples, &mut rng);
         let mut valid = examples.split_off(self.n_train);
         let test = valid.split_off(self.n_valid);

@@ -3,10 +3,11 @@
 //! Everything that runs on more than one core goes through the two
 //! calls here: [`parallel_map`] for a list of independent items (the
 //! embedding grid, the downstream rows, the row blocks of a GEMM, the row
-//! ranges of a sparse product or a PPMI refresh) and [`join`] for two
-//! independent lanes (the retrain step's training lane beside its gate
-//! reference). Workers are scoped threads started per call; there is no
-//! standing pool to configure or shut down.
+//! ranges of a sparse product or a PPMI refresh, the planned documents of
+//! a corpus or dataset) and [`join`] for two independent lanes (the
+//! retrain step's training lane beside its gate reference). Workers are
+//! scoped threads started per call; there is no standing pool to
+//! configure or shut down.
 //!
 //! **Width.** [`THREADS_ENV`] (`EMBEDSTAB_THREADS`) sets the worker count
 //! of every call; unset, it is the detected parallelism. It is read once
