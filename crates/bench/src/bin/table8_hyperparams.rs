@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 use embedstab_bench::{setup, standard_rows, GridArgs};
-use embedstab_core::measures::{EisMeasure, KnnMeasure};
+use embedstab_core::measures::{left_singular_basis_with, EisMeasure, KnnMeasure, SvdMethod};
 use embedstab_core::stats;
 use embedstab_embeddings::Algo;
 use embedstab_linalg::Svd;
@@ -47,8 +47,8 @@ fn main() {
                     let m = top_m.min(q17.vocab_size());
                     let q17 = q17.top_rows(m);
                     let q18 = q18.top_rows(m);
-                    let ux = q17.mat().svd().u_rank(1e-10);
-                    let uy = q18.mat().svd().u_rank(1e-10);
+                    let ux = left_singular_basis_with(q17.mat(), SvdMethod::Auto);
+                    let uy = left_singular_basis_with(q18.mat(), SvdMethod::Auto);
                     bases.push((algo, seed, dim, prec, q17, q18, ux, uy));
                 }
             }

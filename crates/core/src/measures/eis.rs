@@ -4,7 +4,7 @@
 use embedstab_embeddings::Embedding;
 use embedstab_linalg::{Mat, SvdMethod};
 
-use super::{left_singular_basis, left_singular_basis_with, DistanceMeasure};
+use super::{left_singular_basis, left_singular_basis_with, DistanceMeasure, RANK_TOL};
 
 /// The eigenspace instability measure
 /// `EI_Sigma(X, X~) = tr((U U^T + U~ U~^T - 2 U~ U~^T U U^T) Sigma) / tr(Sigma)`
@@ -164,7 +164,7 @@ impl DistanceMeasure for EisMeasure {
 
 /// Returns `(U diag(s^alpha), sum s^{2 alpha})` for a rank-truncated SVD.
 fn weighted_left_basis(svd: &embedstab_linalg::Svd, alpha: f64) -> (Mat, f64) {
-    let rank = svd.rank(1e-10);
+    let rank = svd.rank(RANK_TOL);
     let mut z = svd.u.truncate_cols(rank);
     let mut trace = 0.0;
     for j in 0..rank {

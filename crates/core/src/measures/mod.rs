@@ -19,7 +19,7 @@ pub use overlap::{overlap_distance_from_bases, EigenspaceOverlap};
 pub use pip::PipLoss;
 
 use embedstab_embeddings::Embedding;
-use embedstab_linalg::Mat;
+use embedstab_linalg::{pool, Mat, Svd};
 pub use embedstab_linalg::{RandomizedSvd, SvdMethod};
 use serde::{Deserialize, Serialize};
 
@@ -104,26 +104,74 @@ impl MeasureValues {
     }
 }
 
+/// The paper's EIS eigenvalue exponent (tuned in Appendix D.3).
+pub const EIS_ALPHA: f64 = 3.0;
+
+/// The paper's neighbour count for the k-NN measure (Appendix D.3).
+pub const KNN_K: usize = 5;
+
+/// The paper's number of k-NN query words (capped at the vocabulary).
+const KNN_QUERIES: usize = 1000;
+
+/// Rank truncation of the eigenspace bases (relative to the top singular value).
+const RANK_TOL: f64 = 1e-10;
+
 /// Computes all five measures for embedding pairs while sharing the
 /// expensive SVD work between the eigenspace-based measures.
 ///
-/// The suite owns the EIS reference embeddings (the paper uses the
-/// highest-dimensional full-precision Wiki'17/Wiki'18 embeddings as `E` and
-/// `E~`) and the k-NN query sampling configuration.
+/// [`MeasureSuite::reference`] holds what depends on the left embedding
+/// `x` alone, and [`MeasureSuite::score`] scores one `y` against it, so a
+/// caller comparing many embeddings with one `x` (the serving gate) pays
+/// for `x` once. [`MeasureSuite::compute_all`] is the two in turn.
 #[derive(Clone, Debug)]
 pub struct MeasureSuite {
-    eis: EisMeasure,
+    eis: EisAnchor,
     knn: KnnMeasure,
+}
+
+/// Where EIS takes its reference embeddings `E` and `E~` from.
+#[derive(Clone, Debug)]
+enum EisAnchor {
+    /// Fixed references: the paper's highest-dimensional full-precision
+    /// '17/'18 pair (the offline sweep).
+    Fixed(EisMeasure),
+    /// The scored pair `(x, y)` itself, built from the two SVDs the score
+    /// computes anyway (the serving gate, which has only the live snapshot
+    /// to anchor on). Its scores track the fixed anchor's but are not on an
+    /// identical numeric scale: calibrate a ceiling on observed scores of
+    /// this anchor (e.g. a dry-run known-good retrain, plus headroom), not
+    /// on sweep values.
+    Pair { alpha: f64 },
+}
+
+/// The reference side of a score, computed once per left embedding `x`:
+/// its SVD, its rank-truncated left basis, and its k-NN neighbour lists.
+#[derive(Clone, Debug)]
+pub struct MeasureReference {
+    svd: Svd,
+    basis: Mat,
+    neighbors: Vec<Vec<u32>>,
 }
 
 impl MeasureSuite {
     /// Creates a suite with EIS references `e17`/`e18`, EIS exponent
-    /// `alpha` (paper default 3), and the k-NN measure at its paper
-    /// defaults (`k = 5`, 1000 queries) seeded by `knn_seed`.
+    /// `alpha` (paper default [`EIS_ALPHA`]), and the k-NN measure at its
+    /// paper defaults ([`KNN_K`], 1000 queries) seeded by `knn_seed`.
     pub fn new(e17: &Embedding, e18: &Embedding, alpha: f64, knn_seed: u64) -> Self {
         MeasureSuite {
-            eis: EisMeasure::new(e17, e18, alpha),
-            knn: KnnMeasure::new(5, 1000, knn_seed),
+            eis: EisAnchor::Fixed(EisMeasure::new(e17, e18, alpha)),
+            knn: KnnMeasure::new(KNN_K, KNN_QUERIES, knn_seed),
+        }
+    }
+
+    /// Like [`MeasureSuite::new`], but EIS is anchored on each scored pair
+    /// itself: a score is bitwise `MeasureSuite::new(x, y, alpha,
+    /// knn_seed).compute_all(x, y)`, without decomposing either side
+    /// twice. Its EIS is on its own scale (see `EisAnchor::Pair`).
+    pub fn pair_anchored(alpha: f64, knn_seed: u64) -> Self {
+        MeasureSuite {
+            eis: EisAnchor::Pair { alpha },
+            knn: KnnMeasure::new(KNN_K, KNN_QUERIES, knn_seed),
         }
     }
 
@@ -133,27 +181,83 @@ impl MeasureSuite {
         self
     }
 
-    /// Computes all five measures for the pair `(x, y)`.
+    /// The reference side of every score against `x`: its k-NN neighbour
+    /// lists beside its SVD, on the worker pool.
     ///
     /// # Panics
     ///
-    /// Panics if the embeddings have different vocabulary sizes or their
-    /// vocabulary size differs from the EIS references'.
-    pub fn compute_all(&self, x: &Embedding, y: &Embedding) -> MeasureValues {
+    /// Panics if `x` has fewer than 2 words.
+    pub fn reference(&self, x: &Embedding) -> MeasureReference {
+        let (neighbors, svd) = pool::join(|| self.knn.neighbors(x), || x.mat().svd());
+        MeasureReference {
+            basis: svd.u_rank(RANK_TOL),
+            svd,
+            neighbors,
+        }
+    }
+
+    /// Computes all five measures for the pair `(x, y)` given `x`'s
+    /// [`MeasureSuite::reference`]. The k-NN search takes the calling
+    /// thread, where its query tiles may still split across the pool;
+    /// `y`'s SVD and the spectral measures run beside it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the embeddings have different vocabulary sizes, their
+    /// vocabulary size differs from fixed EIS references', or
+    /// `reference` was not computed from an embedding of `x`'s shape.
+    pub fn score(
+        &self,
+        x: &Embedding,
+        reference: &MeasureReference,
+        y: &Embedding,
+    ) -> MeasureValues {
         assert_eq!(
             x.vocab_size(),
             y.vocab_size(),
             "embeddings must share a vocabulary"
         );
-        let ux = left_singular_basis(x.mat());
-        let uy = left_singular_basis(y.mat());
+        let (knn_dist, spectral) = pool::join(
+            || 1.0 - self.knn.overlap_from_neighbors(&reference.neighbors, y),
+            || {
+                let svd_y = y.mat().svd();
+                let uy = svd_y.u_rank(RANK_TOL);
+                let eis = match &self.eis {
+                    EisAnchor::Fixed(eis) => eis.distance_from_bases(&reference.basis, &uy),
+                    EisAnchor::Pair { alpha } => EisMeasure::from_reference_svds(
+                        &reference.svd,
+                        &svd_y,
+                        x.vocab_size(),
+                        *alpha,
+                    )
+                    .distance_from_bases(&reference.basis, &uy),
+                };
+                [
+                    eis,
+                    SemanticDisplacement.distance(x, y),
+                    PipLoss.distance(x, y),
+                    overlap_distance_from_bases(&reference.basis, &uy),
+                ]
+            },
+        );
+        let [eis, semantic_displacement, pip_loss, overlap_dist] = spectral;
         MeasureValues {
-            eis: self.eis.distance_from_bases(&ux, &uy),
-            knn_dist: self.knn.distance(x, y),
-            semantic_displacement: SemanticDisplacement.distance(x, y),
-            pip_loss: PipLoss.distance(x, y),
-            overlap_dist: overlap::overlap_distance_from_bases(&ux, &uy),
+            eis,
+            knn_dist,
+            semantic_displacement,
+            pip_loss,
+            overlap_dist,
         }
+    }
+
+    /// Computes all five measures for the pair `(x, y)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the embeddings have different vocabulary sizes or their
+    /// vocabulary size differs from fixed EIS references'.
+    pub fn compute_all(&self, x: &Embedding, y: &Embedding) -> MeasureValues {
+        self.score(x, &self.reference(x), y)
     }
 }
 
@@ -168,7 +272,7 @@ pub(crate) fn left_singular_basis(m: &Mat) -> Mat {
 /// kernel-conformance tests share: swapping the backend here must not
 /// change any measure value beyond roundoff.
 pub fn left_singular_basis_with(m: &Mat, method: SvdMethod) -> Mat {
-    m.svd_with(method).u_rank(1e-10)
+    m.svd_with(method).u_rank(RANK_TOL)
 }
 
 #[cfg(test)]
@@ -198,6 +302,50 @@ mod tests {
         let vals = suite.compute_all(&x, &y);
         for kind in MeasureKind::ALL {
             assert!(vals.get(kind) > 0.0, "{kind} should be positive");
+        }
+    }
+
+    fn bits(v: MeasureValues) -> [u64; 5] {
+        MeasureKind::ALL.map(|kind| v.get(kind).to_bits())
+    }
+
+    #[test]
+    fn pair_anchored_score_is_bitwise_the_suite_anchored_on_the_pair() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+        // 40 rows take the exact SVD, 300 the randomized one.
+        for (n, d) in [(40, 6), (300, 8)] {
+            let x = Embedding::new(Mat::random_normal(n, d, &mut rng));
+            let mut noisy = x.mat().clone();
+            noisy.axpy(0.3, &Mat::random_normal(n, d, &mut rng));
+            let y = Embedding::new(noisy);
+            let suite = MeasureSuite::pair_anchored(3.0, 0);
+            let split = suite.score(&x, &suite.reference(&x), &y);
+            let one_shot = MeasureSuite::new(&x, &y, 3.0, 0)
+                .with_knn(KnnMeasure::new(5, 1000, 0))
+                .compute_all(&x, &y);
+            assert_eq!(bits(split), bits(one_shot), "n {n}, d {d}");
+            assert!(split.eis > 0.0);
+        }
+    }
+
+    #[test]
+    fn one_reference_scores_each_candidate_as_compute_all() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let e = |rng: &mut rand::rngs::StdRng| Embedding::new(Mat::random_normal(50, 5, rng));
+        let (e17, e18, x) = (e(&mut rng), e(&mut rng), e(&mut rng));
+        let candidates = [e(&mut rng), e(&mut rng)];
+        for suite in [
+            MeasureSuite::new(&e17, &e18, 3.0, 7).with_knn(KnnMeasure::new(3, 20, 7)),
+            MeasureSuite::pair_anchored(2.0, 1),
+        ] {
+            let reference = suite.reference(&x);
+            let scores = candidates
+                .each_ref()
+                .map(|y| suite.score(&x, &reference, y));
+            assert_ne!(bits(scores[0]), bits(scores[1]));
+            for (y, score) in candidates.iter().zip(scores) {
+                assert_eq!(bits(score), bits(suite.compute_all(&x, y)));
+            }
         }
     }
 

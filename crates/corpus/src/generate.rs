@@ -1,5 +1,7 @@
 //! Corpus generation from a latent model, and the temporal corpus pair.
 
+use std::sync::Arc;
+
 use rand::{Rng, RngExt, SeedableRng};
 
 use crate::codec::{self, Fnv64};
@@ -261,10 +263,11 @@ pub struct TemporalPair {
     pub model17: LatentModel,
     /// The '18 model: the base model after [`DriftConfig`] perturbation.
     pub model18: LatentModel,
-    /// Corpus sampled from the '17 model.
-    pub corpus17: Corpus,
+    /// Corpus sampled from the '17 model, shared with the statistics
+    /// counted from it.
+    pub corpus17: Arc<Corpus>,
     /// Corpus sampled from the '18 model (re-seeded, optionally larger).
-    pub corpus18: Corpus,
+    pub corpus18: Arc<Corpus>,
 }
 
 impl TemporalPair {
@@ -300,8 +303,8 @@ impl TemporalPair {
         Some(TemporalPair {
             model17,
             model18,
-            corpus17,
-            corpus18,
+            corpus17: Arc::new(corpus17),
+            corpus18: Arc::new(corpus18),
         })
     }
 
@@ -318,8 +321,8 @@ impl TemporalPair {
         TemporalPair {
             model17,
             model18,
-            corpus17,
-            corpus18,
+            corpus17: Arc::new(corpus17),
+            corpus18: Arc::new(corpus18),
         }
     }
 }

@@ -28,12 +28,12 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use embedstab_core::measures::{KnnMeasure, MeasureSuite};
+use embedstab_core::measures::{KnnMeasure, MeasureSuite, EIS_ALPHA, KNN_K};
 use embedstab_core::MeasureValues;
 use embedstab_downstream::{NerTask, PairSpec, SentimentTask, Task};
-use embedstab_embeddings::{Algo, Embedding};
+use embedstab_embeddings::Algo;
 use embedstab_quant::{bits_per_word, Precision};
 use parking_lot::Mutex;
 
@@ -309,10 +309,10 @@ impl<'w> Experiment<'w> {
                 &built
             }
         };
-        let suites = if self.opts.with_measures {
+        let (suites, measures) = if self.opts.with_measures {
             measure_suites(self.world, grid, &configs)
         } else {
-            BTreeMap::new()
+            (BTreeMap::new(), BTreeMap::new())
         };
         for sink in &mut self.sinks {
             sink.start(configs.len());
@@ -330,11 +330,15 @@ impl<'w> Experiment<'w> {
                 fine_tune_lr: opts.fine_tune_lr,
             };
             let outcome = task.train_eval(&q17, &q18, &spec);
-            let measures = if opts.with_measures {
-                Some(config_measures(world, &suites, algo, seed, &q17, &q18))
-            } else {
-                None
-            };
+            // The first row of a configuration computes its measures; a
+            // row of another task blocks until they are ready (the nested
+            // pool calls inside run inline, so nothing waits on a worker).
+            let measures = measures.get(&(algo, dim, prec, seed)).map(|cell| {
+                *cell.get_or_init(|| {
+                    let m = world.params.top_m.min(q17.vocab_size());
+                    suites[&(algo, seed)].compute_all(&q17.top_rows(m), &q18.top_rows(m))
+                })
+            });
             let row = Row {
                 task: task.name().to_string(),
                 algo: algo.name().to_string(),
@@ -359,19 +363,19 @@ impl<'w> Experiment<'w> {
     }
 }
 
-/// The paper's EIS eigenvalue exponent.
-const EIS_ALPHA: f64 = 3.0;
+/// Each configuration's measures, computed by the first of its rows to
+/// get there and shared by the rest; they depend on `(algo, dim,
+/// precision, seed)`, not on the task.
+type MeasureCells = BTreeMap<(Algo, usize, Precision, u64), OnceLock<MeasureValues>>;
 
-/// The paper's k for the k-NN measure.
-const KNN_K: usize = 5;
-
-/// Builds the per-(algo, seed) measure suites: the EIS references are the
-/// highest-dimensional full-precision pair, as in the paper.
+/// Builds the per-(algo, seed) measure suites (the EIS references are
+/// the highest-dimensional full-precision pair, as in the paper) and one
+/// empty measure cell per configuration.
 fn measure_suites(
     world: &World,
     grid: &EmbeddingGrid,
     configs: &[Config],
-) -> BTreeMap<(Algo, u64), MeasureSuite> {
+) -> (BTreeMap<(Algo, u64), MeasureSuite>, MeasureCells) {
     // BTreeMap, not HashMap: suites are only read by keyed lookup today,
     // but a future "iterate all suites into a summary" would float-sum in
     // SipHash order and break the bitwise shard/unsharded equivalence.
@@ -379,7 +383,8 @@ fn measure_suites(
     let p = &world.params;
     let max_dim = p.max_dim();
     let mut suites = BTreeMap::new();
-    for &(_, algo, _, _, seed) in configs {
+    let mut cells = BTreeMap::new();
+    for &(_, algo, dim, prec, seed) in configs {
         suites.entry((algo, seed)).or_insert_with(|| {
             let (e17, e18) = grid.pair(algo, max_dim, seed);
             MeasureSuite::new(
@@ -390,20 +395,9 @@ fn measure_suites(
             )
             .with_knn(KnnMeasure::new(KNN_K, p.knn_queries, seed))
         });
+        cells.entry((algo, dim, prec, seed)).or_default();
     }
-    suites
-}
-
-fn config_measures(
-    world: &World,
-    suites: &BTreeMap<(Algo, u64), MeasureSuite>,
-    algo: Algo,
-    seed: u64,
-    q17: &Embedding,
-    q18: &Embedding,
-) -> MeasureValues {
-    let m = world.params.top_m.min(q17.vocab_size());
-    suites[&(algo, seed)].compute_all(&q17.top_rows(m), &q18.top_rows(m))
+    (suites, cells)
 }
 
 #[cfg(test)]

@@ -94,16 +94,8 @@ impl World {
         // instead of 0.28-0.37 s at Small on 2 vCPUs, but peak RSS rose
         // from ~52 MB to ~72 MB. The corpora and datasets above and below
         // already sample their words on the pool.
-        let stats17 = CorpusStats::compute(
-            Arc::new(pair.corpus17.clone()),
-            params.vocab_size,
-            params.window,
-        );
-        let stats18 = CorpusStats::compute(
-            Arc::new(pair.corpus18.clone()),
-            params.vocab_size,
-            params.window,
-        );
+        let stats17 = CorpusStats::compute(pair.corpus17.clone(), params.vocab_size, params.window);
+        let stats18 = CorpusStats::compute(pair.corpus18.clone(), params.vocab_size, params.window);
         let sentiment = SentimentSpec::all_four()
             .into_iter()
             .map(|mut spec| {

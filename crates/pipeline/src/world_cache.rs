@@ -135,7 +135,7 @@ pub(crate) fn decode_world(bytes: &[u8], params: &ScaleParams, master_seed: u64)
             return None;
         }
         stats.push(CorpusStats {
-            corpus: Arc::new((*corpus).clone()),
+            corpus: Arc::clone(corpus),
             vocab_size: params.vocab_size,
             window: params.window,
             cooc_flat,
@@ -354,6 +354,12 @@ mod tests {
             built.pair.model17.word_vecs.as_slice()
         );
         assert_eq!(loaded.pair.corpus18.docs(), built.pair.corpus18.docs());
+        // Built or loaded, a world holds each corpus once: its statistics
+        // share the pair's allocation.
+        for world in [&built, &loaded] {
+            assert!(Arc::ptr_eq(&world.pair.corpus17, &world.stats17.corpus));
+            assert!(Arc::ptr_eq(&world.pair.corpus18, &world.stats18.corpus));
+        }
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(
             bits(&loaded.stats17.cooc_flat.row_sums()),

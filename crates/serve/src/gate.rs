@@ -15,43 +15,36 @@
 //! One deliberate difference from the offline `Experiment` sweep: the
 //! sweep anchors EIS on the highest-dimensional full-precision pair and
 //! scores the top-m most frequent words, while the gate has only the live
-//! snapshot to anchor on, so it references the (live, candidate) pair
-//! itself over the full served vocabulary. Gate scores therefore track
-//! sweep measures but are not on an identical numeric scale — calibrate
-//! [`Slo::max_predicted_instability`] against observed *gate* scores
-//! (e.g. dry-run a known-good retrain and set the ceiling with headroom
-//! above its score) rather than copying sweep values verbatim.
+//! snapshot to anchor on, so it anchors EIS on the (live, candidate) pair
+//! itself over the full served vocabulary
+//! ([`MeasureSuite::pair_anchored`]). Calibrate
+//! [`Slo::max_predicted_instability`] on this anchor's scores, not on
+//! sweep values.
 //!
 //! Because the live snapshot, its stored clip, and every measure are
 //! deterministic, scoring the same candidate twice gives bitwise-identical
 //! results (the `serve` proptests pin this).
 //!
 //! **Live side and candidate side.** Half of a score depends on the live
-//! snapshot alone: its SVD, its rank-truncated left basis, and the
-//! neighbour lists of the k-NN measure's query words. A
-//! `GateReference` holds that half for one live version. Each tenant
-//! keeps one, for its current live version only: it is computed the first
-//! time a candidate is scored against that version (or ahead of time, by
+//! snapshot alone: the suite's [`MeasureReference`] (its SVD, its
+//! rank-truncated left basis, and the neighbour lists of the k-NN
+//! measure's query words). Each tenant keeps one, for its current live
+//! version only: it is computed the first time a candidate is scored
+//! against that version (or ahead of time, by
 //! [`TenantRegistry::prepare_references`](crate::TenantRegistry::prepare_references),
 //! which the streaming retrainer runs beside its training lane), reused
 //! by every later candidate, and dropped when a publish replaces the live
 //! version. The candidate side aligns and quantizes the candidate, then
-//! runs its SVD and the spectral measures beside its k-NN neighbour
-//! search on the worker pool. Every piece does the arithmetic a one-shot
-//! score does, in the same order, so the split changes no bit:
+//! runs [`MeasureSuite::score`]. The split changes no bit:
 //! [`StabilityGate::score`] is exactly reference plus candidate side.
 
 use std::io;
 
-use embedstab_core::measures::{
-    overlap_distance_from_bases, DistanceMeasure, EisMeasure, KnnMeasure, MeasureValues, PipLoss,
-    SemanticDisplacement, SvdMethod,
-};
+use embedstab_core::measures::{MeasureReference, MeasureSuite, MeasureValues, EIS_ALPHA};
 use embedstab_embeddings::Embedding;
-use embedstab_linalg::{pool, Mat, Svd};
 use embedstab_quant::quantize;
 
-use crate::snapshot::{Snapshot, Version};
+use crate::snapshot::Snapshot;
 
 /// A tenant's serving contract: how much instability each retrain may
 /// introduce, and how much memory the served snapshot may use.
@@ -94,87 +87,33 @@ pub struct GateEvaluation {
     pub quantized: Embedding,
 }
 
-/// The paper's EIS eigenvalue exponent.
-const EIS_ALPHA: f64 = 3.0;
-
-/// The paper's k-NN measure: `k = 5` over 1000 queries (capped at the
-/// vocabulary), sampled with seed 0.
-const KNN_K: usize = 5;
-const KNN_QUERIES: usize = 1000;
-const KNN_SEED: u64 = 0;
-
-/// Rank truncation of the eigenspace bases; matches
-/// `left_singular_basis_with`'s tolerance.
-const RANK_TOL: f64 = 1e-10;
-
-/// The live side of a gate score, computed once per live version: the
-/// live snapshot's SVD, its rank-truncated left basis, and its k-NN
-/// neighbour lists (see the module docs).
-#[derive(Clone, Debug)]
-pub(crate) struct GateReference {
-    version: Version,
-    svd: Svd,
-    basis: Mat,
-    neighbors: Vec<Vec<u32>>,
-}
-
-impl GateReference {
-    /// The live version this reference was computed from.
-    pub(crate) fn version(&self) -> Version {
-        self.version
-    }
-}
-
 /// Scores candidates against live snapshots with the paper's measure
 /// settings. One gate is shared by every tenant of a registry; it holds
-/// only the SVD backend choice, no per-tenant state.
+/// only the measure suite, no per-tenant state.
 #[derive(Clone, Debug)]
 pub struct StabilityGate {
-    svd: SvdMethod,
+    suite: MeasureSuite,
 }
 
 impl Default for StabilityGate {
     fn default() -> Self {
         StabilityGate {
-            svd: SvdMethod::Auto,
+            suite: MeasureSuite::pair_anchored(EIS_ALPHA, 0),
         }
     }
 }
 
 impl StabilityGate {
     /// A gate at the paper's settings: EIS gating with `alpha = 3`, k-NN
-    /// at `k = 5` over 1000 queries (capped at the vocabulary), the
-    /// auto-dispatched SVD backend.
+    /// at `k = 5` over 1000 queries (capped at the vocabulary) sampled
+    /// with seed 0, the auto-dispatched SVD backend.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Overrides the SVD backend behind the eigenspace measures (the
-    /// integration tests pin `Exact` vs the default [`SvdMethod::Auto`]).
-    pub fn with_svd_method(mut self, svd: SvdMethod) -> Self {
-        self.svd = svd;
-        self
-    }
-
-    /// The gate's k-NN measure at the paper's settings.
-    fn knn(&self) -> KnnMeasure {
-        KnnMeasure::new(KNN_K, KNN_QUERIES, KNN_SEED)
-    }
-
-    /// The live side of every score against `live`: its k-NN neighbour
-    /// lists beside its SVD (with the configured backend).
-    pub(crate) fn reference(&self, live: &Snapshot) -> GateReference {
-        let emb = live.embedding();
-        let (neighbors, svd) = pool::join(
-            || self.knn().neighbors(emb),
-            || emb.mat().svd_with(self.svd),
-        );
-        GateReference {
-            version: live.meta().version,
-            basis: svd.u_rank(RANK_TOL),
-            svd,
-            neighbors,
-        }
+    /// The live side of every score against `live`.
+    pub(crate) fn reference(&self, live: &Snapshot) -> MeasureReference {
+        self.suite.reference(live.embedding())
     }
 
     /// Scores a full-precision retrained `candidate` against the live
@@ -182,12 +121,6 @@ impl StabilityGate {
     /// (shared-clip convention), compute all five measures. This is
     /// the live side (`reference`) followed by the candidate side; a
     /// tenant reuses the reference across candidates instead.
-    ///
-    /// Each side is decomposed exactly once with the configured SVD
-    /// backend; the decomposition feeds both the EIS references and the
-    /// eigenspace bases (this is the serving hot path, so the redundant
-    /// SVDs `MeasureSuite::new` + `compute_all` would spend on a
-    /// self-referenced pair are avoided).
     ///
     /// # Errors
     ///
@@ -205,45 +138,13 @@ impl StabilityGate {
     pub(crate) fn score_against(
         &self,
         live: &Snapshot,
-        reference: &GateReference,
+        reference: &MeasureReference,
         candidate: &Embedding,
     ) -> io::Result<GateEvaluation> {
         check_shape(live, candidate)?;
         let aligned = candidate.align_to(live.embedding());
         let q = quantize(&aligned, live.meta().precision, live.meta().clip);
-        // The k-NN search is the larger lane, so it takes the calling
-        // thread, where its query tiles may still split across the pool.
-        let (knn_dist, spectral) = pool::join(
-            || {
-                1.0 - self
-                    .knn()
-                    .overlap_from_neighbors(&reference.neighbors, &q.embedding)
-            },
-            || {
-                let svd_cand = q.embedding.mat().svd_with(self.svd);
-                let u_cand = svd_cand.u_rank(RANK_TOL);
-                let eis = EisMeasure::from_reference_svds(
-                    &reference.svd,
-                    &svd_cand,
-                    live.meta().vocab_size,
-                    EIS_ALPHA,
-                );
-                [
-                    eis.distance_from_bases(&reference.basis, &u_cand),
-                    SemanticDisplacement.distance(live.embedding(), &q.embedding),
-                    PipLoss.distance(live.embedding(), &q.embedding),
-                    overlap_distance_from_bases(&reference.basis, &u_cand),
-                ]
-            },
-        );
-        let [eis, semantic_displacement, pip_loss, overlap_dist] = spectral;
-        let measures = MeasureValues {
-            eis,
-            knn_dist,
-            semantic_displacement,
-            pip_loss,
-            overlap_dist,
-        };
+        let measures = self.suite.score(live.embedding(), reference, &q.embedding);
         Ok(GateEvaluation {
             predicted_instability: measures.eis,
             measures,
@@ -276,6 +177,10 @@ fn check_shape(live: &Snapshot, candidate: &Embedding) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use embedstab_core::measures::{
+        overlap_distance_from_bases, DistanceMeasure, EisMeasure, KnnMeasure, PipLoss,
+        SemanticDisplacement, SvdMethod,
+    };
     use embedstab_linalg::Mat;
     use embedstab_pipeline::cache::scratch_dir;
     use embedstab_quant::Precision;
@@ -338,11 +243,11 @@ mod tests {
         let (x, q) = (live.embedding(), &eval.quantized);
         let svd_x = x.mat().svd_with(SvdMethod::Auto);
         let svd_q = q.mat().svd_with(SvdMethod::Auto);
-        let (ux, uq) = (svd_x.u_rank(RANK_TOL), svd_q.u_rank(RANK_TOL));
-        let eis = EisMeasure::from_reference_svds(&svd_x, &svd_q, 60, EIS_ALPHA);
+        let (ux, uq) = (svd_x.u_rank(1e-10), svd_q.u_rank(1e-10));
+        let eis = EisMeasure::from_reference_svds(&svd_x, &svd_q, 60, 3.0);
         let direct = [
             eis.distance_from_bases(&ux, &uq),
-            KnnMeasure::new(KNN_K, KNN_QUERIES, KNN_SEED).distance(x, q),
+            KnnMeasure::new(5, 1000, 0).distance(x, q),
             SemanticDisplacement.distance(x, q),
             PipLoss.distance(x, q),
             overlap_distance_from_bases(&ux, &uq),
@@ -373,22 +278,6 @@ mod tests {
             let requantized = embedstab_quant::quantize_value(v, clip, prec);
             assert_eq!(requantized.to_bits(), v.to_bits());
         }
-        std::fs::remove_dir_all(store.dir()).ok();
-    }
-
-    #[test]
-    fn explicit_svd_backend_agrees_with_auto() {
-        let base = emb(3, 50, 5);
-        let store = live_store("gate_svd", &base, Precision::FULL);
-        let live = store.live().expect("live");
-        let auto = StabilityGate::new()
-            .score(live, &emb(4, 50, 5))
-            .expect("score");
-        let exact = StabilityGate::new()
-            .with_svd_method(SvdMethod::Exact)
-            .score(live, &emb(4, 50, 5))
-            .expect("score");
-        assert!((auto.predicted_instability - exact.predicted_instability).abs() < 1e-6);
         std::fs::remove_dir_all(store.dir()).ok();
     }
 

@@ -13,10 +13,12 @@
 //!   ([`snapshot`]).
 //! - [`StabilityGate`] — when a retrained candidate arrives, align it to
 //!   the live snapshot (Procrustes), quantize it with the live clip
-//!   (the paper's shared-clip convention), score it with the pluggable
-//!   measure suite (EIS / k-NN / PIP via
-//!   [`MeasureSuite`](embedstab_core::measures::MeasureSuite)), and check
-//!   the tenant's [`Slo`] ([`gate`]).
+//!   (the paper's shared-clip convention), score it with the five
+//!   measures of the offline sweep's own
+//!   [`MeasureSuite`](embedstab_core::measures::MeasureSuite), anchored
+//!   on the (live, candidate) pair, and check the tenant's [`Slo`]
+//!   ([`gate`]). Each tenant keeps the live side of that score, the
+//!   suite's `MeasureReference`, for its live version.
 //! - [`TenantRegistry`] — per-tenant SLOs and snapshot stores; each
 //!   tenant's (dimension, precision) is picked on its memory-budget line
 //!   through the same `core::selection` ranking path the paper's Table 3

@@ -6,11 +6,12 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::PathBuf;
 
+use embedstab_core::measures::MeasureReference;
 use embedstab_core::selection::{candidates_in_budget, pick_lowest_measure, ConfigPoint};
 use embedstab_embeddings::Embedding;
 use embedstab_quant::Precision;
 
-use crate::gate::{GateEvaluation, GateReference, Slo, StabilityGate};
+use crate::gate::{GateEvaluation, Slo, StabilityGate};
 use crate::snapshot::{Snapshot, SnapshotStore, Version};
 
 /// One tenant: a named consumer of embeddings with a serving contract.
@@ -21,9 +22,9 @@ pub struct Tenant {
     dim: usize,
     precision: Precision,
     store: SnapshotStore,
-    /// The gate's live side for the current live version only; dropped
-    /// when a publish replaces it.
-    reference: Option<GateReference>,
+    /// The gate's live side and the version it was computed from, for
+    /// the current live version only; dropped when a publish replaces it.
+    reference: Option<(Version, MeasureReference)>,
 }
 
 impl Tenant {
@@ -59,9 +60,11 @@ impl Tenant {
 
     /// The gate reference held for the live version, if one has been
     /// computed since the last publish.
-    fn reference(&self) -> Option<&GateReference> {
+    fn reference(&self) -> Option<&(Version, MeasureReference)> {
         let live = self.store.live()?.meta().version;
-        self.reference.as_ref().filter(|r| r.version() == live)
+        self.reference
+            .as_ref()
+            .filter(|(version, _)| *version == live)
     }
 
     /// Computes the gate reference for the live snapshot unless the one
@@ -71,7 +74,7 @@ impl Tenant {
             return;
         };
         if self.reference().is_none() {
-            self.reference = Some(gate.reference(live));
+            self.reference = Some((live.meta().version, gate.reference(live)));
         }
     }
 
@@ -117,11 +120,13 @@ impl Tenant {
         if self
             .reference
             .as_ref()
-            .is_some_and(|r| r.version() != version)
+            .is_some_and(|(held, _)| *held != version)
         {
             self.reference = None;
         }
-        let reference = self.reference.get_or_insert_with(|| gate.reference(live));
+        let (_, reference) = self
+            .reference
+            .get_or_insert_with(|| (version, gate.reference(live)));
         let evaluation = gate.score_against(live, reference, candidate)?;
         if gate.admits(&evaluation, &self.slo) {
             let version = self.store.publish(
@@ -206,13 +211,6 @@ impl TenantRegistry {
             gate: StabilityGate::new(),
             tenants: BTreeMap::new(),
         }
-    }
-
-    /// Replaces the shared gate (measure configuration applies to every
-    /// tenant).
-    pub fn with_gate(mut self, gate: StabilityGate) -> Self {
-        self.gate = gate;
-        self
     }
 
     /// The shared gate.
@@ -476,7 +474,7 @@ mod tests {
             r.tenant("t")
                 .expect("tenant")
                 .reference()
-                .map(GateReference::version)
+                .map(|(version, _)| *version)
         };
         // Nothing live, nothing to prepare.
         registry.prepare_references();

@@ -208,7 +208,7 @@ impl ContinuousRetrainer {
             distance_weighting: false,
         };
         let mut svc = Self::new(world.params.vocab_size, config, registry)?;
-        svc.lane.corpus = world.pair.corpus18.clone();
+        svc.lane.corpus = Corpus::clone(&world.pair.corpus18);
         svc.lane.cooc = world.stats18.cooc_flat.clone();
         svc.lane.ppmi = world.stats18.ppmi.clone();
         Ok(svc)

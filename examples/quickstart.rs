@@ -16,7 +16,6 @@ use embedstab::downstream::models::{BowSentimentModel, TrainSpec};
 use embedstab::downstream::tasks::sentiment::SentimentSpec;
 use embedstab::embeddings::{train_embedding, Algo, CorpusStats};
 use embedstab::quant::{quantize_pair, Precision};
-use std::sync::Arc;
 
 fn main() {
     // 1. Two corpora a "year" apart: 10% of words drift in latent space,
@@ -45,8 +44,8 @@ fn main() {
     );
 
     // 2. Train embeddings on each corpus, align '18 to '17, quantize.
-    let stats17 = CorpusStats::compute(Arc::new(pair.corpus17.clone()), 400, 6);
-    let stats18 = CorpusStats::compute(Arc::new(pair.corpus18.clone()), 400, 6);
+    let stats17 = CorpusStats::compute(pair.corpus17.clone(), 400, 6);
+    let stats18 = CorpusStats::compute(pair.corpus18.clone(), 400, 6);
     let dim = 16;
     let x17 = train_embedding(Algo::Cbow, &stats17, &pair.model17.vocab, dim, 0);
     let x18 = train_embedding(Algo::Cbow, &stats18, &pair.model17.vocab, dim, 0).align_to(&x17);

@@ -6,7 +6,6 @@
 //!     promoting a compliant one, and
 //! (c) the batched lookup path equals per-row lookups bitwise.
 
-use embedstab::core::measures::SvdMethod;
 use embedstab::core::selection::{
     budget_selection, candidates_in_budget, pick_lowest_measure, pick_oracle, ConfigPoint,
 };
@@ -98,9 +97,8 @@ fn slo_holds_violating_candidate_and_promotes_compliant_one() {
     let e18_reseeded = train_embedding(Algo::Cbow, &w.stats18, w.vocab(), dim, 7);
 
     // Score both candidates against the same bootstrap snapshot to place
-    // the SLO between them (an explicit SVD backend, as production pins
-    // one).
-    let gate = StabilityGate::new().with_svd_method(SvdMethod::Exact);
+    // the SLO between them, with the gate every registry uses.
+    let gate = StabilityGate::new();
     let root = scratch_dir("serve_integration_slo");
     std::fs::remove_dir_all(&root).ok();
     let precision = Precision::new(4);
@@ -129,7 +127,7 @@ fn slo_holds_violating_candidate_and_promotes_compliant_one() {
         max_predicted_instability: (score_same + score_reseeded) / 2.0,
         memory_budget_bits: dim as u64 * 4,
     };
-    let mut registry = TenantRegistry::new(root.join("gated")).with_gate(gate);
+    let mut registry = TenantRegistry::new(root.join("gated"));
     registry
         .register_config("t", slo, dim, precision)
         .expect("register");
