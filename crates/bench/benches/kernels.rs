@@ -142,7 +142,7 @@ fn bench_measures(c: &mut Criterion) {
     let e18 = Embedding::new(Mat::random_normal(1000, 64, &mut rng));
     let eis = EisMeasure::new(&e17, &e18, 3.0);
     c.bench_function("measure_eis_1000x32", |bench| {
-        bench.iter(|| black_box(eis.distance_between(&x, &y)));
+        bench.iter(|| black_box(eis.distance(&x, &y)));
     });
     // The serving gate's shape: k = 5 over 1000 query words on both sides.
     let knn = KnnMeasure::new(5, 1000, 0);

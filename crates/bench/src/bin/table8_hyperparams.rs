@@ -8,7 +8,9 @@
 use std::collections::BTreeMap;
 
 use embedstab_bench::{setup, standard_rows, GridArgs};
-use embedstab_core::measures::{left_singular_basis_with, EisMeasure, KnnMeasure, SvdMethod};
+use embedstab_core::measures::{
+    left_singular_basis_with, DistanceMeasure, EisMeasure, KnnMeasure, SvdMethod,
+};
 use embedstab_core::stats;
 use embedstab_embeddings::Algo;
 use embedstab_linalg::Svd;
@@ -117,7 +119,7 @@ fn main() {
                     let key = (task.clone(), algo.name().to_string(), *dim, prec.bits(), *s);
                     let Some(&d) = di.get(&key) else { continue };
                     let knn = KnnMeasure::new(k, params.knn_queries.min(200), *s);
-                    xs.push(1.0 - knn.overlap(q17, q18));
+                    xs.push(knn.distance(q17, q18));
                     ys.push(d);
                 }
                 if xs.len() >= 3 {

@@ -357,7 +357,8 @@ pub fn run_fleet(
 }
 
 /// Serializes merged rows back to JSONL (one row per line, trailing
-/// newline), the same line format [`JsonlSink`] writes.
+/// newline), the same line format
+/// [`JsonlSink`](embedstab_pipeline::JsonlSink) writes.
 pub fn rows_to_jsonl(rows: &[Row]) -> String {
     let mut out = String::new();
     for r in rows {
@@ -632,7 +633,7 @@ fn load_row_file(
 ///
 /// Each task has one canonical row file, `results/<stem>.jsonl` (see
 /// [`row_stem`]), the bytes a fleet's merge writes. Unless `--fresh` is
-/// passed, a file [`parse_row_file`] accepts is loaded; any other is
+/// passed, a file `parse_row_file` accepts is loaded; any other is
 /// recomputed and overwritten. The world is built (or loaded) on the
 /// first task that has to run.
 ///

@@ -12,10 +12,6 @@ use super::DistanceMeasure;
 pub struct SemanticDisplacement;
 
 impl DistanceMeasure for SemanticDisplacement {
-    fn name(&self) -> &'static str {
-        "Semantic Displacement"
-    }
-
     /// # Panics
     ///
     /// Panics if the embeddings have different shapes.

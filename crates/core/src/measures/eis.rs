@@ -4,7 +4,7 @@
 use embedstab_embeddings::Embedding;
 use embedstab_linalg::{Mat, SvdMethod};
 
-use super::{left_singular_basis, left_singular_basis_with, DistanceMeasure, RANK_TOL};
+use super::{left_singular_basis_with, DistanceMeasure, RANK_TOL};
 
 /// The eigenspace instability measure
 /// `EI_Sigma(X, X~) = tr((U U^T + U~ U~^T - 2 U~ U~^T U U^T) Sigma) / tr(Sigma)`
@@ -26,7 +26,6 @@ use super::{left_singular_basis, left_singular_basis_with, DistanceMeasure, RANK
 /// `n x n` matrix.
 #[derive(Clone, Debug)]
 pub struct EisMeasure {
-    alpha: f64,
     /// `V R^alpha` of the '17 reference (`n x r17`).
     z17: Mat,
     /// `V~ R~^alpha` of the '18 reference (`n x r18`).
@@ -74,55 +73,11 @@ impl EisMeasure {
         let trace_sigma = t17 + t18;
         assert!(trace_sigma > 0.0, "reference embeddings must be non-zero");
         EisMeasure {
-            alpha,
             z17,
             z18,
             trace_sigma,
             vocab_size,
         }
-    }
-
-    /// The exponent `alpha`.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Computes the measure for a pair of embeddings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either embedding's vocabulary size differs from the
-    /// references'.
-    pub fn distance_between(&self, x: &Embedding, y: &Embedding) -> f64 {
-        assert_eq!(
-            x.vocab_size(),
-            self.vocab_size,
-            "vocabulary mismatch with references"
-        );
-        assert_eq!(
-            y.vocab_size(),
-            self.vocab_size,
-            "vocabulary mismatch with references"
-        );
-        let ux = left_singular_basis(x.mat());
-        let uy = left_singular_basis(y.mat());
-        self.distance_from_bases(&ux, &uy)
-    }
-
-    /// Computes the measure with an explicit SVD backend for the singular
-    /// bases of `x` and `y`; exact and randomized backends must agree to
-    /// roundoff (pinned by the kernel-conformance tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either embedding's vocabulary size differs from the
-    /// references'.
-    pub fn distance_with_svd(&self, x: &Embedding, y: &Embedding, method: SvdMethod) -> f64 {
-        assert_eq!(x.vocab_size(), self.vocab_size, "vocabulary mismatch");
-        assert_eq!(y.vocab_size(), self.vocab_size, "vocabulary mismatch");
-        let ux = left_singular_basis_with(x.mat(), method);
-        let uy = left_singular_basis_with(y.mat(), method);
-        self.distance_from_bases(&ux, &uy)
     }
 
     /// Computes the measure from precomputed orthonormal left singular
@@ -153,12 +108,17 @@ impl EisMeasure {
 }
 
 impl DistanceMeasure for EisMeasure {
-    fn name(&self) -> &'static str {
-        "Eigenspace Instability"
-    }
-
+    /// [`EisMeasure::distance_from_bases`] of both sides' `Auto` bases.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either embedding's vocabulary size differs from the
+    /// references'.
     fn distance(&self, x: &Embedding, y: &Embedding) -> f64 {
-        self.distance_between(x, y)
+        self.distance_from_bases(
+            &left_singular_basis_with(x.mat(), SvdMethod::Auto),
+            &left_singular_basis_with(y.mat(), SvdMethod::Auto),
+        )
     }
 }
 
@@ -191,7 +151,7 @@ mod tests {
     fn zero_for_identical_embeddings() {
         let e = rand_emb(40, 6, 0);
         let m = EisMeasure::new(&e, &e, 3.0);
-        assert!(m.distance_between(&e, &e) < 1e-9);
+        assert!(m.distance(&e, &e) < 1e-9);
     }
 
     #[test]
@@ -202,7 +162,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let t = Mat::random_normal(5, 5, &mut rng).add(&Mat::identity(5).scale(3.0));
         let y = Embedding::new(e.mat().matmul(&t));
-        assert!(m.distance_between(&e, &y) < 1e-8);
+        assert!(m.distance(&e, &y) < 1e-8);
     }
 
     #[test]
@@ -213,7 +173,7 @@ mod tests {
         let y = Mat::from_fn(10, 2, |i, j| if i == j + 2 { 1.0 } else { 0.0 });
         let (xe, ye) = (Embedding::new(x), Embedding::new(y));
         let m = EisMeasure::new(&xe, &ye, 1.0);
-        let d = m.distance_between(&xe, &ye);
+        let d = m.distance(&xe, &ye);
         assert!((d - 1.0).abs() < 1e-9, "expected 1.0, got {d}");
     }
 
@@ -225,7 +185,7 @@ mod tests {
         for seed in 0..5 {
             let x = rand_emb(50, 4 + seed as usize, 10 + seed);
             let y = rand_emb(50, 4 + seed as usize, 20 + seed);
-            let d = m.distance_between(&x, &y);
+            let d = m.distance(&x, &y);
             assert!((0.0..=1.0).contains(&d), "EIS {d} out of range");
         }
     }
@@ -240,7 +200,7 @@ mod tests {
         for &eps in &[0.01, 0.1, 0.5, 2.0] {
             let mut y = e.mat().clone();
             y.axpy(eps, &noise);
-            let d = m.distance_between(&e, &Embedding::new(y));
+            let d = m.distance(&e, &Embedding::new(y));
             assert!(d >= prev - 1e-9, "EIS should grow with noise: {d} < {prev}");
             prev = d;
         }
@@ -257,7 +217,7 @@ mod tests {
         let y = rand_emb(25, 5, 10);
         for &alpha in &[0.0, 1.0, 3.0] {
             let m = EisMeasure::new(&e17, &e18, alpha);
-            let fast = m.distance_between(&x, &y);
+            let fast = m.distance(&x, &y);
             let dense = crate::theory::eis_dense(
                 x.mat(),
                 y.mat(),

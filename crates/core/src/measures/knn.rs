@@ -43,24 +43,8 @@ impl KnnMeasure {
         KnnMeasure { k, queries, seed }
     }
 
-    /// The neighbor count `k`.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Mean top-`k` neighbor overlap in `[0, 1]` (1 = identical neighbor
-    /// structure).
-    ///
-    /// # Panics
-    ///
-    /// Panics if vocabularies differ or have fewer than 2 words.
-    pub fn overlap(&self, x: &Embedding, y: &Embedding) -> f64 {
-        assert_eq!(x.vocab_size(), y.vocab_size(), "vocabulary mismatch");
-        self.overlap_from_neighbors(&self.neighbors(x), y)
-    }
-
     /// The top-`k` neighbor lists of the measure's sampled query words
-    /// in `x`: one side of [`KnnMeasure::overlap`], for callers that
+    /// in `x`: one side of [`DistanceMeasure::distance`], for callers that
     /// compare many embeddings against one (the serving gate keeps the
     /// live snapshot's lists).
     ///
@@ -75,8 +59,9 @@ impl KnnMeasure {
         neighbors(x, &queries, self.k.min(n - 1))
     }
 
-    /// [`KnnMeasure::overlap`] of `x` and `y` given `x`'s
-    /// [`KnnMeasure::neighbors`]; bitwise the same value.
+    /// Mean top-`k` neighbor overlap of `x` and `y` in `[0, 1]` (1 =
+    /// identical neighbor structure), given `x`'s
+    /// [`KnnMeasure::neighbors`].
     ///
     /// # Panics
     ///
@@ -96,12 +81,15 @@ impl KnnMeasure {
 }
 
 impl DistanceMeasure for KnnMeasure {
-    fn name(&self) -> &'static str {
-        "1 - k-NN"
-    }
-
+    /// `1 -` [`KnnMeasure::overlap_from_neighbors`] over `x`'s
+    /// [`KnnMeasure::neighbors`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if vocabularies differ or have fewer than 2 words.
     fn distance(&self, x: &Embedding, y: &Embedding) -> f64 {
-        1.0 - self.overlap(x, y)
+        assert_eq!(x.vocab_size(), y.vocab_size(), "vocabulary mismatch");
+        1.0 - self.overlap_from_neighbors(&self.neighbors(x), y)
     }
 }
 
@@ -147,7 +135,6 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let e = Embedding::new(Mat::random_normal(30, 5, &mut rng));
         let m = KnnMeasure::new(3, 100, 0);
-        assert!((m.overlap(&e, &e) - 1.0).abs() < 1e-12);
         assert_eq!(m.distance(&e, &e), 0.0);
     }
 
@@ -160,7 +147,7 @@ mod tests {
         let y = x.matmul(&q);
         let m = KnnMeasure::new(3, 100, 0);
         assert!(
-            m.overlap(&Embedding::new(x), &Embedding::new(y)) > 0.999,
+            m.distance(&Embedding::new(x), &Embedding::new(y)) < 0.001,
             "cosine neighbors are rotation-invariant"
         );
     }
@@ -172,9 +159,9 @@ mod tests {
         let x = Embedding::new(Mat::random_normal(200, 8, &mut rng));
         let y = Embedding::new(Mat::random_normal(200, 8, &mut rng));
         let m = KnnMeasure::new(5, 100, 0);
-        let overlap = m.overlap(&x, &y);
+        let d = m.distance(&x, &y);
         // Random chance of hitting the same neighbor is ~k/n.
-        assert!(overlap < 0.15, "overlap {overlap}");
+        assert!(d > 0.85, "distance {d}");
     }
 
     #[test]
@@ -192,7 +179,7 @@ mod tests {
         let x = Embedding::new(Mat::random_normal(60, 4, &mut rng));
         let y = Embedding::new(Mat::random_normal(60, 4, &mut rng));
         let m = KnnMeasure::new(5, 20, 11);
-        assert_eq!(m.overlap(&x, &y), m.overlap(&x, &y));
+        assert_eq!(m.distance(&x, &y).to_bits(), m.distance(&x, &y).to_bits());
     }
 
     /// The reference: the scalar scan the kernel replaced. Every other

@@ -5,6 +5,16 @@
 //! and the eigenspace overlap score) are reported as `1 - similarity`,
 //! matching the `1 - k-NN` / `1 - Eigenspace Overlap` rows of the paper's
 //! tables.
+//!
+//! Each measure has one standalone entry point,
+//! [`DistanceMeasure::distance`], and it is the suite's own composition:
+//! EIS and the eigenspace overlap take both sides' `Auto` bases from
+//! [`left_singular_basis_with`] into [`EisMeasure::distance_from_bases`] /
+//! [`overlap_distance_from_bases`], and k-NN is `1 -`
+//! [`KnnMeasure::overlap_from_neighbors`] over `x`'s
+//! [`KnnMeasure::neighbors`]. A measure computed alone is therefore
+//! bitwise the matching field of [`MeasureSuite::compute_all`] for a suite
+//! built with the same EIS references and k-NN measure.
 
 mod displacement;
 mod eis;
@@ -25,9 +35,6 @@ use serde::{Deserialize, Serialize};
 
 /// A pairwise embedding distance: higher = predicted less stable.
 pub trait DistanceMeasure {
-    /// Display name matching the paper's tables.
-    fn name(&self) -> &'static str;
-
     /// Computes the distance between two embeddings over the same
     /// (frequency-ordered) vocabulary.
     fn distance(&self, x: &Embedding, y: &Embedding) -> f64;
@@ -261,12 +268,6 @@ impl MeasureSuite {
     }
 }
 
-/// Rank-truncated left singular vectors of an embedding matrix, computed
-/// with the default [`SvdMethod::Auto`] backend.
-pub(crate) fn left_singular_basis(m: &Mat) -> Mat {
-    left_singular_basis_with(m, SvdMethod::Auto)
-}
-
 /// Rank-truncated left singular vectors computed with an explicit SVD
 /// backend. This is the seam the eigenspace measures and the
 /// kernel-conformance tests share: swapping the backend here must not
@@ -345,6 +346,33 @@ mod tests {
             assert_ne!(bits(scores[0]), bits(scores[1]));
             for (y, score) in candidates.iter().zip(scores) {
                 assert_eq!(bits(score), bits(suite.compute_all(&x, y)));
+            }
+        }
+    }
+
+    #[test]
+    fn standalone_distance_is_bitwise_the_suite() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        // 40 rows take the exact SVD, 300 the randomized one.
+        for (n, d, seed) in [(40, 6, 5), (300, 8, 6)] {
+            let mut e = |d| Embedding::new(Mat::random_normal(n, d, &mut rng));
+            let (e17, e18, x, noise) = (e(2 * d), e(2 * d), e(d), e(d));
+            let mut noisy = x.mat().clone();
+            noisy.axpy(0.3, noise.mat());
+            // The same-span pair `y = x T` puts the overlap at 1 up to
+            // roundoff, where `1 - overlap` may dip below zero.
+            let t = Mat::random_normal(d, d, &mut rng).add(&Mat::identity(d).scale(3.0));
+            for y in [Embedding::new(noisy), Embedding::new(x.mat().matmul(&t))] {
+                let standalone = MeasureValues {
+                    eis: EisMeasure::new(&e17, &e18, 3.0).distance(&x, &y),
+                    knn_dist: KnnMeasure::new(5, 1000, seed).distance(&x, &y),
+                    semantic_displacement: SemanticDisplacement.distance(&x, &y),
+                    pip_loss: PipLoss.distance(&x, &y),
+                    overlap_dist: EigenspaceOverlap.distance(&x, &y),
+                };
+                let suite = MeasureSuite::new(&e17, &e18, 3.0, seed).compute_all(&x, &y);
+                assert_eq!(bits(standalone), bits(suite), "n {n}, d {d}");
+                assert!(standalone.overlap_dist >= 0.0, "n {n}, d {d}");
             }
         }
     }

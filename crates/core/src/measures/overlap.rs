@@ -3,7 +3,7 @@
 use embedstab_embeddings::Embedding;
 use embedstab_linalg::{Mat, SvdMethod};
 
-use super::{left_singular_basis, left_singular_basis_with, DistanceMeasure};
+use super::{left_singular_basis_with, DistanceMeasure};
 
 /// The eigenspace overlap score `1/max(d, k) * ||U^T U~||_F^2` where `U`,
 /// `U~` are the left singular vectors of the two embeddings, reported as
@@ -11,56 +11,28 @@ use super::{left_singular_basis, left_singular_basis_with, DistanceMeasure};
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EigenspaceOverlap;
 
-impl EigenspaceOverlap {
-    /// The overlap score in `[0, 1]` (1 = identical column spaces).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the embeddings have different vocabulary sizes.
-    pub fn overlap(&self, x: &Embedding, y: &Embedding) -> f64 {
-        assert_eq!(x.vocab_size(), y.vocab_size(), "vocabulary mismatch");
-        let ux = left_singular_basis(x.mat());
-        let uy = left_singular_basis(y.mat());
-        overlap_from_bases(&ux, &uy)
-    }
-
-    /// The distance `1 - overlap` with an explicit SVD backend for the
-    /// singular bases; exact and randomized backends must agree to
-    /// roundoff (pinned by the kernel-conformance tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the embeddings have different vocabulary sizes.
-    pub fn distance_with_svd(&self, x: &Embedding, y: &Embedding, method: SvdMethod) -> f64 {
-        assert_eq!(x.vocab_size(), y.vocab_size(), "vocabulary mismatch");
-        let ux = left_singular_basis_with(x.mat(), method);
-        let uy = left_singular_basis_with(y.mat(), method);
-        overlap_distance_from_bases(&ux, &uy)
-    }
-}
-
 impl DistanceMeasure for EigenspaceOverlap {
-    fn name(&self) -> &'static str {
-        "1 - Eigenspace Overlap"
-    }
-
+    /// [`overlap_distance_from_bases`] of both sides' `Auto` bases.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the embeddings have different vocabulary sizes.
     fn distance(&self, x: &Embedding, y: &Embedding) -> f64 {
-        1.0 - self.overlap(x, y)
+        assert_eq!(x.vocab_size(), y.vocab_size(), "vocabulary mismatch");
+        overlap_distance_from_bases(
+            &left_singular_basis_with(x.mat(), SvdMethod::Auto),
+            &left_singular_basis_with(y.mat(), SvdMethod::Auto),
+        )
     }
 }
 
-/// Overlap score from precomputed orthonormal bases.
-pub(crate) fn overlap_from_bases(ux: &Mat, uy: &Mat) -> f64 {
-    let denom = ux.cols().max(uy.cols()).max(1) as f64;
-    ux.matmul_tn(uy).frobenius_norm_sq() / denom
-}
-
-/// `1 - overlap` from precomputed orthonormal bases — the seam shared by
-/// [`super::MeasureSuite`] and callers that already hold the singular
-/// bases (e.g. the serving layer's stability gate, which decomposes each
-/// embedding exactly once per evaluation).
+/// `1 - overlap` from precomputed orthonormal bases, clamped at 0 against
+/// roundoff — the seam shared by [`super::MeasureSuite`] and callers that
+/// already hold the singular bases (e.g. the serving layer's stability
+/// gate, which decomposes each embedding exactly once per evaluation).
 pub fn overlap_distance_from_bases(ux: &Mat, uy: &Mat) -> f64 {
-    (1.0 - overlap_from_bases(ux, uy)).max(0.0)
+    let denom = ux.cols().max(uy.cols()).max(1) as f64;
+    (1.0 - ux.matmul_tn(uy).frobenius_norm_sq() / denom).max(0.0)
 }
 
 #[cfg(test)]
@@ -75,10 +47,10 @@ mod tests {
         // y spans the same column space: x times an invertible matrix.
         let t = Mat::random_normal(4, 4, &mut rng).add(&Mat::identity(4).scale(3.0));
         let y = x.matmul(&t);
-        let s = EigenspaceOverlap.overlap(&Embedding::new(x), &Embedding::new(y));
+        let d = EigenspaceOverlap.distance(&Embedding::new(x), &Embedding::new(y));
         assert!(
-            (s - 1.0).abs() < 1e-8,
-            "same span must overlap fully, got {s}"
+            (0.0..1e-8).contains(&d),
+            "same span must overlap fully, got distance {d}"
         );
     }
 
@@ -87,8 +59,8 @@ mod tests {
         // Columns of x live on even coordinates, y on odd ones.
         let x = Mat::from_fn(10, 2, |i, j| if i == 2 * j { 1.0 } else { 0.0 });
         let y = Mat::from_fn(10, 2, |i, j| if i == 2 * j + 1 { 1.0 } else { 0.0 });
-        let s = EigenspaceOverlap.overlap(&Embedding::new(x), &Embedding::new(y));
-        assert!(s.abs() < 1e-12);
+        let d = EigenspaceOverlap.distance(&Embedding::new(x), &Embedding::new(y));
+        assert!((d - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -96,7 +68,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let x = Embedding::new(Mat::random_normal(30, 3, &mut rng));
         let y = Embedding::new(Mat::random_normal(30, 7, &mut rng));
-        let s = EigenspaceOverlap.overlap(&x, &y);
-        assert!((0.0..=1.0 + 1e-12).contains(&s), "overlap {s}");
+        let d = EigenspaceOverlap.distance(&x, &y);
+        assert!((0.0..=1.0).contains(&d), "distance {d}");
     }
 }

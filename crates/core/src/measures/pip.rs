@@ -1,7 +1,6 @@
 //! The pairwise inner product (PIP) loss (Yin & Shen, 2018).
 
 use embedstab_embeddings::Embedding;
-use embedstab_linalg::SvdMethod;
 
 use super::DistanceMeasure;
 
@@ -12,10 +11,6 @@ use super::DistanceMeasure;
 pub struct PipLoss;
 
 impl DistanceMeasure for PipLoss {
-    fn name(&self) -> &'static str {
-        "PIP Loss"
-    }
-
     /// # Panics
     ///
     /// Panics if the embeddings have different vocabulary sizes.
@@ -26,35 +21,6 @@ impl DistanceMeasure for PipLoss {
         let xy = x.mat().matmul_tn(y.mat()).frobenius_norm_sq();
         // Clamp: roundoff can make the sum marginally negative when X == Y.
         (xx + yy - 2.0 * xy).max(0.0).sqrt()
-    }
-}
-
-impl PipLoss {
-    /// The PIP loss computed from SVD factors instead of Gram products:
-    /// with `X = U S V^T`, `||X X^T - Y Y^T||_F^2` equals
-    /// `sum s_x^4 + sum s_y^4 - 2 ||S_x (U_x^T U_y) S_y||_F^2`.
-    ///
-    /// Exact and randomized backends must agree with each other and with
-    /// [`DistanceMeasure::distance`] to roundoff (pinned by the
-    /// kernel-conformance tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the embeddings have different vocabulary sizes.
-    pub fn distance_via_svd(&self, x: &Embedding, y: &Embedding, method: SvdMethod) -> f64 {
-        assert_eq!(x.vocab_size(), y.vocab_size(), "vocabulary mismatch");
-        let sx = x.mat().svd_with(method);
-        let sy = y.mat().svd_with(method);
-        let mut cross = sx.u.matmul_tn(&sy.u);
-        for i in 0..cross.rows() {
-            let si = sx.s[i];
-            for (v, sj) in cross.row_mut(i).iter_mut().zip(&sy.s) {
-                *v *= si * sj;
-            }
-        }
-        let xx: f64 = sx.s.iter().map(|s| s.powi(4)).sum();
-        let yy: f64 = sy.s.iter().map(|s| s.powi(4)).sum();
-        (xx + yy - 2.0 * cross.frobenius_norm_sq()).max(0.0).sqrt()
     }
 }
 

@@ -276,7 +276,7 @@ fn ppmi_row(
 ///
 /// `ppmi(i, j) = max(0, ln( c_ij * total / (r_i * r_j) ))` where `r` are row
 /// marginals; zero entries are dropped. Rows are built on the worker pool,
-/// [`ROW_BLOCK`] at a time; each row is one item's, so the split cannot
+/// `ROW_BLOCK` at a time; each row is one item's, so the split cannot
 /// change a bit.
 pub fn ppmi(cooc: &Cooc) -> SparseMatrix {
     let n = cooc.n();

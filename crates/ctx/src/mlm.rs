@@ -3,7 +3,7 @@
 //! stay unchanged).
 
 use embedstab_corpus::Corpus;
-use embedstab_linalg::opt::Adam;
+use embedstab_linalg::opt::{shuffle, Adam};
 use embedstab_linalg::{vecops, Mat};
 use rand::{Rng, RngExt, SeedableRng};
 
@@ -177,13 +177,6 @@ impl VisitOpt {
             self.adams[idx].step(p, &gslices[idx]);
             idx += 1;
         });
-    }
-}
-
-fn shuffle<T>(xs: &mut [T], rng: &mut impl Rng) {
-    for i in (1..xs.len()).rev() {
-        let j = rng.random_range(0..=i);
-        xs.swap(i, j);
     }
 }
 

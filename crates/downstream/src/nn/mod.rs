@@ -1,16 +1,6 @@
 //! Neural-network training primitives shared by the downstream models.
 
-pub use embedstab_linalg::opt::Adam;
-
-use rand::{Rng, RngExt};
-
-/// Seeded Fisher-Yates shuffle used by every trainer's sampling loop.
-pub fn shuffle<T>(xs: &mut [T], rng: &mut impl Rng) {
-    for i in (1..xs.len()).rev() {
-        let j = rng.random_range(0..=i);
-        xs.swap(i, j);
-    }
-}
+pub use embedstab_linalg::opt::{shuffle, Adam};
 
 /// Clips a gradient vector to a maximum global L2 norm, in place.
 /// Returns the pre-clip norm.
@@ -28,21 +18,6 @@ pub fn clip_global_norm(grad: &mut [f64], max_norm: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-
-    #[test]
-    fn shuffle_is_a_permutation_and_deterministic() {
-        let mut a: Vec<u32> = (0..50).collect();
-        let mut b: Vec<u32> = (0..50).collect();
-        let mut r1 = rand::rngs::StdRng::seed_from_u64(5);
-        let mut r2 = rand::rngs::StdRng::seed_from_u64(5);
-        shuffle(&mut a, &mut r1);
-        shuffle(&mut b, &mut r2);
-        assert_eq!(a, b);
-        let mut sorted = a.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<u32>>());
-    }
 
     #[test]
     fn clip_reduces_large_norms_only() {

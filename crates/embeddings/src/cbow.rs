@@ -1,8 +1,9 @@
 //! Continuous bag-of-words (CBOW) with negative sampling
 //! (Mikolov et al., 2013), following the word2vec reference implementation.
 
+use embedstab_linalg::opt::shuffle;
 use embedstab_linalg::{vecops, Mat};
-use rand::{Rng, RngExt, SeedableRng};
+use rand::{RngExt, SeedableRng};
 
 use crate::negative::{NegativeStep, NegativeTable};
 use crate::stats::CorpusStats;
@@ -183,13 +184,6 @@ fn keep_probabilities(counts: &[u64], total: usize, subsample: f64) -> Vec<f64> 
             (((f / subsample).sqrt() + 1.0) * subsample / f).min(1.0)
         })
         .collect()
-}
-
-fn shuffle<T>(xs: &mut [T], rng: &mut impl Rng) {
-    for i in (1..xs.len()).rev() {
-        let j = rng.random_range(0..=i);
-        xs.swap(i, j);
-    }
 }
 
 #[cfg(test)]

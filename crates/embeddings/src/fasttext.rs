@@ -3,8 +3,9 @@
 //! robustness study (Appendix E.1, Figure 12).
 
 use embedstab_corpus::Vocab;
+use embedstab_linalg::opt::shuffle;
 use embedstab_linalg::{vecops, Mat};
-use rand::{Rng, RngExt, SeedableRng};
+use rand::{RngExt, SeedableRng};
 
 use crate::negative::{NegativeStep, NegativeTable};
 use crate::stats::CorpusStats;
@@ -248,13 +249,6 @@ impl FastTextTrainer {
                 final_loss,
             },
         )
-    }
-}
-
-fn shuffle<T>(xs: &mut [T], rng: &mut impl Rng) {
-    for i in (1..xs.len()).rev() {
-        let j = rng.random_range(0..=i);
-        xs.swap(i, j);
     }
 }
 

@@ -2,8 +2,9 @@
 //! (Pennington et al., 2014).
 
 use embedstab_corpus::Cooc;
+use embedstab_linalg::opt::shuffle;
 use embedstab_linalg::Mat;
-use rand::{Rng, RngExt, SeedableRng};
+use rand::SeedableRng;
 
 use crate::{Embedding, TrainReport};
 
@@ -140,13 +141,6 @@ impl GloveTrainer {
                 final_loss,
             },
         )
-    }
-}
-
-fn shuffle<T>(xs: &mut [T], rng: &mut impl Rng) {
-    for i in (1..xs.len()).rev() {
-        let j = rng.random_range(0..=i);
-        xs.swap(i, j);
     }
 }
 

@@ -5,8 +5,9 @@
 //! Jin et al. (2016) that the paper uses as its third embedding algorithm.
 
 use embedstab_corpus::SparseMatrix;
+use embedstab_linalg::opt::shuffle;
 use embedstab_linalg::Mat;
-use rand::{Rng, RngExt, SeedableRng};
+use rand::SeedableRng;
 
 use crate::{Embedding, TrainReport};
 
@@ -121,13 +122,6 @@ impl McTrainer {
                 final_loss,
             },
         )
-    }
-}
-
-fn shuffle<T>(xs: &mut [T], rng: &mut impl Rng) {
-    for i in (1..xs.len()).rev() {
-        let j = rng.random_range(0..=i);
-        xs.swap(i, j);
     }
 }
 

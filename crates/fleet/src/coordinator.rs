@@ -15,7 +15,7 @@
 //!
 //! - **No panics on worker bytes.** Malformed frames, unknown ops, bad
 //!   keys, out-of-range chunks and slices all become typed
-//!   [`wire::ErrorCode`] responses.
+//!   [`wire::ErrorCode`](crate::wire::ErrorCode) responses.
 //! - **Staged commits.** `PushRows` lands in memory, keyed by slice, and
 //!   is accepted only from the slice's current leaseholder; granting a
 //!   slice clears its staging. Row files reach `results_dir` (atomically)

@@ -2,9 +2,10 @@
 //! (Table 7): margin ranking loss, L1 distance, uniform corruption, SGD,
 //! entity renormalization, and early stopping on validation mean rank.
 
+use embedstab_linalg::opt::shuffle;
 use embedstab_linalg::{vecops, Mat};
 use embedstab_quant::{optimal_clip, quantize_value, Precision};
-use rand::{Rng, RngExt, SeedableRng};
+use rand::{RngExt, SeedableRng};
 
 use crate::eval::{link_prediction_ranks, mean_rank};
 use crate::graph::KnowledgeGraph;
@@ -226,13 +227,6 @@ pub fn quantize_transe_pair(
             relations: q(&b.relations, clip_r),
         },
     )
-}
-
-fn shuffle<T>(xs: &mut [T], rng: &mut impl Rng) {
-    for i in (1..xs.len()).rev() {
-        let j = rng.random_range(0..=i);
-        xs.swap(i, j);
-    }
 }
 
 #[cfg(test)]

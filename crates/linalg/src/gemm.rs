@@ -14,7 +14,7 @@
 //!   array the compiler keeps in vector registers.
 //!
 //! Transposition is handled entirely in the packing step through strided
-//! [`View`]s, which is what lets `matmul_tn`/`matmul_nt`/`gram` share the
+//! `View`s, which is what lets `matmul_tn`/`matmul_nt`/`gram` share the
 //! kernel (and the row-block parallelism on [`crate::pool`]) with `matmul`.
 //! Products too small to amortize packing fall back to a simple i-k-j
 //! loop, and [`Mat::matmul_naive`] exposes the textbook triple loop as the

@@ -1,4 +1,8 @@
-//! The Adam optimizer (Kingma & Ba, 2015) over flat parameter vectors.
+//! The Adam optimizer (Kingma & Ba, 2015) over flat parameter vectors,
+//! and the seeded shuffle every trainer's sampling loop draws its order
+//! from.
+
+use rand::{Rng, RngExt};
 
 /// Adam state for one flat parameter vector.
 ///
@@ -78,9 +82,32 @@ impl Adam {
     }
 }
 
+/// Seeded Fisher-Yates shuffle used by every trainer's sampling loop.
+pub fn shuffle<T>(xs: &mut [T], rng: &mut impl Rng) {
+    for i in (1..xs.len()).rev() {
+        let j = rng.random_range(0..=i);
+        xs.swap(i, j);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
+
+    #[test]
+    fn shuffle_is_a_permutation_and_deterministic() {
+        let mut a: Vec<u32> = (0..50).collect();
+        let mut b: Vec<u32> = (0..50).collect();
+        let mut r1 = rand::rngs::StdRng::seed_from_u64(5);
+        let mut r2 = rand::rngs::StdRng::seed_from_u64(5);
+        shuffle(&mut a, &mut r1);
+        shuffle(&mut b, &mut r2);
+        assert_eq!(a, b);
+        let mut sorted = a.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..50).collect::<Vec<u32>>());
+    }
 
     #[test]
     fn minimizes_quadratic_bowl() {

@@ -14,7 +14,7 @@
 pub enum TokenKind {
     /// Identifier or keyword (`fn`, `unsafe`, `partial_cmp`, ...).
     Ident,
-    /// Punctuation; multi-char operators from [`TWO_CHAR_OPS`] arrive as
+    /// Punctuation; multi-char operators from `TWO_CHAR_OPS` arrive as
     /// one token (`::`, `+=`, `->`, ...).
     Punct,
     /// String/char/byte/numeric literal. Content is not interpreted.

@@ -39,7 +39,7 @@ use parking_lot::Mutex;
 
 use crate::grid::{EmbeddingGrid, PairKey};
 use crate::pool::parallel_map;
-use crate::run::{GridOptions, Row};
+use crate::run::Row;
 use crate::sink::RowSink;
 use crate::store::CacheStore;
 use crate::world::World;
@@ -66,7 +66,13 @@ pub struct Experiment<'w> {
     world: &'w World,
     grid: Option<&'w EmbeddingGrid>,
     tasks: Vec<TaskSpec>,
-    opts: GridOptions,
+    algos: Vec<Algo>,
+    dims: Option<Vec<usize>>,
+    precisions: Option<Vec<Precision>>,
+    with_measures: bool,
+    lr_override: Option<f64>,
+    relax_seeds: bool,
+    fine_tune_lr: Option<f64>,
     filters: Vec<Box<ConfigFilter>>,
     shard: Option<(usize, usize)>,
     cache_dir: Option<PathBuf>,
@@ -81,7 +87,13 @@ impl<'w> Experiment<'w> {
             world,
             grid: None,
             tasks: Vec::new(),
-            opts: GridOptions::default(),
+            algos: Algo::MAIN.to_vec(),
+            dims: None,
+            precisions: None,
+            with_measures: false,
+            lr_override: None,
+            relax_seeds: false,
+            fine_tune_lr: None,
             filters: Vec::new(),
             shard: None,
             cache_dir: None,
@@ -110,54 +122,48 @@ impl<'w> Experiment<'w> {
 
     /// Restricts the run to these algorithms (default: [`Algo::MAIN`]).
     pub fn algos(mut self, algos: impl IntoIterator<Item = Algo>) -> Self {
-        self.opts.algos = algos.into_iter().collect();
+        self.algos = algos.into_iter().collect();
         self
     }
 
     /// Restricts the grid to these dimensions (default: the scale's
     /// sweep).
     pub fn dims(mut self, dims: impl IntoIterator<Item = usize>) -> Self {
-        self.opts.dims = Some(dims.into_iter().collect());
+        self.dims = Some(dims.into_iter().collect());
         self
     }
 
     /// Restricts the grid to these precisions (default: the scale's
     /// sweep).
     pub fn precisions(mut self, precisions: impl IntoIterator<Item = Precision>) -> Self {
-        self.opts.precisions = Some(precisions.into_iter().collect());
+        self.precisions = Some(precisions.into_iter().collect());
         self
     }
 
     /// Also computes the five embedding distance measures per
     /// configuration.
     pub fn with_measures(mut self, yes: bool) -> Self {
-        self.opts.with_measures = yes;
+        self.with_measures = yes;
         self
     }
 
     /// Overrides the downstream learning rate (Appendix E.5).
     pub fn lr_override(mut self, lr: f64) -> Self {
-        self.opts.lr_override = Some(lr);
+        self.lr_override = Some(lr);
         self
     }
 
     /// Uses different model-init/sampling seeds on the '18 side
     /// (Appendix E.3).
     pub fn relax_seeds(mut self, yes: bool) -> Self {
-        self.opts.relax_seeds = yes;
+        self.relax_seeds = yes;
         self
     }
 
     /// Fine-tunes embeddings during downstream training (Appendix E.4;
     /// sentiment only).
     pub fn fine_tune_lr(mut self, lr: f64) -> Self {
-        self.opts.fine_tune_lr = Some(lr);
-        self
-    }
-
-    /// Replaces the whole options bag at once.
-    pub fn options(mut self, opts: GridOptions) -> Self {
-        self.opts = opts;
+        self.fine_tune_lr = Some(lr);
         self
     }
 
@@ -217,11 +223,11 @@ impl<'w> Experiment<'w> {
     /// sharding, in deterministic order.
     fn configs(&self, n_tasks: usize) -> Vec<Config> {
         let p = &self.world.params;
-        let dims = self.opts.dims.as_ref().unwrap_or(&p.dims);
-        let precisions = self.opts.precisions.as_ref().unwrap_or(&p.precisions);
+        let dims = self.dims.as_ref().unwrap_or(&p.dims);
+        let precisions = self.precisions.as_ref().unwrap_or(&p.precisions);
         let mut out = Vec::new();
         for task in 0..n_tasks {
-            for &algo in &self.opts.algos {
+            for &algo in &self.algos {
                 for &dim in dims {
                     for &prec in precisions {
                         for &seed in &p.seeds {
@@ -269,7 +275,7 @@ impl<'w> Experiment<'w> {
     /// EIS reference pair for each `(algo, seed)` in play.
     fn needed_pairs(&self, configs: &[Config]) -> Vec<PairKey> {
         let mut keys: Vec<PairKey> = configs.iter().map(|&(_, a, d, _, s)| (a, d, s)).collect();
-        if self.opts.with_measures {
+        if self.with_measures {
             let max_dim = self.world.params.max_dim();
             keys.extend(configs.iter().map(|&(_, a, _, _, s)| (a, max_dim, s)));
         }
@@ -309,7 +315,7 @@ impl<'w> Experiment<'w> {
                 &built
             }
         };
-        let (suites, measures) = if self.opts.with_measures {
+        let (suites, measures) = if self.with_measures {
             measure_suites(self.world, grid, &configs)
         } else {
             (BTreeMap::new(), BTreeMap::new())
@@ -319,15 +325,14 @@ impl<'w> Experiment<'w> {
         }
         let sinks = Mutex::new(self.sinks);
         let world = self.world;
-        let opts = &self.opts;
         let rows = parallel_map(&configs, |&(task_idx, algo, dim, prec, seed)| {
             let task = &tasks[task_idx];
             let (q17, q18) = grid.quantized_pair(algo, dim, seed, prec);
             let spec = PairSpec {
                 seed,
-                lr_override: opts.lr_override,
-                relax_seeds: opts.relax_seeds,
-                fine_tune_lr: opts.fine_tune_lr,
+                lr_override: self.lr_override,
+                relax_seeds: self.relax_seeds,
+                fine_tune_lr: self.fine_tune_lr,
             };
             let outcome = task.train_eval(&q17, &q18, &spec);
             // The first row of a configuration computes its measures; a

@@ -64,7 +64,7 @@ pub mod world_cache;
 pub use cache::CACHE_FORMAT_VERSION;
 pub use experiment::Experiment;
 pub use grid::{EmbeddingGrid, PairKey};
-pub use run::{GridOptions, Row};
+pub use run::Row;
 pub use scale::{Scale, ScaleParams};
 pub use sink::{JsonlSink, ProgressSink, RowSink, ShardFile};
 pub use store::{CacheFamily, CacheKey, CacheStore, StoreError};

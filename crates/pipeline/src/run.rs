@@ -1,11 +1,7 @@
-//! The row and options types of the [`Experiment`](crate::Experiment)
-//! builder: one [`Row`] per configuration it runs, and the
-//! [`GridOptions`] bag it takes through
-//! [`Experiment::options`](crate::Experiment::options).
+//! The row type of the [`Experiment`](crate::Experiment) builder: one
+//! [`Row`] per configuration it runs.
 
 use embedstab_core::MeasureValues;
-use embedstab_embeddings::Algo;
-use embedstab_quant::Precision;
 use serde::{Deserialize, Serialize};
 
 /// One experiment observation: a downstream task trained on one embedding
@@ -35,41 +31,6 @@ pub struct Row {
     pub measures: Option<MeasureValues>,
 }
 
-/// Options shared by the grid runners.
-#[derive(Clone, Debug)]
-pub struct GridOptions {
-    /// Algorithms to run.
-    pub algos: Vec<Algo>,
-    /// Also compute the five distance measures per configuration.
-    pub with_measures: bool,
-    /// Downstream learning-rate override (Appendix E.5 sweeps this).
-    pub lr_override: Option<f64>,
-    /// Use different model-init/sampling seeds for the '18-side model
-    /// (Appendix E.3's relaxed-seed setting).
-    pub relax_seeds: bool,
-    /// Fine-tune the embeddings during downstream training at the given
-    /// learning rate (Appendix E.4); sentiment only.
-    pub fine_tune_lr: Option<f64>,
-    /// Restrict the grid to these dimensions (default: the scale's sweep).
-    pub dims: Option<Vec<usize>>,
-    /// Restrict the grid to these precisions (default: the scale's sweep).
-    pub precisions: Option<Vec<Precision>>,
-}
-
-impl Default for GridOptions {
-    fn default() -> Self {
-        GridOptions {
-            algos: Algo::MAIN.to_vec(),
-            with_measures: false,
-            lr_override: None,
-            relax_seeds: false,
-            fine_tune_lr: None,
-            dims: None,
-            precisions: None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,6 +38,8 @@ mod tests {
     use crate::grid::EmbeddingGrid;
     use crate::scale::Scale;
     use crate::world::World;
+    use embedstab_embeddings::Algo;
+    use embedstab_quant::Precision;
 
     fn tiny_setup() -> (World, EmbeddingGrid) {
         let mut params = Scale::Tiny.params();
@@ -88,23 +51,18 @@ mod tests {
         (world, grid)
     }
 
-    fn run(world: &World, grid: &EmbeddingGrid, task: &str, opts: &GridOptions) -> Vec<Row> {
+    /// The grid runs of these tests: one task over the prebuilt MC grid.
+    fn experiment<'w>(world: &'w World, grid: &'w EmbeddingGrid, task: &str) -> Experiment<'w> {
         Experiment::new(world)
             .grid(grid)
             .tasks([task])
-            .options(opts.clone())
-            .run()
+            .algos([Algo::Mc])
     }
 
     #[test]
     fn sentiment_grid_produces_rows_with_shape() {
         let (world, grid) = tiny_setup();
-        let opts = GridOptions {
-            algos: vec![Algo::Mc],
-            with_measures: true,
-            ..Default::default()
-        };
-        let rows = run(&world, &grid, "sst2", &opts);
+        let rows = experiment(&world, &grid, "sst2").with_measures(true).run();
         assert_eq!(rows.len(), 4); // 2 dims x 2 precisions x 1 seed
         for r in &rows {
             assert!(r.disagreement >= 0.0 && r.disagreement <= 1.0);
@@ -120,11 +78,7 @@ mod tests {
     #[test]
     fn ner_grid_runs() {
         let (world, grid) = tiny_setup();
-        let opts = GridOptions {
-            algos: vec![Algo::Mc],
-            ..Default::default()
-        };
-        let rows = run(&world, &grid, "ner", &opts);
+        let rows = experiment(&world, &grid, "ner").run();
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert_eq!(r.task, "ner");
@@ -136,16 +90,8 @@ mod tests {
     #[test]
     fn relaxed_seeds_change_results() {
         let (world, grid) = tiny_setup();
-        let base = GridOptions {
-            algos: vec![Algo::Mc],
-            ..Default::default()
-        };
-        let relaxed = GridOptions {
-            relax_seeds: true,
-            ..base.clone()
-        };
-        let a = run(&world, &grid, "sst2", &base);
-        let b = run(&world, &grid, "sst2", &relaxed);
+        let a = experiment(&world, &grid, "sst2").run();
+        let b = experiment(&world, &grid, "sst2").relax_seeds(true).run();
         // Relaxing seeds adds model randomness, so disagreement shifts for
         // at least one configuration.
         assert!(

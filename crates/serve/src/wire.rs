@@ -68,7 +68,7 @@ pub const WIRE_VERSION: u8 = 1;
 
 /// Hard ceiling on one frame's body size (16 MiB). A length prefix past
 /// this is rejected before any allocation — the framing equivalent of
-/// [`take_len`]'s refusal to trust a corrupt length.
+/// [`take_len`](embedstab_corpus::codec::take_len)'s refusal to trust a corrupt length.
 pub const MAX_FRAME_BYTES: usize = 1 << 24;
 
 const OP_LOOKUP_BATCH: u8 = 1;

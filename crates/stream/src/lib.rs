@@ -26,7 +26,7 @@
 //! [`ContinuousRetrainer::ingest`] leaves the co-occurrence table —
 //! values, `total`, entry order, `row_sums` — bit-identical to one
 //! [`Cooc::count`](embedstab_corpus::Cooc::count) over the concatenated
-//! corpus, so the PPMI refresh ([`ppmi`](embedstab_corpus::ppmi) over
+//! corpus, so the PPMI refresh ([`ppmi`](fn@embedstab_corpus::ppmi) over
 //! that table) reproduces the from-scratch PPMI bit-for-bit. Only the
 //! warm-started SVD is approximate, and [`ContinuousRetrainer`] pins its
 //! drift under [`WARM_SVD_EIS_TOLERANCE`].

@@ -161,9 +161,8 @@ impl ContinuousRetrainer {
     ///
     /// # Errors
     ///
-    /// [`StreamError::Cooc`] with
-    /// [`CoocError::ZeroWindow`](embedstab_corpus::CoocError::ZeroWindow)
-    /// if the counting window is zero.
+    /// [`StreamError::Cooc`] with [`CoocError::ZeroWindow`] if the
+    /// counting window is zero.
     pub fn new(
         vocab_size: usize,
         config: RetrainerConfig,
@@ -287,7 +286,7 @@ impl ContinuousRetrainer {
     }
 
     /// Brings the PPMI matrix up to date with the counting state:
-    /// [`ppmi`] over the standing table, bitwise the PPMI of a one-shot
+    /// [`ppmi`](fn@ppmi) over the standing table, bitwise the PPMI of a one-shot
     /// count of the accumulated corpus. Normally called through
     /// [`ContinuousRetrainer::retrain`]; exposed for callers that want
     /// fresh statistics without training.

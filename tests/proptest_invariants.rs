@@ -2,7 +2,8 @@
 //! reproduction.
 
 use embedstab::core::measures::{
-    DistanceMeasure, EigenspaceOverlap, EisMeasure, KnnMeasure, PipLoss,
+    left_singular_basis_with, overlap_distance_from_bases, DistanceMeasure, EisMeasure, KnnMeasure,
+    PipLoss,
 };
 use embedstab::core::selection::{budget_selection, pairwise_selection, ConfigPoint};
 use embedstab::core::stats;
@@ -15,6 +16,24 @@ use proptest::prelude::*;
 fn embedding_strategy(n: usize, d: usize) -> impl Strategy<Value = Embedding> {
     proptest::collection::vec(-3.0f64..3.0, n * d)
         .prop_map(move |data| Embedding::new(Mat::from_vec(n, d, data)))
+}
+
+/// The PIP loss computed from SVD factors instead of Gram products: with
+/// `X = U S V^T`, `||X X^T - Y Y^T||_F^2` equals
+/// `sum s_x^4 + sum s_y^4 - 2 ||S_x (U_x^T U_y) S_y||_F^2`.
+fn pip_via_svd(x: &Embedding, y: &Embedding, method: SvdMethod) -> f64 {
+    let sx = x.mat().svd_with(method);
+    let sy = y.mat().svd_with(method);
+    let mut cross = sx.u.matmul_tn(&sy.u);
+    for i in 0..cross.rows() {
+        let si = sx.s[i];
+        for (v, sj) in cross.row_mut(i).iter_mut().zip(&sy.s) {
+            *v *= si * sj;
+        }
+    }
+    let xx: f64 = sx.s.iter().map(|s| s.powi(4)).sum();
+    let yy: f64 = sy.s.iter().map(|s| s.powi(4)).sum();
+    (xx + yy - 2.0 * cross.frobenius_norm_sq()).max(0.0).sqrt()
 }
 
 proptest! {
@@ -103,22 +122,26 @@ proptest! {
         prop_assume!(y.mat().frobenius_norm() > 1e-6);
         let exact = SvdMethod::Exact;
         let rsvd = SvdMethod::Randomized(RandomizedSvd::full());
+        let bases = |method| {
+            (left_singular_basis_with(x.mat(), method), left_singular_basis_with(y.mat(), method))
+        };
+        let ((ux_e, uy_e), (ux_r, uy_r)) = (bases(exact), bases(rsvd));
 
-        let ov_e = EigenspaceOverlap.distance_with_svd(&x, &y, exact);
-        let ov_r = EigenspaceOverlap.distance_with_svd(&x, &y, rsvd);
+        let ov_e = overlap_distance_from_bases(&ux_e, &uy_e);
+        let ov_r = overlap_distance_from_bases(&ux_r, &uy_r);
         prop_assert!((ov_e - ov_r).abs() < 1e-8, "overlap: {ov_e} vs {ov_r}");
 
         let eis = EisMeasure::new(&x, &y, 2.0);
-        let eis_e = eis.distance_with_svd(&x, &y, exact);
-        let eis_r = eis.distance_with_svd(&x, &y, rsvd);
+        let eis_e = eis.distance_from_bases(&ux_e, &uy_e);
+        let eis_r = eis.distance_from_bases(&ux_r, &uy_r);
         prop_assert!((eis_e - eis_r).abs() < 1e-8, "EIS: {eis_e} vs {eis_r}");
 
         // PIP is unnormalized, so compare at its own scale; the SVD paths
         // must also agree with the Gram-product implementation.
         let pip_scale = x.mat().gram().frobenius_norm().max(1.0);
         let pip_direct = PipLoss.distance(&x, &y);
-        let pip_e = PipLoss.distance_via_svd(&x, &y, exact);
-        let pip_r = PipLoss.distance_via_svd(&x, &y, rsvd);
+        let pip_e = pip_via_svd(&x, &y, exact);
+        let pip_r = pip_via_svd(&x, &y, rsvd);
         prop_assert!((pip_e - pip_r).abs() < 1e-8 * pip_scale, "PIP: {pip_e} vs {pip_r}");
         prop_assert!((pip_e - pip_direct).abs() < 1e-6 * pip_scale, "PIP svd vs gram: {pip_e} vs {pip_direct}");
     }
